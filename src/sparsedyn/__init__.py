@@ -16,19 +16,17 @@ from .errors import (
     NegativeLambda,
     NonpositiveDt,
     NotTwoDimensional,
+    SolverDiverged,
     UnderResolved,
     UnknownInitialSpec,
 )
 from .evaluation import (
     RunReport,
     StepRecord,
-    dense_advance,
-    dense_convolve,
     error_metrics,
     inject,
     iter_dense_states,
     iter_low_frequency_states,
-    low_frequency_advance,
     match_mode_count,
     project_low_frequency,
 )
@@ -70,6 +68,7 @@ from .solvers import (
 from .spectral import (
     DenseSpectrum,
     SpatialField,
+    dense_convolve,
     dft_forward,
     dft_inverse,
     spectral_derivative,
@@ -95,7 +94,6 @@ __all__ = [
     "bundled_recipes",
     "coefficient_field_of",
     "convergence_study",
-    "dense_advance",
     "dense_convolve",
     "dft_forward",
     "dft_inverse",
@@ -112,7 +110,6 @@ __all__ = [
     "lambda_at",
     "load_recipe",
     "load_spectrum",
-    "low_frequency_advance",
     "match_mode_count",
     "mode_to_fft_index",
     "parse_config_file",

@@ -13,6 +13,7 @@ from .errors import (
     ConfigError,
     HermitianViolation,
     NotTwoDimensional,
+    SolverDiverged,
     UnderResolved,
     UnknownInitialSpec,
 )
@@ -28,6 +29,7 @@ _SOLVER_ERRORS = (
     CflViolation,
     HermitianViolation,
     NotTwoDimensional,
+    SolverDiverged,
     UnderResolved,
     UnknownInitialSpec,
     ValueError,

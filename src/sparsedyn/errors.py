@@ -25,6 +25,10 @@ class CflViolation(RuntimeError):
     """Time step exceeds the stability guard (raised only in strict mode)."""
 
 
+class SolverDiverged(RuntimeError):
+    """A time step produced a non-finite coefficient."""
+
+
 class CflWarning(RuntimeWarning):
     """Time step exceeds the stability guard (default, warning-level)."""
 

@@ -1,24 +1,28 @@
 """Reference solutions and baselines.
 
-The dense solver repeats the sparse steppers' update formulas on full
-coefficient arrays with no shrinkage; its convolution goes through padded
-transforms instead of entry pairs, so agreement with the sparse path is a
-genuine cross-implementation check.  The low-frequency baseline replaces
-shrinkage with a hard wavenumber cutoff.
+The dense reference steps the sparse run's schemes (``solvers``) on full
+coefficient arrays with no shrinkage; its containers, its full-grid mode
+factors and its convolution (padded transforms instead of entry pairs)
+differ, so agreement with the sparse path still cross-checks them.  The
+low-frequency baseline replaces shrinkage with a hard wavenumber cutoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .coefficients import coefficient_field_of, sample_coefficient
-from .errors import GridMismatch, NotTwoDimensional
+# coefficient_field_of and dense_convolve are re-exported: callers, and the
+# layer tracer in perfbench/, look them up in this module
+from .coefficients import coefficient_field_of  # noqa: F401
+from .errors import GridMismatch
 from .grid import GridSpec
 from .shrinkage import SparseSpectrum
-from .solvers import CFL_DIFFUSION, CFL_TRANSPORT, EquationParams, _check_cfl
-from .spectral import DenseSpectrum, SpatialField, dft_inverse
+from .solvers import EquationParams, _iterate
+from .spectral import DenseSpectrum, SpatialField, _zero_nyquist, dft_inverse
+from .spectral import dense_convolve  # noqa: F401
 
 
 @dataclass
@@ -45,148 +49,6 @@ class RunReport:
     extras: dict = field(default_factory=dict)
 
 
-def _ik(grid: GridSpec, axis: int) -> np.ndarray:
-    """Derivative factor i*k along ``axis``, Nyquist zeroed, broadcastable."""
-    k = grid.wavenumbers().copy()
-    k[grid.n_per_dim // 2] = 0.0
-    shape = [1] * grid.dims
-    shape[axis] = grid.n_per_dim
-    return 1j * k.reshape(shape)
-
-
-def _zero_nyquist(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    out = coeffs.copy()
-    for axis in range(grid.dims):
-        index = [slice(None)] * grid.dims
-        index[axis] = grid.n_per_dim // 2
-        out[tuple(index)] = 0.0
-    return out
-
-
-def _center_slices(grid: GridSpec) -> tuple[slice, ...]:
-    n = grid.n_per_dim
-    return tuple(slice(n // 2, n // 2 + n) for _ in range(grid.dims))
-
-
-def dense_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Galerkin-truncated convolution of amplitude spectra via padded
-    transforms; same truncation contract as the sparse entry-pair kernel."""
-    n = grid.n_per_dim
-    m_total = (2 * n) ** grid.dims
-    pad_shape = (2 * n,) * grid.dims
-    slices = _center_slices(grid)
-
-    def to_space(coeffs: np.ndarray) -> np.ndarray:
-        padded = np.zeros(pad_shape, dtype=np.complex128)
-        padded[slices] = np.fft.fftshift(_zero_nyquist(coeffs, grid))
-        return np.fft.ifftn(np.fft.ifftshift(padded)) * m_total
-
-    product = to_space(a) * to_space(b)
-    full = np.fft.fftshift(np.fft.fftn(product) / m_total)
-    box = full[slices].copy()
-    for axis in range(grid.dims):
-        index = [slice(None)] * grid.dims
-        index[axis] = 0  # ascending layout: first plane is the mode -n/2
-        box[tuple(index)] = 0.0
-    return np.fft.ifftshift(box)
-
-
-@dataclass(frozen=True)
-class _DensePrepared:
-    a_arr: np.ndarray | None
-    f_arr: np.ndarray | None
-    a_max: float
-
-
-def _dense_prepare(params: EquationParams, grid: GridSpec) -> _DensePrepared:
-    if params.equation == "vorticity2d":
-        if grid.dims != 2:
-            raise NotTwoDimensional("vorticity2d requires a 2-D grid")
-        if params.forcing is None:
-            f_arr = np.zeros(grid.shape, dtype=np.complex128)
-        else:
-            f_arr = coefficient_field_of(params.forcing, grid).coeffs
-        return _DensePrepared(a_arr=None, f_arr=f_arr, a_max=0.0)
-    samples = sample_coefficient(params.coeff, grid)
-    if params.equation in ("parabolic", "burgers") and samples.min() <= 0:
-        raise ValueError(f"{params.equation} needs a strictly positive coefficient")
-    a_arr = coefficient_field_of(params.coeff, grid).coeffs
-    return _DensePrepared(a_arr=a_arr, f_arr=None, a_max=float(np.max(np.abs(samples))))
-
-
-def _dense_velocity(u: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
-    k1 = grid.wavenumbers().reshape(-1, 1)
-    k2 = grid.wavenumbers().reshape(1, -1)
-    ksq = k1**2 + k2**2
-    inv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq != 0)
-    factor = (1j * k2 * inv) if axis == 0 else (-1j * k1 * inv)
-    return factor * u
-
-
-def _iter_dense(
-    initial: DenseSpectrum,
-    params: EquationParams,
-    dt: float,
-    n_steps: int,
-    strict_cfl: bool = False,
-    projector=None,
-):
-    """Shared dense stepping loop; ``projector`` (if given) maps each state,
-    including the initial one, before it is stored and yielded."""
-    grid = initial.grid
-    prep = _dense_prepare(params, grid)
-    if prep.a_max > 0:
-        if params.equation == "convection":
-            _check_cfl("transport", dt, CFL_TRANSPORT * grid.dx / prep.a_max, strict_cfl)
-        else:
-            _check_cfl(
-                "explicit-diffusion",
-                dt,
-                CFL_DIFFUSION * grid.dx**2 / prep.a_max,
-                strict_cfl,
-            )
-
-    u = initial.coeffs.astype(np.complex128)
-    if projector is not None:
-        u = projector(u)
-    previous = None
-    yield DenseSpectrum(grid, u.copy())
-
-    if params.equation == "vorticity2d":
-        k1 = grid.wavenumbers().reshape(-1, 1)
-        k2 = grid.wavenumbers().reshape(1, -1)
-        ksq = k1**2 + k2**2
-        gain = 2.0 * dt / (2.0 + params.gamma * dt * ksq)
-        decay = (2.0 - params.gamma * dt * ksq) / (2.0 + params.gamma * dt * ksq)
-
-    def burgers_rhs(w: np.ndarray) -> np.ndarray:
-        inner = dense_convolve(prep.a_arr, _ik(grid, 0) * w, grid)
-        inner = inner - 0.5 * dense_convolve(w, w, grid)
-        return _ik(grid, 0) * inner
-
-    for _ in range(1, n_steps + 1):
-        if params.equation == "convection":
-            transport = dense_convolve(prep.a_arr, _ik(grid, 0) * u, grid)
-            new = u + dt * transport if previous is None else previous + 2 * dt * transport
-            previous = u
-            u = new
-        elif params.equation == "parabolic":
-            u = u + dt * _ik(grid, 0) * dense_convolve(prep.a_arr, _ik(grid, 0) * u, grid)
-        elif params.equation == "burgers":
-            u1 = u + dt * burgers_rhs(u)
-            u = 0.5 * (u + u1) + 0.5 * dt * burgers_rhs(u1)
-        else:
-            advection = np.zeros_like(u)
-            for axis in range(2):
-                advection -= dense_convolve(
-                    _dense_velocity(u, grid, axis), _ik(grid, axis) * u, grid
-                )
-            u = gain * (advection + prep.f_arr) + decay * u
-        if projector is not None:
-            u = projector(u)
-        yield DenseSpectrum(grid, u.copy())
-
-
 def iter_dense_states(
     initial: DenseSpectrum,
     params: EquationParams,
@@ -195,28 +57,13 @@ def iter_dense_states(
     strict_cfl: bool = False,
 ):
     """Dense no-shrinkage trajectory; yields steps 0..n_steps."""
-    return _iter_dense(initial, params, dt, n_steps, strict_cfl)
-
-
-def dense_advance(
-    initial: DenseSpectrum,
-    params: EquationParams,
-    dt: float,
-    n_steps: int,
-    strict_cfl: bool = False,
-) -> list[DenseSpectrum]:
-    """Full dense trajectory as a list (use the iterator for long runs)."""
-    return list(iter_dense_states(initial, params, dt, n_steps, strict_cfl))
+    return (s.current for s in _iterate(initial, params, dt, n_steps, strict_cfl, lambda v: v))
 
 
 def project_low_frequency(spec: DenseSpectrum, cutoff: int) -> DenseSpectrum:
     """Zero every coefficient whose mode has any |k_d| > cutoff."""
-    m = spec.grid.mode_numbers()
-    keep = np.abs(m) <= cutoff
-    mask = keep.copy()
-    for _ in range(spec.grid.dims - 1):
-        mask = np.logical_and.outer(mask, keep)
-    return DenseSpectrum(spec.grid, spec.coeffs * mask)
+    keep = np.all(np.abs(spec.modes()) <= cutoff, axis=0)
+    return DenseSpectrum(spec.grid, spec.coeffs * keep)
 
 
 def iter_low_frequency_states(
@@ -228,23 +75,8 @@ def iter_low_frequency_states(
 ):
     """Dense stepping with a hard cutoff applied at entry and after every
     step (the fixed-band comparison baseline)."""
-    grid = initial.grid
-    m = grid.mode_numbers()
-    keep = np.abs(m) <= cutoff
-    mask = keep.copy()
-    for _ in range(grid.dims - 1):
-        mask = np.logical_and.outer(mask, keep)
-    return _iter_dense(initial, params, dt, n_steps, projector=lambda u: u * mask)
-
-
-def low_frequency_advance(
-    initial: DenseSpectrum,
-    params: EquationParams,
-    dt: float,
-    n_steps: int,
-    cutoff: int,
-) -> list[DenseSpectrum]:
-    return list(iter_low_frequency_states(initial, params, dt, n_steps, cutoff))
+    project = partial(project_low_frequency, cutoff=cutoff)
+    return (s.current for s in _iterate(project(initial), params, dt, n_steps, False, project))
 
 
 def _as_field(state) -> SpatialField:

@@ -80,12 +80,28 @@ class GridSpec:
 
     def wavenumbers(self) -> np.ndarray:
         """Physical angular wavenumbers along one axis in FFT order."""
-        return self.mode_numbers() * (TWO_PI / self.domain_length)
+        return wavenumbers_of(self, self.mode_numbers())
 
     @property
     def nyquist_mode(self) -> int:
         """The unpaired integer mode -n/2; zeroed by derivatives."""
         return -(self.n_per_dim // 2)
+
+
+def wavenumbers_of(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
+    """Physical angular wavenumbers ``2*pi*m / domain_length`` of integer
+    modes ``m`` (any shape)."""
+    return modes * (TWO_PI / grid.domain_length)
+
+
+def derivative_factor(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
+    """The derivative factor ``i*k`` of integer modes along one axis.
+
+    The unpaired Nyquist mode -n/2 gets 0: it has no real-valued
+    derivative, so zeroing it keeps real fields real.
+    """
+    k = np.where(modes == grid.nyquist_mode, 0.0, wavenumbers_of(grid, modes))
+    return 1j * k
 
 
 def fft_index_to_mode(grid: GridSpec, index: int | np.ndarray) -> np.ndarray:

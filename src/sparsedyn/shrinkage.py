@@ -4,7 +4,7 @@ threshold schedule, and truncated sparse-sparse spectral convolution.
 Entries are keyed by integer mode vectors and stored sorted (lexicographic
 mode order), so iteration and serialization are deterministic.  Only the
 soft threshold removes small coefficients; arithmetic drops nothing above
-true underflow (``DROP_TOL``).
+true underflow (``DROP_TOL``), and nothing non-finite.
 """
 
 from __future__ import annotations
@@ -16,11 +16,17 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import GridMismatch, NegativeLambda, NonpositiveDt
-from .grid import GridSpec, mode_to_fft_index
+from .grid import GridSpec, fft_index_to_mode, mode_to_fft_index
 from .spectral import DenseSpectrum
 
 # Magnitudes below this are treated as exact zeros during arithmetic.
 DROP_TOL = 1e-300
+
+
+def _nonzero(values: np.ndarray) -> np.ndarray:
+    """Mask of entries that are not exact zeros: magnitude at or above
+    ``DROP_TOL``, or NaN, so that a non-finite value is never dropped."""
+    return ~(np.abs(values) < DROP_TOL)
 
 
 def _canonical_keys(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
@@ -90,16 +96,9 @@ class SparseSpectrum:
     def from_dense(cls, spec: DenseSpectrum) -> "SparseSpectrum":
         """Sparsify a dense spectrum, dropping only underflow-level entries."""
         flat = spec.coeffs.ravel()
-        idx = np.flatnonzero(np.abs(flat) >= DROP_TOL)
+        idx = np.flatnonzero(_nonzero(flat))
         grid = spec.grid
-        n = grid.n_per_dim
-        digits = []
-        rem = idx
-        for _ in range(grid.dims):
-            rem, d = np.divmod(rem, n)
-            digits.append(np.where(d < n // 2, d, d - n))
-        modes = np.stack(digits[::-1])
-        keys = _canonical_keys(grid, modes)
+        keys = _canonical_keys(grid, fft_index_to_mode(grid, idx))
         order = np.argsort(keys)
         return cls(grid, keys[order], flat[idx][order].astype(np.complex128))
 
@@ -141,7 +140,7 @@ class SparseSpectrum:
         """Multiply entrywise by per-entry ``factors`` (aligned with sorted
         order); entries that underflow are dropped."""
         vals = self.values * factors
-        keep = np.abs(vals) >= DROP_TOL
+        keep = _nonzero(vals)
         if keep.all():
             return SparseSpectrum(self.grid, self.keys, vals)
         return SparseSpectrum(self.grid, self.keys[keep], vals[keep])
@@ -159,7 +158,7 @@ class SparseSpectrum:
 
     def __mul__(self, scalar: complex) -> "SparseSpectrum":
         vals = self.values * scalar
-        keep = np.abs(vals) >= DROP_TOL
+        keep = _nonzero(vals)
         return SparseSpectrum(self.grid, self.keys[keep], vals[keep])
 
     __rmul__ = __mul__
@@ -174,7 +173,7 @@ def _accumulate(grid: GridSpec, keys: np.ndarray, values: np.ndarray) -> SparseS
         np.complex128
     )
     vals += 1j * np.bincount(inverse, weights=values.imag, minlength=uniq.size)
-    keep = np.abs(vals) >= DROP_TOL
+    keep = _nonzero(vals)
     return SparseSpectrum(grid, uniq[keep], vals[keep])
 
 
@@ -228,24 +227,24 @@ def soft_threshold(
     below it.
 
     Each amplitude z maps to ``max(|z| - lam, 0) * z/|z|``.  With
-    ``protect_mean`` the k = 0 coefficient is exempt.
+    ``protect_mean`` the k = 0 coefficient is exempt.  A NaN amplitude is
+    kept (as NaN), never dropped.
     """
     if lam < 0:
         raise NegativeLambda(f"lambda must be >= 0, got {lam}")
     if isinstance(spec, DenseSpectrum):
         spec = SparseSpectrum.from_dense(spec)
     mags = np.abs(spec.values)
-    keep = mags > lam
+    keep = ~(mags <= lam)
     mean_key = _canonical_keys(spec.grid, np.zeros((spec.grid.dims, 1), np.int64))[0]
     if protect_mean:
-        keep |= (spec.keys == mean_key) & (mags >= DROP_TOL)
+        keep |= (spec.keys == mean_key) & _nonzero(spec.values)
     keys = spec.keys[keep]
     vals = spec.values[keep] * ((mags[keep] - lam) / mags[keep])
     if protect_mean:
         exempt = keys == mean_key
         vals[exempt] = spec.values[keep][exempt]
-    out = SparseSpectrum(spec.grid, keys, vals)
-    return out
+    return SparseSpectrum(spec.grid, keys, vals)
 
 
 def sparsity_fraction(spec: SparseSpectrum) -> float:
@@ -297,7 +296,7 @@ def sparse_convolve(a: SparseSpectrum, b: SparseSpectrum) -> SparseSpectrum:
 
     half = n // 2
     inside = np.all(np.abs(modes) <= half - 1, axis=0)
-    inside &= np.abs(vals) >= DROP_TOL
+    inside &= _nonzero(vals)
     return SparseSpectrum(grid, _canonical_keys(grid, modes[:, inside]), vals[inside])
 
 

@@ -1,20 +1,29 @@
-"""Sparse time-steppers: update in the coefficient domain, then shrink.
+"""Time schemes, written once for sparse and dense spectra.
 
 Every scheme produces a pre-shrinkage update v from the current (and, for
-Leap Frog, previous) state; :func:`advance` applies the soft threshold to v
-once per step.  All stepping happens natively on sparse coefficient sets.
+Leap Frog, previous) state.  The schemes use only the operations both
+containers share (``modes``, ``apply_mode_factor``, ``+``, scalar ``*``)
+and :func:`_convolve`, so the sparse run, the dense reference and the
+low-frequency baseline step through the same code; each passes v through
+its own final map (the soft threshold for the sparse run).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import CoefficientSpec, coefficient_field_of, sample_coefficient
-from .errors import CflViolation, CflWarning, NotTwoDimensional, UnknownInitialSpec
-from .grid import TWO_PI, GridSpec
+from .errors import (
+    CflViolation,
+    CflWarning,
+    NotTwoDimensional,
+    SolverDiverged,
+    UnknownInitialSpec,
+)
+from .grid import GridSpec, wavenumbers_of
 from .shrinkage import (
     LambdaSchedule,
     SparseSpectrum,
@@ -23,13 +32,21 @@ from .shrinkage import (
     sparse_convolve,
     sparsity_fraction,
 )
-from .spectral import SpatialField, dft_forward
+from .spectral import (
+    DenseSpectrum,
+    SpatialField,
+    dense_convolve,
+    dft_forward,
+    spectral_derivative,
+)
 
 EQUATIONS = ("convection", "parabolic", "burgers", "vorticity2d")
 
 # conservative stability-guard constants
 CFL_TRANSPORT = 1.0
 CFL_DIFFUSION = 0.5
+
+Spectrum = SparseSpectrum | DenseSpectrum
 
 
 @dataclass(frozen=True)
@@ -55,8 +72,8 @@ class EquationParams:
 class SolverState:
     """Solution at one step; ``previous`` is kept for Leap Frog only."""
 
-    current: SparseSpectrum
-    previous: SparseSpectrum | None
+    current: Spectrum
+    previous: Spectrum | None
     step_index: int
     time: float
 
@@ -71,20 +88,12 @@ class InitialSpec:
     seed: int = 42
 
 
-def _scale(grid: GridSpec) -> float:
-    return TWO_PI / grid.domain_length
-
-
-def _derivative_factors(spec: SparseSpectrum, axis: int) -> np.ndarray:
-    """Per-entry i*k along ``axis``; zero at the Nyquist mode."""
-    m = spec.modes()[axis]
-    k = m * _scale(spec.grid)
-    k = np.where(m == spec.grid.nyquist_mode, 0.0, k)
-    return 1j * k
-
-
-def _derivative(spec: SparseSpectrum, axis: int = 0) -> SparseSpectrum:
-    return spec.apply_mode_factor(_derivative_factors(spec, axis))
+def _convolve(a: Spectrum, b: Spectrum) -> Spectrum:
+    """Truncated convolution: over entry pairs for sparse operands, through
+    padded transforms for dense ones."""
+    if isinstance(a, SparseSpectrum):
+        return sparse_convolve(a, b)
+    return DenseSpectrum(a.grid, dense_convolve(a.coeffs, b.coeffs, a.grid))
 
 
 def _check_cfl(kind: str, dt: float, limit: float, strict: bool) -> None:
@@ -93,135 +102,135 @@ def _check_cfl(kind: str, dt: float, limit: float, strict: bool) -> None:
     msg = f"dt={dt:.3e} exceeds the {kind} stability guard {limit:.3e}"
     if strict:
         raise CflViolation(msg)
-    warnings.warn(msg, CflWarning, stacklevel=3)
+    warnings.warn(msg, CflWarning, stacklevel=4)
 
 
-def step_convection(
-    state: SolverState,
-    a_hat: SparseSpectrum,
-    dt: float,
-    a_max: float | None = None,
-    strict_cfl: bool = False,
-) -> SparseSpectrum:
+def step_convection(state: SolverState, a_hat: Spectrum, dt: float) -> Spectrum:
     """Leap Frog update u_prev + 2 dt a*(i k u); forward Euler on step 0."""
-    if a_max is not None and a_max > 0:
-        _check_cfl("transport", dt, CFL_TRANSPORT * state.current.grid.dx / a_max, strict_cfl)
-    transport = sparse_convolve(a_hat, _derivative(state.current))
+    transport = _convolve(a_hat, spectral_derivative(state.current))
     if state.step_index == 0 or state.previous is None:
         return state.current + dt * transport
     return state.previous + (2.0 * dt) * transport
 
 
-def step_parabolic(
-    state: SolverState,
-    a_hat: SparseSpectrum,
-    dt: float,
-    a_max: float | None = None,
-    strict_cfl: bool = False,
-) -> SparseSpectrum:
+def step_parabolic(state: SolverState, a_hat: Spectrum, dt: float) -> Spectrum:
     """Forward Euler update u + dt i k (a*(i k u))."""
-    if a_max is not None and a_max > 0:
-        grid = state.current.grid
-        _check_cfl(
-            "explicit-diffusion", dt, CFL_DIFFUSION * grid.dx**2 / a_max, strict_cfl
-        )
-    flux = _derivative(sparse_convolve(a_hat, _derivative(state.current)))
+    flux = spectral_derivative(_convolve(a_hat, spectral_derivative(state.current)))
     return state.current + dt * flux
 
 
-def _burgers_rhs(u: SparseSpectrum, a_hat: SparseSpectrum) -> SparseSpectrum:
+def _burgers_rhs(u: Spectrum, a_hat: Spectrum) -> Spectrum:
     # i k ( a*(i k u) - (1/2) u*u ): diffusion minus the conservative flux
-    inner = sparse_convolve(a_hat, _derivative(u)) + (-0.5) * sparse_convolve(u, u)
-    return _derivative(inner)
+    inner = _convolve(a_hat, spectral_derivative(u)) + (-0.5) * _convolve(u, u)
+    return spectral_derivative(inner)
 
 
-def step_burgers(
-    state: SolverState,
-    a_hat: SparseSpectrum,
-    dt: float,
-    a_max: float | None = None,
-    strict_cfl: bool = False,
-) -> SparseSpectrum:
+def step_burgers(state: SolverState, a_hat: Spectrum, dt: float) -> Spectrum:
     """Two-stage TVD Runge-Kutta (Heun) step for the viscous conservation law."""
-    if a_max is not None and a_max > 0:
-        grid = state.current.grid
-        _check_cfl(
-            "explicit-diffusion", dt, CFL_DIFFUSION * grid.dx**2 / a_max, strict_cfl
-        )
     u = state.current
     u1 = u + dt * _burgers_rhs(u, a_hat)
     return 0.5 * (u + u1) + (0.5 * dt) * _burgers_rhs(u1, a_hat)
 
 
-def _velocity(u: SparseSpectrum, axis: int) -> SparseSpectrum:
+def _ksq(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entry 2-D wavenumber vectors k and |k|^2."""
+    k = wavenumbers_of(spec.grid, spec.modes())
+    return k, k[0] * k[0] + k[1] * k[1]
+
+
+def _velocity(u: Spectrum, axis: int) -> Spectrum:
     """Velocity component from vorticity: perpendicular gradient of the
     inverse Laplacian, zero at k = 0 (mean-free streamfunction)."""
-    modes = u.modes()
-    scale = _scale(u.grid)
-    k1 = modes[0] * scale
-    k2 = modes[1] * scale
-    ksq = k1 * k1 + k2 * k2
+    k, ksq = _ksq(u)
     inv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq != 0)
-    factor = (1j * k2 * inv) if axis == 0 else (-1j * k1 * inv)
+    factor = (1j * k[1] * inv) if axis == 0 else (-1j * k[0] * inv)
     return u.apply_mode_factor(factor)
 
 
-def advection_term(u: SparseSpectrum) -> SparseSpectrum:
+def advection_term(u: Spectrum) -> Spectrum:
     """Spectral form of -(velocity . grad u) for the vorticity equation."""
-    total = SparseSpectrum.empty(u.grid)
-    for axis in range(2):
-        total = total + (-1.0) * sparse_convolve(_velocity(u, axis), _derivative(u, axis))
-    return total
+    along_x, along_y = (
+        _convolve(_velocity(u, axis), spectral_derivative(u, axis)) for axis in range(2)
+    )
+    return (-1.0) * along_x + (-1.0) * along_y
 
 
 def step_vorticity(
     state: SolverState,
-    f_hat: SparseSpectrum,
+    f_hat: Spectrum,
     gamma: float,
     dt: float,
-) -> SparseSpectrum:
+) -> Spectrum:
     """Crank-Nicolson diffusion with the advection term lagged one step."""
     u = state.current
     if u.grid.dims != 2:
         raise NotTwoDimensional("vorticity stepping requires a 2-D grid")
     rhs = advection_term(u) + f_hat
-
-    scale = _scale(u.grid)
-
-    def cn_gain(spec: SparseSpectrum) -> np.ndarray:
-        m = spec.modes() * scale
-        return 2.0 * dt / (2.0 + gamma * dt * (m[0] ** 2 + m[1] ** 2))
-
-    def cn_decay(spec: SparseSpectrum) -> np.ndarray:
-        m = spec.modes() * scale
-        ksq = m[0] ** 2 + m[1] ** 2
-        return (2.0 - gamma * dt * ksq) / (2.0 + gamma * dt * ksq)
-
-    return rhs.apply_mode_factor(cn_gain(rhs)) + u.apply_mode_factor(cn_decay(u))
+    # gamma dt |k|^2: the diffusion CN splits half explicit, half implicit
+    damp_rhs = gamma * dt * _ksq(rhs)[1]
+    damp_u = gamma * dt * _ksq(u)[1]
+    gain = 2.0 * dt / (2.0 + damp_rhs)
+    decay = (2.0 - damp_u) / (2.0 + damp_u)
+    return rhs.apply_mode_factor(gain) + u.apply_mode_factor(decay)
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    a_hat: SparseSpectrum | None
-    f_hat: SparseSpectrum | None
-    a_max: float
-
-
-def _prepare(params: EquationParams, grid: GridSpec) -> _Prepared:
+def _prepare(params: EquationParams, initial: Spectrum, dt: float, strict_cfl: bool) -> Spectrum:
+    """The run's coefficient (or forcing) spectrum, in the container type of
+    ``initial``; checks the stability guard once for the whole run."""
+    grid = initial.grid
     if params.equation == "vorticity2d":
         if grid.dims != 2:
             raise NotTwoDimensional("vorticity2d requires a 2-D grid")
-        if params.forcing is None:
-            f_hat = SparseSpectrum.empty(grid)
-        else:
-            f_hat = SparseSpectrum.from_dense(coefficient_field_of(params.forcing, grid))
-        return _Prepared(a_hat=None, f_hat=f_hat, a_max=0.0)
+        dense = coefficient_field_of(params.forcing or CoefficientSpec.constant(0.0), grid)
+    else:
+        samples = sample_coefficient(params.coeff, grid)
+        if params.equation in ("parabolic", "burgers") and samples.min() <= 0:
+            raise ValueError(f"{params.equation} needs a strictly positive coefficient")
+        a_max = float(np.max(np.abs(samples)))
+        if a_max > 0 and params.equation == "convection":
+            _check_cfl("transport", dt, CFL_TRANSPORT * grid.dx / a_max, strict_cfl)
+        elif a_max > 0:
+            _check_cfl("explicit-diffusion", dt, CFL_DIFFUSION * grid.dx**2 / a_max, strict_cfl)
+        dense = coefficient_field_of(params.coeff, grid)
+    return SparseSpectrum.from_dense(dense) if isinstance(initial, SparseSpectrum) else dense
 
-    samples = sample_coefficient(params.coeff, grid)
-    if params.equation in ("parabolic", "burgers") and samples.min() <= 0:
-        raise ValueError(f"{params.equation} needs a strictly positive coefficient")
-    a_hat = SparseSpectrum.from_dense(coefficient_field_of(params.coeff, grid))
-    return _Prepared(a_hat=a_hat, f_hat=None, a_max=float(np.max(np.abs(samples))))
+
+def _iterate(
+    initial: Spectrum,
+    params: EquationParams,
+    dt: float,
+    n_steps: int,
+    strict_cfl: bool,
+    finish,
+):
+    """The stepping loop of every trajectory: yield the state at steps
+    0..n_steps, each update passed through ``finish`` before it is stored.
+
+    Raises
+    ------
+    SolverDiverged
+        As soon as an update holds a non-finite value.
+    """
+    coeff = _prepare(params, initial, dt, strict_cfl)
+    state = SolverState(initial, None, 0, 0.0)
+    yield state
+    for step in range(1, n_steps + 1):
+        if params.equation == "convection":
+            v = step_convection(state, coeff, dt)
+        elif params.equation == "parabolic":
+            v = step_parabolic(state, coeff, dt)
+        elif params.equation == "burgers":
+            v = step_burgers(state, coeff, dt)
+        else:
+            v = step_vorticity(state, coeff, params.gamma, dt)
+        values = v.values if isinstance(v, SparseSpectrum) else v.coeffs
+        if not np.isfinite(values).all():
+            raise SolverDiverged(
+                f"{params.equation}: non-finite coefficient at step {step} (t={step * dt:.6g})"
+            )
+        previous = state.current if params.equation == "convection" else None
+        state = SolverState(finish(v), previous, step, step * dt)
+        yield state
 
 
 def iter_states(
@@ -234,26 +243,12 @@ def iter_states(
     strict_cfl: bool = False,
 ):
     """Yield the state at steps 0..n_steps; each produced update is shrunk."""
-    prepared = _prepare(params, initial.grid)
-    state = SolverState(initial, None, 0, 0.0)
-    yield state
     lam = lambda_at(schedule, dt) if n_steps > 0 else 0.0
-    for step in range(1, n_steps + 1):
-        if params.equation == "convection":
-            v = step_convection(state, prepared.a_hat, dt, prepared.a_max, strict_cfl)
-            previous = state.current
-        elif params.equation == "parabolic":
-            v = step_parabolic(state, prepared.a_hat, dt, prepared.a_max, strict_cfl)
-            previous = None
-        elif params.equation == "burgers":
-            v = step_burgers(state, prepared.a_hat, dt, prepared.a_max, strict_cfl)
-            previous = None
-        else:
-            v = step_vorticity(state, prepared.f_hat, params.gamma, dt)
-            previous = None
-        current = soft_threshold(v, lam, protect_mean)
-        state = SolverState(current, previous, step, step * dt)
-        yield state
+
+    def shrink(v: SparseSpectrum) -> SparseSpectrum:
+        return soft_threshold(v, lam, protect_mean)
+
+    yield from _iterate(initial, params, dt, n_steps, strict_cfl, shrink)
 
 
 def advance(

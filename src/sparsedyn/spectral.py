@@ -1,4 +1,4 @@
-"""Dense spectral containers and transforms.
+"""Dense spectral containers, transforms and the padded-transform convolution.
 
 The forward transform carries the ``1/N_total`` factor, so coefficients are
 amplitudes: the k=0 coefficient equals the spatial mean and a unit-amplitude
@@ -9,11 +9,12 @@ spectra are Hermitian-symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import HermitianViolation
-from .grid import GridSpec
+from .errors import GridMismatch, HermitianViolation
+from .grid import GridSpec, derivative_factor
 
 # Imaginary residual above this aborts a nominally real inverse transform.
 IMAG_RESIDUAL_LIMIT = 1e-8
@@ -50,6 +51,35 @@ class DenseSpectrum:
         """The k=0 coefficient (spatial mean of the represented field)."""
         return complex(self.coeffs[(0,) * self.grid.dims])
 
+    def modes(self) -> np.ndarray:
+        """Integer mode vectors, shape ``(dims, *grid.shape)``, FFT layout;
+        read-only and shared by every spectrum on the grid."""
+        return _mode_mesh(self.grid)
+
+    def apply_mode_factor(self, factors: np.ndarray) -> "DenseSpectrum":
+        """Multiply entrywise by ``factors`` (aligned with :meth:`modes`)."""
+        return DenseSpectrum(self.grid, self.coeffs * factors)
+
+    def __add__(self, other: "DenseSpectrum") -> "DenseSpectrum":
+        if not isinstance(other, DenseSpectrum):
+            return NotImplemented
+        if other.grid != self.grid:
+            raise GridMismatch("cannot add spectra on different grids")
+        return DenseSpectrum(self.grid, self.coeffs + other.coeffs)
+
+    def __mul__(self, scalar: complex) -> "DenseSpectrum":
+        return DenseSpectrum(self.grid, self.coeffs * scalar)
+
+    __rmul__ = __mul__
+
+
+@lru_cache(maxsize=8)
+def _mode_mesh(grid: GridSpec) -> np.ndarray:
+    m = grid.mode_numbers()
+    mesh = np.stack(np.meshgrid(*([m] * grid.dims), indexing="ij"))
+    mesh.setflags(write=False)
+    return mesh
+
 
 def dft_forward(field: SpatialField) -> DenseSpectrum:
     """Forward transform; the k=0 output equals the spatial mean."""
@@ -75,16 +105,39 @@ def dft_inverse(spec: DenseSpectrum) -> SpatialField:
     return SpatialField(spec.grid, values.real.copy())
 
 
-def spectral_derivative(spec: DenseSpectrum, axis: int = 0) -> DenseSpectrum:
-    """Multiply by ``i*k`` along ``axis``; the Nyquist mode is zeroed."""
+def spectral_derivative(spec, axis: int = 0):
+    """Multiply a dense or sparse spectrum by ``i*k`` along ``axis``; the
+    Nyquist mode is zeroed."""
     if not 0 <= axis < spec.grid.dims:
         raise ValueError(f"axis {axis} out of range for dims={spec.grid.dims}")
-    k = spec.grid.wavenumbers()
-    k = k.copy()
-    k[spec.grid.n_per_dim // 2] = 0.0  # no real-valued derivative at -n/2
-    shape = [1] * spec.grid.dims
-    shape[axis] = spec.grid.n_per_dim
-    return DenseSpectrum(spec.grid, (1j * k.reshape(shape)) * spec.coeffs)
+    return spec.apply_mode_factor(derivative_factor(spec.grid, spec.modes()[axis]))
+
+
+def _zero_nyquist(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    out = coeffs.copy()
+    for axis in range(grid.dims):
+        index = [slice(None)] * grid.dims
+        index[axis] = grid.n_per_dim // 2
+        out[tuple(index)] = 0.0
+    return out
+
+
+def dense_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Galerkin-truncated convolution of amplitude spectra via padded
+    transforms; same truncation contract as the sparse entry-pair kernel."""
+    n = grid.n_per_dim
+    m_total = (2 * n) ** grid.dims
+    pad_shape = (2 * n,) * grid.dims
+    slices = tuple(slice(n // 2, n // 2 + n) for _ in range(grid.dims))
+
+    def to_space(coeffs: np.ndarray) -> np.ndarray:
+        padded = np.zeros(pad_shape, dtype=np.complex128)
+        padded[slices] = np.fft.fftshift(_zero_nyquist(coeffs, grid))
+        return np.fft.ifftn(np.fft.ifftshift(padded)) * m_total
+
+    product = to_space(a) * to_space(b)
+    full = np.fft.fftshift(np.fft.fftn(product) / m_total)
+    return _zero_nyquist(np.fft.ifftshift(full[slices]), grid)
 
 
 def is_hermitian(spec: DenseSpectrum, rtol: float = 1e-12) -> bool:

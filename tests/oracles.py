@@ -29,6 +29,23 @@ def brute_force_convolve(a: dict, b: dict, grid: GridSpec) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def brute_force_advection(w: dict, grid: GridSpec) -> dict:
+    """-(u dw/dx + v dw/dy) for a 2-D vorticity spectrum ``{(k_x, k_y): w}`` on
+    the default 2*pi domain.  Streamfunction psi = w/|k|^2 (0 at k = 0),
+    velocity u = i k_y psi, v = -i k_x psi."""
+    psi = {k: c / (k[0] ** 2 + k[1] ** 2) for k, c in w.items() if k != (0, 0)}
+    u = {k: 1j * k[1] * c for k, c in psi.items()}
+    v = {k: -1j * k[0] * c for k, c in psi.items()}
+    w_x = {k: 1j * k[0] * c for k, c in w.items()}
+    w_y = {k: 1j * k[1] * c for k, c in w.items()}
+    along_x = brute_force_convolve(u, w_x, grid)
+    along_y = brute_force_convolve(v, w_y, grid)
+    return {
+        k: -(along_x.get(k, 0.0) + along_y.get(k, 0.0))
+        for k in set(along_x) | set(along_y)
+    }
+
+
 def brute_force_burgers_step(u: dict, a: dict, dt: float, grid: GridSpec) -> dict:
     """One two-stage Heun step of the viscous conservation law on dicts."""
 

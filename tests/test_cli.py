@@ -1,3 +1,7 @@
+import numpy as np
+import pytest
+
+from sparsedyn import CflWarning
 from sparsedyn.cli import main
 
 GOOD_CONFIG = """
@@ -51,6 +55,22 @@ def test_strict_cfl_is_a_solver_error(tmp_path):
     bad += "strict_cfl = true\n"
     code = main(["run", "--config", write(tmp_path, bad), "--out", str(tmp_path / "out")])
     assert code == 2
+
+
+def test_diverged_run_is_a_solver_error(tmp_path, capsys):
+    # convection 30x over the transport guard grows until it is non-finite
+    bad = (
+        GOOD_CONFIG.replace("equation = parabolic", "equation = convection")
+        .replace("coefficient_value = 0.4", "coefficient_value = 1.0")
+        .replace("dt = 1e-4", "dt = 3.0")
+        .replace("t_end = 2e-3", "t_end = 1200.0")
+        .replace("fixed_lambda = 1e-4", "fixed_lambda = 1e-6")
+        .replace("baselines = dense", "")
+    )
+    with pytest.warns(CflWarning), np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", write(tmp_path, bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_recipes_listing(capsys):

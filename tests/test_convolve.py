@@ -12,25 +12,7 @@ from sparsedyn import (
 from sparsedyn.evaluation import dense_convolve
 from sparsedyn.spectral import SpatialField, is_hermitian
 
-
-def brute_force_convolve(a: dict, b: dict, grid: GridSpec) -> dict:
-    """Independent O(n_s^2) reference: pairwise sums with box truncation,
-    unpaired Nyquist modes neither consumed nor produced."""
-    half = grid.n_per_dim // 2
-    out: dict = {}
-    for ka, va in a.items():
-        ka_t = (ka,) if grid.dims == 1 else ka
-        if any(k == -half for k in ka_t):
-            continue
-        for kb, vb in b.items():
-            kb_t = (kb,) if grid.dims == 1 else kb
-            if any(k == -half for k in kb_t):
-                continue
-            ks = tuple(x + y for x, y in zip(ka_t, kb_t))
-            if all(abs(k) <= half - 1 for k in ks):
-                key = ks[0] if grid.dims == 1 else ks
-                out[key] = out.get(key, 0.0) + va * vb
-    return {k: v for k, v in out.items() if v != 0}
+from oracles import brute_force_convolve
 
 
 def random_sparse(grid, rng, max_entries=20):

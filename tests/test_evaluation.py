@@ -13,12 +13,12 @@ from sparsedyn import (
     SparseSpectrum,
     StepRecord,
     advance,
-    dense_advance,
     dft_forward,
     error_metrics,
     initial_condition,
     inject,
-    low_frequency_advance,
+    iter_dense_states,
+    iter_low_frequency_states,
     match_mode_count,
     project_low_frequency,
 )
@@ -37,7 +37,7 @@ def make_report(grid, n_s_final):
 def test_dense_zero_state_stays_zero():
     g = GridSpec(1, 32)
     params = EquationParams("burgers", coeff=CoefficientSpec.constant(0.5))
-    traj = dense_advance(DenseSpectrum(g, np.zeros(32, complex)), params, 1e-5, 5)
+    traj = list(iter_dense_states(DenseSpectrum(g, np.zeros(32, complex)), params, 1e-5, 5))
     assert len(traj) == 6
     for state in traj:
         assert np.max(np.abs(state.coeffs)) == 0.0
@@ -49,7 +49,7 @@ def test_dense_heat_decay_analytic():
     dt, n = 1e-5, 1000
     u0 = dft_forward(SpatialField(g, np.sin(g.axis_coordinates())))
     params = EquationParams("parabolic", coeff=CoefficientSpec.constant(nu))
-    traj = dense_advance(u0, params, dt, n)
+    traj = list(iter_dense_states(u0, params, dt, n))
     got = traj[-1].coeffs[1]
     expected = -0.5j * np.exp(-nu * n * dt)
     assert abs(got - expected) / abs(expected) < 1e-4
@@ -60,7 +60,7 @@ def test_dense_matches_sparse_lambda_zero():
     u0 = initial_condition(InitialSpec("gauss_bump", width=0.6), g)
     params = EquationParams("burgers", coeff=CoefficientSpec.constant(0.4))
     final, _ = advance(u0, params, NO_SHRINK, 1e-4, 50)
-    traj = dense_advance(u0.to_dense(), params, 1e-4, 50)
+    traj = list(iter_dense_states(u0.to_dense(), params, 1e-4, 50))
     _, linf = error_metrics(final.current, traj[-1])
     assert linf < 1e-10
 
@@ -69,8 +69,8 @@ def test_low_frequency_full_cutoff_equals_dense():
     g = GridSpec(1, 64)
     u0 = initial_condition(InitialSpec("sine_low"), g)
     params = EquationParams("convection", coeff=CoefficientSpec.constant(1.0))
-    dense = dense_advance(u0.to_dense(), params, 1e-3, 20)
-    lf = low_frequency_advance(u0.to_dense(), params, 1e-3, 20, cutoff=31)
+    dense = list(iter_dense_states(u0.to_dense(), params, 1e-3, 20))
+    lf = list(iter_low_frequency_states(u0.to_dense(), params, 1e-3, 20, cutoff=31))
     for d, p in zip(dense, lf):
         assert np.max(np.abs(d.coeffs - p.coeffs)) < 1e-12
 
@@ -79,7 +79,7 @@ def test_low_frequency_zero_cutoff_parabolic_constant():
     g = GridSpec(1, 64)
     u0 = initial_condition(InitialSpec("gauss_bump", width=0.6), g)
     params = EquationParams("parabolic", coeff=CoefficientSpec.constant(0.5))
-    lf = low_frequency_advance(u0.to_dense(), params, 1e-5, 10, cutoff=0)
+    lf = list(iter_low_frequency_states(u0.to_dense(), params, 1e-5, 10, cutoff=0))
     mean = u0.mean_mode()
     for state in lf:
         assert state.coeffs[0] == pytest.approx(mean)

@@ -15,6 +15,7 @@ from sparsedyn import (
     lambda_at,
     load_spectrum,
     soft_threshold,
+    sparse_convolve,
     sparsity_fraction,
 )
 from sparsedyn.spectral import SpatialField, is_hermitian
@@ -196,6 +197,26 @@ def test_arithmetic_and_mean_mode():
     assert SparseSpectrum.empty(g).mean_mode() == 0.0
     doubled = 2.0 * a
     assert doubled.to_dict()[2] == 2.0 + 2.0j
+
+
+def test_nan_entries_are_never_dropped():
+    # NaN fails every magnitude comparison; the zero rule must keep it
+    g = GridSpec(1, 16)
+    spec = SparseSpectrum.from_dict(g, {1: np.nan, 2: 1.0})
+    delta = SparseSpectrum.from_dict(g, {0: 1.0})
+    results = [
+        spec,
+        2.0 * spec,
+        spec + delta,
+        spec.apply_mode_factor(np.ones(spec.n_s)),
+        sparse_convolve(spec, delta),
+        soft_threshold(spec, 0.5),
+        soft_threshold(spec, 0.5, protect_mean=True),
+        SparseSpectrum.from_dense(spec.to_dense()),
+    ]
+    for out in results:
+        assert out.n_s >= 2
+        assert np.isnan(out.to_dict()[1])
 
 
 def test_dense_round_trip():

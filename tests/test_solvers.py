@@ -12,6 +12,7 @@ from sparsedyn import (
     InitialSpec,
     LambdaSchedule,
     NotTwoDimensional,
+    SolverDiverged,
     SparseSpectrum,
     UnknownInitialSpec,
     advance,
@@ -26,7 +27,7 @@ from sparsedyn import (
 from sparsedyn.solvers import SolverState, advection_term
 from sparsedyn.spectral import SpatialField, dft_inverse, is_hermitian
 
-from oracles import brute_force_burgers_step
+from oracles import brute_force_advection, brute_force_burgers_step
 
 NO_SHRINK = LambdaSchedule.power_law(0.0, 2.0)
 
@@ -119,6 +120,21 @@ def test_vorticity_single_mode_advection_vanishes():
     u = SparseSpectrum.from_dict(g, {(3, 2): 0.4 - 0.1j, (-3, -2): 0.4 + 0.1j})
     residual = advection_term(u)
     assert max((abs(v) for v in residual.values), default=0.0) < 1e-12
+
+
+def test_vorticity_advection_against_brute_force():
+    # several modes with distinct |k|, so the velocity sign matters
+    g = GridSpec(2, 16)
+    half = {(1, 2): 0.3 - 0.2j, (3, -1): -0.25 + 0.1j, (2, 0): 0.2j, (0, 1): 0.15}
+    entries = dict(half)
+    entries.update({(-k1, -k2): v.conjugate() for (k1, k2), v in half.items()})
+    u = SparseSpectrum.from_dict(g, entries)
+    want = brute_force_advection(u.to_dict(), g)
+    assert max(abs(v) for v in want.values()) > 1e-2
+    for got in (advection_term(u), SparseSpectrum.from_dense(advection_term(u.to_dense()))):
+        got_d = got.to_dict()
+        for k in set(got_d) | set(want):
+            assert abs(got_d.get(k, 0.0) - want.get(k, 0.0)) < 1e-14, k
 
 
 def test_vorticity_single_mode_cn_decay():
@@ -251,6 +267,30 @@ def test_cfl_guard_warns_then_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         advance(u0, params, NO_SHRINK, 0.9 * g.dx, 1)  # inside the guard: silent
+
+
+def test_cfl_guard_warns_once_per_run():
+    g = GridSpec(1, 64)
+    params = EquationParams("convection", coeff=CoefficientSpec.constant(1.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        advance(sine_field(g), params, NO_SHRINK, 2 * g.dx, 5)
+    assert sum(issubclass(w.category, CflWarning) for w in caught) == 1
+
+
+def test_diverging_run_raises_instead_of_dropping_nan():
+    # 30x over the transport guard Leap Frog blows up; the soft threshold
+    # must not drop the non-finite entries and hand back a small, sparse state
+    g = GridSpec(1, 64)
+    u0 = initial_condition(InitialSpec("gauss_bump", width=0.7), g)
+    params = EquationParams("convection", coeff=CoefficientSpec.constant(1.0))
+    dt = 30 * g.dx
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", CflWarning)
+        with pytest.raises(SolverDiverged):
+            advance(u0, params, LambdaSchedule.fixed(1e-6), dt, 400)
+        with pytest.raises(SolverDiverged):
+            list(iter_dense_states(u0.to_dense(), params, dt, 400))
 
 
 def test_diffusion_cfl_guard():
