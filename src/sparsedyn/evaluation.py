@@ -21,7 +21,7 @@ from .errors import GridMismatch
 from .grid import GridSpec
 from .shrinkage import SparseSpectrum
 from .solvers import EquationParams, _iterate
-from .spectral import DenseSpectrum, SpatialField, _zero_nyquist, dft_inverse
+from .spectral import DenseSpectrum, SpatialField, _resize, dft_inverse
 from .spectral import dense_convolve  # noqa: F401
 
 
@@ -125,12 +125,4 @@ def inject(spec: DenseSpectrum | SparseSpectrum, fine: GridSpec) -> DenseSpectru
     coarse = spec.grid
     if fine.dims != coarse.dims or fine.n_per_dim < coarse.n_per_dim:
         raise GridMismatch("target grid must match dims and be at least as fine")
-    if fine.n_per_dim == coarse.n_per_dim:
-        return DenseSpectrum(fine, _zero_nyquist(spec.coeffs, coarse))
-    shifted = np.fft.fftshift(_zero_nyquist(spec.coeffs, coarse))
-    out = np.zeros(fine.shape, dtype=np.complex128)
-    n_c, n_f = coarse.n_per_dim, fine.n_per_dim
-    offset = n_f // 2 - n_c // 2
-    slices = tuple(slice(offset, offset + n_c) for _ in range(fine.dims))
-    out[slices] = shifted
-    return DenseSpectrum(fine, np.fft.ifftshift(out))
+    return DenseSpectrum(fine, _resize(spec.coeffs, fine.n_per_dim))

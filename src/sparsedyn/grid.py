@@ -104,6 +104,23 @@ def derivative_factor(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
     return 1j * k
 
 
+def _to_flat(digits, base: int) -> np.ndarray:
+    """Row-major flat index of per-dimension ``digits`` (first axis slowest)."""
+    flat = np.zeros(np.shape(digits[0]), dtype=np.int64)
+    for d in digits:
+        flat = flat * base + d
+    return flat
+
+
+def _from_flat(flat: np.ndarray, base: int, dims: int) -> list[np.ndarray]:
+    """Per-dimension digits of row-major flat indices; inverse of :func:`_to_flat`."""
+    digits = []
+    for _ in range(dims):
+        flat, d = np.divmod(flat, base)
+        digits.append(d)
+    return digits[::-1]
+
+
 def fft_index_to_mode(grid: GridSpec, index: int | np.ndarray) -> np.ndarray:
     """Map a flat FFT-layout index to its integer mode vector.
 
@@ -115,13 +132,7 @@ def fft_index_to_mode(grid: GridSpec, index: int | np.ndarray) -> np.ndarray:
     idx = np.asarray(index)
     if np.any((idx < 0) | (idx >= grid.n_total)):
         raise IndexError("flat index out of range")
-    digits = []
-    rem = idx
-    for _ in range(grid.dims):
-        rem, d = np.divmod(rem, n)
-        digits.append(d)
-    digits = digits[::-1]  # row-major: first axis is the slowest
-    return np.stack([np.where(d < n // 2, d, d - n) for d in digits])
+    return np.stack([np.where(d < n // 2, d, d - n) for d in _from_flat(idx, n, grid.dims)])
 
 
 def mode_to_fft_index(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
@@ -132,8 +143,23 @@ def mode_to_fft_index(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
     half = n // 2
     if np.any((modes < -half) | (modes >= half)):
         raise IndexError("mode outside the resolved set")
-    idx = np.zeros(modes.shape[1:], dtype=np.int64)
-    for d in range(grid.dims):
-        m = modes[d]
-        idx = idx * n + np.where(m >= 0, m, m + n)
-    return idx
+    return _to_flat([np.where(m >= 0, m, m + n) for m in modes], n)
+
+
+def mode_to_key(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
+    """Sparse sort keys of integer mode vectors (shape ``(dims,)`` or
+    ``(dims, m)``): row-major digits ``m + n/2`` in base ``2n``.
+
+    Keys ascend in lexicographic mode order.  A resolved mode's digits lie
+    in ``[0, n)``, so two keys add without carries: ``key(a) + key(b) ==
+    key(a + b) + key(0)`` whenever ``a + b`` is itself resolved.
+    """
+    half = grid.n_per_dim // 2
+    return _to_flat([m + half for m in np.asarray(modes, dtype=np.int64)], 2 * grid.n_per_dim)
+
+
+def key_to_mode(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
+    """Integer mode vectors, shape ``(dims, len(keys))``, of sparse keys;
+    inverse of :func:`mode_to_key`."""
+    half = grid.n_per_dim // 2
+    return np.stack([d - half for d in _from_flat(keys, 2 * grid.n_per_dim, grid.dims)])

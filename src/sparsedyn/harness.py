@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import CoefficientSpec
+from .coefficients import _NAMED_FORMS, CoefficientSpec
 from .errors import ConfigError
 from .evaluation import (
     RunReport,
@@ -32,13 +32,8 @@ from .shrinkage import (
 from .solvers import EQUATIONS, EquationParams, InitialSpec, initial_condition, iter_states
 from .spectral import DenseSpectrum, dft_inverse
 
-_COEFFICIENT_NAMES = (
-    "constant",
-    "convection_oscillatory",
-    "parabolic_oscillatory",
-    "burgers_oscillatory",
-)
-_FORCING_NAMES = ("constant", "vorticity_forcing")
+_COEFFICIENT_NAMES = tuple(k for k, (dims, _) in _NAMED_FORMS.items() if dims in (None, 1))
+_FORCING_NAMES = tuple(k for k, (dims, _) in _NAMED_FORMS.items() if dims in (None, 2))
 _INITIAL_NAMES = ("gauss_bump", "sine_low", "two_vortices")
 _BASELINE_NAMES = ("dense", "low_frequency")
 
@@ -118,8 +113,6 @@ def _parse_value(name: str, kind: type, raw: str):
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
-    if kind is tuple:
-        return raw  # handled by the caller
     try:
         return kind(raw)
     except ValueError:
@@ -158,11 +151,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 kwargs[name] = tuple(float(p) for p in value.split(",") if p.strip())
             except ValueError:
                 raise ConfigError(f"{name}: cannot parse {value!r}") from None
-        elif annotation in ("int", int):
+        elif annotation == "int":
             kwargs[name] = _parse_value(name, int, value)
-        elif annotation in ("float", float):
+        elif annotation == "float":
             kwargs[name] = _parse_value(name, float, value)
-        elif annotation in ("bool", bool):
+        elif annotation == "bool":
             kwargs[name] = _parse_value(name, bool, value)
         else:
             kwargs[name] = value

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import IO, Iterator
 
 import numpy as np
 
 from .errors import GridMismatch, NegativeLambda, NonpositiveDt
-from .grid import GridSpec, fft_index_to_mode, mode_to_fft_index
+from .grid import GridSpec, fft_index_to_mode, key_to_mode, mode_to_fft_index, mode_to_key
 from .spectral import DenseSpectrum
 
 # Magnitudes below this are treated as exact zeros during arithmetic.
@@ -29,33 +30,32 @@ def _nonzero(values: np.ndarray) -> np.ndarray:
     return ~(np.abs(values) < DROP_TOL)
 
 
-def _canonical_keys(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
-    """Flat sort key per entry: row-major over shifted digits m + n/2."""
-    n = grid.n_per_dim
-    half = n // 2
-    keys = np.zeros(modes.shape[1:], dtype=np.int64)
-    for d in range(grid.dims):
-        keys = keys * n + (modes[d].astype(np.int64) + half)
-    return keys
+@lru_cache(maxsize=8)
+def _mean_key(grid: GridSpec) -> int:
+    """Key of the mode k = 0."""
+    return int(mode_to_key(grid, np.zeros(grid.dims, dtype=np.int64)))
 
 
-def _keys_to_modes(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
-    n = grid.n_per_dim
-    half = n // 2
-    digits = []
-    rem = keys
-    for _ in range(grid.dims):
-        rem, d = np.divmod(rem, n)
-        digits.append(d - half)
-    return np.stack(digits[::-1])
+@lru_cache(maxsize=8)
+def _open_box(grid: GridSpec) -> np.ndarray:
+    """Mask over keys ``0 .. (2n)**dims - 1``: True where every mode
+    component lies strictly inside the box, ``|m| < n/2``, so the unpaired
+    Nyquist mode -n/2 is excluded.  Read-only, shared per grid."""
+    keys = np.arange((2 * grid.n_per_dim) ** grid.dims)
+    mask = np.all(np.abs(key_to_mode(grid, keys)) < grid.n_per_dim // 2, axis=0)
+    mask.setflags(write=False)
+    return mask
 
 
 @dataclass(frozen=True)
 class SparseSpectrum:
     """Nonzero spectral coefficients only.
 
-    ``keys`` are canonical flat sort keys (ascending, unique); ``values``
-    the matching complex amplitudes.  Treat both arrays as immutable.
+    ``keys`` (ascending, unique) encode each entry's mode row-major with
+    digits ``m + n/2`` in base ``2n`` (see :func:`~sparsedyn.grid.mode_to_key`),
+    so they sort in lexicographic mode order and two keys add without
+    carries; ``values`` are the matching complex amplitudes.  Treat both
+    arrays as immutable.
     """
 
     grid: GridSpec
@@ -78,7 +78,7 @@ class SparseSpectrum:
         modes accumulate."""
         modes = np.atleast_2d(np.asarray(modes, dtype=np.int64))
         values = np.asarray(values, dtype=np.complex128)
-        return _accumulate(grid, _canonical_keys(grid, modes), values)
+        return _accumulate(grid, mode_to_key(grid, modes), values)
 
     @classmethod
     def from_dict(cls, grid: GridSpec, entries: dict) -> "SparseSpectrum":
@@ -98,7 +98,7 @@ class SparseSpectrum:
         flat = spec.coeffs.ravel()
         idx = np.flatnonzero(_nonzero(flat))
         grid = spec.grid
-        keys = _canonical_keys(grid, fft_index_to_mode(grid, idx))
+        keys = mode_to_key(grid, fft_index_to_mode(grid, idx))
         order = np.argsort(keys)
         return cls(grid, keys[order], flat[idx][order].astype(np.complex128))
 
@@ -111,7 +111,7 @@ class SparseSpectrum:
 
     def modes(self) -> np.ndarray:
         """Integer mode vectors, shape ``(dims, n_s)``, sorted order."""
-        return _keys_to_modes(self.grid, self.keys)
+        return key_to_mode(self.grid, self.keys)
 
     def items(self) -> Iterator[tuple]:
         """Yield ``(mode, amplitude)`` sorted by mode; mode is an int in 1-D,
@@ -130,7 +130,7 @@ class SparseSpectrum:
 
     def mean_mode(self) -> complex:
         """Amplitude at k = 0 (zero when absent)."""
-        key = _canonical_keys(self.grid, np.zeros((self.grid.dims, 1), np.int64))[0]
+        key = _mean_key(self.grid)
         pos = np.searchsorted(self.keys, key)
         if pos < self.n_s and self.keys[pos] == key:
             return complex(self.values[pos])
@@ -236,8 +236,8 @@ def soft_threshold(
         spec = SparseSpectrum.from_dense(spec)
     mags = np.abs(spec.values)
     keep = ~(mags <= lam)
-    mean_key = _canonical_keys(spec.grid, np.zeros((spec.grid.dims, 1), np.int64))[0]
     if protect_mean:
+        mean_key = _mean_key(spec.grid)
         keep |= (spec.keys == mean_key) & _nonzero(spec.values)
     keys = spec.keys[keep]
     vals = spec.values[keep] * ((mags[keep] - lam) / mags[keep])
@@ -268,14 +268,16 @@ def sparse_convolve(a: SparseSpectrum, b: SparseSpectrum) -> SparseSpectrum:
     if b.n_s < a.n_s:
         a, b = b, a
 
-    n = grid.n_per_dim
-    width = 2 * n
-    a_keys, a_vals = _conv_operand(a, n, width)
-    b_keys, b_vals = _conv_operand(b, n, width)
+    # digits of resolved modes lie in [0, n), so a sum of two keys carries
+    # nothing: acc index key(k1) + key(k2) is key(k1 + k2) + key(0)
+    box = _open_box(grid)
+    a_in, b_in = box[a.keys], box[b.keys]
+    a_keys, a_vals = a.keys[a_in], a.values[a_in]
+    b_keys, b_vals = b.keys[b_in], b.values[b_in]
     if a_keys.size == 0 or b_keys.size == 0:
         return SparseSpectrum.empty(grid)
 
-    acc = np.zeros(width**grid.dims, dtype=np.complex128)
+    acc = np.zeros(box.size, dtype=np.complex128)
     idx = np.empty_like(b_keys)
     prod = np.empty_like(b_vals)
     for j in range(a_keys.size):
@@ -283,42 +285,11 @@ def sparse_convolve(a: SparseSpectrum, b: SparseSpectrum) -> SparseSpectrum:
         np.multiply(b_vals, a_vals[j], out=prod)
         acc[idx] += prod
 
-    out_idx = np.flatnonzero(acc)
-    vals = acc[out_idx]
-
-    # conv digits t = sum of (m + n/2) + n/2 per dim; recover m = t - n
-    digits = []
-    rem = out_idx
-    for _ in range(grid.dims):
-        rem, d = np.divmod(rem, width)
-        digits.append(d - n)
-    modes = np.stack(digits[::-1])
-
-    half = n // 2
-    inside = np.all(np.abs(modes) <= half - 1, axis=0)
-    inside &= _nonzero(vals)
-    return SparseSpectrum(grid, _canonical_keys(grid, modes[:, inside]), vals[inside])
-
-
-def _conv_operand(
-    spec: SparseSpectrum, n: int, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convolution-layout keys (base 2n digits, no carries when two are
-    added) with Nyquist-mode entries removed."""
-    digits = []
-    rem = spec.keys
-    for _ in range(spec.grid.dims):
-        rem, d = np.divmod(rem, n)
-        digits.append(d)
-    digits = digits[::-1]
-    keep = np.ones(spec.n_s, dtype=bool)
-    for d in digits:
-        keep &= d != 0  # shifted digit 0 is the mode -n/2
-    # digit m + n/2 is in [1, n-1], so pairwise sums stay below the base 2n
-    keys = np.zeros(spec.n_s, dtype=np.int64)
-    for d in digits:
-        keys = keys * width + d
-    return keys[keep], spec.values[keep]
+    acc = acc[_mean_key(grid):]  # indexed by the output key
+    keys = np.flatnonzero(acc)
+    vals = acc[keys]
+    inside = box[keys] & _nonzero(vals)
+    return SparseSpectrum(grid, keys[inside], vals[inside])
 
 
 def dump_spectrum(spec: SparseSpectrum, stream: IO[str] | str) -> None:

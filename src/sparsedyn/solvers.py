@@ -102,7 +102,7 @@ def _check_cfl(kind: str, dt: float, limit: float, strict: bool) -> None:
     msg = f"dt={dt:.3e} exceeds the {kind} stability guard {limit:.3e}"
     if strict:
         raise CflViolation(msg)
-    warnings.warn(msg, CflWarning, stacklevel=4)
+    warnings.warn(msg, CflWarning, stacklevel=5)
 
 
 def step_convection(state: SolverState, a_hat: Spectrum, dt: float) -> Spectrum:

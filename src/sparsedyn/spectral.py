@@ -113,13 +113,21 @@ def spectral_derivative(spec, axis: int = 0):
     return spec.apply_mode_factor(derivative_factor(spec.grid, spec.modes()[axis]))
 
 
-def _zero_nyquist(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    out = coeffs.copy()
-    for axis in range(grid.dims):
-        index = [slice(None)] * grid.dims
-        index[axis] = grid.n_per_dim // 2
-        out[tuple(index)] = 0.0
-    return out
+def _resize(coeffs: np.ndarray, n_out: int) -> np.ndarray:
+    """Pad or crop an FFT-layout coefficient array to ``n_out`` points per
+    dimension, keeping every mode the two grids share; the smaller grid's
+    unpaired Nyquist mode is zeroed."""
+    n_in = coeffs.shape[0]
+    n = min(n_in, n_out)
+    src = tuple(slice(n_in // 2 - n // 2, n_in // 2 + n // 2) for _ in range(coeffs.ndim))
+    dst = tuple(slice(n_out // 2 - n // 2, n_out // 2 + n // 2) for _ in range(coeffs.ndim))
+    out = np.zeros((n_out,) * coeffs.ndim, dtype=np.complex128)
+    out[dst] = np.fft.fftshift(coeffs)[src]
+    for axis in range(coeffs.ndim):
+        nyquist = [slice(None)] * coeffs.ndim
+        nyquist[axis] = n_out // 2 - n // 2
+        out[tuple(nyquist)] = 0.0
+    return np.fft.ifftshift(out)
 
 
 def dense_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -127,17 +135,12 @@ def dense_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
     transforms; same truncation contract as the sparse entry-pair kernel."""
     n = grid.n_per_dim
     m_total = (2 * n) ** grid.dims
-    pad_shape = (2 * n,) * grid.dims
-    slices = tuple(slice(n // 2, n // 2 + n) for _ in range(grid.dims))
 
     def to_space(coeffs: np.ndarray) -> np.ndarray:
-        padded = np.zeros(pad_shape, dtype=np.complex128)
-        padded[slices] = np.fft.fftshift(_zero_nyquist(coeffs, grid))
-        return np.fft.ifftn(np.fft.ifftshift(padded)) * m_total
+        return np.fft.ifftn(_resize(coeffs, 2 * n)) * m_total
 
     product = to_space(a) * to_space(b)
-    full = np.fft.fftshift(np.fft.fftn(product) / m_total)
-    return _zero_nyquist(np.fft.ifftshift(full[slices]), grid)
+    return _resize(np.fft.fftn(product) / m_total, n)
 
 
 def is_hermitian(spec: DenseSpectrum, rtol: float = 1e-12) -> bool:

@@ -7,6 +7,7 @@ from sparsedyn import (
     GridSpec,
     SparseSpectrum,
     dft_forward,
+    fft_index_to_mode,
     sparse_convolve,
 )
 from sparsedyn.evaluation import dense_convolve
@@ -28,6 +29,15 @@ def random_sparse(grid, rng, max_entries=20):
             for f in flat
         ]
     values = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    return SparseSpectrum.from_dict(grid, dict(zip(keys, values)))
+
+
+def full_box(grid, rng):
+    """Random amplitudes at every mode of the box, Nyquist row and column
+    included."""
+    modes = [fft_index_to_mode(grid, i) for i in range(grid.n_total)]
+    keys = [int(m[0]) if grid.dims == 1 else tuple(int(c) for c in m) for m in modes]
+    values = rng.standard_normal(grid.n_total) + 1j * rng.standard_normal(grid.n_total)
     return SparseSpectrum.from_dict(grid, dict(zip(keys, values)))
 
 
@@ -74,19 +84,23 @@ def test_nyquist_does_not_participate():
 def test_matches_brute_force_1d():
     rng = np.random.default_rng(5)
     g = GridSpec(1, 64)
-    for _ in range(50):
-        a = random_sparse(g, rng)
-        b = random_sparse(g, rng)
-        assert_matches(sparse_convolve(a, b), brute_force_convolve(a.to_dict(), b.to_dict(), g))
+    pairs = [(random_sparse(g, rng), random_sparse(g, rng)) for _ in range(50)]
+    box = GridSpec(1, 16)
+    pairs.append((full_box(box, rng), full_box(box, rng)))
+    for a, b in pairs:
+        want = brute_force_convolve(a.to_dict(), b.to_dict(), a.grid)
+        assert_matches(sparse_convolve(a, b), want)
 
 
 def test_matches_brute_force_2d():
     rng = np.random.default_rng(6)
     g = GridSpec(2, 16)
-    for _ in range(30):
-        a = random_sparse(g, rng)
-        b = random_sparse(g, rng)
-        assert_matches(sparse_convolve(a, b), brute_force_convolve(a.to_dict(), b.to_dict(), g))
+    pairs = [(random_sparse(g, rng), random_sparse(g, rng)) for _ in range(30)]
+    box = GridSpec(2, 8)
+    pairs.append((full_box(box, rng), full_box(box, rng)))
+    for a, b in pairs:
+        want = brute_force_convolve(a.to_dict(), b.to_dict(), a.grid)
+        assert_matches(sparse_convolve(a, b), want)
 
 
 def test_commutative_and_bilinear():
@@ -138,9 +152,11 @@ def test_deterministic():
 
 def test_dense_convolve_matches_brute_force():
     rng = np.random.default_rng(27)
-    for g in (GridSpec(1, 64), GridSpec(2, 16)):
-        a = random_sparse(g, rng)
-        b = random_sparse(g, rng)
+    grids = (GridSpec(1, 64), GridSpec(2, 16))
+    pairs = [(random_sparse(g, rng), random_sparse(g, rng)) for g in grids]
+    pairs += [(full_box(g, rng), full_box(g, rng)) for g in (GridSpec(1, 16), GridSpec(2, 8))]
+    for a, b in pairs:
+        g = a.grid
         want = brute_force_convolve(a.to_dict(), b.to_dict(), g)
         got = dense_convolve(a.to_dense().coeffs, b.to_dense().coeffs, g)
         got_d = SparseSpectrum.from_dense(DenseSpectrum(g, got)).to_dict()

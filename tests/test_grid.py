@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsedyn import GridSpec, fft_index_to_mode, mode_to_fft_index
+from sparsedyn.grid import key_to_mode, mode_to_key
 
 
 def test_basic_geometry():
@@ -69,6 +70,23 @@ def test_index_mode_known_values():
     assert fft_index_to_mode(g2, 0).tolist() == [0, 0]
     # flat index 8*1 + 7 is row 1 (mode 1), column 7 (mode -1)
     assert fft_index_to_mode(g2, 15).tolist() == [1, -1]
+
+
+@pytest.mark.parametrize("dims,n", [(1, 16), (1, 128), (2, 8), (2, 32)])
+def test_key_mode_round_trip(dims, n):
+    g = GridSpec(dims, n)
+    axis = np.arange(-n // 2, n // 2)
+    # every resolved mode, listed in lexicographic order
+    modes = np.stack([m.ravel() for m in np.meshgrid(*([axis] * dims), indexing="ij")])
+    keys = mode_to_key(g, modes)
+    assert np.array_equal(key_to_mode(g, keys), modes)
+    assert np.all(np.diff(keys) > 0)
+    # keys add without carries: key(a) + key(b) == key(a + b) + key(0)
+    zero = mode_to_key(g, np.zeros(dims, dtype=np.int64))
+    sums = keys[:, None] + keys[None, :]
+    summed = modes[:, :, None] + modes[:, None, :]
+    resolved = np.all((summed >= -n // 2) & (summed < n // 2), axis=0)
+    assert np.array_equal(sums[resolved], mode_to_key(g, summed[:, resolved]) + zero)
 
 
 def test_out_of_range_errors():

@@ -278,6 +278,21 @@ def test_cfl_guard_warns_once_per_run():
     assert sum(issubclass(w.category, CflWarning) for w in caught) == 1
 
 
+def test_cfl_warning_points_at_the_caller():
+    g = GridSpec(1, 64)
+    params = EquationParams("convection", coeff=CoefficientSpec.constant(1.0))
+    u0 = sine_field(g)
+    for run in (
+        lambda: list(iter_states(u0, params, NO_SHRINK, 2 * g.dx, 1)),
+        lambda: list(iter_dense_states(u0.to_dense(), params, 2 * g.dx, 1)),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        assert caught[0].category is CflWarning
+        assert caught[0].filename == __file__
+
+
 def test_diverging_run_raises_instead_of_dropping_nan():
     # 30x over the transport guard Leap Frog blows up; the soft threshold
     # must not drop the non-finite entries and hand back a small, sparse state
