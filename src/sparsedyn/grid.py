@@ -163,3 +163,10 @@ def key_to_mode(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
     inverse of :func:`mode_to_key`."""
     half = grid.n_per_dim // 2
     return np.stack([d - half for d in _from_flat(keys, 2 * grid.n_per_dim, grid.dims)])
+
+
+def key_to_padded_index(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
+    """Flat FFT-layout index of sparse keys on the padded ``(2n)**dims``
+    transform grid: digit ``m mod 2n`` per dimension."""
+    n_pad = 2 * grid.n_per_dim
+    return _to_flat([np.mod(m, n_pad) for m in key_to_mode(grid, keys)], n_pad)

@@ -10,6 +10,7 @@ true underflow (``DROP_TOL``), and nothing non-finite.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Iterator
@@ -17,11 +18,22 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import GridMismatch, NegativeLambda, NonpositiveDt
-from .grid import GridSpec, fft_index_to_mode, key_to_mode, mode_to_fft_index, mode_to_key
-from .spectral import DenseSpectrum
+from .grid import (
+    GridSpec,
+    fft_index_to_mode,
+    key_to_mode,
+    key_to_padded_index,
+    mode_to_fft_index,
+    mode_to_key,
+)
+from .spectral import DenseSpectrum, padded_product
 
 # Magnitudes below this are treated as exact zeros during arithmetic.
 DROP_TOL = 1e-300
+
+# A convolution takes the padded transform once its entry pairs outnumber
+# this many times M log2 M, M the padded grid size.
+_TRANSFORM_COST = 2
 
 
 def _nonzero(values: np.ndarray) -> np.ndarray:
@@ -45,6 +57,26 @@ def _open_box(grid: GridSpec) -> np.ndarray:
     mask = np.all(np.abs(key_to_mode(grid, keys)) < grid.n_per_dim // 2, axis=0)
     mask.setflags(write=False)
     return mask
+
+
+@lru_cache(maxsize=8)
+def _open_keys(grid: GridSpec) -> np.ndarray:
+    """Ascending keys of every mode in the open box.  Read-only, per grid."""
+    keys = np.flatnonzero(_open_box(grid))
+    keys.setflags(write=False)
+    return keys
+
+
+@lru_cache(maxsize=8)
+def _padded_index(grid: GridSpec) -> np.ndarray:
+    """Flat index on the padded ``(2n)**dims`` transform grid of every key
+    ``0 .. (2n)**dims - 1``.  Stored as int32, which halves the cache and
+    holds ``(2n)**dims`` for any grid whose arrays fit in memory.
+    Read-only, per grid."""
+    keys = np.arange((2 * grid.n_per_dim) ** grid.dims)
+    index = key_to_padded_index(grid, keys).astype(np.int32)
+    index.setflags(write=False)
+    return index
 
 
 @dataclass(frozen=True)
@@ -165,16 +197,20 @@ class SparseSpectrum:
 
 
 def _accumulate(grid: GridSpec, keys: np.ndarray, values: np.ndarray) -> SparseSpectrum:
-    """Sum duplicate keys, sort, and drop underflow."""
+    """Sum duplicate keys, sort, and drop underflow.
+
+    A stable sort keeps duplicates in input order, so each sum runs in input
+    order; on two concatenated sorted runs (``__add__``) it is a linear merge.
+    """
     if keys.size == 0:
         return SparseSpectrum.empty(grid)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    vals = np.bincount(inverse, weights=values.real, minlength=uniq.size).astype(
-        np.complex128
-    )
-    vals += 1j * np.bincount(inverse, weights=values.imag, minlength=uniq.size)
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    # + 0.0 turns a -0.0 sum into 0.0, as a sum that starts from zero gives
+    vals = np.add.reduceat(values, starts) + 0.0
     keep = _nonzero(vals)
-    return SparseSpectrum(grid, uniq[keep], vals[keep])
+    return SparseSpectrum(grid, keys[starts][keep], vals[keep])
 
 
 @dataclass(frozen=True)
@@ -253,30 +289,39 @@ def sparsity_fraction(spec: SparseSpectrum) -> float:
 
 
 def sparse_convolve(a: SparseSpectrum, b: SparseSpectrum) -> SparseSpectrum:
-    """Linear convolution over entry pairs, truncated to the resolved box.
+    """Linear convolution, truncated to the resolved box.
 
     Output at k sums ``a(k1) * b(k2)`` over ``k1 + k2 = k``; products that
     leave the resolved box are discarded rather than aliased.  The unpaired
     Nyquist mode -n/2 neither contributes nor is produced, which keeps real
-    fields real.  Cost is O(n_s(a) * n_s(b)).
+    fields real.
+
+    Each call takes the cheaper of two paths (see :func:`_transform_is_cheaper`):
+    entry pairs, O(n_s(a) * n_s(b)), or one padded transform over the
+    ``M = (2n)**dims`` grid, O(M log M), bit-identical to
+    :func:`~sparsedyn.spectral.dense_convolve` on the same operands.  The
+    transform path may emit roundoff-level entries anywhere in the box.
     """
     if a.grid != b.grid:
         raise GridMismatch("convolution operands on different grids")
     grid = a.grid
     if a.n_s == 0 or b.n_s == 0:
         return SparseSpectrum.empty(grid)
-    if b.n_s < a.n_s:
-        a, b = b, a
 
-    # digits of resolved modes lie in [0, n), so a sum of two keys carries
-    # nothing: acc index key(k1) + key(k2) is key(k1 + k2) + key(0)
     box = _open_box(grid)
     a_in, b_in = box[a.keys], box[b.keys]
     a_keys, a_vals = a.keys[a_in], a.values[a_in]
     b_keys, b_vals = b.keys[b_in], b.values[b_in]
     if a_keys.size == 0 or b_keys.size == 0:
         return SparseSpectrum.empty(grid)
+    if _transform_is_cheaper(grid, a_keys.size, b_keys.size):
+        # operand order kept: the transform product is not bitwise symmetric
+        return _transform_convolve(grid, a_keys, a_vals, b_keys, b_vals)
+    if b.n_s < a.n_s:
+        a_keys, a_vals, b_keys, b_vals = b_keys, b_vals, a_keys, a_vals
 
+    # digits of resolved modes lie in [0, n), so a sum of two keys carries
+    # nothing: acc index key(k1) + key(k2) is key(k1 + k2) + key(0)
     acc = np.zeros(box.size, dtype=np.complex128)
     idx = np.empty_like(b_keys)
     prod = np.empty_like(b_vals)
@@ -290,6 +335,36 @@ def sparse_convolve(a: SparseSpectrum, b: SparseSpectrum) -> SparseSpectrum:
     vals = acc[keys]
     inside = box[keys] & _nonzero(vals)
     return SparseSpectrum(grid, keys[inside], vals[inside])
+
+
+def _transform_is_cheaper(grid: GridSpec, n_a: int, n_b: int) -> bool:
+    """Whether ``n_a * n_b`` entry pairs cost more than a padded transform,
+    ``_TRANSFORM_COST * M log2 M`` with ``M = (2n)**dims``."""
+    m_total = (2 * grid.n_per_dim) ** grid.dims
+    return n_a * n_b > _TRANSFORM_COST * m_total * math.log2(m_total)
+
+
+def _transform_convolve(
+    grid: GridSpec,
+    a_keys: np.ndarray,
+    a_vals: np.ndarray,
+    b_keys: np.ndarray,
+    b_vals: np.ndarray,
+) -> SparseSpectrum:
+    """The padded-transform path: scatter both operands (open-box keys only)
+    onto the padded grid, multiply in space, gather at every open-box key."""
+    index = _padded_index(grid)
+    shape = (2 * grid.n_per_dim,) * grid.dims
+    padded = []
+    for keys, vals in ((a_keys, a_vals), (b_keys, b_vals)):
+        p = np.zeros(index.size, dtype=np.complex128)
+        p[index[keys]] = vals
+        padded.append(p.reshape(shape))
+    product = padded_product(*padded).ravel()
+    keys = _open_keys(grid)
+    vals = product[index[keys]]
+    keep = _nonzero(vals)
+    return SparseSpectrum(grid, keys[keep], vals[keep])
 
 
 def dump_spectrum(spec: SparseSpectrum, stream: IO[str] | str) -> None:

@@ -10,6 +10,8 @@ its own final map (the soft threshold for the sparse run).
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -102,7 +104,17 @@ def _check_cfl(kind: str, dt: float, limit: float, strict: bool) -> None:
     msg = f"dt={dt:.3e} exceeds the {kind} stability guard {limit:.3e}"
     if strict:
         raise CflViolation(msg)
-    warnings.warn(msg, CflWarning, stacklevel=5)
+    warnings.warn(msg, CflWarning, stacklevel=_caller_stacklevel())
+
+
+def _caller_stacklevel() -> int:
+    """``stacklevel`` that makes a warning raised by the caller of this
+    function name the first frame outside the package."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def step_convection(state: SolverState, a_hat: Spectrum, dt: float) -> Spectrum:

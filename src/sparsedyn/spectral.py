@@ -130,17 +130,19 @@ def _resize(coeffs: np.ndarray, n_out: int) -> np.ndarray:
     return np.fft.ifftshift(out)
 
 
+def padded_product(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Spectrum of the pointwise product of two spectra already zero-padded
+    to ``(2n)**dims`` points in FFT layout: every product of two modes with
+    ``|m| < n/2`` lands on its own padded mode, unaliased."""
+    m_total = pa.size
+    return np.fft.fftn((np.fft.ifftn(pa) * m_total) * (np.fft.ifftn(pb) * m_total)) / m_total
+
+
 def dense_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Galerkin-truncated convolution of amplitude spectra via padded
     transforms; same truncation contract as the sparse entry-pair kernel."""
     n = grid.n_per_dim
-    m_total = (2 * n) ** grid.dims
-
-    def to_space(coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(_resize(coeffs, 2 * n)) * m_total
-
-    product = to_space(a) * to_space(b)
-    return _resize(np.fft.fftn(product) / m_total, n)
+    return _resize(padded_product(_resize(a, 2 * n), _resize(b, 2 * n)), n)
 
 
 def is_hermitian(spec: DenseSpectrum, rtol: float = 1e-12) -> bool:

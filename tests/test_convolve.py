@@ -11,6 +11,7 @@ from sparsedyn import (
     sparse_convolve,
 )
 from sparsedyn.evaluation import dense_convolve
+from sparsedyn.shrinkage import _transform_is_cheaper
 from sparsedyn.spectral import SpatialField, is_hermitian
 
 from oracles import brute_force_convolve
@@ -87,6 +88,8 @@ def test_matches_brute_force_1d():
     pairs = [(random_sparse(g, rng), random_sparse(g, rng)) for _ in range(50)]
     box = GridSpec(1, 16)
     pairs.append((full_box(box, rng), full_box(box, rng)))
+    wide = GridSpec(1, 64)  # takes the padded transform
+    pairs.append((full_box(wide, rng), full_box(wide, rng)))
     for a, b in pairs:
         want = brute_force_convolve(a.to_dict(), b.to_dict(), a.grid)
         assert_matches(sparse_convolve(a, b), want)
@@ -98,6 +101,8 @@ def test_matches_brute_force_2d():
     pairs = [(random_sparse(g, rng), random_sparse(g, rng)) for _ in range(30)]
     box = GridSpec(2, 8)
     pairs.append((full_box(box, rng), full_box(box, rng)))
+    wide = GridSpec(2, 16)  # takes the padded transform
+    pairs.append((full_box(wide, rng), full_box(wide, rng)))
     for a, b in pairs:
         want = brute_force_convolve(a.to_dict(), b.to_dict(), a.grid)
         assert_matches(sparse_convolve(a, b), want)
@@ -164,3 +169,61 @@ def test_dense_convolve_matches_brute_force():
             assert abs(got_d.get(k, 0.0) - want[k]) < 1e-12
         for k in set(got_d) - set(want):
             assert abs(got_d[k]) < 1e-12  # transform path roundoff only
+
+
+
+# Full-box operands on these grids take the padded transform.
+TRANSFORM_GRIDS = (GridSpec(1, 64), GridSpec(2, 16))
+
+
+def test_transform_path_is_bit_identical_to_dense_convolve():
+    rng = np.random.default_rng(32)
+    for g in TRANSFORM_GRIDS:
+        a, b = full_box(g, rng), full_box(g, rng)
+        got = sparse_convolve(a, b)
+        dense = dense_convolve(a.to_dense().coeffs, b.to_dense().coeffs, g)
+        want = SparseSpectrum.from_dense(DenseSpectrum(g, dense))
+        assert np.array_equal(got.keys, want.keys)
+        assert np.array_equal(got.values, want.values)
+
+
+def test_nan_operand_gives_nan_output_on_both_paths():
+    rng = np.random.default_rng(33)
+    for g in TRANSFORM_GRIDS:
+        key = 1 if g.dims == 1 else (1, 0)
+        # pairs: a lone NaN entry shifts b by one mode
+        b = random_sparse(g, rng)
+        pairs = sparse_convolve(SparseSpectrum.from_dict(g, {key: complex(np.nan, 0.0)}), b)
+        assert pairs.n_s > 0 and np.isnan(pairs.values).all()
+        # transform: the NaN spreads over the whole box
+        a = full_box(g, rng).to_dict()
+        a[key] = complex(np.nan, 0.0)
+        out = sparse_convolve(SparseSpectrum.from_dict(g, a), full_box(g, rng))
+        assert out.n_s == (g.n_per_dim - 1) ** g.dims
+        assert np.isnan(out.values).all()
+
+
+def test_transform_path_stays_hermitian_for_real_fields():
+    rng = np.random.default_rng(34)
+    for g in TRANSFORM_GRIDS:
+        u, w = (
+            SparseSpectrum.from_dense(dft_forward(SpatialField(g, rng.standard_normal(g.shape))))
+            for _ in range(2)
+        )
+        assert is_hermitian(sparse_convolve(u, w).to_dense(), rtol=1e-12)
+
+
+def test_path_choice_on_workload_shapes():
+    # (grid, n_s of each operand after the open-box filter, transform?)
+    cases = [
+        (GridSpec(1, 64), 63, 63, True),  # TRANSFORM_GRIDS, full box
+        (GridSpec(2, 16), 225, 225, True),
+        (GridSpec(1, 4096), 16, 16, False),  # acceptance criterion 9
+        (GridSpec(1, 2048), 19, 2048, False),  # parabolic: state against coefficient
+        (GridSpec(1, 1024), 1024, 95, True),  # Burgers: coefficient against a*du
+        (GridSpec(2, 128), 252, 252, False),  # vorticity, later steps
+        (GridSpec(2, 128), 16256, 16128, True),  # vorticity, first step
+    ]
+    for g, n_a, n_b, transform in cases:
+        assert _transform_is_cheaper(g, n_a, n_b) is transform
+        assert _transform_is_cheaper(g, n_b, n_a) is transform

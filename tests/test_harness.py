@@ -1,6 +1,9 @@
+import warnings
+
 import pytest
 
 from sparsedyn import (
+    CflWarning,
     ConfigError,
     bench_convolution,
     bundled_recipes,
@@ -92,6 +95,21 @@ def test_round_trip_fixpoint_for_all_recipes():
     for name, text in recipes.items():
         cfg = parse_config_text(text)
         assert parse_config_text(format_config(cfg)) == cfg, name
+
+
+def test_cfl_warning_from_run_points_at_the_caller(tmp_path):
+    # 0.02 is over the explicit-diffusion guard 0.5 dx^2 / 0.4 ~ 0.012
+    cfg = parse_config_text(
+        SMALL_CONFIG.replace("dt = 1e-4", "dt = 2e-2")
+        .replace("t_end = 5e-3", "t_end = 4e-2")
+        .replace("snapshot_times = 2e-3", "snapshot_times = 2e-2")
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(cfg, out_dir=tmp_path)
+    cfl = [w for w in caught if w.category is CflWarning]
+    assert len(cfl) == 2  # the sparse run and the dense reference
+    assert all(w.filename == __file__ for w in cfl)
 
 
 def test_load_recipe():

@@ -293,6 +293,16 @@ def test_cfl_warning_points_at_the_caller():
         assert caught[0].filename == __file__
 
 
+def test_cfl_warning_from_advance_points_at_the_caller():
+    g = GridSpec(1, 64)
+    params = EquationParams("convection", coeff=CoefficientSpec.constant(1.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        advance(sine_field(g), params, NO_SHRINK, 2 * g.dx, 1)
+    assert caught[0].category is CflWarning
+    assert caught[0].filename == __file__
+
+
 def test_diverging_run_raises_instead_of_dropping_nan():
     # 30x over the transport guard Leap Frog blows up; the soft threshold
     # must not drop the non-finite entries and hand back a small, sparse state
