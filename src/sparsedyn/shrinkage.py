@@ -2,9 +2,13 @@
 threshold schedule, and truncated sparse-sparse spectral convolution.
 
 Entries are keyed by integer mode vectors and stored sorted (lexicographic
-mode order), so iteration and serialization are deterministic.  Only the
-soft threshold removes small coefficients; arithmetic drops nothing above
-true underflow (``DROP_TOL``), and nothing non-finite.
+mode order), so iteration and serialization are deterministic.
+
+What counts as a zero coefficient: arithmetic drops only true underflow
+(``DROP_TOL``); a spectrum that comes out of a transform also drops its
+roundoff tail, every entry below ``ROUNDOFF_FLOOR`` times its largest
+magnitude.  Nothing non-finite is ever dropped.  Only the soft threshold
+removes small coefficients beyond that.
 """
 
 from __future__ import annotations
@@ -31,15 +35,35 @@ from .spectral import DenseSpectrum, padded_product
 # Magnitudes below this are treated as exact zeros during arithmetic.
 DROP_TOL = 1e-300
 
-# A convolution takes the padded transform once its entry pairs outnumber
-# this many times M log2 M, M the padded grid size.
-_TRANSFORM_COST = 2
+# Share of the largest magnitude below which a transform-made coefficient is
+# roundoff.  The FFT roundoff of the bundled coefficient and forcing spectra
+# reaches about 15 eps of their largest entry; 16 eps lies just above that
+# and far below any threshold a run uses.
+ROUNDOFF_FLOOR = 16 * np.finfo(np.float64).eps
+
+# Cost of the entry-pair loop per row of its smaller operand, in pairs, and
+# of the padded transform, in units of M log2 M pairs (M the padded grid
+# size).  Both come from a pairs-vs-transform sweep on 1-D and 2-D grids.
+_ROW_COST = 750
+_TRANSFORM_COST = 1.5
 
 
 def _nonzero(values: np.ndarray) -> np.ndarray:
     """Mask of entries that are not exact zeros: magnitude at or above
     ``DROP_TOL``, or NaN, so that a non-finite value is never dropped."""
     return ~(np.abs(values) < DROP_TOL)
+
+
+def _above_roundoff(values: np.ndarray) -> np.ndarray:
+    """Mask of entries of a transform-made spectrum that are not roundoff:
+    magnitude at or above ``ROUNDOFF_FLOOR`` times the largest, and not
+    underflow.  When any entry is NaN or infinite this is :func:`_nonzero`,
+    so nothing finite is dropped on the way to a divergence error."""
+    mags = np.abs(values)
+    top = mags.max(initial=0.0)
+    if not np.isfinite(top):
+        return _nonzero(values)
+    return ~(mags < max(ROUNDOFF_FLOOR * top, DROP_TOL))
 
 
 @lru_cache(maxsize=8)
@@ -127,8 +151,18 @@ class SparseSpectrum:
     @classmethod
     def from_dense(cls, spec: DenseSpectrum) -> "SparseSpectrum":
         """Sparsify a dense spectrum, dropping only underflow-level entries."""
+        return cls._sparsify(spec, _nonzero)
+
+    @classmethod
+    def from_transform(cls, spec: DenseSpectrum) -> "SparseSpectrum":
+        """Sparsify a dense spectrum that comes out of a transform, dropping
+        its roundoff tail as well (see :func:`_above_roundoff`)."""
+        return cls._sparsify(spec, _above_roundoff)
+
+    @classmethod
+    def _sparsify(cls, spec: DenseSpectrum, keep) -> "SparseSpectrum":
         flat = spec.coeffs.ravel()
-        idx = np.flatnonzero(_nonzero(flat))
+        idx = np.flatnonzero(keep(flat))
         grid = spec.grid
         keys = mode_to_key(grid, fft_index_to_mode(grid, idx))
         order = np.argsort(keys)
@@ -297,10 +331,12 @@ def sparse_convolve(a: SparseSpectrum, b: SparseSpectrum) -> SparseSpectrum:
     fields real.
 
     Each call takes the cheaper of two paths (see :func:`_transform_is_cheaper`):
-    entry pairs, O(n_s(a) * n_s(b)), or one padded transform over the
-    ``M = (2n)**dims`` grid, O(M log M), bit-identical to
-    :func:`~sparsedyn.spectral.dense_convolve` on the same operands.  The
-    transform path may emit roundoff-level entries anywhere in the box.
+    entry pairs, a fixed cost per row of the smaller operand plus one per
+    pair, or one padded transform over the ``M = (2n)**dims`` grid,
+    O(M log M).  The transform output is that of
+    :func:`~sparsedyn.spectral.dense_convolve` on the same operands, less
+    its roundoff tail (see :func:`_above_roundoff`), so it carries only the
+    modes the product really has.
     """
     if a.grid != b.grid:
         raise GridMismatch("convolution operands on different grids")
@@ -317,7 +353,7 @@ def sparse_convolve(a: SparseSpectrum, b: SparseSpectrum) -> SparseSpectrum:
     if _transform_is_cheaper(grid, a_keys.size, b_keys.size):
         # operand order kept: the transform product is not bitwise symmetric
         return _transform_convolve(grid, a_keys, a_vals, b_keys, b_vals)
-    if b.n_s < a.n_s:
+    if b_keys.size < a_keys.size:
         a_keys, a_vals, b_keys, b_vals = b_keys, b_vals, a_keys, a_vals
 
     # digits of resolved modes lie in [0, n), so a sum of two keys carries
@@ -331,17 +367,28 @@ def sparse_convolve(a: SparseSpectrum, b: SparseSpectrum) -> SparseSpectrum:
         acc[idx] += prod
 
     acc = acc[_mean_key(grid):]  # indexed by the output key
-    keys = np.flatnonzero(acc)
+    keys = np.flatnonzero(acc != 0)  # NaN != 0, so NaN cells are kept
     vals = acc[keys]
     inside = box[keys] & _nonzero(vals)
     return SparseSpectrum(grid, keys[inside], vals[inside])
 
 
 def _transform_is_cheaper(grid: GridSpec, n_a: int, n_b: int) -> bool:
-    """Whether ``n_a * n_b`` entry pairs cost more than a padded transform,
-    ``_TRANSFORM_COST * M log2 M`` with ``M = (2n)**dims``."""
+    """Whether the entry-pair loop over ``n_a * n_b`` pairs costs more than a
+    padded transform over ``M = (2n)**dims`` points.
+
+    The loop runs one row per entry of the smaller operand, each costing
+    ``_ROW_COST`` pairs on top of its own, against
+    ``_TRANSFORM_COST * M log2 M`` for the transform.  Operands with no more
+    pairs than M stay on pairs whatever the rows cost: on small grids the
+    transform's fixed cost (two scatters, three FFTs and a gather, each a
+    separate numpy call) is well above its M log2 M term.
+    """
     m_total = (2 * grid.n_per_dim) ** grid.dims
-    return n_a * n_b > _TRANSFORM_COST * m_total * math.log2(m_total)
+    if n_a * n_b <= m_total:
+        return False
+    rows, cols = min(n_a, n_b), max(n_a, n_b)
+    return rows * (cols + _ROW_COST) > _TRANSFORM_COST * m_total * math.log2(m_total)
 
 
 def _transform_convolve(
@@ -363,7 +410,7 @@ def _transform_convolve(
     product = padded_product(*padded).ravel()
     keys = _open_keys(grid)
     vals = product[index[keys]]
-    keep = _nonzero(vals)
+    keep = _above_roundoff(vals)
     return SparseSpectrum(grid, keys[keep], vals[keep])
 
 

@@ -223,7 +223,32 @@ def test_path_choice_on_workload_shapes():
         (GridSpec(1, 1024), 1024, 95, True),  # Burgers: coefficient against a*du
         (GridSpec(2, 128), 252, 252, False),  # vorticity, later steps
         (GridSpec(2, 128), 16256, 16128, True),  # vorticity, first step
+        (GridSpec(1, 1024), 110, 110, True),  # Burgers u*u, honest coefficient
+        (GridSpec(1, 1024), 184, 110, True),  # Burgers a*du, honest coefficient
+        (GridSpec(1, 2048), 19, 208, False),  # parabolic, honest coefficient
+        (GridSpec(2, 256), 650, 650, False),  # vorticity_fig4, later steps
+        (GridSpec(1, 16), 1, 2, False),  # tiny operands on a small grid
     ]
     for g, n_a, n_b, transform in cases:
         assert _transform_is_cheaper(g, n_a, n_b) is transform
         assert _transform_is_cheaper(g, n_b, n_a) is transform
+
+
+def test_transform_output_carries_no_roundoff_tail():
+    # products of band-limited real fields: the inputs carry FFT roundoff at
+    # every mode, and the output keeps exactly the modes the product has
+    g1 = GridSpec(1, 64)
+    x = g1.axis_coordinates()
+    g2 = GridSpec(2, 16)
+    mx, my = g2.meshgrid()
+    cases = [
+        (g1, np.cos(x), np.cos(3 * x) + 0.5),
+        (g2, np.cos(mx) * np.sin(2 * my), np.cos(mx + my) + 0.5),
+    ]
+    for g, f, h in cases:
+        u, w = (SparseSpectrum.from_dense(dft_forward(SpatialField(g, v))) for v in (f, h))
+        assert _transform_is_cheaper(g, u.n_s, w.n_s)
+        want = brute_force_convolve(u.to_dict(), w.to_dict(), g)
+        real = {k for k, v in want.items() if abs(v) > 1e-12}
+        assert 0 < len(real) < min(u.n_s, w.n_s) / 5
+        assert set(sparse_convolve(u, w).to_dict()) == real

@@ -21,10 +21,12 @@ from sparsedyn import (
     initial_condition,
     iter_dense_states,
     iter_states,
+    load_recipe,
     step_burgers,
     step_vorticity,
 )
-from sparsedyn.solvers import SolverState, advection_term
+from sparsedyn.coefficients import sample_coefficient
+from sparsedyn.solvers import SolverState, _prepare, advection_term
 from sparsedyn.spectral import SpatialField, dft_inverse, is_hermitian
 
 from oracles import brute_force_advection, brute_force_burgers_step
@@ -197,6 +199,38 @@ def test_lambda_zero_matches_dense_all_equations():
         ):
             _, linf = error_metrics(s.current, d)
             assert linf < 1e-10, eq
+
+
+def test_lambda_zero_matches_dense_with_oscillatory_coefficients():
+    # the coefficient spectrum drops its roundoff tail; at lambda = 0 the
+    # sparse run must still match the dense reference, which keeps it
+    for eq, n in [("burgers", 512), ("parabolic", 1024)]:
+        g = GridSpec(1, n)
+        coeff = CoefficientSpec(f"{eq}_oscillatory")
+        params = EquationParams(eq, coeff=coeff)
+        u0 = initial_condition(InitialSpec("gauss_bump", width=0.6), g)
+        assert _prepare(params, u0, 1e-12, True).n_s < n // 2
+        dt = 0.4 * g.dx**2 / np.abs(sample_coefficient(coeff, g)).max()
+        for s, d in zip(
+            iter_states(u0, params, NO_SHRINK, dt, 50, strict_cfl=True),
+            iter_dense_states(u0.to_dense(), params, dt, 50, strict_cfl=True),
+        ):
+            _, linf = error_metrics(s.current, d)
+            assert linf < 1e-10, eq
+
+
+def test_coefficient_spectra_of_headline_recipes_drop_roundoff():
+    expected = {
+        "parabolic_fig2": 208,
+        "burgers_fig3": 184,
+        "convection_fig1": 184,
+        "vorticity_fig4": 32,
+    }
+    for name, n_s in expected.items():
+        config = load_recipe(name)
+        grid = config.grid()
+        coeff = _prepare(config.equation_params(), SparseSpectrum.empty(grid), 1e-12, True)
+        assert coeff.n_s == n_s, name
 
 
 def test_mean_mode_exact_at_zero_lambda():
