@@ -83,6 +83,19 @@ class GridSpec:
         return wavenumbers_of(self, self.mode_numbers())
 
     @property
+    def n_padded(self) -> int:
+        """Points per dimension of the padded transform grid, ``P = 3n/2``.
+
+        A product of two modes with ``|m| < n/2`` has ``|s| <= n - 2``; on
+        ``P`` points it either lands on its own mode or wraps to ``|s - P| >=
+        n/2 + 2``, outside the resolved box, so truncating to the box leaves
+        no aliasing (the 2/3 rule: Orszag, J. Atmos. Sci. 28 (1971) 1074;
+        Canuto et al., *Spectral Methods in Fluid Dynamics* §3.2).  ``n`` is
+        a power of two >= 4, so ``P`` is an even integer.
+        """
+        return 3 * self.n_per_dim // 2
+
+    @property
     def nyquist_mode(self) -> int:
         """The unpaired integer mode -n/2; zeroed by derivatives."""
         return -(self.n_per_dim // 2)
@@ -166,7 +179,8 @@ def key_to_mode(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
 
 
 def key_to_padded_index(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
-    """Flat FFT-layout index of sparse keys on the padded ``(2n)**dims``
-    transform grid: digit ``m mod 2n`` per dimension."""
-    n_pad = 2 * grid.n_per_dim
+    """Flat FFT-layout index of sparse keys on the padded transform grid of
+    ``P = 3n/2`` points per dimension (:attr:`GridSpec.n_padded`): digit
+    ``m mod P`` per dimension."""
+    n_pad = grid.n_padded
     return _to_flat([np.mod(m, n_pad) for m in key_to_mode(grid, keys)], n_pad)

@@ -4,6 +4,7 @@ output, resolution sweeps, and the convolution microbenchmark."""
 from __future__ import annotations
 
 import importlib.resources
+import shutil
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -368,8 +369,12 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunRepor
 
     write_report_csv(report, out / "report.csv")
     assert last_state is not None
-    dump_spectrum(last_state.current, str(out / "spectrum_final.txt"))
-    write_field_csv(last_state.current, out / "field_final.csv")
+    if last_state.step_index in snapshots:  # written in the loop under ``tag``
+        shutil.copyfile(out / f"spectrum_{tag}.txt", out / "spectrum_final.txt")
+        shutil.copyfile(out / f"field_{tag}.csv", out / "field_final.csv")
+    else:
+        dump_spectrum(last_state.current, str(out / "spectrum_final.txt"))
+        write_field_csv(last_state.current, out / "field_final.csv")
     return report
 
 

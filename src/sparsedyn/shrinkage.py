@@ -30,7 +30,12 @@ from .grid import (
     mode_to_fft_index,
     mode_to_key,
 )
-from .spectral import DenseSpectrum, padded_product
+from .spectral import (
+    DenseSpectrum,
+    padded_field,
+    padded_product,
+    spectrum_of,
+)
 
 # Magnitudes below this are treated as exact zeros during arithmetic.
 DROP_TOL = 1e-300
@@ -41,11 +46,13 @@ DROP_TOL = 1e-300
 # and far below any threshold a run uses.
 ROUNDOFF_FLOOR = 16 * np.finfo(np.float64).eps
 
-# Cost of the entry-pair loop per row of its smaller operand, in pairs, and
-# of the padded transform, in units of M log2 M pairs (M the padded grid
-# size).  Both come from a pairs-vs-transform sweep on 1-D and 2-D grids.
+# Cost of the entry-pair loop per row of its smaller operand, of the padded
+# transform per unit of M log2 M (M = (3n/2)**dims the padded grid size), and
+# of the transform's fixed part beyond the loop's, all in units of one pair.
+# From the pairs-vs-transform sweep in scripts/calibrate_convolution.py.
 _ROW_COST = 750
 _TRANSFORM_COST = 1.5
+_TRANSFORM_FIXED = 10_000
 
 
 def _nonzero(values: np.ndarray) -> np.ndarray:
@@ -93,9 +100,9 @@ def _open_keys(grid: GridSpec) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _padded_index(grid: GridSpec) -> np.ndarray:
-    """Flat index on the padded ``(2n)**dims`` transform grid of every key
-    ``0 .. (2n)**dims - 1``.  Stored as int32, which halves the cache and
-    holds ``(2n)**dims`` for any grid whose arrays fit in memory.
+    """Flat index on the padded transform grid, ``(3n/2)**dims`` points, of
+    every key ``0 .. (2n)**dims - 1``.  Stored as int32, which halves the
+    cache and holds ``(2n)**dims`` for any grid whose arrays fit in memory.
     Read-only, per grid."""
     keys = np.arange((2 * grid.n_per_dim) ** grid.dims)
     index = key_to_padded_index(grid, keys).astype(np.int32)
@@ -323,39 +330,79 @@ def sparsity_fraction(spec: SparseSpectrum) -> float:
 
 
 def sparse_convolve(a: SparseSpectrum, b: SparseSpectrum) -> SparseSpectrum:
-    """Linear convolution, truncated to the resolved box.
+    """Linear convolution, truncated to the resolved box: the one-term case
+    of :func:`sparse_convolve_sum`.
 
     Output at k sums ``a(k1) * b(k2)`` over ``k1 + k2 = k``; products that
     leave the resolved box are discarded rather than aliased.  The unpaired
     Nyquist mode -n/2 neither contributes nor is produced, which keeps real
     fields real.
-
-    Each call takes the cheaper of two paths (see :func:`_transform_is_cheaper`):
-    entry pairs, a fixed cost per row of the smaller operand plus one per
-    pair, or one padded transform over the ``M = (2n)**dims`` grid,
-    O(M log M).  The transform output is that of
-    :func:`~sparsedyn.spectral.dense_convolve` on the same operands, less
-    its roundoff tail (see :func:`_above_roundoff`), so it carries only the
-    modes the product really has.
     """
-    if a.grid != b.grid:
-        raise GridMismatch("convolution operands on different grids")
-    grid = a.grid
-    if a.n_s == 0 or b.n_s == 0:
-        return SparseSpectrum.empty(grid)
+    return sparse_convolve_sum(((1.0, a, b),))
 
-    box = _open_box(grid)
-    a_in, b_in = box[a.keys], box[b.keys]
-    a_keys, a_vals = a.keys[a_in], a.values[a_in]
-    b_keys, b_vals = b.keys[b_in], b.values[b_in]
-    if a_keys.size == 0 or b_keys.size == 0:
+
+def sparse_convolve_sum(terms) -> SparseSpectrum:
+    """Truncated ``sum w * (a * b)`` over terms ``(w, a, b)`` of sparse
+    spectra (or :class:`~sparsedyn.spectral.HeldField` of one).
+
+    Each term takes the cheaper of two paths (see :func:`_transform_is_cheaper`):
+    entry pairs, a fixed cost per row of the smaller operand plus one per
+    pair, or a transform padded to ``M = (3n/2)**dims`` points (the 2/3
+    rule), O(M log M).  Pair terms are weighted and added as sparse
+    spectra.  Transform terms share the padded grid: each distinct operand
+    is scattered and inverse-transformed once, and the weighted products
+    are summed in space with one forward transform
+    (:func:`_transform_convolve`).  With every term on the transform path
+    the output is that of :func:`~sparsedyn.spectral.dense_convolve_sum` on
+    the same terms in the same order, less its roundoff tail (see
+    :func:`_above_roundoff`), so it carries only the modes the sum really
+    has.
+    """
+    grid = spectrum_of(terms[0][1]).grid
+    inside: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def entries(spec: SparseSpectrum) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values of ``spec`` in the open box, once per call."""
+        if id(spec) not in inside:
+            if spec.grid != grid:
+                raise GridMismatch("convolution operands on different grids")
+            keep = _open_box(grid)[spec.keys]
+            inside[id(spec)] = spec.keys[keep], spec.values[keep]
+        return inside[id(spec)]
+
+    parts = []
+    transform_terms = []
+    for w, a, b in terms:
+        (a_keys, a_vals), (b_keys, b_vals) = entries(spectrum_of(a)), entries(spectrum_of(b))
+        if a_keys.size == 0 or b_keys.size == 0:
+            continue
+        if _transform_is_cheaper(grid, a_keys.size, b_keys.size):
+            transform_terms.append((w, a, b))
+        else:
+            out = _pair_convolve(grid, a_keys, a_vals, b_keys, b_vals)
+            parts.append(out if w == 1 else w * out)
+    if transform_terms:
+        parts.insert(0, _transform_convolve(grid, transform_terms, entries))
+    if not parts:
         return SparseSpectrum.empty(grid)
-    if _transform_is_cheaper(grid, a_keys.size, b_keys.size):
-        # operand order kept: the transform product is not bitwise symmetric
-        return _transform_convolve(grid, a_keys, a_vals, b_keys, b_vals)
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total
+
+
+def _pair_convolve(
+    grid: GridSpec,
+    a_keys: np.ndarray,
+    a_vals: np.ndarray,
+    b_keys: np.ndarray,
+    b_vals: np.ndarray,
+) -> SparseSpectrum:
+    """The entry-pair path on open-box entries: one row per entry of the
+    smaller operand, so the sum runs in the same order either way round."""
     if b_keys.size < a_keys.size:
         a_keys, a_vals, b_keys, b_vals = b_keys, b_vals, a_keys, a_vals
-
+    box = _open_box(grid)
     # digits of resolved modes lie in [0, n), so a sum of two keys carries
     # nothing: acc index key(k1) + key(k2) is key(k1 + k2) + key(0)
     acc = np.zeros(box.size, dtype=np.complex128)
@@ -375,39 +422,37 @@ def sparse_convolve(a: SparseSpectrum, b: SparseSpectrum) -> SparseSpectrum:
 
 def _transform_is_cheaper(grid: GridSpec, n_a: int, n_b: int) -> bool:
     """Whether the entry-pair loop over ``n_a * n_b`` pairs costs more than a
-    padded transform over ``M = (2n)**dims`` points.
+    transform padded to ``M = (3n/2)**dims`` points.
 
     The loop runs one row per entry of the smaller operand, each costing
     ``_ROW_COST`` pairs on top of its own, against
-    ``_TRANSFORM_COST * M log2 M`` for the transform.  Operands with no more
-    pairs than M stay on pairs whatever the rows cost: on small grids the
-    transform's fixed cost (two scatters, three FFTs and a gather, each a
-    separate numpy call) is well above its M log2 M term.
+    ``_TRANSFORM_FIXED + _TRANSFORM_COST * M log2 M`` for the transform.
+    The fixed part (two scatters, three FFTs, a gather and the roundoff
+    filter, each a separate numpy call) keeps small operands on pairs
+    whatever the grid.
     """
-    m_total = (2 * grid.n_per_dim) ** grid.dims
-    if n_a * n_b <= m_total:
-        return False
+    m_total = grid.n_padded**grid.dims
     rows, cols = min(n_a, n_b), max(n_a, n_b)
-    return rows * (cols + _ROW_COST) > _TRANSFORM_COST * m_total * math.log2(m_total)
+    transform = _TRANSFORM_FIXED + _TRANSFORM_COST * m_total * math.log2(m_total)
+    return rows * (cols + _ROW_COST) > transform
 
 
-def _transform_convolve(
-    grid: GridSpec,
-    a_keys: np.ndarray,
-    a_vals: np.ndarray,
-    b_keys: np.ndarray,
-    b_vals: np.ndarray,
-) -> SparseSpectrum:
-    """The padded-transform path: scatter both operands (open-box keys only)
-    onto the padded grid, multiply in space, gather at every open-box key."""
+def _transform_convolve(grid: GridSpec, terms, entries) -> SparseSpectrum:
+    """The padded-transform path for ``terms``: scatter each distinct
+    operand's open-box ``entries`` onto the grid of ``P = 3n/2`` points per
+    dimension and inverse-transform it, sum the weighted products in space
+    with one forward transform, gather at every open-box key and drop the
+    roundoff tail."""
     index = _padded_index(grid)
-    shape = (2 * grid.n_per_dim,) * grid.dims
-    padded = []
-    for keys, vals in ((a_keys, a_vals), (b_keys, b_vals)):
-        p = np.zeros(index.size, dtype=np.complex128)
+    shape = (grid.n_padded,) * grid.dims
+
+    def field(spec: SparseSpectrum) -> np.ndarray:
+        keys, vals = entries(spec)
+        p = np.zeros(grid.n_padded**grid.dims, dtype=np.complex128)
         p[index[keys]] = vals
-        padded.append(p.reshape(shape))
-    product = padded_product(*padded).ravel()
+        return padded_field(p.reshape(shape))
+
+    product = padded_product(terms, field).ravel()
     keys = _open_keys(grid)
     vals = product[index[keys]]
     keep = _above_roundoff(vals)

@@ -3,9 +3,10 @@
 Every scheme produces a pre-shrinkage update v from the current (and, for
 Leap Frog, previous) state.  The schemes use only the operations both
 containers share (``modes``, ``apply_mode_factor``, ``+``, scalar ``*``)
-and :func:`_convolve`, so the sparse run, the dense reference and the
-low-frequency baseline step through the same code; each passes v through
-its own final map (the soft threshold for the sparse run).
+and :func:`_convolve`, one weighted sum of products per right-hand side,
+so the sparse run, the dense reference and the low-frequency baseline step
+through the same code; each passes v through its own final map (the soft
+threshold for the sparse run).
 """
 
 from __future__ import annotations
@@ -31,15 +32,17 @@ from .shrinkage import (
     SparseSpectrum,
     lambda_at,
     soft_threshold,
-    sparse_convolve,
+    sparse_convolve_sum,
     sparsity_fraction,
 )
 from .spectral import (
     DenseSpectrum,
+    HeldField,
     SpatialField,
-    dense_convolve,
+    dense_convolve_sum,
     dft_forward,
     spectral_derivative,
+    spectrum_of,
 )
 
 EQUATIONS = ("convection", "parabolic", "burgers", "vorticity2d")
@@ -90,12 +93,14 @@ class InitialSpec:
     seed: int = 42
 
 
-def _convolve(a: Spectrum, b: Spectrum) -> Spectrum:
-    """Truncated convolution: over entry pairs for sparse operands, through
-    padded transforms for dense ones."""
-    if isinstance(a, SparseSpectrum):
-        return sparse_convolve(a, b)
-    return DenseSpectrum(a.grid, dense_convolve(a.coeffs, b.coeffs, a.grid))
+def _convolve(*terms) -> Spectrum:
+    """Truncated ``sum w * (a * b)`` over terms ``(w, a, b)``, with at most
+    one forward transform: :func:`~sparsedyn.shrinkage.sparse_convolve_sum`
+    for sparse operands, :func:`~sparsedyn.spectral.dense_convolve_sum` for
+    dense ones.  An operand may be a :class:`~sparsedyn.spectral.HeldField`."""
+    if isinstance(spectrum_of(terms[0][1]), SparseSpectrum):
+        return sparse_convolve_sum(terms)
+    return dense_convolve_sum(terms)
 
 
 def _check_cfl(kind: str, dt: float, limit: float, strict: bool) -> None:
@@ -117,27 +122,26 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def step_convection(state: SolverState, a_hat: Spectrum, dt: float) -> Spectrum:
+def step_convection(state: SolverState, a_hat: Spectrum | HeldField, dt: float) -> Spectrum:
     """Leap Frog update u_prev + 2 dt a*(i k u); forward Euler on step 0."""
-    transport = _convolve(a_hat, spectral_derivative(state.current))
+    transport = _convolve((1.0, a_hat, spectral_derivative(state.current)))
     if state.step_index == 0 or state.previous is None:
         return state.current + dt * transport
     return state.previous + (2.0 * dt) * transport
 
 
-def step_parabolic(state: SolverState, a_hat: Spectrum, dt: float) -> Spectrum:
+def step_parabolic(state: SolverState, a_hat: Spectrum | HeldField, dt: float) -> Spectrum:
     """Forward Euler update u + dt i k (a*(i k u))."""
-    flux = spectral_derivative(_convolve(a_hat, spectral_derivative(state.current)))
+    flux = spectral_derivative(_convolve((1.0, a_hat, spectral_derivative(state.current))))
     return state.current + dt * flux
 
 
-def _burgers_rhs(u: Spectrum, a_hat: Spectrum) -> Spectrum:
+def _burgers_rhs(u: Spectrum, a_hat: Spectrum | HeldField) -> Spectrum:
     # i k ( a*(i k u) - (1/2) u*u ): diffusion minus the conservative flux
-    inner = _convolve(a_hat, spectral_derivative(u)) + (-0.5) * _convolve(u, u)
-    return spectral_derivative(inner)
+    return spectral_derivative(_convolve((1.0, a_hat, spectral_derivative(u)), (-0.5, u, u)))
 
 
-def step_burgers(state: SolverState, a_hat: Spectrum, dt: float) -> Spectrum:
+def step_burgers(state: SolverState, a_hat: Spectrum | HeldField, dt: float) -> Spectrum:
     """Two-stage TVD Runge-Kutta (Heun) step for the viscous conservation law."""
     u = state.current
     u1 = u + dt * _burgers_rhs(u, a_hat)
@@ -161,10 +165,9 @@ def _velocity(u: Spectrum, axis: int) -> Spectrum:
 
 def advection_term(u: Spectrum) -> Spectrum:
     """Spectral form of -(velocity . grad u) for the vorticity equation."""
-    along_x, along_y = (
-        _convolve(_velocity(u, axis), spectral_derivative(u, axis)) for axis in range(2)
+    return _convolve(
+        *((-1.0, _velocity(u, axis), spectral_derivative(u, axis)) for axis in range(2))
     )
-    return (-1.0) * along_x + (-1.0) * along_y
 
 
 def step_vorticity(
@@ -225,15 +228,16 @@ def _iterate(
         As soon as an update holds a non-finite value.
     """
     coeff = _prepare(params, initial, dt, strict_cfl)
+    held = HeldField(coeff)  # the run, never a state, keeps its padded field
     state = SolverState(initial, None, 0, 0.0)
     yield state
     for step in range(1, n_steps + 1):
         if params.equation == "convection":
-            v = step_convection(state, coeff, dt)
+            v = step_convection(state, held, dt)
         elif params.equation == "parabolic":
-            v = step_parabolic(state, coeff, dt)
+            v = step_parabolic(state, held, dt)
         elif params.equation == "burgers":
-            v = step_burgers(state, coeff, dt)
+            v = step_burgers(state, held, dt)
         else:
             v = step_vorticity(state, coeff, params.gamma, dt)
         values = v.values if isinstance(v, SparseSpectrum) else v.coeffs

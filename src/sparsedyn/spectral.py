@@ -3,7 +3,8 @@
 The forward transform carries the ``1/N_total`` factor, so coefficients are
 amplitudes: the k=0 coefficient equals the spatial mean and a unit-amplitude
 mode has a unit-magnitude coefficient pair.  Spatial fields are real; their
-spectra are Hermitian-symmetric.
+spectra are Hermitian-symmetric.  Convolutions multiply in space on a grid
+padded to ``P = 3n/2`` points per dimension (the 2/3 rule).
 """
 
 from __future__ import annotations
@@ -130,19 +131,94 @@ def _resize(coeffs: np.ndarray, n_out: int) -> np.ndarray:
     return np.fft.ifftshift(out)
 
 
-def padded_product(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Spectrum of the pointwise product of two spectra already zero-padded
-    to ``(2n)**dims`` points in FFT layout: every product of two modes with
-    ``|m| < n/2`` lands on its own padded mode, unaliased."""
-    m_total = pa.size
-    return np.fft.fftn((np.fft.ifftn(pa) * m_total) * (np.fft.ifftn(pb) * m_total)) / m_total
+class HeldField:
+    """A convolution operand whose field on the padded grid is made on first
+    use and then kept: for an operand that every step convolves again, such
+    as a run's coefficient.  The field is as large as the padded grid, so
+    hold one per run, never one per state."""
+
+    __slots__ = ("spectrum", "field")
+
+    def __init__(self, spectrum) -> None:
+        self.spectrum = spectrum
+        self.field: np.ndarray | None = None
+
+
+def spectrum_of(operand):
+    """The spectrum of a convolution operand, held or not."""
+    return operand.spectrum if isinstance(operand, HeldField) else operand
+
+
+def padded_field(padded: np.ndarray) -> np.ndarray:
+    """Field values on the padded grid of a spectrum already zero-padded to
+    ``P = 3n/2`` points per dimension, FFT layout (one inverse transform)."""
+    return np.fft.ifftn(padded) * padded.size
+
+
+def padded_product(terms, make) -> np.ndarray:
+    """Spectrum of ``sum w * f(a) * f(b)`` over terms ``(w, a, b)``, with one
+    forward transform, where ``f(x)`` is operand x's field on the padded
+    grid.
+
+    ``make(spectrum)`` gives a spectrum's field (see :func:`padded_field`).
+    It runs once per distinct operand of the call, so ``u*u`` transforms
+    ``u`` once; a :class:`HeldField` makes its field once for as long as it
+    is held.
+
+    This is the one place that multiplies in physical space.  Every product
+    of two modes with ``|m| < n/2`` lands on its own padded mode or outside
+    the resolved box (see :attr:`~sparsedyn.grid.GridSpec.n_padded`), so
+    cropping the result to the box is free of aliasing.
+    """
+    made: dict[int, np.ndarray] = {}
+
+    def field(operand) -> np.ndarray:
+        if isinstance(operand, HeldField):
+            if operand.field is None:
+                operand.field = make(operand.spectrum)
+            return operand.field
+        if id(operand) not in made:
+            made[id(operand)] = make(operand)
+        return made[id(operand)]
+
+    total = None
+    for w, a, b in terms:
+        prod = field(a) * field(b)
+        if w != 1:
+            prod *= w
+        if total is None:
+            total = prod
+        else:
+            total += prod
+    return np.fft.fftn(total) / total.size
+
+
+def dense_convolve_sum(terms) -> DenseSpectrum:
+    """Galerkin-truncated ``sum w * (a * b)`` over terms ``(w, a, b)`` of
+    dense spectra (or :class:`HeldField` of one), with one forward
+    transform.
+
+    Each distinct operand is zero-padded to ``P = 3n/2`` points per
+    dimension (:attr:`~sparsedyn.grid.GridSpec.n_padded`, the 2/3 rule) and
+    inverse-transformed once; the products are weighted and summed in space
+    by :func:`padded_product` and the sum is cropped back to the box, its
+    unpaired Nyquist mode zeroed.
+    """
+    grid = spectrum_of(terms[0][1]).grid
+    if any(spectrum_of(op).grid != grid for _, a, b in terms for op in (a, b)):
+        raise GridMismatch("convolution operands on different grids")
+    product = padded_product(terms, lambda s: padded_field(_resize(s.coeffs, grid.n_padded)))
+    return DenseSpectrum(grid, _resize(product, grid.n_per_dim))
 
 
 def dense_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Galerkin-truncated convolution of amplitude spectra via padded
-    transforms; same truncation contract as the sparse entry-pair kernel."""
-    n = grid.n_per_dim
-    return _resize(padded_product(_resize(a, 2 * n), _resize(b, 2 * n)), n)
+    """Galerkin-truncated convolution of amplitude spectra through transforms
+    padded to ``P = 3n/2`` points per dimension: the one-term case of
+    :func:`dense_convolve_sum`, with the same truncation contract as the
+    sparse entry-pair kernel."""
+    sa = DenseSpectrum(grid, a)
+    sb = sa if b is a else DenseSpectrum(grid, b)
+    return dense_convolve_sum(((1.0, sa, sb),)).coeffs
 
 
 def is_hermitian(spec: DenseSpectrum, rtol: float = 1e-12) -> bool:

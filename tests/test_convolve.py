@@ -10,9 +10,10 @@ from sparsedyn import (
     fft_index_to_mode,
     sparse_convolve,
 )
+from sparsedyn import shrinkage
 from sparsedyn.evaluation import dense_convolve
-from sparsedyn.shrinkage import _transform_is_cheaper
-from sparsedyn.spectral import SpatialField, is_hermitian
+from sparsedyn.shrinkage import _transform_is_cheaper, sparse_convolve_sum
+from sparsedyn.spectral import SpatialField, dense_convolve_sum, is_hermitian
 
 from oracles import brute_force_convolve
 
@@ -185,6 +186,68 @@ def test_transform_path_is_bit_identical_to_dense_convolve():
         want = SparseSpectrum.from_dense(DenseSpectrum(g, dense))
         assert np.array_equal(got.keys, want.keys)
         assert np.array_equal(got.values, want.values)
+        # a sum whose terms all take the transform matches the dense sum of
+        # the same terms in the same order, bit for bit
+        c = full_box(g, rng)
+        terms = [(1.0, a, b), (-0.5, a, a), (2.0, c, b)]
+        dense_of = {id(x): x.to_dense() for x in (a, b, c)}
+        got = sparse_convolve_sum(terms)
+        dense = dense_convolve_sum([(w, dense_of[id(x)], dense_of[id(y)]) for w, x, y in terms])
+        want = SparseSpectrum.from_dense(dense)
+        assert np.array_equal(got.keys, want.keys)
+        assert np.array_equal(got.values, want.values)
+
+
+def weighted_oracle(terms, grid) -> dict:
+    """``sum w * (a * b)`` over terms, by the brute-force oracle."""
+    out: dict = {}
+    for w, a, b in terms:
+        for k, v in brute_force_convolve(a.to_dict(), b.to_dict(), grid).items():
+            out[k] = out.get(k, 0.0) + w * v
+    return out
+
+
+def test_convolve_sum_matches_brute_force_on_both_containers():
+    rng = np.random.default_rng(40)
+    for g in TRANSFORM_GRIDS:
+        u, v = full_box(g, rng), full_box(g, rng)
+        small = random_sparse(g, rng, max_entries=3)
+        assert _transform_is_cheaper(g, u.n_s, v.n_s)
+        assert not _transform_is_cheaper(g, small.n_s, small.n_s)
+        cases = [
+            [(1.0, u, u)],  # a repeated operand
+            [(1.0, u, v), (-0.5, u, u)],  # a negative weight, u shared
+            [(-2.0, u, v), (0.75, small, small)],  # one transform term, one pair term
+        ]
+        dense_of = {id(x): x.to_dense() for x in (u, v, small)}
+        for terms in cases:
+            want = weighted_oracle(terms, g)
+            assert_matches(sparse_convolve_sum(terms), want)
+            dense = dense_convolve_sum([(w, dense_of[id(a)], dense_of[id(b)]) for w, a, b in terms])
+            assert_matches(SparseSpectrum.from_dense(dense), want)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_no_aliasing_at_the_three_halves_edge(n, monkeypatch):
+    # on P = 3n/2 points the outermost modes +-(n/2 - 1) sum to |s| = n - 2,
+    # which must wrap outside the box, not onto a resolved mode
+    top = n // 2 - 1
+    rng = np.random.default_rng(n)
+    for g in (GridSpec(1, n), GridSpec(2, n)):
+        if g.dims == 1:
+            modes = [top, -top]
+        else:
+            modes = [(i, j) for i in (top, -top) for j in (top, -top)]
+        values = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
+        a = SparseSpectrum.from_dict(g, dict(zip(modes, values)))
+        want = brute_force_convolve(a.to_dict(), a.to_dict(), g)
+        dense = dense_convolve(a.to_dense().coeffs, a.to_dense().coeffs, g)
+        assert_matches(SparseSpectrum.from_dense(DenseSpectrum(g, dense)), want, tol=1e-14)
+        with monkeypatch.context() as m:
+            m.setattr(shrinkage, "_transform_is_cheaper", lambda *_: True)
+            got = sparse_convolve(a, a)
+        assert set(got.to_dict()) == set(want)
+        assert_matches(got, want, tol=1e-14)
 
 
 def test_nan_operand_gives_nan_output_on_both_paths():

@@ -14,6 +14,8 @@ from sparsedyn import (
     parse_config_text,
     run,
 )
+from sparsedyn import harness
+from sparsedyn.harness import write_field_csv
 
 SMALL_CONFIG = """
 # quick diffusion run used across the harness tests
@@ -215,3 +217,22 @@ def test_bench_convolution_small():
 def test_bench_convolution_rejects_oversparse():
     with pytest.raises(ConfigError):
         bench_convolution([16], [64], repetitions=1)
+
+
+def test_final_snapshot_is_written_once(tmp_path, monkeypatch):
+    # a snapshot at t_end: the final files are copies of that snapshot's
+    cfg = parse_config_text(SMALL_CONFIG.replace("snapshot_times = 2e-3", "snapshot_times = 5e-3"))
+    written = []
+
+    def counting(state, path):
+        written.append(path.name)
+        return write_field_csv(state, path)
+
+    monkeypatch.setattr(harness, "write_field_csv", counting)
+    run(cfg, out_dir=tmp_path)
+    for final, snapshot in (
+        ("spectrum_final.txt", "spectrum_step000050.txt"),
+        ("field_final.csv", "field_step000050.csv"),
+    ):
+        assert (tmp_path / final).read_bytes() == (tmp_path / snapshot).read_bytes()
+    assert written == ["field_step000050.csv"]  # one field CSV for the final state

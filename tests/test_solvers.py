@@ -26,8 +26,9 @@ from sparsedyn import (
     step_vorticity,
 )
 from sparsedyn.coefficients import sample_coefficient
-from sparsedyn.solvers import SolverState, _prepare, advection_term
-from sparsedyn.spectral import SpatialField, dft_inverse, is_hermitian
+from sparsedyn.shrinkage import _transform_is_cheaper
+from sparsedyn.solvers import SolverState, _burgers_rhs, _prepare, advection_term
+from sparsedyn.spectral import HeldField, SpatialField, dft_inverse, is_hermitian
 
 from oracles import brute_force_advection, brute_force_burgers_step
 
@@ -463,3 +464,32 @@ def test_equation_params_validation():
     g = GridSpec(1, 32)
     with pytest.raises(ValueError):
         advance(sine_field(g), params, NO_SHRINK, 1e-6, 1)
+
+
+def test_burgers_rhs_makes_three_transforms(monkeypatch):
+    # a*u_x - u*u/2 on the transform path: one inverse transform each for
+    # u_x and u, one forward for the sum; the coefficient's field is held
+    g = GridSpec(1, 64)
+    rng = np.random.default_rng(8)
+    u, a = (
+        SparseSpectrum.from_dense(dft_forward(SpatialField(g, rng.standard_normal(64))))
+        for _ in range(2)
+    )
+    assert _transform_is_cheaper(g, u.n_s - 2, a.n_s)  # u_x loses k = 0 and the Nyquist
+    for state, coeff in ((u, a), (u.to_dense(), a.to_dense())):
+        held = HeldField(coeff)
+        first = _burgers_rhs(state, held)  # makes the coefficient's field
+        calls = []
+        for name in ("fftn", "ifftn"):
+            original = getattr(np.fft, name)
+
+            def counted(x, _original=original, _name=name):
+                calls.append(_name)
+                return _original(x)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        again = _burgers_rhs(state, held)
+        monkeypatch.undo()
+        assert sorted(calls) == ["fftn", "ifftn", "ifftn"]
+        assert error_metrics(again, first) == (0.0, 0.0)
+        assert error_metrics(again, _burgers_rhs(state, coeff)) == (0.0, 0.0)
