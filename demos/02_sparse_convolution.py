@@ -10,8 +10,7 @@ import time
 
 import numpy as np
 
-from sparsedyn import GridSpec, SparseSpectrum, sparse_convolve
-from sparsedyn.evaluation import dense_convolve
+from sparsedyn import GridSpec, SparseSpectrum, dense_convolve, sparse_convolve
 
 grid = GridSpec(1, 4096)
 rng = np.random.default_rng(1)

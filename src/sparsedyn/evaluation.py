@@ -18,10 +18,10 @@ import numpy as np
 # layer tracer in perfbench/, look them up in this module
 from .coefficients import coefficient_field_of  # noqa: F401
 from .errors import GridMismatch
-from .grid import GridSpec
+from .grid import GridSpec, key_index_table, key_to_fft_index
 from .shrinkage import SparseSpectrum
 from .solvers import EquationParams, _iterate
-from .spectral import DenseSpectrum, SpatialField, _resize, dft_inverse
+from .spectral import DenseSpectrum, SpatialField, dft_inverse
 from .spectral import dense_convolve  # noqa: F401
 
 
@@ -125,4 +125,8 @@ def inject(spec: DenseSpectrum | SparseSpectrum, fine: GridSpec) -> DenseSpectru
     coarse = spec.grid
     if fine.dims != coarse.dims or fine.n_per_dim < coarse.n_per_dim:
         raise GridMismatch("target grid must match dims and be at least as fine")
-    return DenseSpectrum(fine, _resize(spec.coeffs, fine.n_per_dim))
+    index = key_index_table(coarse, coarse.n_per_dim)
+    keys = np.flatnonzero(index >= 0)
+    coeffs = np.zeros(fine.n_total, dtype=np.complex128)
+    coeffs[key_to_fft_index(coarse, keys, fine.n_per_dim)] = spec.coeffs.ravel()[index[keys]]
+    return DenseSpectrum(fine, coeffs.reshape(fine.shape))

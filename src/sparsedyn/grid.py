@@ -5,12 +5,19 @@ Spectra are stored in standard FFT layout; the resolved integer mode set per
 dimension is ``{-n/2, ..., -1, 0, 1, ..., n/2 - 1}``.  Physical (angular)
 wavenumbers are ``2*pi*m / domain_length``, which reduces to the integer
 modes themselves on the default ``2*pi`` domain.
+
+All index arithmetic lives here.  A mode sits on an FFT-layout grid of any
+size ``P`` at digit ``m mod P`` per dimension (:func:`key_to_fft_index`);
+:func:`key_index_table` holds that placement for every sparse key of the
+open box ``|m| < n/2``, which is what padding, cropping and the sparse
+scatter and gather read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,15 +155,26 @@ def fft_index_to_mode(grid: GridSpec, index: int | np.ndarray) -> np.ndarray:
     return np.stack([np.where(d < n // 2, d, d - n) for d in _from_flat(idx, n, grid.dims)])
 
 
+def check_resolved(grid: GridSpec, modes) -> np.ndarray:
+    """``modes`` as an array, once every component lies in the resolved set
+    ``[-n/2, n/2)``; raises ``IndexError`` otherwise."""
+    modes = np.asarray(modes)
+    half = grid.n_per_dim // 2
+    if np.any((modes < -half) | (modes >= half)):
+        raise IndexError("mode outside the resolved set")
+    return modes
+
+
+def _place(modes, n_out: int) -> np.ndarray:
+    """Flat FFT-layout index of mode vectors on a grid of ``n_out`` points
+    per dimension: digit ``m mod n_out`` per dimension."""
+    return _to_flat([np.mod(m, n_out) for m in modes], n_out)
+
+
 def mode_to_fft_index(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
     """Map integer mode vectors (shape ``(dims,)`` or ``(dims, m)``) to flat
     FFT-layout indices."""
-    n = grid.n_per_dim
-    modes = np.asarray(modes)
-    half = n // 2
-    if np.any((modes < -half) | (modes >= half)):
-        raise IndexError("mode outside the resolved set")
-    return _to_flat([np.where(m >= 0, m, m + n) for m in modes], n)
+    return _place(check_resolved(grid, modes), grid.n_per_dim)
 
 
 def mode_to_key(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
@@ -178,9 +196,32 @@ def key_to_mode(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
     return np.stack([d - half for d in _from_flat(keys, 2 * grid.n_per_dim, grid.dims)])
 
 
-def key_to_padded_index(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
-    """Flat FFT-layout index of sparse keys on the padded transform grid of
-    ``P = 3n/2`` points per dimension (:attr:`GridSpec.n_padded`): digit
-    ``m mod P`` per dimension."""
-    n_pad = grid.n_padded
-    return _to_flat([np.mod(m, n_pad) for m in key_to_mode(grid, keys)], n_pad)
+def key_to_fft_index(grid: GridSpec, keys: np.ndarray, n_out: int) -> np.ndarray:
+    """Flat FFT-layout index of sparse keys on a grid of ``n_out`` points per
+    dimension, such as the padded transform grid (:attr:`GridSpec.n_padded`)
+    or a finer grid: digit ``m mod n_out`` per dimension, so a mode with
+    ``|m| >= n_out/2`` wraps and only modes that fit belong there."""
+    return _place(key_to_mode(grid, keys), n_out)
+
+
+@lru_cache(maxsize=16)
+def key_index_table(grid: GridSpec, n_out: int) -> np.ndarray:
+    """Flat index on the FFT grid of ``n_out`` points per dimension of every
+    key ``0 .. (2n)**dims - 1``, or -1 where some component of the key's mode
+    lies outside the open box ``|m| < n/2`` (so the unpaired Nyquist mode
+    -n/2 is out).  The open keys, ascending, are ``flatnonzero(table >= 0)``.
+    Stored as ``intp``, which numpy indexes with at full speed (an int32
+    index array is converted on every use).  Read-only, shared per grid and
+    size."""
+    keys = np.arange((2 * grid.n_per_dim) ** grid.dims)
+    inside = np.all(np.abs(key_to_mode(grid, keys)) < grid.n_per_dim // 2, axis=0)
+    table = np.where(inside, key_to_fft_index(grid, keys, n_out), -1).astype(np.intp)
+    table.setflags(write=False)
+    return table
+
+
+def open_fft_index(grid: GridSpec, n_out: int) -> np.ndarray:
+    """Flat index on the FFT grid of ``n_out`` points per dimension of every
+    open-box key, in ascending key order."""
+    table = key_index_table(grid, n_out)
+    return table[table >= 0]

@@ -24,18 +24,14 @@ import numpy as np
 from .errors import GridMismatch, NegativeLambda, NonpositiveDt
 from .grid import (
     GridSpec,
+    check_resolved,
     fft_index_to_mode,
+    key_index_table,
     key_to_mode,
-    key_to_padded_index,
     mode_to_fft_index,
     mode_to_key,
 )
-from .spectral import (
-    DenseSpectrum,
-    padded_field,
-    padded_product,
-    spectrum_of,
-)
+from .spectral import DenseSpectrum, padded_product, spectrum_of
 
 # Magnitudes below this are treated as exact zeros during arithmetic.
 DROP_TOL = 1e-300
@@ -79,37 +75,6 @@ def _mean_key(grid: GridSpec) -> int:
     return int(mode_to_key(grid, np.zeros(grid.dims, dtype=np.int64)))
 
 
-@lru_cache(maxsize=8)
-def _open_box(grid: GridSpec) -> np.ndarray:
-    """Mask over keys ``0 .. (2n)**dims - 1``: True where every mode
-    component lies strictly inside the box, ``|m| < n/2``, so the unpaired
-    Nyquist mode -n/2 is excluded.  Read-only, shared per grid."""
-    keys = np.arange((2 * grid.n_per_dim) ** grid.dims)
-    mask = np.all(np.abs(key_to_mode(grid, keys)) < grid.n_per_dim // 2, axis=0)
-    mask.setflags(write=False)
-    return mask
-
-
-@lru_cache(maxsize=8)
-def _open_keys(grid: GridSpec) -> np.ndarray:
-    """Ascending keys of every mode in the open box.  Read-only, per grid."""
-    keys = np.flatnonzero(_open_box(grid))
-    keys.setflags(write=False)
-    return keys
-
-
-@lru_cache(maxsize=8)
-def _padded_index(grid: GridSpec) -> np.ndarray:
-    """Flat index on the padded transform grid, ``(3n/2)**dims`` points, of
-    every key ``0 .. (2n)**dims - 1``.  Stored as int32, which halves the
-    cache and holds ``(2n)**dims`` for any grid whose arrays fit in memory.
-    Read-only, per grid."""
-    keys = np.arange((2 * grid.n_per_dim) ** grid.dims)
-    index = key_to_padded_index(grid, keys).astype(np.int32)
-    index.setflags(write=False)
-    return index
-
-
 @dataclass(frozen=True)
 class SparseSpectrum:
     """Nonzero spectral coefficients only.
@@ -138,8 +103,9 @@ class SparseSpectrum:
         cls, grid: GridSpec, modes: np.ndarray, values: np.ndarray
     ) -> "SparseSpectrum":
         """Build from mode vectors ``(dims, m)`` and amplitudes; duplicate
-        modes accumulate."""
-        modes = np.atleast_2d(np.asarray(modes, dtype=np.int64))
+        modes accumulate.  A mode outside the resolved set raises
+        ``IndexError``."""
+        modes = check_resolved(grid, np.atleast_2d(np.asarray(modes, dtype=np.int64)))
         values = np.asarray(values, dtype=np.complex128)
         return _accumulate(grid, mode_to_key(grid, modes), values)
 
@@ -352,13 +318,14 @@ def sparse_convolve_sum(terms) -> SparseSpectrum:
     spectra.  Transform terms share the padded grid: each distinct operand
     is scattered and inverse-transformed once, and the weighted products
     are summed in space with one forward transform
-    (:func:`_transform_convolve`).  With every term on the transform path
-    the output is that of :func:`~sparsedyn.spectral.dense_convolve_sum` on
-    the same terms in the same order, less its roundoff tail (see
-    :func:`_above_roundoff`), so it carries only the modes the sum really
-    has.
+    (:func:`~sparsedyn.spectral.padded_product`).  With every term on the
+    transform path the output is that of
+    :func:`~sparsedyn.spectral.dense_convolve_sum` on the same terms in the
+    same order, less its roundoff tail (see :func:`_above_roundoff`), so it
+    carries only the modes the sum really has.
     """
     grid = spectrum_of(terms[0][1]).grid
+    table = key_index_table(grid, grid.n_padded)
     inside: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def entries(spec: SparseSpectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -366,9 +333,13 @@ def sparse_convolve_sum(terms) -> SparseSpectrum:
         if id(spec) not in inside:
             if spec.grid != grid:
                 raise GridMismatch("convolution operands on different grids")
-            keep = _open_box(grid)[spec.keys]
+            keep = table[spec.keys] >= 0
             inside[id(spec)] = spec.keys[keep], spec.values[keep]
         return inside[id(spec)]
+
+    def padded_entries(spec: SparseSpectrum) -> tuple[np.ndarray, np.ndarray]:
+        keys, vals = entries(spec)
+        return table[keys], vals
 
     parts = []
     transform_terms = []
@@ -382,7 +353,9 @@ def sparse_convolve_sum(terms) -> SparseSpectrum:
             out = _pair_convolve(grid, a_keys, a_vals, b_keys, b_vals)
             parts.append(out if w == 1 else w * out)
     if transform_terms:
-        parts.insert(0, _transform_convolve(grid, transform_terms, entries))
+        vals = padded_product(grid, transform_terms, padded_entries)
+        keep = _above_roundoff(vals)
+        parts.insert(0, SparseSpectrum(grid, np.flatnonzero(table >= 0)[keep], vals[keep]))
     if not parts:
         return SparseSpectrum.empty(grid)
     total = parts[0]
@@ -402,10 +375,10 @@ def _pair_convolve(
     smaller operand, so the sum runs in the same order either way round."""
     if b_keys.size < a_keys.size:
         a_keys, a_vals, b_keys, b_vals = b_keys, b_vals, a_keys, a_vals
-    box = _open_box(grid)
+    table = key_index_table(grid, grid.n_padded)
     # digits of resolved modes lie in [0, n), so a sum of two keys carries
     # nothing: acc index key(k1) + key(k2) is key(k1 + k2) + key(0)
-    acc = np.zeros(box.size, dtype=np.complex128)
+    acc = np.zeros(table.size, dtype=np.complex128)
     idx = np.empty_like(b_keys)
     prod = np.empty_like(b_vals)
     for j in range(a_keys.size):
@@ -416,7 +389,7 @@ def _pair_convolve(
     acc = acc[_mean_key(grid):]  # indexed by the output key
     keys = np.flatnonzero(acc != 0)  # NaN != 0, so NaN cells are kept
     vals = acc[keys]
-    inside = box[keys] & _nonzero(vals)
+    inside = (table[keys] >= 0) & _nonzero(vals)
     return SparseSpectrum(grid, keys[inside], vals[inside])
 
 
@@ -435,28 +408,6 @@ def _transform_is_cheaper(grid: GridSpec, n_a: int, n_b: int) -> bool:
     rows, cols = min(n_a, n_b), max(n_a, n_b)
     transform = _TRANSFORM_FIXED + _TRANSFORM_COST * m_total * math.log2(m_total)
     return rows * (cols + _ROW_COST) > transform
-
-
-def _transform_convolve(grid: GridSpec, terms, entries) -> SparseSpectrum:
-    """The padded-transform path for ``terms``: scatter each distinct
-    operand's open-box ``entries`` onto the grid of ``P = 3n/2`` points per
-    dimension and inverse-transform it, sum the weighted products in space
-    with one forward transform, gather at every open-box key and drop the
-    roundoff tail."""
-    index = _padded_index(grid)
-    shape = (grid.n_padded,) * grid.dims
-
-    def field(spec: SparseSpectrum) -> np.ndarray:
-        keys, vals = entries(spec)
-        p = np.zeros(grid.n_padded**grid.dims, dtype=np.complex128)
-        p[index[keys]] = vals
-        return padded_field(p.reshape(shape))
-
-    product = padded_product(terms, field).ravel()
-    keys = _open_keys(grid)
-    vals = product[index[keys]]
-    keep = _above_roundoff(vals)
-    return SparseSpectrum(grid, keys[keep], vals[keep])
 
 
 def dump_spectrum(spec: SparseSpectrum, stream: IO[str] | str) -> None:

@@ -4,7 +4,9 @@ The forward transform carries the ``1/N_total`` factor, so coefficients are
 amplitudes: the k=0 coefficient equals the spatial mean and a unit-amplitude
 mode has a unit-magnitude coefficient pair.  Spatial fields are real; their
 spectra are Hermitian-symmetric.  Convolutions multiply in space on a grid
-padded to ``P = 3n/2`` points per dimension (the 2/3 rule).
+padded to ``P = 3n/2`` points per dimension (the 2/3 rule), in one place for
+both containers (:func:`padded_product`); padding and cropping go through
+the grid's one key table (:func:`~sparsedyn.grid.key_index_table`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridMismatch, HermitianViolation
-from .grid import GridSpec, derivative_factor
+from .grid import GridSpec, derivative_factor, open_fft_index
 
 # Imaginary residual above this aborts a nominally real inverse transform.
 IMAG_RESIDUAL_LIMIT = 1e-8
@@ -114,23 +116,6 @@ def spectral_derivative(spec, axis: int = 0):
     return spec.apply_mode_factor(derivative_factor(spec.grid, spec.modes()[axis]))
 
 
-def _resize(coeffs: np.ndarray, n_out: int) -> np.ndarray:
-    """Pad or crop an FFT-layout coefficient array to ``n_out`` points per
-    dimension, keeping every mode the two grids share; the smaller grid's
-    unpaired Nyquist mode is zeroed."""
-    n_in = coeffs.shape[0]
-    n = min(n_in, n_out)
-    src = tuple(slice(n_in // 2 - n // 2, n_in // 2 + n // 2) for _ in range(coeffs.ndim))
-    dst = tuple(slice(n_out // 2 - n // 2, n_out // 2 + n // 2) for _ in range(coeffs.ndim))
-    out = np.zeros((n_out,) * coeffs.ndim, dtype=np.complex128)
-    out[dst] = np.fft.fftshift(coeffs)[src]
-    for axis in range(coeffs.ndim):
-        nyquist = [slice(None)] * coeffs.ndim
-        nyquist[axis] = n_out // 2 - n // 2
-        out[tuple(nyquist)] = 0.0
-    return np.fft.ifftshift(out)
-
-
 class HeldField:
     """A convolution operand whose field on the padded grid is made on first
     use and then kept: for an operand that every step convolves again, such
@@ -149,28 +134,31 @@ def spectrum_of(operand):
     return operand.spectrum if isinstance(operand, HeldField) else operand
 
 
-def padded_field(padded: np.ndarray) -> np.ndarray:
-    """Field values on the padded grid of a spectrum already zero-padded to
-    ``P = 3n/2`` points per dimension, FFT layout (one inverse transform)."""
-    return np.fft.ifftn(padded) * padded.size
+def padded_product(grid: GridSpec, terms, entries) -> np.ndarray:
+    """Values of ``sum w * a * b`` over terms ``(w, a, b)`` at every open-box
+    key, in ascending key order, made on the grid padded to ``P = 3n/2``
+    points per dimension with one forward transform.
 
+    ``entries(spectrum)`` gives a spectrum's open-box entries as (flat index
+    on the padded grid, value).  They are scattered and inverse-transformed
+    once per distinct operand of the call, so ``u*u`` transforms ``u``
+    once; a :class:`HeldField` makes its field once for as long as it is
+    held.
 
-def padded_product(terms, make) -> np.ndarray:
-    """Spectrum of ``sum w * f(a) * f(b)`` over terms ``(w, a, b)``, with one
-    forward transform, where ``f(x)`` is operand x's field on the padded
-    grid.
-
-    ``make(spectrum)`` gives a spectrum's field (see :func:`padded_field`).
-    It runs once per distinct operand of the call, so ``u*u`` transforms
-    ``u`` once; a :class:`HeldField` makes its field once for as long as it
-    is held.
-
-    This is the one place that multiplies in physical space.  Every product
-    of two modes with ``|m| < n/2`` lands on its own padded mode or outside
-    the resolved box (see :attr:`~sparsedyn.grid.GridSpec.n_padded`), so
-    cropping the result to the box is free of aliasing.
+    This is the one place that multiplies in physical space, for sparse and
+    dense spectra alike.  Every product of two modes with ``|m| < n/2``
+    lands on its own padded mode or outside the resolved box (see
+    :attr:`~sparsedyn.grid.GridSpec.n_padded`), so reading the result at
+    the open box is free of aliasing.
     """
+    shape = (grid.n_padded,) * grid.dims
     made: dict[int, np.ndarray] = {}
+
+    def make(spectrum) -> np.ndarray:
+        index, values = entries(spectrum)
+        padded = np.zeros(grid.n_padded**grid.dims, dtype=np.complex128)
+        padded[index] = values
+        return np.fft.ifftn(padded.reshape(shape)) * padded.size
 
     def field(operand) -> np.ndarray:
         if isinstance(operand, HeldField):
@@ -190,7 +178,8 @@ def padded_product(terms, make) -> np.ndarray:
             total = prod
         else:
             total += prod
-    return np.fft.fftn(total) / total.size
+    product = np.fft.fftn(total) / total.size
+    return product.ravel()[open_fft_index(grid, grid.n_padded)]
 
 
 def dense_convolve_sum(terms) -> DenseSpectrum:
@@ -198,17 +187,19 @@ def dense_convolve_sum(terms) -> DenseSpectrum:
     dense spectra (or :class:`HeldField` of one), with one forward
     transform.
 
-    Each distinct operand is zero-padded to ``P = 3n/2`` points per
-    dimension (:attr:`~sparsedyn.grid.GridSpec.n_padded`, the 2/3 rule) and
-    inverse-transformed once; the products are weighted and summed in space
-    by :func:`padded_product` and the sum is cropped back to the box, its
-    unpaired Nyquist mode zeroed.
+    Each distinct operand's open-box coefficients are placed on the grid of
+    ``P = 3n/2`` points per dimension (:attr:`~sparsedyn.grid.GridSpec.n_padded`,
+    the 2/3 rule) and :func:`padded_product` weights and sums the products;
+    the sum is written back to the open box, so the unpaired Nyquist mode
+    is zero.
     """
     grid = spectrum_of(terms[0][1]).grid
     if any(spectrum_of(op).grid != grid for _, a, b in terms for op in (a, b)):
         raise GridMismatch("convolution operands on different grids")
-    product = padded_product(terms, lambda s: padded_field(_resize(s.coeffs, grid.n_padded)))
-    return DenseSpectrum(grid, _resize(product, grid.n_per_dim))
+    index, padded = open_fft_index(grid, grid.n_per_dim), open_fft_index(grid, grid.n_padded)
+    coeffs = np.zeros(grid.n_total, dtype=np.complex128)
+    coeffs[index] = padded_product(grid, terms, lambda s: (padded, s.coeffs.ravel()[index]))
+    return DenseSpectrum(grid, coeffs.reshape(grid.shape))
 
 
 def dense_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -181,6 +181,24 @@ def test_inject_preserves_field():
     assert np.max(np.abs(fine_vals[::4] - coarse_vals)) < 1e-12
 
 
+@pytest.mark.parametrize("dims,n,n_fine", [(1, 16, 64), (2, 8, 16), (1, 16, 16), (2, 8, 8)])
+def test_inject_full_box_drops_only_the_nyquist(dims, n, n_fine):
+    g, fine = GridSpec(dims, n), GridSpec(dims, n_fine)
+    rng = np.random.default_rng(n + n_fine)
+    coarse = DenseSpectrum(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    lifted = inject(coarse, fine)
+    coarse_modes = coarse.modes().reshape(dims, -1)
+    fine_modes = lifted.modes().reshape(dims, -1)
+    fine_of = {tuple(m): i for i, m in enumerate(fine_modes.T)}
+    want = np.zeros(fine.n_total, dtype=np.complex128)
+    for i, m in enumerate(coarse_modes.T):
+        if not np.any(m == g.nyquist_mode):  # coarse Nyquist row and column dropped
+            want[fine_of[tuple(m)]] = coarse.coeffs.ravel()[i]
+    assert np.array_equal(lifted.coeffs.ravel(), want)
+    # a sparse spectrum injects the same way
+    assert np.array_equal(inject(SparseSpectrum.from_dense(coarse), fine).coeffs, lifted.coeffs)
+
+
 def test_inject_2d_and_grid_guard():
     g = GridSpec(2, 16)
     fine = GridSpec(2, 32)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparsedyn import GridSpec, fft_index_to_mode, mode_to_fft_index
-from sparsedyn.grid import key_to_mode, mode_to_key
+from sparsedyn.grid import key_index_table, key_to_fft_index, key_to_mode, mode_to_key
 
 
 def test_basic_geometry():
@@ -87,6 +87,19 @@ def test_key_mode_round_trip(dims, n):
     summed = modes[:, :, None] + modes[:, None, :]
     resolved = np.all((summed >= -n // 2) & (summed < n // 2), axis=0)
     assert np.array_equal(sums[resolved], mode_to_key(g, summed[:, resolved]) + zero)
+    # one placement rule: on the grid's own size it is mode_to_fft_index
+    assert np.array_equal(key_to_fft_index(g, keys, n), mode_to_fft_index(g, modes))
+    # the key table sends the open box |m| < n/2 to distinct padded indices
+    # and every other key, Nyquist included, to -1
+    table = key_index_table(g, g.n_padded)
+    all_keys = np.arange(table.size)
+    open_box = np.all(np.abs(key_to_mode(g, all_keys)) < n // 2, axis=0)
+    assert np.all(table[~open_box] == -1)
+    inside = table[open_box]
+    assert inside.size == (n - 1) ** dims
+    assert inside.min() >= 0 and inside.max() < g.n_padded**dims
+    assert np.unique(inside).size == inside.size
+    assert np.array_equal(inside, key_to_fft_index(g, all_keys[open_box], g.n_padded))
 
 
 def test_out_of_range_errors():

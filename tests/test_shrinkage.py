@@ -276,6 +276,19 @@ def test_dump_format_and_round_trip():
     assert loaded.to_dict() == spec.to_dict()
 
 
+def test_out_of_range_modes_are_rejected_not_aliased():
+    # mode 100 on 16 points would alias to mode 4; (0, 9) on 8 x 8 is not resolved
+    with pytest.raises(IndexError, match="mode outside the resolved set"):
+        SparseSpectrum.from_dict(GridSpec(1, 16), {100: 1.0})
+    with pytest.raises(IndexError, match="mode outside the resolved set"):
+        load_spectrum(io.StringIO("# grid=16 n_s=1\n100\t1.0\t0.0\n"))
+    with pytest.raises(IndexError, match="mode outside the resolved set"):
+        SparseSpectrum.from_dict(GridSpec(2, 8), {(0, 9): 1.0})
+    # the edges of the resolved set, Nyquist included, still load
+    edges = SparseSpectrum.from_dict(GridSpec(2, 8), {(-4, 3): 1.0, (3, -4): 2.0})
+    assert edges.to_dict() == {(-4, 3): 1.0 + 0j, (3, -4): 2.0 + 0j}
+
+
 def test_dump_2d_format():
     g = GridSpec(2, 8)
     spec = SparseSpectrum.from_dict(g, {(1, -2): 1j, (-1, 2): -1j})
