@@ -7,11 +7,14 @@ one padded transform, whichever ``shrinkage._transform_is_cheaper`` prices
 lower.  This script forces each path in turn over a grid of operand sizes
 (rows = entries of the smaller operand, cols = of the larger) on 1-D
 N = 512, 1024, 2048 and 2-D 64x64, 128x128 grids, and times the whole
-``sparse_convolve`` call (best of ``--repeats``).  It then fits, by least
-squares,
+``sparse_convolve`` call (best of ``--repeats``).  Operands are drawn over
+the whole open box and, so that small transform grids are timed too, within
+``|m| <= r`` for each ``r`` of ``REACHES``; each call's transform grid has
+``P`` points per dimension, sized to its operands' reach sum
+(``grid.transform_size``).  It then fits, by least squares,
 
     pair time      = alpha * rows * cols + beta * rows + gamma
-    transform time = delta * M log2 M + epsilon,   M = (3n/2)**dims
+    transform time = delta * M log2 M + epsilon,   M = P**dims
 
 and states them in units of one pair: ``_ROW_COST = beta / alpha``,
 ``_TRANSFORM_COST = delta / alpha`` and the transform's fixed cost beyond
@@ -36,23 +39,25 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from sparsedyn import GridSpec, SparseSpectrum, shrinkage  # noqa: E402
+from sparsedyn.grid import key_reach, transform_size  # noqa: E402
 
 GRIDS = (GridSpec(1, 512), GridSpec(1, 1024), GridSpec(1, 2048), GridSpec(2, 64), GridSpec(2, 128))
 ROWS = (1, 4, 16, 64, 256, 1024)
+REACHES = (None, 16, 4)  # None: the whole open box |m| <= n/2 - 1
 
 
-def operand(grid: GridSpec, size: int, rng) -> SparseSpectrum:
-    """``size`` random entries at distinct open-box modes."""
-    half = grid.n_per_dim // 2
-    flat = rng.choice((grid.n_per_dim - 1) ** grid.dims, size=size, replace=False)
-    modes = np.stack(np.unravel_index(flat, (grid.n_per_dim - 1,) * grid.dims)) - (half - 1)
+def operand(grid: GridSpec, size: int, reach: int, rng) -> SparseSpectrum:
+    """``size`` random entries at distinct modes ``|m_d| <= reach``."""
+    side = 2 * reach + 1
+    flat = rng.choice(side**grid.dims, size=size, replace=False)
+    modes = np.stack(np.unravel_index(flat, (side,) * grid.dims)) - reach
     values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return SparseSpectrum.from_modes(grid, modes, values)
 
 
-def shapes(grid: GridSpec):
-    """(rows, cols) pairs up to the open box's size."""
-    full = (grid.n_per_dim - 1) ** grid.dims
+def shapes(grid: GridSpec, reach: int):
+    """(rows, cols) pairs up to the size of the box ``|m_d| <= reach``."""
+    full = (2 * reach + 1) ** grid.dims
     for rows in ROWS:
         if rows > full:
             continue
@@ -83,14 +88,18 @@ def forced(transform: bool, a: SparseSpectrum, b: SparseSpectrum, repeats: int) 
 def sweep(repeats: int, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     rows_out = []
-    for grid in GRIDS:
-        m_total = grid.n_padded**grid.dims
-        for rows, cols in shapes(grid):
-            a, b = operand(grid, rows, rng), operand(grid, cols, rng)
+    for grid, reach in ((g, r) for g in GRIDS for r in REACHES):
+        reach = grid.n_per_dim // 2 - 1 if reach is None else reach
+        for rows, cols in shapes(grid, reach):
+            a, b = operand(grid, rows, reach, rng), operand(grid, cols, reach, rng)
+            size = transform_size(grid, key_reach(grid, a.keys) + key_reach(grid, b.keys))[0]
+            m_total = size**grid.dims
             rows_out.append({
                 "grid": f"{grid.n_per_dim}^{grid.dims}",
                 "dims": grid.dims,
                 "n": grid.n_per_dim,
+                "reach": reach,
+                "size": size,
                 "m_log_m": m_total * math.log2(m_total),
                 "rows": rows,
                 "cols": cols,
@@ -142,7 +151,7 @@ def rule_choices(rows: list[dict], constants: dict | None = None) -> list[str]:
     try:
         return [
             "transform" if shrinkage._transform_is_cheaper(
-                GridSpec(r["dims"], r["n"]), r["rows"], r["cols"]) else "pairs"
+                GridSpec(r["dims"], r["n"]), r["rows"], r["cols"], r["size"]) else "pairs"
             for r in rows
         ]
     finally:
@@ -179,14 +188,15 @@ def main(argv=None) -> int:
     )
     print("library: " + ", ".join(f"{k} = {v}" for k, v in library.items()))
     by_library, by_fit = rule_choices(rows), rule_choices(rows, fitted)
-    print(f"{'grid':>7} {'rows':>5} {'cols':>5} {'pairs us':>9} {'transf us':>9} "
-          f"{'faster':>9} {'library':>9} {'fit':>9}")
+    print(f"{'grid':>7} {'reach':>5} {'P':>5} {'rows':>5} {'cols':>5} {'pairs us':>9} "
+          f"{'transf us':>9} {'faster':>9} {'library':>9} {'fit':>9}")
     for r, lib, fit_choice in zip(rows, by_library, by_fit):
         faster = "transform" if r["transform_us"] < r["pair_us"] else "pairs"
         r.update(faster=faster, library=lib, fit=fit_choice)
         flag = "" if faster == lib else "  <"
-        print(f"{r['grid']:>7} {r['rows']:5d} {r['cols']:5d} {r['pair_us']:9.1f} "
-              f"{r['transform_us']:9.1f} {faster:>9} {lib:>9} {fit_choice:>9}{flag}")
+        print(f"{r['grid']:>7} {r['reach']:5d} {r['size']:5d} {r['rows']:5d} {r['cols']:5d} "
+              f"{r['pair_us']:9.1f} {r['transform_us']:9.1f} {faster:>9} {lib:>9} "
+              f"{fit_choice:>9}{flag}")
     summary = {"library": excess(rows, by_library), "fit": excess(rows, by_fit)}
     for name, e in summary.items():
         print(f"{name:>7} constants: {e['total_excess']:+.1%} time over the faster path in "

@@ -18,7 +18,7 @@ import numpy as np
 # layer tracer in perfbench/, look them up in this module
 from .coefficients import coefficient_field_of  # noqa: F401
 from .errors import GridMismatch
-from .grid import GridSpec, key_index_table, key_to_fft_index
+from .grid import GridSpec, box_index, key_to_fft_index
 from .shrinkage import SparseSpectrum
 from .solvers import EquationParams, _iterate
 from .spectral import DenseSpectrum, SpatialField, dft_inverse
@@ -125,8 +125,7 @@ def inject(spec: DenseSpectrum | SparseSpectrum, fine: GridSpec) -> DenseSpectru
     coarse = spec.grid
     if fine.dims != coarse.dims or fine.n_per_dim < coarse.n_per_dim:
         raise GridMismatch("target grid must match dims and be at least as fine")
-    index = key_index_table(coarse, coarse.n_per_dim)
-    keys = np.flatnonzero(index >= 0)
+    keys, index = box_index(coarse, coarse.n_per_dim // 2 - 1, coarse.n_per_dim)
     coeffs = np.zeros(fine.n_total, dtype=np.complex128)
-    coeffs[key_to_fft_index(coarse, keys, fine.n_per_dim)] = spec.coeffs.ravel()[index[keys]]
+    coeffs[key_to_fft_index(coarse, keys, fine.n_per_dim)] = spec.coeffs.ravel()[index]
     return DenseSpectrum(fine, coeffs.reshape(fine.shape))

@@ -7,10 +7,12 @@ wavenumbers are ``2*pi*m / domain_length``, which reduces to the integer
 modes themselves on the default ``2*pi`` domain.
 
 All index arithmetic lives here.  A mode sits on an FFT-layout grid of any
-size ``P`` at digit ``m mod P`` per dimension (:func:`key_to_fft_index`);
-:func:`key_index_table` holds that placement for every sparse key of the
-open box ``|m| < n/2``, which is what padding, cropping and the sparse
-scatter and gather read.
+size ``P`` at digit ``m mod P`` per dimension (:func:`key_to_fft_index`).
+A product of operands is made on the smallest alias-free grid for their
+reach (:func:`key_reach`, :func:`transform_size`) and read at the box of
+modes it can reach (:func:`box_index`); :func:`key_index_table` holds the
+placement on the full padded grid for every sparse key of the open box
+``|m| < n/2``.
 """
 
 from __future__ import annotations
@@ -91,7 +93,9 @@ class GridSpec:
 
     @property
     def n_padded(self) -> int:
-        """Points per dimension of the padded transform grid, ``P = 3n/2``.
+        """Points per dimension of the padded transform grid for operands
+        that fill the box, ``P = 3n/2``: the largest size
+        :func:`transform_size` gives.
 
         A product of two modes with ``|m| < n/2`` has ``|s| <= n - 2``; on
         ``P`` points it either lands on its own mode or wraps to ``|s - P| >=
@@ -204,24 +208,77 @@ def key_to_fft_index(grid: GridSpec, keys: np.ndarray, n_out: int) -> np.ndarray
     return _place(key_to_mode(grid, keys), n_out)
 
 
+def key_reach(grid: GridSpec, keys: np.ndarray) -> int:
+    """Reach of an ascending key array, capped at the box edge: the largest
+    ``|m_d|`` over its modes and dimensions, or ``n/2 - 1`` if that is
+    larger (the unpaired Nyquist mode counts as the edge); 0 when there are
+    no keys.
+
+    The leading digit is monotone in the key, so the first and last keys
+    bound it; only in 2-D, when that does not already reach the edge, are
+    the last digits decoded.
+    """
+    half = grid.n_per_dim // 2
+    if keys.size == 0:
+        return 0
+    if grid.dims == 1:
+        return min(max(half - int(keys[0]), int(keys[-1]) - half), half - 1)
+    base = 2 * grid.n_per_dim
+    reach = max(half - int(keys[0]) // base, int(keys[-1]) // base - half)
+    if reach >= half - 1:
+        return half - 1
+    last = keys % base
+    return min(max(reach, half - int(last.min()), int(last.max()) - half), half - 1)
+
+
+@lru_cache(maxsize=256)
+def transform_size(grid: GridSpec, reach: int) -> tuple[int, int]:
+    """``(P, K)`` for a product of operands whose reaches sum to ``reach``:
+    the product is read at the box ``|s_d| <= K = min(reach, n/2 - 1)``,
+    and ``P`` is the smallest ``2^a 3^b >= reach + K + 1``, at most
+    ``3n/2`` (:attr:`GridSpec.n_padded`).
+
+    A product mode with ``|s_d| <= reach`` either lands on its own mode of
+    the ``P``-point grid or wraps to ``|s_d -+ P| >= P - reach > K``,
+    outside the box read, so the result is free of aliasing (Orszag's rule
+    for any band).  Operands that fill the box have ``reach = n - 2`` and
+    get ``P = 3n/2`` for ``n >= 8``.
+    """
+    k = min(reach, grid.n_per_dim // 2 - 1)
+    size, threes = grid.n_padded, 1
+    while threes < size:
+        p = threes
+        while p < reach + k + 1:
+            p *= 2
+        size, threes = min(size, p), 3 * threes
+    return size, k
+
+
+@lru_cache(maxsize=32)
+def box_index(grid: GridSpec, k: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys, ascending, of the modes ``|m_d| <= k`` (``k < n/2``), and their
+    flat index on the FFT grid of ``n_out`` points per dimension.  With
+    ``k = n/2 - 1`` this is the open box.  Read-only, shared per grid,
+    ``k`` and size."""
+    m = np.arange(-k, k + 1)
+    modes = np.stack([c.ravel() for c in np.meshgrid(*([m] * grid.dims), indexing="ij")])
+    keys, index = mode_to_key(grid, modes), _place(modes, n_out).astype(np.intp)
+    keys.setflags(write=False)
+    index.setflags(write=False)
+    return keys, index
+
+
 @lru_cache(maxsize=16)
 def key_index_table(grid: GridSpec, n_out: int) -> np.ndarray:
     """Flat index on the FFT grid of ``n_out`` points per dimension of every
     key ``0 .. (2n)**dims - 1``, or -1 where some component of the key's mode
     lies outside the open box ``|m| < n/2`` (so the unpaired Nyquist mode
-    -n/2 is out).  The open keys, ascending, are ``flatnonzero(table >= 0)``.
-    Stored as ``intp``, which numpy indexes with at full speed (an int32
-    index array is converted on every use).  Read-only, shared per grid and
-    size."""
+    -n/2 is out).  Stored as ``intp``, which numpy indexes with at full
+    speed (an int32 index array is converted on every use).  Read-only,
+    shared per grid and size; it is ``(2n)**dims`` entries, so it is made
+    for the full padded size :attr:`GridSpec.n_padded` only."""
     keys = np.arange((2 * grid.n_per_dim) ** grid.dims)
     inside = np.all(np.abs(key_to_mode(grid, keys)) < grid.n_per_dim // 2, axis=0)
     table = np.where(inside, key_to_fft_index(grid, keys, n_out), -1).astype(np.intp)
     table.setflags(write=False)
     return table
-
-
-def open_fft_index(grid: GridSpec, n_out: int) -> np.ndarray:
-    """Flat index on the FFT grid of ``n_out`` points per dimension of every
-    open-box key, in ascending key order."""
-    table = key_index_table(grid, n_out)
-    return table[table >= 0]

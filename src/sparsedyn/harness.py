@@ -30,7 +30,14 @@ from .shrinkage import (
     dump_spectrum,
     sparse_convolve,
 )
-from .solvers import EQUATIONS, EquationParams, InitialSpec, initial_condition, iter_states
+from .solvers import (
+    EQUATIONS,
+    SINE_LOW_REACH,
+    EquationParams,
+    InitialSpec,
+    initial_condition,
+    iter_states,
+)
 from .spectral import DenseSpectrum, dft_inverse
 
 _COEFFICIENT_NAMES = tuple(k for k, (dims, _) in _NAMED_FORMS.items() if dims in (None, 1))
@@ -230,6 +237,11 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(
             f"initial_condition: {config.initial_condition!r} is not one of "
             f"{', '.join(_INITIAL_NAMES)}"
+        )
+    if config.initial_condition == "sine_low" and n // 2 <= SINE_LOW_REACH:
+        raise ConfigError(
+            f"n_per_dim: sine_low holds modes |k| <= {SINE_LOW_REACH}, "
+            f"which need n_per_dim > {2 * SINE_LOW_REACH}"
         )
     for b in config.baselines:
         if b not in _BASELINE_NAMES:

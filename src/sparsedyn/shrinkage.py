@@ -24,14 +24,18 @@ import numpy as np
 from .errors import GridMismatch, NegativeLambda, NonpositiveDt
 from .grid import (
     GridSpec,
+    box_index,
     check_resolved,
     fft_index_to_mode,
     key_index_table,
+    key_reach,
+    key_to_fft_index,
     key_to_mode,
     mode_to_fft_index,
     mode_to_key,
+    transform_size,
 )
-from .spectral import DenseSpectrum, padded_product, spectrum_of
+from .spectral import DenseSpectrum, HeldField, padded_product, spectrum_of
 
 # Magnitudes below this are treated as exact zeros during arithmetic.
 DROP_TOL = 1e-300
@@ -43,9 +47,10 @@ DROP_TOL = 1e-300
 ROUNDOFF_FLOOR = 16 * np.finfo(np.float64).eps
 
 # Cost of the entry-pair loop per row of its smaller operand, of the padded
-# transform per unit of M log2 M (M = (3n/2)**dims the padded grid size), and
-# of the transform's fixed part beyond the loop's, all in units of one pair.
-# From the pairs-vs-transform sweep in scripts/calibrate_convolution.py.
+# transform per unit of M log2 M (M = P**dims the padded grid size of the
+# call), and of the transform's fixed part beyond the loop's, all in units of
+# one pair.  From the pairs-vs-transform sweep in
+# scripts/calibrate_convolution.py.
 _ROW_COST = 750
 _TRANSFORM_COST = 1.5
 _TRANSFORM_FIXED = 10_000
@@ -311,53 +316,77 @@ def sparse_convolve_sum(terms) -> SparseSpectrum:
     """Truncated ``sum w * (a * b)`` over terms ``(w, a, b)`` of sparse
     spectra (or :class:`~sparsedyn.spectral.HeldField` of one).
 
-    Each term takes the cheaper of two paths (see :func:`_transform_is_cheaper`):
-    entry pairs, a fixed cost per row of the smaller operand plus one per
-    pair, or a transform padded to ``M = (3n/2)**dims`` points (the 2/3
-    rule), O(M log M).  Pair terms are weighted and added as sparse
-    spectra.  Transform terms share the padded grid: each distinct operand
-    is scattered and inverse-transformed once, and the weighted products
-    are summed in space with one forward transform
-    (:func:`~sparsedyn.spectral.padded_product`).  With every term on the
-    transform path the output is that of
-    :func:`~sparsedyn.spectral.dense_convolve_sum` on the same terms in the
-    same order, less its roundoff tail (see :func:`_above_roundoff`), so it
-    carries only the modes the sum really has.
+    The call's transform grid is sized to its operands: with ``R`` the
+    largest sum of the two operands' reaches (largest ``|m_d|``) over its
+    non-empty terms, products are made on ``P`` points per dimension, the
+    smallest ``2^a 3^b >= R + K + 1`` and at most ``3n/2``, and read at the
+    box ``|s_d| <= K = min(R, n/2 - 1)`` (:func:`~sparsedyn.grid.transform_size`).
+    Each term then takes the cheaper of two paths at ``M = P**dims`` (see
+    :func:`_transform_is_cheaper`): entry pairs, a fixed cost per row of
+    the smaller operand plus one per pair, or the transform, O(M log M).
+    Pair terms are weighted and added as sparse spectra.  Transform terms
+    share the padded grid: each distinct operand is scattered and
+    inverse-transformed once, and the weighted products are summed in space
+    with one forward transform (:func:`~sparsedyn.spectral.padded_product`).
+    With operands that fill the box and every term on the transform path
+    the output is that of :func:`~sparsedyn.spectral.dense_convolve_sum` on
+    the same terms in the same order, less its roundoff tail (see
+    :func:`_above_roundoff`), so it carries only the modes the sum really
+    has.
     """
     grid = spectrum_of(terms[0][1]).grid
     table = key_index_table(grid, grid.n_padded)
-    inside: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    inside: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
 
-    def entries(spec: SparseSpectrum) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and values of ``spec`` in the open box, once per call."""
+    def entries(operand) -> tuple[np.ndarray, np.ndarray, int]:
+        """Keys, values and reach of an operand's spectrum in the open box,
+        once per call, or once for as long as a held operand is held."""
+        spec = spectrum_of(operand)
         if id(spec) not in inside:
             if spec.grid != grid:
                 raise GridMismatch("convolution operands on different grids")
-            keep = table[spec.keys] >= 0
-            inside[id(spec)] = spec.keys[keep], spec.values[keep]
+            if isinstance(operand, HeldField) and operand.entries is not None:
+                inside[id(spec)] = operand.entries
+                return operand.entries
+            keys, vals, reach = spec.keys, spec.values, key_reach(grid, spec.keys)
+            if reach == grid.n_per_dim // 2 - 1:  # drop the unpaired Nyquist mode, if any
+                keep = table[keys] >= 0
+                keys, vals = keys[keep], vals[keep]
+            inside[id(spec)] = keys, vals, reach
+            if isinstance(operand, HeldField):
+                operand.entries = inside[id(spec)]
         return inside[id(spec)]
 
-    def padded_entries(spec: SparseSpectrum) -> tuple[np.ndarray, np.ndarray]:
-        keys, vals = entries(spec)
-        return table[keys], vals
+    live, reach = [], -1
+    for w, a, b in terms:
+        a_entries, b_entries = entries(a), entries(b)
+        if a_entries[0].size and b_entries[0].size:
+            live.append((w, a, b, a_entries, b_entries))
+            reach = max(reach, a_entries[2] + b_entries[2])
+    if not live:
+        return SparseSpectrum.empty(grid)
+    size, k = transform_size(grid, reach)
 
     parts = []
     transform_terms = []
-    for w, a, b in terms:
-        (a_keys, a_vals), (b_keys, b_vals) = entries(spectrum_of(a)), entries(spectrum_of(b))
-        if a_keys.size == 0 or b_keys.size == 0:
-            continue
-        if _transform_is_cheaper(grid, a_keys.size, b_keys.size):
+    for w, a, b, (a_keys, a_vals, _), (b_keys, b_vals, _) in live:
+        if _transform_is_cheaper(grid, a_keys.size, b_keys.size, size):
             transform_terms.append((w, a, b))
         else:
             out = _pair_convolve(grid, a_keys, a_vals, b_keys, b_vals)
             parts.append(out if w == 1 else w * out)
     if transform_terms:
-        vals = padded_product(grid, transform_terms, padded_entries)
+
+        def placed(spec: SparseSpectrum) -> tuple[np.ndarray, np.ndarray]:
+            keys, vals, _ = entries(spec)
+            if size == grid.n_padded:
+                return table[keys], vals
+            return key_to_fft_index(grid, keys, size), vals
+
+        box_keys, box = box_index(grid, k, size)
+        vals = padded_product(grid, transform_terms, placed, size, box)
         keep = _above_roundoff(vals)
-        parts.insert(0, SparseSpectrum(grid, np.flatnonzero(table >= 0)[keep], vals[keep]))
-    if not parts:
-        return SparseSpectrum.empty(grid)
+        parts.insert(0, SparseSpectrum(grid, box_keys[keep], vals[keep]))
     total = parts[0]
     for part in parts[1:]:
         total = total + part
@@ -372,30 +401,40 @@ def _pair_convolve(
     b_vals: np.ndarray,
 ) -> SparseSpectrum:
     """The entry-pair path on open-box entries: one row per entry of the
-    smaller operand, so the sum runs in the same order either way round."""
+    smaller operand, so the sum runs in the same order either way round.
+
+    Digits of resolved modes lie in ``[0, n)``, so a sum of two keys carries
+    nothing: ``key(k1) + key(k2)`` is ``key(k1 + k2) + key(0)``.  The sums
+    lie in the window ``[a_keys[0] + b_keys[0], a_keys[-1] + b_keys[-1]]``,
+    and the accumulator covers that window alone, whatever the grid.
+    """
     if b_keys.size < a_keys.size:
         a_keys, a_vals, b_keys, b_vals = b_keys, b_vals, a_keys, a_vals
-    table = key_index_table(grid, grid.n_padded)
-    # digits of resolved modes lie in [0, n), so a sum of two keys carries
-    # nothing: acc index key(k1) + key(k2) is key(k1 + k2) + key(0)
-    acc = np.zeros(table.size, dtype=np.complex128)
+    low = int(a_keys[0] + b_keys[0])
+    acc = np.zeros(int(a_keys[-1] + b_keys[-1]) - low + 1, dtype=np.complex128)
+    shifted = b_keys - low
     idx = np.empty_like(b_keys)
     prod = np.empty_like(b_vals)
     for j in range(a_keys.size):
-        np.add(b_keys, a_keys[j], out=idx)
+        np.add(shifted, a_keys[j], out=idx)
         np.multiply(b_vals, a_vals[j], out=prod)
         acc[idx] += prod
 
-    acc = acc[_mean_key(grid):]  # indexed by the output key
-    keys = np.flatnonzero(acc != 0)  # NaN != 0, so NaN cells are kept
-    vals = acc[keys]
-    inside = (table[keys] >= 0) & _nonzero(vals)
+    # a sum below key(0) has a negative leading digit, so it is outside the box
+    mean = _mean_key(grid)
+    first = max(low, mean)
+    keys = np.flatnonzero(acc[first - low:] != 0)  # NaN != 0, so NaN cells are kept
+    vals = acc[first - low:][keys]
+    keys += first - mean  # the output key
+    inside = (key_index_table(grid, grid.n_padded)[keys] >= 0) & _nonzero(vals)
     return SparseSpectrum(grid, keys[inside], vals[inside])
 
 
-def _transform_is_cheaper(grid: GridSpec, n_a: int, n_b: int) -> bool:
+def _transform_is_cheaper(grid: GridSpec, n_a: int, n_b: int, size: int | None = None) -> bool:
     """Whether the entry-pair loop over ``n_a * n_b`` pairs costs more than a
-    transform padded to ``M = (3n/2)**dims`` points.
+    transform on ``M = size**dims`` points, ``size`` the call's padded grid
+    size (:func:`~sparsedyn.grid.transform_size`; by default ``3n/2``, that
+    of operands that fill the box).
 
     The loop runs one row per entry of the smaller operand, each costing
     ``_ROW_COST`` pairs on top of its own, against
@@ -404,7 +443,7 @@ def _transform_is_cheaper(grid: GridSpec, n_a: int, n_b: int) -> bool:
     filter, each a separate numpy call) keeps small operands on pairs
     whatever the grid.
     """
-    m_total = grid.n_padded**grid.dims
+    m_total = (size or grid.n_padded) ** grid.dims
     rows, cols = min(n_a, n_b), max(n_a, n_b)
     transform = _TRANSFORM_FIXED + _TRANSFORM_COST * m_total * math.log2(m_total)
     return rows * (cols + _ROW_COST) > transform

@@ -47,6 +47,9 @@ from .spectral import (
 
 EQUATIONS = ("convection", "parabolic", "burgers", "vorticity2d")
 
+# largest |k| of the ``sine_low`` initial condition's modes
+SINE_LOW_REACH = 3
+
 # conservative stability-guard constants
 CFL_TRANSPORT = 1.0
 CFL_DIFFUSION = 0.5
@@ -299,9 +302,10 @@ def initial_condition(spec: InitialSpec, grid: GridSpec) -> SparseSpectrum:
     """Build one of the named starting states.
 
     ``gauss_bump``: periodized Gaussian centered mid-domain (product form in
-    2-D).  ``sine_low``: random modes with all |k| <= 3, seeded, built
-    directly in the coefficient domain.  ``two_vortices``: opposite-sign
-    Gaussian vorticity patches of width 0.4 at (L/4, L/2) and (3L/4, L/2).
+    2-D).  ``sine_low``: random modes with all |k| <= ``SINE_LOW_REACH``,
+    seeded, built directly in the coefficient domain.  ``two_vortices``:
+    opposite-sign Gaussian vorticity patches of width 0.4 at (L/4, L/2) and
+    (3L/4, L/2).
     """
     period = grid.domain_length
     if spec.name == "gauss_bump":
@@ -319,12 +323,13 @@ def initial_condition(spec: InitialSpec, grid: GridSpec) -> SparseSpectrum:
         rng = np.random.default_rng(spec.seed)
         entries: dict = {}
         half_space = []
+        top = SINE_LOW_REACH
         if grid.dims == 1:
-            half_space = [(m,) for m in range(1, 4)]
+            half_space = [(m,) for m in range(1, top + 1)]
         else:
-            for m1 in range(-3, 4):
-                for m2 in range(-3, 4):
-                    if (m1, m2) > (0, 0) and max(abs(m1), abs(m2)) <= 3:
+            for m1 in range(-top, top + 1):
+                for m2 in range(-top, top + 1):
+                    if (m1, m2) > (0, 0):
                         half_space.append((m1, m2))
         for mode in half_space:
             re, im = rng.standard_normal(2) * (spec.amplitude / 4.0)

@@ -4,9 +4,11 @@ The forward transform carries the ``1/N_total`` factor, so coefficients are
 amplitudes: the k=0 coefficient equals the spatial mean and a unit-amplitude
 mode has a unit-magnitude coefficient pair.  Spatial fields are real; their
 spectra are Hermitian-symmetric.  Convolutions multiply in space on a grid
-padded to ``P = 3n/2`` points per dimension (the 2/3 rule), in one place for
-both containers (:func:`padded_product`); padding and cropping go through
-the grid's one key table (:func:`~sparsedyn.grid.key_index_table`).
+padded just enough for the operands' reach (at most ``P = 3n/2`` points per
+dimension, the 2/3 rule), in one place for both containers
+(:func:`padded_product`); the grid's index arithmetic
+(:func:`~sparsedyn.grid.transform_size`, :func:`~sparsedyn.grid.box_index`)
+sizes, pads and crops.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridMismatch, HermitianViolation
-from .grid import GridSpec, derivative_factor, open_fft_index
+from .grid import GridSpec, box_index, derivative_factor, transform_size
 
 # Imaginary residual above this aborts a nominally real inverse transform.
 IMAG_RESIDUAL_LIMIT = 1e-8
@@ -118,15 +120,20 @@ def spectral_derivative(spec, axis: int = 0):
 
 class HeldField:
     """A convolution operand whose field on the padded grid is made on first
-    use and then kept: for an operand that every step convolves again, such
-    as a run's coefficient.  The field is as large as the padded grid, so
-    hold one per run, never one per state."""
+    use and then kept, with the grid's size: for an operand that every step
+    convolves again, such as a run's coefficient.  A call on another size
+    makes it again.  A sparse operand also keeps its open-box entries and
+    reach (``entries``, made by the sparse convolution on first use).  The
+    field is as large as the padded grid, so hold one per run, never one
+    per state."""
 
-    __slots__ = ("spectrum", "field")
+    __slots__ = ("spectrum", "field", "size", "entries")
 
     def __init__(self, spectrum) -> None:
         self.spectrum = spectrum
         self.field: np.ndarray | None = None
+        self.size = 0
+        self.entries = None
 
 
 def spectrum_of(operand):
@@ -134,36 +141,37 @@ def spectrum_of(operand):
     return operand.spectrum if isinstance(operand, HeldField) else operand
 
 
-def padded_product(grid: GridSpec, terms, entries) -> np.ndarray:
-    """Values of ``sum w * a * b`` over terms ``(w, a, b)`` at every open-box
-    key, in ascending key order, made on the grid padded to ``P = 3n/2``
-    points per dimension with one forward transform.
+def padded_product(grid: GridSpec, terms, entries, size: int, out: np.ndarray) -> np.ndarray:
+    """Values of ``sum w * a * b`` over terms ``(w, a, b)`` at the flat
+    indices ``out``, made on the grid of ``size`` points per dimension with
+    one forward transform.
 
-    ``entries(spectrum)`` gives a spectrum's open-box entries as (flat index
-    on the padded grid, value).  They are scattered and inverse-transformed
-    once per distinct operand of the call, so ``u*u`` transforms ``u``
-    once; a :class:`HeldField` makes its field once for as long as it is
-    held.
+    ``size`` comes from :func:`~sparsedyn.grid.transform_size` for the
+    largest sum of the operands' reaches, and ``out`` indexes the box it
+    reads (:func:`~sparsedyn.grid.box_index`), so every product lands on
+    its own mode or outside that box: the result is free of aliasing.
+    ``entries(spectrum)`` gives a spectrum's open-box entries as (flat
+    index on the ``size`` grid, value).  They are scattered and
+    inverse-transformed once per distinct operand of the call, so ``u*u``
+    transforms ``u`` once; a :class:`HeldField` makes its field once for as
+    long as it is held and calls keep its size.
 
     This is the one place that multiplies in physical space, for sparse and
-    dense spectra alike.  Every product of two modes with ``|m| < n/2``
-    lands on its own padded mode or outside the resolved box (see
-    :attr:`~sparsedyn.grid.GridSpec.n_padded`), so reading the result at
-    the open box is free of aliasing.
+    dense spectra alike.
     """
-    shape = (grid.n_padded,) * grid.dims
+    shape = (size,) * grid.dims
     made: dict[int, np.ndarray] = {}
 
     def make(spectrum) -> np.ndarray:
         index, values = entries(spectrum)
-        padded = np.zeros(grid.n_padded**grid.dims, dtype=np.complex128)
+        padded = np.zeros(size**grid.dims, dtype=np.complex128)
         padded[index] = values
         return np.fft.ifftn(padded.reshape(shape)) * padded.size
 
     def field(operand) -> np.ndarray:
         if isinstance(operand, HeldField):
-            if operand.field is None:
-                operand.field = make(operand.spectrum)
+            if operand.size != size:
+                operand.field, operand.size = make(operand.spectrum), size
             return operand.field
         if id(operand) not in made:
             made[id(operand)] = make(operand)
@@ -179,7 +187,7 @@ def padded_product(grid: GridSpec, terms, entries) -> np.ndarray:
         else:
             total += prod
     product = np.fft.fftn(total) / total.size
-    return product.ravel()[open_fft_index(grid, grid.n_padded)]
+    return product.ravel()[out]
 
 
 def dense_convolve_sum(terms) -> DenseSpectrum:
@@ -187,26 +195,28 @@ def dense_convolve_sum(terms) -> DenseSpectrum:
     dense spectra (or :class:`HeldField` of one), with one forward
     transform.
 
-    Each distinct operand's open-box coefficients are placed on the grid of
+    Dense operands fill the box, so :func:`padded_product` works on
     ``P = 3n/2`` points per dimension (:attr:`~sparsedyn.grid.GridSpec.n_padded`,
-    the 2/3 rule) and :func:`padded_product` weights and sums the products;
-    the sum is written back to the open box, so the unpaired Nyquist mode
-    is zero.
+    the 2/3 rule) for ``n >= 8``: each distinct operand's open-box
+    coefficients are placed there, and the weighted sum is written back to
+    the open box, so the unpaired Nyquist mode is zero.
     """
     grid = spectrum_of(terms[0][1]).grid
     if any(spectrum_of(op).grid != grid for _, a, b in terms for op in (a, b)):
         raise GridMismatch("convolution operands on different grids")
-    index, padded = open_fft_index(grid, grid.n_per_dim), open_fft_index(grid, grid.n_padded)
+    size, k = transform_size(grid, 2 * (grid.n_per_dim // 2 - 1))
+    index, padded = box_index(grid, k, grid.n_per_dim)[1], box_index(grid, k, size)[1]
     coeffs = np.zeros(grid.n_total, dtype=np.complex128)
-    coeffs[index] = padded_product(grid, terms, lambda s: (padded, s.coeffs.ravel()[index]))
+    coeffs[index] = padded_product(
+        grid, terms, lambda s: (padded, s.coeffs.ravel()[index]), size, padded
+    )
     return DenseSpectrum(grid, coeffs.reshape(grid.shape))
 
 
 def dense_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Galerkin-truncated convolution of amplitude spectra through transforms
-    padded to ``P = 3n/2`` points per dimension: the one-term case of
-    :func:`dense_convolve_sum`, with the same truncation contract as the
-    sparse entry-pair kernel."""
+    """Galerkin-truncated convolution of amplitude spectra through padded
+    transforms: the one-term case of :func:`dense_convolve_sum`, with the
+    same truncation contract as the sparse entry-pair kernel."""
     sa = DenseSpectrum(grid, a)
     sb = sa if b is a else DenseSpectrum(grid, b)
     return dense_convolve_sum(((1.0, sa, sb),)).coeffs

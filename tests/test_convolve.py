@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from sparsedyn import (
     sparse_convolve,
 )
 from sparsedyn import shrinkage
+from sparsedyn.grid import transform_size
 from sparsedyn.shrinkage import _transform_is_cheaper, sparse_convolve_sum
-from sparsedyn.spectral import SpatialField, dense_convolve_sum, is_hermitian
+from sparsedyn.spectral import HeldField, SpatialField, dense_convolve_sum, is_hermitian
 
 from oracles import brute_force_convolve
 
@@ -297,6 +300,14 @@ def test_path_choice_on_workload_shapes():
     for g, n_a, n_b, transform in cases:
         assert _transform_is_cheaper(g, n_a, n_b) is transform
         assert _transform_is_cheaper(g, n_b, n_a) is transform
+    # the same on the grid sized to the operands' reach sum
+    sized = [
+        (GridSpec(2, 128), 22, 252, 252, True),  # vorticity, later steps: |m| <= 11
+    ]
+    for g, reach, n_a, n_b, transform in sized:
+        size = transform_size(g, reach)[0]
+        assert _transform_is_cheaper(g, n_a, n_b, size) is transform
+        assert _transform_is_cheaper(g, n_b, n_a, size) is transform
 
 
 def test_transform_output_carries_no_roundoff_tail():
@@ -317,3 +328,71 @@ def test_transform_output_carries_no_roundoff_tail():
         real = {k for k, v in want.items() if abs(v) > 1e-12}
         assert 0 < len(real) < min(u.n_s, w.n_s) / 5
         assert set(sparse_convolve(u, w).to_dict()) == real
+
+
+def within(grid, reach, rng, count):
+    """``count`` random entries at distinct modes ``|m_d| <= reach``, one of
+    them at ``+-reach`` along the first axis, so the reach is exact."""
+    side = 2 * reach + 1
+    count = min(count, side**grid.dims)
+    flat = rng.choice(side**grid.dims, size=count, replace=False)
+    modes = np.stack(np.unravel_index(flat, (side,) * grid.dims)) - reach
+    modes[0, 0] = reach if rng.integers(2) else -reach
+    values = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    return SparseSpectrum.from_modes(grid, modes, values)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("reach", [4, 13, 40])
+def test_transform_on_the_tight_size_matches_brute_force(dims, reach, monkeypatch):
+    # reach sums with 2R + 1 = 9, 27, 81: a 3-smooth grid with no spare point
+    monkeypatch.setattr(shrinkage, "_transform_is_cheaper", lambda *_: True)
+    rng = np.random.default_rng(100 * dims + reach)
+    g = GridSpec(dims, 128)
+    assert transform_size(g, reach) == (2 * reach + 1, reach)
+    count = 20 if dims == 1 else 40
+    for _ in range(3):
+        a = within(g, reach // 2, rng, count)
+        b = within(g, reach - reach // 2, rng, count)
+        got = sparse_convolve(a, b)
+        assert np.abs(got.modes()).max() <= reach
+        assert_matches(got, brute_force_convolve(a.to_dict(), b.to_dict(), g), tol=1e-13)
+
+
+def test_held_field_follows_the_call_size(monkeypatch):
+    monkeypatch.setattr(shrinkage, "_transform_is_cheaper", lambda *_: True)
+    rng = np.random.default_rng(41)
+    g = GridSpec(2, 32)
+    coeff = within(g, 3, rng, 20)
+    near, wide = within(g, 2, rng, 15), full_box(g, rng)
+    held = HeldField(coeff)
+    # reach sums max(3 + 2, 2 + 2) and max(3 + 15, 15 + 15)
+    for u, size in ((near, 12), (wide, g.n_padded), (near, 12)):
+        got = sparse_convolve_sum([(1.0, held, u), (-0.5, u, u)])
+        want = sparse_convolve_sum([(1.0, coeff, u), (-0.5, u, u)])
+        assert held.size == size
+        assert np.array_equal(got.keys, want.keys)
+        assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("transform", [False, True])
+def test_small_operands_allocate_the_same_on_any_grid(transform, monkeypatch):
+    # 16 x 16 entries within |m| <= 8: what one call allocates does not grow
+    # with the grid, on either path
+    monkeypatch.setattr(shrinkage, "_transform_is_cheaper", lambda *_: transform)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (2**10, 2**20, 2**10, 2**20):
+            rng = np.random.default_rng(7)
+            g = GridSpec(1, n)
+            a, b = within(g, 8, rng, 16), within(g, 8, rng, 16)
+            sparse_convolve(a, b)  # fills the per-grid caches
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sparse_convolve(a, b)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    # the first pass pays the tracer's own one-time allocations
+    assert peaks[2] == peaks[3]

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from sparsedyn import GridSpec, fft_index_to_mode, mode_to_fft_index
-from sparsedyn.grid import key_index_table, key_to_fft_index, key_to_mode, mode_to_key
+from sparsedyn.grid import (
+    box_index,
+    key_index_table,
+    key_reach,
+    key_to_fft_index,
+    key_to_mode,
+    mode_to_key,
+    transform_size,
+)
 
 
 def test_basic_geometry():
@@ -116,3 +124,49 @@ def test_meshgrid_matches_coordinates():
     assert x.shape == (8, 8)
     assert x[3, 0] == pytest.approx(3 * g.dx)
     assert y[0, 5] == pytest.approx(5 * g.dx)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_key_reach_is_the_largest_mode_component(dims):
+    rng = np.random.default_rng(dims)
+    g = GridSpec(dims, 32)
+    resolved = np.arange(g.n_per_dim) - g.n_per_dim // 2  # Nyquist included
+    for hi in (0, 1, 5, 15, 16):
+        for _ in range(20):
+            count = int(rng.integers(1, 12))
+            modes = rng.integers(-hi, min(hi, 15) + 1, size=(dims, count))
+            keys = np.unique(mode_to_key(g, np.clip(modes, resolved[0], resolved[-1])))
+            want = min(int(np.abs(key_to_mode(g, keys)).max()), 15)  # Nyquist counts as 15
+            assert key_reach(g, keys) == want
+    assert key_reach(g, np.empty(0, np.int64)) == 0
+
+
+def test_transform_size_is_the_smallest_alias_free_grid():
+    smooth = [2**a * 3**b for a in range(12) for b in range(8)]
+    for n in (4, 8, 16, 64, 128, 1024):
+        g = GridSpec(1, n)
+        for reach in range(0, n - 1):
+            size, k = transform_size(g, reach)
+            assert k == min(reach, n // 2 - 1)
+            want = min(p for p in smooth if p >= reach + k + 1)
+            assert size == min(want, 3 * n // 2)
+        # operands that fill the box get the 3/2 rule's grid
+        if n >= 8:
+            assert transform_size(g, n - 2) == (g.n_padded, n // 2 - 1)
+    assert transform_size(GridSpec(2, 128), 22) == (48, 22)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_box_index_lists_the_box_in_key_order(dims):
+    g = GridSpec(dims, 16)
+    for k, n_out in ((0, 1), (3, 9), (7, 16), (7, 24)):
+        keys, index = box_index(g, k, n_out)
+        modes = key_to_mode(g, keys)
+        assert keys.size == (2 * k + 1) ** dims
+        assert np.all(np.diff(keys) > 0) and np.abs(modes).max() == k
+        assert np.array_equal(index, key_to_fft_index(g, keys, n_out))
+    # the full box is the open box of the key table
+    table = key_index_table(g, g.n_padded)
+    keys, index = box_index(g, 7, g.n_padded)
+    assert np.array_equal(keys, np.flatnonzero(table >= 0))
+    assert np.array_equal(index, table[keys])

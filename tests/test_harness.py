@@ -77,6 +77,13 @@ def test_gamma_only_for_vorticity():
         parse_config_text(SMALL_CONFIG + "\ngamma = 0.5\n")
 
 
+def test_sine_low_needs_a_grid_that_resolves_its_modes():
+    sine = SMALL_CONFIG.replace("initial_condition = gauss_bump", "initial_condition = sine_low")
+    with pytest.raises(ConfigError, match="n_per_dim"):
+        parse_config_text(sine.replace("n_per_dim = 64", "n_per_dim = 4"))
+    assert parse_config_text(sine.replace("n_per_dim = 64", "n_per_dim = 8")).n_per_dim == 8
+
+
 def test_low_frequency_requires_dense():
     bad = SMALL_CONFIG.replace("baselines = dense", "baselines = low_frequency")
     with pytest.raises(ConfigError, match="baselines"):
