@@ -2,16 +2,17 @@
 
     PYTHONPATH=src python3 scripts/calibrate_convolution.py [--repeats 7] [--json out.json]
 
-``sparse_convolve`` sends each product either over entry pairs or through
-one padded transform, whichever ``shrinkage._transform_is_cheaper`` prices
-lower.  This script forces each path in turn over a grid of operand sizes
-(rows = entries of the smaller operand, cols = of the larger) on 1-D
-N = 512, 1024, 2048 and 2-D 64x64, 128x128 grids, and times the whole
-``sparse_convolve`` call (best of ``--repeats``).  Operands are drawn over
-the whole open box and, so that small transform grids are timed too, within
-``|m| <= r`` for each ``r`` of ``REACHES``; each call's transform grid has
-``P`` points per dimension, sized to its operands' reach sum
-(``grid.transform_size``).  It then fits, by least squares,
+``sparse_convolve_sum`` sends each product either over entry pairs or
+through one padded transform, whichever ``shrinkage._transform_is_cheaper``
+prices lower.  This script forces each path in turn over a grid of operand
+sizes (rows = entries of the smaller operand, cols = of the larger) on 1-D
+N = 512, 1024, 2048 and 2-D 64x64, 128x128 grids, and times the whole call
+as the solver makes it, on operands declared real (best of ``--repeats``).
+The operands are spectra of real fields, drawn over the whole open box
+and, so that small transform grids are timed too, within ``|m| <= r`` for
+each ``r`` of ``REACHES``; each call's transform grid has ``P`` points per
+dimension, sized to its operands' reach sum (``grid.transform_size``).  It
+then fits, by least squares,
 
     pair time      = alpha * rows * cols + beta * rows + gamma
     transform time = delta * M log2 M + epsilon,   M = P**dims
@@ -47,11 +48,16 @@ REACHES = (None, 16, 4)  # None: the whole open box |m| <= n/2 - 1
 
 
 def operand(grid: GridSpec, size: int, reach: int, rng) -> SparseSpectrum:
-    """``size`` random entries at distinct modes ``|m_d| <= reach``."""
+    """The spectrum of a real field: ``size`` random entries at distinct
+    modes ``|m_d| <= reach``, ``size // 2`` of them in the half-space
+    ``m > 0`` (in key order) and their conjugates at ``-m``, and the mean
+    when ``size`` is odd."""
     side = 2 * reach + 1
-    flat = rng.choice(side**grid.dims, size=size, replace=False)
+    flat = rng.choice(side**grid.dims // 2, size=size // 2, replace=False) + side**grid.dims // 2 + 1
     modes = np.stack(np.unravel_index(flat, (side,) * grid.dims)) - reach
-    values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    values = rng.standard_normal(size // 2) + 1j * rng.standard_normal(size // 2)
+    modes = np.concatenate([modes, -modes, np.zeros((grid.dims, size % 2), np.int64)], axis=1)
+    values = np.concatenate([values, np.conj(values), rng.standard_normal(size % 2)])
     return SparseSpectrum.from_modes(grid, modes, values)
 
 
@@ -75,12 +81,17 @@ def best_time(fn, repeats: int) -> float:
 
 
 def forced(transform: bool, a: SparseSpectrum, b: SparseSpectrum, repeats: int) -> float:
-    """Best time of ``sparse_convolve(a, b)`` with the path forced."""
+    """Best time of the solver's call ``a * b``, operands declared real,
+    with the path forced."""
     rule = shrinkage._transform_is_cheaper
     shrinkage._transform_is_cheaper = lambda *_: transform
+
+    def call():
+        shrinkage.sparse_convolve_sum(((1.0, a, b),), real=True)
+
     try:
-        shrinkage.sparse_convolve(a, b)  # warm the per-grid caches
-        return best_time(lambda: shrinkage.sparse_convolve(a, b), repeats)
+        call()  # warm the per-grid caches
+        return best_time(call, repeats)
     finally:
         shrinkage._transform_is_cheaper = rule
 

@@ -12,7 +12,9 @@ A product of operands is made on the smallest alias-free grid for their
 reach (:func:`key_reach`, :func:`transform_size`) and read at the box of
 modes it can reach (:func:`box_index`); :func:`key_index_table` holds the
 placement on the full padded grid for every sparse key of the open box
-``|m| < n/2``.
+``|m| < n/2``.  Products of real fields are made with real transforms,
+which keep the half grid ``m_last >= 0`` (:func:`half_index`); the rest of
+the box is read from there as conjugates (:func:`box_unfold`).
 """
 
 from __future__ import annotations
@@ -128,6 +130,23 @@ def derivative_factor(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
     return 1j * k
 
 
+def _read_only(*arrays) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: cached results are shared."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=8)
+def digit_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The wavenumber ``k`` and the derivative factor ``i*k``
+    (:func:`derivative_factor`) of mode ``m = d - n/2`` along one axis, at
+    index ``d`` (0 .. n-1): the digit of ``m`` in a sparse key
+    (:func:`key_digit`).  Read-only, shared per grid."""
+    modes = np.arange(grid.n_per_dim) - grid.n_per_dim // 2
+    return _read_only(wavenumbers_of(grid, modes), derivative_factor(grid, modes))
+
+
 def _to_flat(digits, base: int) -> np.ndarray:
     """Row-major flat index of per-dimension ``digits`` (first axis slowest)."""
     flat = np.zeros(np.shape(digits[0]), dtype=np.int64)
@@ -157,6 +176,16 @@ def fft_index_to_mode(grid: GridSpec, index: int | np.ndarray) -> np.ndarray:
     if np.any((idx < 0) | (idx >= grid.n_total)):
         raise IndexError("flat index out of range")
     return np.stack([np.where(d < n // 2, d, d - n) for d in _from_flat(idx, n, grid.dims)])
+
+
+@lru_cache(maxsize=8)
+def negated_fft_index(grid: GridSpec) -> np.ndarray:
+    """Flat FFT-layout index of the negated mode at every flat index: digit
+    ``-j mod n`` per dimension, so the unpaired Nyquist mode is its own
+    negation.  Read-only, shared per grid."""
+    n = grid.n_per_dim
+    digits = _from_flat(np.arange(grid.n_total), n, grid.dims)
+    return _read_only(_to_flat([np.mod(-d, n) for d in digits], n))[0]
 
 
 def check_resolved(grid: GridSpec, modes) -> np.ndarray:
@@ -197,7 +226,25 @@ def key_to_mode(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
     """Integer mode vectors, shape ``(dims, len(keys))``, of sparse keys;
     inverse of :func:`mode_to_key`."""
     half = grid.n_per_dim // 2
-    return np.stack([d - half for d in _from_flat(keys, 2 * grid.n_per_dim, grid.dims)])
+    return np.stack([key_digit(grid, keys, axis) - half for axis in range(grid.dims)])
+
+
+def key_digit(grid: GridSpec, keys: np.ndarray, axis: int) -> np.ndarray:
+    """Digit ``m_axis + n/2`` of sparse keys along ``axis``: ``2n`` is a
+    power of two, so a shift and a mask read it."""
+    bits = grid.n_per_dim.bit_length()  # 2n == 1 << bits
+    return (keys >> (bits * (grid.dims - 1 - axis))) & ((1 << bits) - 1)
+
+
+def negated_keys(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
+    """Keys of the negated modes: digit ``(n - d) mod n`` per dimension, so
+    the unpaired Nyquist mode -n/2 (digit 0) is its own negation modulo
+    ``n``.  Each digit lies in ``[0, n)``, so ``n - d`` borrows nothing from
+    the next digit and a mask takes ``n`` to 0; on the open box this is
+    ``2*key(0) - key``."""
+    n, bits = grid.n_per_dim, grid.n_per_dim.bit_length()
+    shifts = [bits * axis for axis in range(grid.dims)]
+    return (sum(n << s for s in shifts) - keys) & sum((n - 1) << s for s in shifts)
 
 
 def key_to_fft_index(grid: GridSpec, keys: np.ndarray, n_out: int) -> np.ndarray:
@@ -254,18 +301,73 @@ def transform_size(grid: GridSpec, reach: int) -> tuple[int, int]:
     return size, k
 
 
+def _box_modes(grid: GridSpec, k: int) -> np.ndarray:
+    """Mode vectors ``(dims, (2k+1)**dims)`` of the box ``|m_d| <= k``, in key
+    order."""
+    m = np.arange(-k, k + 1)
+    return np.stack([c.ravel() for c in np.meshgrid(*([m] * grid.dims), indexing="ij")])
+
+
 @lru_cache(maxsize=32)
 def box_index(grid: GridSpec, k: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
     """Keys, ascending, of the modes ``|m_d| <= k`` (``k < n/2``), and their
     flat index on the FFT grid of ``n_out`` points per dimension.  With
-    ``k = n/2 - 1`` this is the open box.  Read-only, shared per grid,
+    ``k = n/2 - 1`` this is the open box.  The box is symmetric, so its
+    keys reversed are those of the negated modes.  Read-only, shared per
+    grid, ``k`` and size."""
+    modes = _box_modes(grid, k)
+    return _read_only(mode_to_key(grid, modes), _place(modes, n_out).astype(np.intp))
+
+
+def _half_place(modes, n_out: int) -> np.ndarray:
+    """Flat index of mode vectors with ``m_last >= 0`` on the half grid of a
+    real transform on ``n_out`` points per dimension: shape ``(n_out, ...,
+    n_out//2 + 1)``, digit ``m mod n_out`` per leading dimension and ``m``
+    along the last."""
+    index = np.asarray(modes[-1], dtype=np.intp)
+    if len(modes) == 2:
+        index = np.mod(modes[0], n_out) * (n_out // 2 + 1) + index
+    return index
+
+
+def half_index(grid: GridSpec, keys: np.ndarray, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which sparse keys have a last mode component ``m_last >= 0`` (a
+    mask), and their flat index on the half grid of a real transform on
+    ``n_out`` points per dimension, ``n_out > 2 max m_last``."""
+    half = grid.n_per_dim // 2
+    last = key_digit(grid, keys, grid.dims - 1) - half
+    keep = last >= 0
+    modes = [last[keep]]
+    if grid.dims == 2:
+        modes.insert(0, key_digit(grid, keys[keep], 0) - half)
+    return keep, _half_place(modes, n_out)
+
+
+@lru_cache(maxsize=16)
+def box_half_index(grid: GridSpec, k: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the modes of the box ``|m_d| <= k`` with ``m_last >= 0``: their
+    flat index on the grid's own FFT layout, that of their negations, and
+    their flat index on the half grid of a real transform on ``n_out``
+    points per dimension (:func:`half_index`).  Read-only, shared per grid,
     ``k`` and size."""
-    m = np.arange(-k, k + 1)
-    modes = np.stack([c.ravel() for c in np.meshgrid(*([m] * grid.dims), indexing="ij")])
-    keys, index = mode_to_key(grid, modes), _place(modes, n_out).astype(np.intp)
-    keys.setflags(write=False)
-    index.setflags(write=False)
-    return keys, index
+    keys, own = box_index(grid, k, grid.n_per_dim)
+    keep, index = half_index(grid, keys, n_out)
+    return _read_only(own[keep], own[::-1][keep], index)
+
+
+@lru_cache(maxsize=32)
+def box_unfold(grid: GridSpec, k: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the half spectrum of a real transform on ``n_out`` points per
+    dimension holds each mode of the box ``|m_d| <= k``, in key order:
+    the flat half-grid index of the mode itself when it lies in the
+    canonical half-space (``m_last > 0``, or ``m_last == 0`` and
+    ``m_0 >= 0``), else of its negation, together with a mask of the modes
+    read that way, as conjugates.  Every mode and its negation then read
+    one stored value, so the box read is exactly Hermitian.  Read-only,
+    shared per grid, ``k`` and size."""
+    modes = _box_modes(grid, k)
+    flip = (modes[-1] < 0) | ((modes[-1] == 0) & (modes[0] < 0))
+    return _read_only(_half_place(np.where(flip, -modes, modes), n_out), flip)
 
 
 @lru_cache(maxsize=16)

@@ -27,12 +27,14 @@ from .grid import (
     box_index,
     check_resolved,
     fft_index_to_mode,
+    half_index,
+    key_digit,
     key_index_table,
     key_reach,
-    key_to_fft_index,
     key_to_mode,
     mode_to_fft_index,
     mode_to_key,
+    negated_keys,
     transform_size,
 )
 from .spectral import DenseSpectrum, HeldField, padded_product, spectrum_of
@@ -156,6 +158,31 @@ class SparseSpectrum:
     def modes(self) -> np.ndarray:
         """Integer mode vectors, shape ``(dims, n_s)``, sorted order."""
         return key_to_mode(self.grid, self.keys)
+
+    def mode_digits(self, axis: int) -> np.ndarray:
+        """Per-entry digit ``m + n/2`` of the mode along ``axis``: an index
+        into :func:`~sparsedyn.grid.digit_tables`."""
+        return key_digit(self.grid, self.keys, axis)
+
+    def is_hermitian(self, rtol: float = 1e-12) -> bool:
+        """Whether ``u(-k) == conj(u(k))`` up to ``rtol`` of the largest
+        amplitude, as :func:`~sparsedyn.spectral.is_hermitian` checks a
+        dense spectrum; a missing partner counts as zero, so a state made
+        from real samples, whose roundoff partners may have underflowed,
+        passes.  The negated keys are the keys reversed, but for modes with
+        a Nyquist component, so a stable sort matches the partners in
+        O(n_s); only when some partner is missing are they searched."""
+        if not self.n_s:
+            return True
+        partner = negated_keys(self.grid, self.keys)
+        order = np.argsort(partner, kind="stable")
+        if np.array_equal(partner[order], self.keys):
+            mirror = np.conj(self.values[order])
+        else:
+            at = np.minimum(np.searchsorted(self.keys, partner), self.n_s - 1)
+            mirror = np.where(self.keys[at] == partner, np.conj(self.values[at]), 0.0)
+        gap = float(np.max(np.abs(self.values - mirror)))
+        return gap <= rtol * (float(np.max(np.abs(self.values))) or 1.0)
 
     def items(self) -> Iterator[tuple]:
         """Yield ``(mode, amplitude)`` sorted by mode; mode is an int in 1-D,
@@ -312,7 +339,7 @@ def sparse_convolve(a: SparseSpectrum, b: SparseSpectrum) -> SparseSpectrum:
     return sparse_convolve_sum(((1.0, a, b),))
 
 
-def sparse_convolve_sum(terms) -> SparseSpectrum:
+def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
     """Truncated ``sum w * (a * b)`` over terms ``(w, a, b)`` of sparse
     spectra (or :class:`~sparsedyn.spectral.HeldField` of one).
 
@@ -327,12 +354,17 @@ def sparse_convolve_sum(terms) -> SparseSpectrum:
     Pair terms are weighted and added as sparse spectra.  Transform terms
     share the padded grid: each distinct operand is scattered and
     inverse-transformed once, and the weighted products are summed in space
-    with one forward transform (:func:`~sparsedyn.spectral.padded_product`).
-    With operands that fill the box and every term on the transform path
-    the output is that of :func:`~sparsedyn.spectral.dense_convolve_sum` on
-    the same terms in the same order, less its roundoff tail (see
-    :func:`_above_roundoff`), so it carries only the modes the sum really
-    has.
+    and transformed forward (:func:`~sparsedyn.spectral.padded_product`).
+    With ``real`` the caller declares every operand the spectrum of a real
+    field and every weight real (the solver's promise, not a user option):
+    each operand then takes one real inverse transform, the sum one real
+    forward transform, and the transform part is exactly Hermitian.
+    Without it any complex operand is taken, as two real fields per
+    operand and two for the sum.  With operands that fill the box and every
+    term on the transform path the output is that of
+    :func:`~sparsedyn.spectral.dense_convolve_sum` on the same terms in the
+    same order, less its roundoff tail (see :func:`_above_roundoff`), so it
+    carries only the modes the sum really has.
     """
     grid = spectrum_of(terms[0][1]).grid
     table = key_index_table(grid, grid.n_padded)
@@ -377,16 +409,16 @@ def sparse_convolve_sum(terms) -> SparseSpectrum:
             parts.append(out if w == 1 else w * out)
     if transform_terms:
 
-        def placed(spec: SparseSpectrum) -> tuple[np.ndarray, np.ndarray]:
+        def placed(spec: SparseSpectrum, negated: bool) -> tuple[np.ndarray, np.ndarray]:
             keys, vals, _ = entries(spec)
-            if size == grid.n_padded:
-                return table[keys], vals
-            return key_to_fft_index(grid, keys, size), vals
+            if negated:
+                keys, vals = negated_keys(grid, keys[::-1]), np.conjugate(vals[::-1])
+            keep, index = half_index(grid, keys, size)
+            return index, vals[keep]
 
-        box_keys, box = box_index(grid, k, size)
-        vals = padded_product(grid, transform_terms, placed, size, box)
+        vals = padded_product(grid, transform_terms, placed, size, k, real)
         keep = _above_roundoff(vals)
-        parts.insert(0, SparseSpectrum(grid, box_keys[keep], vals[keep]))
+        parts.insert(0, SparseSpectrum(grid, box_index(grid, k, size)[0][keep], vals[keep]))
     total = parts[0]
     for part in parts[1:]:
         total = total + part
@@ -439,9 +471,9 @@ def _transform_is_cheaper(grid: GridSpec, n_a: int, n_b: int, size: int | None =
     The loop runs one row per entry of the smaller operand, each costing
     ``_ROW_COST`` pairs on top of its own, against
     ``_TRANSFORM_FIXED + _TRANSFORM_COST * M log2 M`` for the transform.
-    The fixed part (two scatters, three FFTs, a gather and the roundoff
-    filter, each a separate numpy call) keeps small operands on pairs
-    whatever the grid.
+    The fixed part (two scatters, three real FFTs, a gather and the
+    roundoff filter, each a separate numpy call) keeps small operands on
+    pairs whatever the grid.
     """
     m_total = (size or grid.n_padded) ** grid.dims
     rows, cols = min(n_a, n_b), max(n_a, n_b)

@@ -2,7 +2,7 @@
 
 Every scheme produces a pre-shrinkage update v from the current (and, for
 Leap Frog, previous) state.  The schemes use only the operations both
-containers share (``modes``, ``apply_mode_factor``, ``+``, scalar ``*``)
+containers share (``mode_digits``, ``apply_mode_factor``, ``+``, scalar ``*``)
 and :func:`_convolve`, one weighted sum of products per right-hand side,
 so the sparse run, the dense reference and the low-frequency baseline step
 through the same code; each passes v through its own final map (the soft
@@ -22,11 +22,12 @@ from .coefficients import CoefficientSpec, coefficient_field_of, sample_coeffici
 from .errors import (
     CflViolation,
     CflWarning,
+    HermitianViolation,
     NotTwoDimensional,
     SolverDiverged,
     UnknownInitialSpec,
 )
-from .grid import GridSpec, wavenumbers_of
+from .grid import GridSpec, digit_tables
 from .shrinkage import (
     LambdaSchedule,
     SparseSpectrum,
@@ -53,6 +54,10 @@ SINE_LOW_REACH = 3
 # conservative stability-guard constants
 CFL_TRANSPORT = 1.0
 CFL_DIFFUSION = 0.5
+
+# relative asymmetry above which an initial state is not the spectrum of a
+# real field; states made from real samples sit near 1e-14
+HERMITIAN_RTOL = 1e-10
 
 Spectrum = SparseSpectrum | DenseSpectrum
 
@@ -100,10 +105,14 @@ def _convolve(*terms) -> Spectrum:
     """Truncated ``sum w * (a * b)`` over terms ``(w, a, b)``, with at most
     one forward transform: :func:`~sparsedyn.shrinkage.sparse_convolve_sum`
     for sparse operands, :func:`~sparsedyn.spectral.dense_convolve_sum` for
-    dense ones.  An operand may be a :class:`~sparsedyn.spectral.HeldField`."""
+    dense ones.  An operand may be a :class:`~sparsedyn.spectral.HeldField`.
+
+    Every operand here is the spectrum of a real field (the initial state
+    is checked once per run, see :func:`_iterate`) and every weight is
+    real, so the call declares them real and takes real transforms only."""
     if isinstance(spectrum_of(terms[0][1]), SparseSpectrum):
-        return sparse_convolve_sum(terms)
-    return dense_convolve_sum(terms)
+        return sparse_convolve_sum(terms, real=True)
+    return dense_convolve_sum(terms, real=True)
 
 
 def _check_cfl(kind: str, dt: float, limit: float, strict: bool) -> None:
@@ -151,9 +160,10 @@ def step_burgers(state: SolverState, a_hat: Spectrum | HeldField, dt: float) -> 
     return 0.5 * (u + u1) + (0.5 * dt) * _burgers_rhs(u1, a_hat)
 
 
-def _ksq(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Per-entry 2-D wavenumber vectors k and |k|^2."""
-    k = wavenumbers_of(spec.grid, spec.modes())
+def _ksq(spec: Spectrum) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Per-entry 2-D wavenumbers (k_0, k_1) and |k|^2."""
+    table = digit_tables(spec.grid)[0]
+    k = table[spec.mode_digits(0)], table[spec.mode_digits(1)]
     return k, k[0] * k[0] + k[1] * k[1]
 
 
@@ -227,9 +237,17 @@ def _iterate(
 
     Raises
     ------
+    HermitianViolation
+        Before the first step, if ``initial`` is not the spectrum of a real
+        field to ``HERMITIAN_RTOL``: the steps convolve real fields only.
     SolverDiverged
         As soon as an update holds a non-finite value.
     """
+    if not initial.is_hermitian(HERMITIAN_RTOL):
+        raise HermitianViolation(
+            f"{params.equation}: the initial state is not the spectrum of a real field "
+            f"(u(-k) != conj(u(k)) beyond {HERMITIAN_RTOL:.0e} of its largest amplitude)"
+        )
     coeff = _prepare(params, initial, dt, strict_cfl)
     held = HeldField(coeff)  # the run, never a state, keeps its padded field
     state = SolverState(initial, None, 0, 0.0)

@@ -6,20 +6,32 @@ mode has a unit-magnitude coefficient pair.  Spatial fields are real; their
 spectra are Hermitian-symmetric.  Convolutions multiply in space on a grid
 padded just enough for the operands' reach (at most ``P = 3n/2`` points per
 dimension, the 2/3 rule), in one place for both containers
-(:func:`padded_product`); the grid's index arithmetic
-(:func:`~sparsedyn.grid.transform_size`, :func:`~sparsedyn.grid.box_index`)
+(:func:`padded_product`), with real-to-complex transforms only: a caller
+that declares its operands real (the solver) makes one real field per
+operand; any other operand is split into two real fields.  The grid's
+index arithmetic (:func:`~sparsedyn.grid.transform_size`,
+:func:`~sparsedyn.grid.half_index`, :func:`~sparsedyn.grid.box_unfold`)
 sizes, pads and crops.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import GridMismatch, HermitianViolation
-from .grid import GridSpec, box_index, derivative_factor, transform_size
+from .grid import (
+    GridSpec,
+    box_half_index,
+    box_index,
+    box_unfold,
+    digit_tables,
+    negated_fft_index,
+    transform_size,
+)
 
 # Imaginary residual above this aborts a nominally real inverse transform.
 IMAG_RESIDUAL_LIMIT = 1e-8
@@ -60,6 +72,18 @@ class DenseSpectrum:
         """Integer mode vectors, shape ``(dims, *grid.shape)``, FFT layout;
         read-only and shared by every spectrum on the grid."""
         return _mode_mesh(self.grid)
+
+    def mode_digits(self, axis: int) -> np.ndarray:
+        """Digit ``m + n/2`` of the mode along ``axis``, shaped to broadcast
+        against ``coeffs``: an index into
+        :func:`~sparsedyn.grid.digit_tables`."""
+        grid = self.grid
+        shape = [-1 if d == axis else 1 for d in range(grid.dims)]
+        return (grid.mode_numbers() + grid.n_per_dim // 2).reshape(shape)
+
+    def is_hermitian(self, rtol: float = 1e-12) -> bool:
+        """Whether this is the spectrum of a real field (:func:`is_hermitian`)."""
+        return is_hermitian(self, rtol)
 
     def apply_mode_factor(self, factors: np.ndarray) -> "DenseSpectrum":
         """Multiply entrywise by ``factors`` (aligned with :meth:`modes`)."""
@@ -115,24 +139,26 @@ def spectral_derivative(spec, axis: int = 0):
     Nyquist mode is zeroed."""
     if not 0 <= axis < spec.grid.dims:
         raise ValueError(f"axis {axis} out of range for dims={spec.grid.dims}")
-    return spec.apply_mode_factor(derivative_factor(spec.grid, spec.modes()[axis]))
+    return spec.apply_mode_factor(digit_tables(spec.grid)[1][spec.mode_digits(axis)])
 
 
 class HeldField:
     """A convolution operand whose field on the padded grid is made on first
-    use and then kept, with the grid's size: for an operand that every step
-    convolves again, such as a run's coefficient.  A call on another size
-    makes it again.  A sparse operand also keeps its open-box entries and
-    reach (``entries``, made by the sparse convolution on first use).  The
-    field is as large as the padded grid, so hold one per run, never one
-    per state."""
+    use and then kept, with the grid's size and whether the call declared
+    its operands real: for an operand that every step convolves again,
+    such as a run's coefficient.  A call on another size, or under the
+    other contract, makes it again.  A sparse operand also keeps its
+    open-box entries and reach (``entries``, made by the sparse convolution
+    on first use).  The field is as large as the padded grid, so hold one
+    per run, never one per state."""
 
-    __slots__ = ("spectrum", "field", "size", "entries")
+    __slots__ = ("spectrum", "field", "size", "real", "entries")
 
     def __init__(self, spectrum) -> None:
         self.spectrum = spectrum
         self.field: np.ndarray | None = None
         self.size = 0
+        self.real = False
         self.entries = None
 
 
@@ -141,37 +167,63 @@ def spectrum_of(operand):
     return operand.spectrum if isinstance(operand, HeldField) else operand
 
 
-def padded_product(grid: GridSpec, terms, entries, size: int, out: np.ndarray) -> np.ndarray:
-    """Values of ``sum w * a * b`` over terms ``(w, a, b)`` at the flat
-    indices ``out``, made on the grid of ``size`` points per dimension with
-    one forward transform.
+def padded_product(grid: GridSpec, terms, entries, size: int, k: int, real: bool) -> np.ndarray:
+    """Values of ``sum w * a * b`` over terms ``(w, a, b)`` at the modes
+    ``|s_d| <= k`` in key order (:func:`~sparsedyn.grid.box_index`), made
+    on the grid of ``size`` points per dimension with real transforms.
 
-    ``size`` comes from :func:`~sparsedyn.grid.transform_size` for the
-    largest sum of the operands' reaches, and ``out`` indexes the box it
-    reads (:func:`~sparsedyn.grid.box_index`), so every product lands on
-    its own mode or outside that box: the result is free of aliasing.
-    ``entries(spectrum)`` gives a spectrum's open-box entries as (flat
-    index on the ``size`` grid, value).  They are scattered and
-    inverse-transformed once per distinct operand of the call, so ``u*u``
-    transforms ``u`` once; a :class:`HeldField` makes its field once for as
-    long as it is held and calls keep its size.
+    ``size`` and ``k`` come from :func:`~sparsedyn.grid.transform_size` for
+    the largest sum of the operands' reaches, so every product lands on its
+    own mode or outside the box read: the result is free of aliasing.
+    ``entries(spectrum, negated)`` gives a spectrum's open-box entries with
+    ``m_last >= 0`` as (flat index on the half grid of
+    :func:`~sparsedyn.grid.half_index`, value); with ``negated`` it gives
+    instead those with ``m_last <= 0``, at the index of their negated mode,
+    conjugated.  Each distinct operand of the call is scattered and
+    inverse-transformed once, so ``u*u`` transforms ``u`` once; a
+    :class:`HeldField` makes its field once for as long as it is held and
+    calls keep its size and contract.
+
+    With ``real`` the caller declares every operand the spectrum of a real
+    field and every weight real: each operand's field is one ``irfftn`` of
+    its half spectrum, the weighted products are summed as one real array,
+    and one ``rfftn`` makes the result.  Any asymmetry of an operand
+    (roundoff, say) is folded into its real field.  Otherwise an operand
+    ``c`` is split into the real fields of its Hermitian part ``(c(m) +
+    conj c(-m))/2`` and of ``(c(m) - conj c(-m))/2i``, so ``c`` is their
+    first plus ``i`` times their second; the two are stacked and made by
+    one ``irfftn`` call, and the real and imaginary parts of the product
+    likewise by one ``rfftn`` call.  Either way the box is read through
+    :func:`~sparsedyn.grid.box_unfold`, so the spectrum of each real
+    product field is exactly Hermitian.
 
     This is the one place that multiplies in physical space, for sparse and
     dense spectra alike.
     """
     shape = (size,) * grid.dims
+    half_shape = shape[:-1] + (size // 2 + 1,)
+    parts = 1 if real else 2  # real fields per operand, stacked on a leading axis
+    axes = tuple(range(1, grid.dims + 1))
     made: dict[int, np.ndarray] = {}
 
     def make(spectrum) -> np.ndarray:
-        index, values = entries(spectrum)
-        padded = np.zeros(size**grid.dims, dtype=np.complex128)
-        padded[index] = values
-        return np.fft.ifftn(padded.reshape(shape)) * padded.size
+        half = np.zeros((parts, math.prod(half_shape)), dtype=np.complex128)
+        for row, negated in zip(half, (False, True)):
+            index, values = entries(spectrum, negated)
+            row[index] = values
+        if not real:  # rows c(m) and conj c(-m) become the two parts
+            own, odd = half
+            even = (own + odd) * 0.5
+            odd -= own
+            odd *= 0.5j
+            own[:] = even
+        fields = np.fft.irfftn(half.reshape((parts,) + half_shape), shape, axes, norm="forward")
+        return fields[0] if real else fields[0] + 1j * fields[1]
 
     def field(operand) -> np.ndarray:
         if isinstance(operand, HeldField):
-            if operand.size != size:
-                operand.field, operand.size = make(operand.spectrum), size
+            if (operand.size, operand.real) != (size, real):
+                operand.field, operand.size, operand.real = make(operand.spectrum), size, real
             return operand.field
         if id(operand) not in made:
             made[id(operand)] = make(operand)
@@ -186,14 +238,21 @@ def padded_product(grid: GridSpec, terms, entries, size: int, out: np.ndarray) -
             total = prod
         else:
             total += prod
-    product = np.fft.fftn(total) / total.size
-    return product.ravel()[out]
+
+    stacked = total[None] if real else np.stack((total.real, total.imag))
+    spectra = np.fft.rfftn(stacked, shape, axes, norm="forward").reshape(parts, -1)
+    index, flip = box_unfold(grid, k, size)
+    out = spectra[:, index]
+    np.conjugate(out, out=out, where=flip)
+    return out[0] if real else out[0] + 1j * out[1]
 
 
-def dense_convolve_sum(terms) -> DenseSpectrum:
+def dense_convolve_sum(terms, *, real: bool = False) -> DenseSpectrum:
     """Galerkin-truncated ``sum w * (a * b)`` over terms ``(w, a, b)`` of
     dense spectra (or :class:`HeldField` of one), with one forward
-    transform.
+    transform call: of one real field when the caller declares the operands
+    ``real`` (the solver's promise, not a user option), else of two (see
+    :func:`padded_product`).
 
     Dense operands fill the box, so :func:`padded_product` works on
     ``P = 3n/2`` points per dimension (:attr:`~sparsedyn.grid.GridSpec.n_padded`,
@@ -205,10 +264,15 @@ def dense_convolve_sum(terms) -> DenseSpectrum:
     if any(spectrum_of(op).grid != grid for _, a, b in terms for op in (a, b)):
         raise GridMismatch("convolution operands on different grids")
     size, k = transform_size(grid, 2 * (grid.n_per_dim // 2 - 1))
-    index, padded = box_index(grid, k, grid.n_per_dim)[1], box_index(grid, k, size)[1]
+    own, negated, half = box_half_index(grid, k, size)
+
+    def entries(spec: DenseSpectrum, negate: bool) -> tuple[np.ndarray, np.ndarray]:
+        flat = spec.coeffs.ravel()
+        return half, (np.conjugate(flat[negated]) if negate else flat[own])
+
     coeffs = np.zeros(grid.n_total, dtype=np.complex128)
-    coeffs[index] = padded_product(
-        grid, terms, lambda s: (padded, s.coeffs.ravel()[index]), size, padded
+    coeffs[box_index(grid, k, grid.n_per_dim)[1]] = padded_product(
+        grid, terms, entries, size, k, real
     )
     return DenseSpectrum(grid, coeffs.reshape(grid.shape))
 
@@ -223,16 +287,9 @@ def dense_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def is_hermitian(spec: DenseSpectrum, rtol: float = 1e-12) -> bool:
-    """Check u(-k) == conj(u(k)) up to ``rtol`` of the largest amplitude."""
-    c = spec.coeffs
-    flipped = np.conj(_reverse_modes(c))
+    """Check u(-k) == conj(u(k)) up to ``rtol`` of the largest amplitude; the
+    unpaired Nyquist mode is its own negation."""
+    c = spec.coeffs.ravel()
+    gap = np.max(np.abs(c - np.conj(c[negated_fft_index(spec.grid)])))
     scale = float(np.max(np.abs(c))) or 1.0
-    return bool(np.max(np.abs(c - flipped)) <= rtol * scale)
-
-
-def _reverse_modes(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficient array at negated modes (FFT layout, Nyquist fixed point)."""
-    out = coeffs
-    for axis in range(coeffs.ndim):
-        out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
-    return out
+    return bool(gap <= rtol * scale)

@@ -12,9 +12,10 @@ from sparsedyn import (
     dft_forward,
     fft_index_to_mode,
     sparse_convolve,
+    spectral_derivative,
 )
 from sparsedyn import shrinkage
-from sparsedyn.grid import transform_size
+from sparsedyn.grid import negated_fft_index, negated_keys, transform_size
 from sparsedyn.shrinkage import _transform_is_cheaper, sparse_convolve_sum
 from sparsedyn.spectral import HeldField, SpatialField, dense_convolve_sum, is_hermitian
 
@@ -279,6 +280,37 @@ def test_transform_path_stays_hermitian_for_real_fields():
             for _ in range(2)
         )
         assert is_hermitian(sparse_convolve(u, w).to_dense(), rtol=1e-12)
+
+
+def test_solver_path_is_exactly_hermitian_and_matches_the_general_path():
+    # operands declared real take one real transform each; the sum read
+    # back is exactly Hermitian, bit for bit, and within roundoff of the
+    # path that takes any complex input
+    rng = np.random.default_rng(35)
+    for g in TRANSFORM_GRIDS:
+        u, a = (
+            SparseSpectrum.from_dense(dft_forward(SpatialField(g, rng.standard_normal(g.shape))))
+            for _ in range(2)
+        )
+        du = spectral_derivative(u)
+        terms = [(1.0, a, du), (-0.5, u, u)]
+        dense_of = {id(x): x.to_dense() for x in (u, a, du)}
+        dense_terms = [(w, dense_of[id(x)], dense_of[id(y)]) for w, x, y in terms]
+        assert all(_transform_is_cheaper(g, x.n_s, y.n_s) for _, x, y in terms)
+
+        real = sparse_convolve_sum(terms, real=True)
+        assert real.n_s > 0
+        partner = negated_keys(g, real.keys)
+        order = np.argsort(partner)
+        assert np.array_equal(partner[order], real.keys)
+        assert np.array_equal(real.values, np.conj(real.values[order]))
+        general = sparse_convolve_sum(terms)
+        assert np.abs(real.to_dense().coeffs - general.to_dense().coeffs).max() < 1e-12
+
+        real = dense_convolve_sum(dense_terms, real=True).coeffs.ravel()
+        assert np.array_equal(real, np.conj(real[negated_fft_index(g)]))
+        general = dense_convolve_sum(dense_terms).coeffs.ravel()
+        assert np.abs(real - general).max() < 1e-12
 
 
 def test_path_choice_on_workload_shapes():

@@ -4,11 +4,16 @@ import pytest
 from sparsedyn import GridSpec, fft_index_to_mode, mode_to_fft_index
 from sparsedyn.grid import (
     box_index,
+    box_unfold,
+    half_index,
+    key_digit,
     key_index_table,
     key_reach,
     key_to_fft_index,
     key_to_mode,
     mode_to_key,
+    negated_fft_index,
+    negated_keys,
     transform_size,
 )
 
@@ -89,6 +94,12 @@ def test_key_mode_round_trip(dims, n):
     keys = mode_to_key(g, modes)
     assert np.array_equal(key_to_mode(g, keys), modes)
     assert np.all(np.diff(keys) > 0)
+    for axis in range(dims):
+        assert np.array_equal(key_digit(g, keys, axis), modes[axis] + n // 2)
+    # negation keeps the unpaired Nyquist component -n/2, its own negation mod n
+    negated = np.where(modes == -n // 2, modes, -modes)
+    assert np.array_equal(negated_keys(g, keys), mode_to_key(g, negated))
+    assert np.array_equal(negated_fft_index(g)[mode_to_fft_index(g, modes)], mode_to_fft_index(g, negated))
     # keys add without carries: key(a) + key(b) == key(a + b) + key(0)
     zero = mode_to_key(g, np.zeros(dims, dtype=np.int64))
     sums = keys[:, None] + keys[None, :]
@@ -170,3 +181,25 @@ def test_box_index_lists_the_box_in_key_order(dims):
     keys, index = box_index(g, 7, g.n_padded)
     assert np.array_equal(keys, np.flatnonzero(table >= 0))
     assert np.array_equal(index, table[keys])
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_half_grid_holds_the_box_of_a_real_transform(dims):
+    # a real field's spectrum, read from its rfftn half: the entries with
+    # m_last >= 0 where half_index places them, and the whole box through
+    # box_unfold, the rest as conjugates of their negations
+    g = GridSpec(dims, 16)
+    rng = np.random.default_rng(dims)
+    for k, n_out in ((0, 1), (3, 7), (3, 9), (7, 16), (7, 24)):
+        field = rng.standard_normal((n_out,) * dims)
+        full = np.fft.fftn(field).ravel()
+        half = np.fft.rfftn(field).ravel()
+        keys, index = box_index(g, k, n_out)
+        keep, placed = half_index(g, keys, n_out)
+        assert np.array_equal(keep, key_to_mode(g, keys)[-1] >= 0)
+        assert np.allclose(half[placed], full[index[keep]], rtol=0, atol=1e-12)
+        read, flip = box_unfold(g, k, n_out)
+        got = np.where(flip, np.conj(half[read]), half[read])
+        assert np.allclose(got, full[index], rtol=0, atol=1e-12)
+        assert np.array_equal(got, np.conj(got[::-1]))  # exactly Hermitian
+

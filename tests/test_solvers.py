@@ -9,6 +9,7 @@ from sparsedyn import (
     CoefficientSpec,
     EquationParams,
     GridSpec,
+    HermitianViolation,
     InitialSpec,
     LambdaSchedule,
     NotTwoDimensional,
@@ -353,6 +354,29 @@ def test_diverging_run_raises_instead_of_dropping_nan():
             list(iter_dense_states(u0.to_dense(), params, dt, 400))
 
 
+def test_initial_state_must_be_the_spectrum_of_a_real_field():
+    # the steps convolve real fields only, so a complex initial state stops
+    # with a named error before the first step instead of being folded into
+    # a real one; a real field moved by whole cells passes, though its
+    # phases hold roundoff and the Nyquist entries of the bump are kept
+    g = GridSpec(1, 64)
+    params = EquationParams("convection", coeff=CoefficientSpec.constant(1.0))
+    bump = initial_condition(InitialSpec("gauss_bump", width=0.7), g)
+    turns = (bump.modes()[0] * 5) % g.n_per_dim
+    moved = bump.apply_mode_factor(np.exp(-2j * np.pi * turns / g.n_per_dim))
+    assert not np.array_equal(moved.values, bump.values)
+    lopsided = sine_field(g) + SparseSpectrum.from_dict(g, {2: 0.1})
+    tilted = sine_field(g) * np.exp(0.3j)
+    for u0 in (moved, bump, sine_field(g)):
+        advance(u0, params, NO_SHRINK, 1e-3, 2)
+        list(iter_dense_states(u0.to_dense(), params, 1e-3, 2))
+    for u0 in (lopsided, tilted):
+        with pytest.raises(HermitianViolation):
+            next(iter_states(u0, params, NO_SHRINK, 1e-3, 2))
+        with pytest.raises(HermitianViolation):
+            next(iter_dense_states(u0.to_dense(), params, 1e-3, 2))
+
+
 def test_diffusion_cfl_guard():
     g = GridSpec(1, 64)
     u0 = sine_field(g)
@@ -467,8 +491,9 @@ def test_equation_params_validation():
 
 
 def test_burgers_rhs_makes_three_transforms(monkeypatch):
-    # a*u_x - u*u/2 on the transform path: one inverse transform each for
-    # u_x and u, one forward for the sum; the coefficient's field is held
+    # a*u_x - u*u/2 on the transform path: one real inverse transform each
+    # for u_x and u, one real forward for the sum, no complex transform;
+    # the coefficient's field is held
     g = GridSpec(1, 64)
     rng = np.random.default_rng(8)
     u, a = (
@@ -480,16 +505,16 @@ def test_burgers_rhs_makes_three_transforms(monkeypatch):
         held = HeldField(coeff)
         first = _burgers_rhs(state, held)  # makes the coefficient's field
         calls = []
-        for name in ("fftn", "ifftn"):
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             original = getattr(np.fft, name)
 
-            def counted(x, _original=original, _name=name):
+            def counted(*args, _original=original, _name=name, **kwargs):
                 calls.append(_name)
-                return _original(x)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
         again = _burgers_rhs(state, held)
         monkeypatch.undo()
-        assert sorted(calls) == ["fftn", "ifftn", "ifftn"]
+        assert sorted(calls) == ["irfftn", "irfftn", "rfftn"]
         assert error_metrics(again, first) == (0.0, 0.0)
         assert error_metrics(again, _burgers_rhs(state, coeff)) == (0.0, 0.0)
