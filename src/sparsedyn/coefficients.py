@@ -44,10 +44,6 @@ class CoefficientSpec:
                 f"expected one of {sorted(_NAMED_FORMS)}"
             )
 
-    @property
-    def max_frequency(self) -> int:
-        return _NAMED_FORMS[self.kind][1]
-
     @classmethod
     def constant(cls, value: float) -> "CoefficientSpec":
         return cls("constant", value)

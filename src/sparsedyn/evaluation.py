@@ -18,7 +18,7 @@ import numpy as np
 # layer tracer in perfbench/, look them up in this module
 from .coefficients import coefficient_field_of  # noqa: F401
 from .errors import GridMismatch
-from .grid import GridSpec, box_index, key_to_fft_index
+from .grid import GridSpec, box_index
 from .shrinkage import SparseSpectrum
 from .solvers import EquationParams, _iterate
 from .spectral import DenseSpectrum, SpatialField, dft_inverse
@@ -125,7 +125,8 @@ def inject(spec: DenseSpectrum | SparseSpectrum, fine: GridSpec) -> DenseSpectru
     coarse = spec.grid
     if fine.dims != coarse.dims or fine.n_per_dim < coarse.n_per_dim:
         raise GridMismatch("target grid must match dims and be at least as fine")
-    keys, index = box_index(coarse, coarse.n_per_dim // 2 - 1, coarse.n_per_dim)
+    k = coarse.n_per_dim // 2 - 1
+    index = box_index(coarse, k, coarse.n_per_dim)[1]
     coeffs = np.zeros(fine.n_total, dtype=np.complex128)
-    coeffs[key_to_fft_index(coarse, keys, fine.n_per_dim)] = spec.coeffs.ravel()[index]
+    coeffs[box_index(coarse, k, fine.n_per_dim)[1]] = spec.coeffs.ravel()[index]
     return DenseSpectrum(fine, coeffs.reshape(fine.shape))

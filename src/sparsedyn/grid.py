@@ -6,15 +6,15 @@ dimension is ``{-n/2, ..., -1, 0, 1, ..., n/2 - 1}``.  Physical (angular)
 wavenumbers are ``2*pi*m / domain_length``, which reduces to the integer
 modes themselves on the default ``2*pi`` domain.
 
-All index arithmetic lives here.  A mode sits on an FFT-layout grid of any
-size ``P`` at digit ``m mod P`` per dimension (:func:`key_to_fft_index`).
-A product of operands is made on the smallest alias-free grid for their
-reach (:func:`key_reach`, :func:`transform_size`) and read at the box of
-modes it can reach (:func:`box_index`); :func:`key_index_table` holds the
-placement on the full padded grid for every sparse key of the open box
-``|m| < n/2``.  Products of real fields are made with real transforms,
-which keep the half grid ``m_last >= 0`` (:func:`half_index`); the rest of
-the box is read from there as conjugates (:func:`box_unfold`).
+All index arithmetic lives here.  A sparse key holds its mode's digits
+``m + n/2`` (:func:`mode_to_key`), and :func:`in_open_box` reads from them
+alone whether the mode lies in the open box ``|m| < n/2``.  A product of
+operands is made on the smallest alias-free grid for their reach
+(:func:`key_reach`, :func:`transform_size`) with real transforms, which
+keep the half grid ``m_last >= 0``: sparse entries are placed there by
+:func:`half_index`, dense ones by :func:`box_half_index`, and the box of
+modes the product can reach is read back from it as conjugates where
+needed (:func:`box_unfold`), in the key order of :func:`box_index`.
 """
 
 from __future__ import annotations
@@ -247,12 +247,19 @@ def negated_keys(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
     return (sum(n << s for s in shifts) - keys) & sum((n - 1) << s for s in shifts)
 
 
-def key_to_fft_index(grid: GridSpec, keys: np.ndarray, n_out: int) -> np.ndarray:
-    """Flat FFT-layout index of sparse keys on a grid of ``n_out`` points per
-    dimension, such as the padded transform grid (:attr:`GridSpec.n_padded`)
-    or a finer grid: digit ``m mod n_out`` per dimension, so a mode with
-    ``|m| >= n_out/2`` wraps and only modes that fit belong there."""
-    return _place(key_to_mode(grid, keys), n_out)
+def in_open_box(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
+    """Mask of the keys whose mode lies in the open box ``|m_d| < n/2``, so
+    that the unpaired Nyquist mode -n/2 is out: every digit lies in ``[1,
+    n)``, and a negative key is out.  This also decides for a sum of keys
+    less ``key(0)`` (:func:`mode_to_key`), whose digits ``s_d + n/2`` lie in
+    ``[-n/2, 3n/2)``: a negative digit borrows from the one above and reads
+    ``>= n`` itself, and a negative leading digit makes the key negative."""
+    n = grid.n_per_dim
+    if grid.dims == 1:
+        return (keys > 0) & (keys < n)
+    last = key_digit(grid, keys, 1)
+    lead = keys >> n.bit_length()  # unmasked, so a negative key is out
+    return (lead > 0) & (lead < n) & (last > 0) & (last < n)
 
 
 def key_reach(grid: GridSpec, keys: np.ndarray) -> int:
@@ -368,19 +375,3 @@ def box_unfold(grid: GridSpec, k: int, n_out: int) -> tuple[np.ndarray, np.ndarr
     modes = _box_modes(grid, k)
     flip = (modes[-1] < 0) | ((modes[-1] == 0) & (modes[0] < 0))
     return _read_only(_half_place(np.where(flip, -modes, modes), n_out), flip)
-
-
-@lru_cache(maxsize=16)
-def key_index_table(grid: GridSpec, n_out: int) -> np.ndarray:
-    """Flat index on the FFT grid of ``n_out`` points per dimension of every
-    key ``0 .. (2n)**dims - 1``, or -1 where some component of the key's mode
-    lies outside the open box ``|m| < n/2`` (so the unpaired Nyquist mode
-    -n/2 is out).  Stored as ``intp``, which numpy indexes with at full
-    speed (an int32 index array is converted on every use).  Read-only,
-    shared per grid and size; it is ``(2n)**dims`` entries, so it is made
-    for the full padded size :attr:`GridSpec.n_padded` only."""
-    keys = np.arange((2 * grid.n_per_dim) ** grid.dims)
-    inside = np.all(np.abs(key_to_mode(grid, keys)) < grid.n_per_dim // 2, axis=0)
-    table = np.where(inside, key_to_fft_index(grid, keys, n_out), -1).astype(np.intp)
-    table.setflags(write=False)
-    return table

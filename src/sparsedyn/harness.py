@@ -269,22 +269,19 @@ def write_report_csv(report: RunReport, path: Path) -> None:
 
 
 def write_field_csv(state: SparseSpectrum | DenseSpectrum, path: Path) -> None:
-    """Spatial dump: ``x[,y],u`` rows in grid order."""
+    """Spatial dump: ``x[,y],u`` rows in grid order, each value the
+    ``repr`` of a Python float, whatever the numpy version."""
     if isinstance(state, SparseSpectrum):
         state = state.to_dense()
     fld = dft_inverse(state)
-    grid = fld.grid
-    coords = grid.axis_coordinates()
-    lines = []
-    if grid.dims == 1:
-        lines.append("x,u")
-        for i in range(grid.n_per_dim):
-            lines.append(f"{coords[i]!r},{fld.values[i]!r}")
+    coords = fld.grid.axis_coordinates().tolist()
+    values = fld.values.tolist()
+    if fld.grid.dims == 1:
+        lines = ["x,u"] + [f"{x!r},{u!r}" for x, u in zip(coords, values)]
     else:
-        lines.append("x,y,u")
-        for i in range(grid.n_per_dim):
-            for j in range(grid.n_per_dim):
-                lines.append(f"{coords[i]!r},{coords[j]!r},{fld.values[i, j]!r}")
+        lines = ["x,y,u"] + [
+            f"{x!r},{y!r},{u!r}" for x, row in zip(coords, values) for y, u in zip(coords, row)
+        ]
     path.write_text("\n".join(lines) + "\n")
 
 

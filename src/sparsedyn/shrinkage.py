@@ -28,8 +28,8 @@ from .grid import (
     check_resolved,
     fft_index_to_mode,
     half_index,
+    in_open_box,
     key_digit,
-    key_index_table,
     key_reach,
     key_to_mode,
     mode_to_fft_index,
@@ -37,7 +37,7 @@ from .grid import (
     negated_keys,
     transform_size,
 )
-from .spectral import DenseSpectrum, HeldField, padded_product, spectrum_of
+from .spectral import DenseSpectrum, HeldField, hold_operands, padded_product
 
 # Magnitudes below this are treated as exact zeros during arithmetic.
 DROP_TOL = 1e-300
@@ -366,28 +366,18 @@ def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
     same order, less its roundoff tail (see :func:`_above_roundoff`), so it
     carries only the modes the sum really has.
     """
-    grid = spectrum_of(terms[0][1]).grid
-    table = key_index_table(grid, grid.n_padded)
-    inside: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+    grid, terms = hold_operands(terms)
 
-    def entries(operand) -> tuple[np.ndarray, np.ndarray, int]:
-        """Keys, values and reach of an operand's spectrum in the open box,
-        once per call, or once for as long as a held operand is held."""
-        spec = spectrum_of(operand)
-        if id(spec) not in inside:
-            if spec.grid != grid:
-                raise GridMismatch("convolution operands on different grids")
-            if isinstance(operand, HeldField) and operand.entries is not None:
-                inside[id(spec)] = operand.entries
-                return operand.entries
+    def entries(held: HeldField) -> tuple[np.ndarray, np.ndarray, int]:
+        """Keys, values and reach of a held operand's open-box entries."""
+        if held.entries is None:
+            spec = held.spectrum
             keys, vals, reach = spec.keys, spec.values, key_reach(grid, spec.keys)
             if reach == grid.n_per_dim // 2 - 1:  # drop the unpaired Nyquist mode, if any
-                keep = table[keys] >= 0
+                keep = in_open_box(grid, keys)
                 keys, vals = keys[keep], vals[keep]
-            inside[id(spec)] = keys, vals, reach
-            if isinstance(operand, HeldField):
-                operand.entries = inside[id(spec)]
-        return inside[id(spec)]
+            held.entries = keys, vals, reach
+        return held.entries
 
     live, reach = [], -1
     for w, a, b in terms:
@@ -409,8 +399,8 @@ def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
             parts.append(out if w == 1 else w * out)
     if transform_terms:
 
-        def placed(spec: SparseSpectrum, negated: bool) -> tuple[np.ndarray, np.ndarray]:
-            keys, vals, _ = entries(spec)
+        def placed(held: HeldField, negated: bool) -> tuple[np.ndarray, np.ndarray]:
+            keys, vals, _ = entries(held)
             if negated:
                 keys, vals = negated_keys(grid, keys[::-1]), np.conjugate(vals[::-1])
             keep, index = half_index(grid, keys, size)
@@ -452,21 +442,17 @@ def _pair_convolve(
         np.multiply(b_vals, a_vals[j], out=prod)
         acc[idx] += prod
 
-    # a sum below key(0) has a negative leading digit, so it is outside the box
-    mean = _mean_key(grid)
-    first = max(low, mean)
-    keys = np.flatnonzero(acc[first - low:] != 0)  # NaN != 0, so NaN cells are kept
-    vals = acc[first - low:][keys]
-    keys += first - mean  # the output key
-    inside = (key_index_table(grid, grid.n_padded)[keys] >= 0) & _nonzero(vals)
+    keys = np.flatnonzero(acc != 0)  # NaN != 0, so NaN cells are kept
+    vals = acc[keys]
+    keys += low - _mean_key(grid)  # the output key
+    inside = in_open_box(grid, keys) & _nonzero(vals)
     return SparseSpectrum(grid, keys[inside], vals[inside])
 
 
-def _transform_is_cheaper(grid: GridSpec, n_a: int, n_b: int, size: int | None = None) -> bool:
+def _transform_is_cheaper(grid: GridSpec, n_a: int, n_b: int, size: int) -> bool:
     """Whether the entry-pair loop over ``n_a * n_b`` pairs costs more than a
     transform on ``M = size**dims`` points, ``size`` the call's padded grid
-    size (:func:`~sparsedyn.grid.transform_size`; by default ``3n/2``, that
-    of operands that fill the box).
+    size (:func:`~sparsedyn.grid.transform_size`).
 
     The loop runs one row per entry of the smaller operand, each costing
     ``_ROW_COST`` pairs on top of its own, against
@@ -475,7 +461,7 @@ def _transform_is_cheaper(grid: GridSpec, n_a: int, n_b: int, size: int | None =
     roundoff filter, each a separate numpy call) keeps small operands on
     pairs whatever the grid.
     """
-    m_total = (size or grid.n_padded) ** grid.dims
+    m_total = size**grid.dims
     rows, cols = min(n_a, n_b), max(n_a, n_b)
     transform = _TRANSFORM_FIXED + _TRANSFORM_COST * m_total * math.log2(m_total)
     return rows * (cols + _ROW_COST) > transform

@@ -143,14 +143,15 @@ def spectral_derivative(spec, axis: int = 0):
 
 
 class HeldField:
-    """A convolution operand whose field on the padded grid is made on first
-    use and then kept, with the grid's size and whether the call declared
-    its operands real: for an operand that every step convolves again,
-    such as a run's coefficient.  A call on another size, or under the
-    other contract, makes it again.  A sparse operand also keeps its
-    open-box entries and reach (``entries``, made by the sparse convolution
-    on first use).  The field is as large as the padded grid, so hold one
-    per run, never one per state."""
+    """The memo of one convolution operand: its field on the padded grid,
+    made on first use and kept with the grid's size and whether the call
+    declared its operands real (a call on another size, or under the other
+    contract, makes it again), and for a sparse operand its open-box
+    entries and reach (``entries``, made by the sparse convolution on first
+    use).  Every call puts its operands behind one each
+    (:func:`hold_operands`); hold one across calls for an operand that
+    every step convolves again, such as a run's coefficient.  The field is
+    as large as the padded grid, so hold one per run, never one per state."""
 
     __slots__ = ("spectrum", "field", "size", "real", "entries")
 
@@ -167,22 +168,49 @@ def spectrum_of(operand):
     return operand.spectrum if isinstance(operand, HeldField) else operand
 
 
+def hold_operands(terms) -> tuple[GridSpec, list]:
+    """The common grid of terms ``(w, a, b)`` and the terms with every
+    operand a :class:`HeldField`: a held operand as it is, any other behind
+    one made for this call and shared by each term it appears in, so every
+    distinct operand is made once per call.
+
+    Raises
+    ------
+    GridMismatch
+        If the operands are not all on one grid.
+    """
+    held: dict[int, HeldField] = {}
+
+    def hold(operand) -> HeldField:
+        if isinstance(operand, HeldField):
+            return operand
+        if id(operand) not in held:
+            held[id(operand)] = HeldField(operand)
+        return held[id(operand)]
+
+    terms = [(w, hold(a), hold(b)) for w, a, b in terms]
+    grid = terms[0][1].spectrum.grid
+    if any(op.spectrum.grid != grid for _, a, b in terms for op in (a, b)):
+        raise GridMismatch("convolution operands on different grids")
+    return grid, terms
+
+
 def padded_product(grid: GridSpec, terms, entries, size: int, k: int, real: bool) -> np.ndarray:
-    """Values of ``sum w * a * b`` over terms ``(w, a, b)`` at the modes
-    ``|s_d| <= k`` in key order (:func:`~sparsedyn.grid.box_index`), made
-    on the grid of ``size`` points per dimension with real transforms.
+    """Values of ``sum w * a * b`` over terms ``(w, a, b)`` of held operands
+    (:func:`hold_operands`) at the modes ``|s_d| <= k`` in key order
+    (:func:`~sparsedyn.grid.box_index`), made on the grid of ``size``
+    points per dimension with real transforms.
 
     ``size`` and ``k`` come from :func:`~sparsedyn.grid.transform_size` for
     the largest sum of the operands' reaches, so every product lands on its
     own mode or outside the box read: the result is free of aliasing.
-    ``entries(spectrum, negated)`` gives a spectrum's open-box entries with
+    ``entries(held, negated)`` gives a held operand's open-box entries with
     ``m_last >= 0`` as (flat index on the half grid of
     :func:`~sparsedyn.grid.half_index`, value); with ``negated`` it gives
     instead those with ``m_last <= 0``, at the index of their negated mode,
-    conjugated.  Each distinct operand of the call is scattered and
-    inverse-transformed once, so ``u*u`` transforms ``u`` once; a
-    :class:`HeldField` makes its field once for as long as it is held and
-    calls keep its size and contract.
+    conjugated.  Each held operand is scattered and inverse-transformed
+    once for as long as calls keep its size and contract, so ``u*u``
+    transforms ``u`` once.
 
     With ``real`` the caller declares every operand the spectrum of a real
     field and every weight real: each operand's field is one ``irfftn`` of
@@ -204,12 +232,13 @@ def padded_product(grid: GridSpec, terms, entries, size: int, k: int, real: bool
     half_shape = shape[:-1] + (size // 2 + 1,)
     parts = 1 if real else 2  # real fields per operand, stacked on a leading axis
     axes = tuple(range(1, grid.dims + 1))
-    made: dict[int, np.ndarray] = {}
 
-    def make(spectrum) -> np.ndarray:
+    def field(held: HeldField) -> np.ndarray:
+        if (held.size, held.real) == (size, real):
+            return held.field
         half = np.zeros((parts, math.prod(half_shape)), dtype=np.complex128)
         for row, negated in zip(half, (False, True)):
-            index, values = entries(spectrum, negated)
+            index, values = entries(held, negated)
             row[index] = values
         if not real:  # rows c(m) and conj c(-m) become the two parts
             own, odd = half
@@ -218,16 +247,9 @@ def padded_product(grid: GridSpec, terms, entries, size: int, k: int, real: bool
             odd *= 0.5j
             own[:] = even
         fields = np.fft.irfftn(half.reshape((parts,) + half_shape), shape, axes, norm="forward")
-        return fields[0] if real else fields[0] + 1j * fields[1]
-
-    def field(operand) -> np.ndarray:
-        if isinstance(operand, HeldField):
-            if (operand.size, operand.real) != (size, real):
-                operand.field, operand.size, operand.real = make(operand.spectrum), size, real
-            return operand.field
-        if id(operand) not in made:
-            made[id(operand)] = make(operand)
-        return made[id(operand)]
+        held.field = fields[0] if real else fields[0] + 1j * fields[1]
+        held.size, held.real = size, real
+        return held.field
 
     total = None
     for w, a, b in terms:
@@ -260,14 +282,12 @@ def dense_convolve_sum(terms, *, real: bool = False) -> DenseSpectrum:
     coefficients are placed there, and the weighted sum is written back to
     the open box, so the unpaired Nyquist mode is zero.
     """
-    grid = spectrum_of(terms[0][1]).grid
-    if any(spectrum_of(op).grid != grid for _, a, b in terms for op in (a, b)):
-        raise GridMismatch("convolution operands on different grids")
+    grid, terms = hold_operands(terms)
     size, k = transform_size(grid, 2 * (grid.n_per_dim // 2 - 1))
     own, negated, half = box_half_index(grid, k, size)
 
-    def entries(spec: DenseSpectrum, negate: bool) -> tuple[np.ndarray, np.ndarray]:
-        flat = spec.coeffs.ravel()
+    def entries(held: HeldField, negate: bool) -> tuple[np.ndarray, np.ndarray]:
+        flat = held.spectrum.coeffs.ravel()
         return half, (np.conjugate(flat[negated]) if negate else flat[own])
 
     coeffs = np.zeros(grid.n_total, dtype=np.complex128)

@@ -218,8 +218,8 @@ def test_convolve_sum_matches_brute_force_on_both_containers():
     for g in TRANSFORM_GRIDS:
         u, v = full_box(g, rng), full_box(g, rng)
         small = random_sparse(g, rng, max_entries=3)
-        assert _transform_is_cheaper(g, u.n_s, v.n_s)
-        assert not _transform_is_cheaper(g, small.n_s, small.n_s)
+        assert _transform_is_cheaper(g, u.n_s, v.n_s, g.n_padded)
+        assert not _transform_is_cheaper(g, small.n_s, small.n_s, g.n_padded)
         cases = [
             [(1.0, u, u)],  # a repeated operand
             [(1.0, u, v), (-0.5, u, u)],  # a negative weight, u shared
@@ -296,7 +296,7 @@ def test_solver_path_is_exactly_hermitian_and_matches_the_general_path():
         terms = [(1.0, a, du), (-0.5, u, u)]
         dense_of = {id(x): x.to_dense() for x in (u, a, du)}
         dense_terms = [(w, dense_of[id(x)], dense_of[id(y)]) for w, x, y in terms]
-        assert all(_transform_is_cheaper(g, x.n_s, y.n_s) for _, x, y in terms)
+        assert all(_transform_is_cheaper(g, x.n_s, y.n_s, g.n_padded) for _, x, y in terms)
 
         real = sparse_convolve_sum(terms, real=True)
         assert real.n_s > 0
@@ -330,8 +330,8 @@ def test_path_choice_on_workload_shapes():
         (GridSpec(1, 16), 1, 2, False),  # tiny operands on a small grid
     ]
     for g, n_a, n_b, transform in cases:
-        assert _transform_is_cheaper(g, n_a, n_b) is transform
-        assert _transform_is_cheaper(g, n_b, n_a) is transform
+        assert _transform_is_cheaper(g, n_a, n_b, g.n_padded) is transform
+        assert _transform_is_cheaper(g, n_b, n_a, g.n_padded) is transform
     # the same on the grid sized to the operands' reach sum
     sized = [
         (GridSpec(2, 128), 22, 252, 252, True),  # vorticity, later steps: |m| <= 11
@@ -355,7 +355,7 @@ def test_transform_output_carries_no_roundoff_tail():
     ]
     for g, f, h in cases:
         u, w = (SparseSpectrum.from_dense(dft_forward(SpatialField(g, v))) for v in (f, h))
-        assert _transform_is_cheaper(g, u.n_s, w.n_s)
+        assert _transform_is_cheaper(g, u.n_s, w.n_s, g.n_padded)
         want = brute_force_convolve(u.to_dict(), w.to_dict(), g)
         real = {k for k, v in want.items() if abs(v) > 1e-12}
         assert 0 < len(real) < min(u.n_s, w.n_s) / 5
@@ -410,21 +410,31 @@ def test_held_field_follows_the_call_size(monkeypatch):
 @pytest.mark.parametrize("transform", [False, True])
 def test_small_operands_allocate_the_same_on_any_grid(transform, monkeypatch):
     # 16 x 16 entries within |m| <= 8: what one call allocates does not grow
-    # with the grid, on either path
+    # with the grid, on either path, nor does the first call on a new grid
     monkeypatch.setattr(shrinkage, "_transform_is_cheaper", lambda *_: transform)
-    peaks = []
+
+    def operands(n: int, domain_length: float = 2 * np.pi):
+        rng = np.random.default_rng(7)
+        g = GridSpec(1, n, domain_length)
+        return within(g, 8, rng, 16), within(g, 8, rng, 16)
+
+    def peak(a, b) -> int:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sparse_convolve(a, b)
+        return tracemalloc.get_traced_memory()[1] - before
+
     tracemalloc.start()
     try:
+        peak(*operands(2**10))  # pays the tracer's own one-time allocations
+        # a domain length of its own for each path: a grid no cache has seen
+        first = peak(*operands(2**20, domain_length=1.0 + transform))
+        peaks = []
         for n in (2**10, 2**20, 2**10, 2**20):
-            rng = np.random.default_rng(7)
-            g = GridSpec(1, n)
-            a, b = within(g, 8, rng, 16), within(g, 8, rng, 16)
-            sparse_convolve(a, b)  # fills the per-grid caches
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            sparse_convolve(a, b)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            a, b = operands(n)
+            peak(a, b)  # a call's peak also depends on the calls made before it
+            peaks.append(peak(a, b))
     finally:
         tracemalloc.stop()
-    # the first pass pays the tracer's own one-time allocations
+    assert first < 64 * 1024
     assert peaks[2] == peaks[3]

@@ -6,10 +6,9 @@ from sparsedyn.grid import (
     box_index,
     box_unfold,
     half_index,
+    in_open_box,
     key_digit,
-    key_index_table,
     key_reach,
-    key_to_fft_index,
     key_to_mode,
     mode_to_key,
     negated_fft_index,
@@ -106,19 +105,26 @@ def test_key_mode_round_trip(dims, n):
     summed = modes[:, :, None] + modes[:, None, :]
     resolved = np.all((summed >= -n // 2) & (summed < n // 2), axis=0)
     assert np.array_equal(sums[resolved], mode_to_key(g, summed[:, resolved]) + zero)
-    # one placement rule: on the grid's own size it is mode_to_fft_index
-    assert np.array_equal(key_to_fft_index(g, keys, n), mode_to_fft_index(g, modes))
-    # the key table sends the open box |m| < n/2 to distinct padded indices
-    # and every other key, Nyquist included, to -1
-    table = key_index_table(g, g.n_padded)
-    all_keys = np.arange(table.size)
-    open_box = np.all(np.abs(key_to_mode(g, all_keys)) < n // 2, axis=0)
-    assert np.all(table[~open_box] == -1)
-    inside = table[open_box]
-    assert inside.size == (n - 1) ** dims
-    assert inside.min() >= 0 and inside.max() < g.n_padded**dims
-    assert np.unique(inside).size == inside.size
-    assert np.array_equal(inside, key_to_fft_index(g, all_keys[open_box], g.n_padded))
+
+
+@pytest.mark.parametrize("dims,n", [(1, 4), (1, 16), (1, 128), (2, 4), (2, 8), (2, 32)])
+def test_in_open_box_reads_the_digits(dims, n):
+    g = GridSpec(dims, n)
+    # every key in [-(2n)^d, (2n)^d): in the box iff non-negative and every
+    # decoded mode component |m_d| < n/2, so the Nyquist mode is out
+    keys = np.arange(-((2 * n) ** dims), (2 * n) ** dims)
+    want = (keys >= 0) & np.all(np.abs(key_to_mode(g, keys)) < n // 2, axis=0)
+    assert np.array_equal(in_open_box(g, keys), want)
+    assert np.count_nonzero(want) == (n - 1) ** dims
+    # a sum of two resolved keys less key(0), as the entry-pair path makes
+    # it, is in the box iff the summed mode is
+    axis = np.arange(-n // 2, n // 2)
+    modes = np.stack([m.ravel() for m in np.meshgrid(*([axis] * dims), indexing="ij")])
+    keys = mode_to_key(g, modes)
+    zero = mode_to_key(g, np.zeros(dims, dtype=np.int64))
+    sums = (keys[:, None] + keys[None, :] - zero).ravel()
+    summed = (modes[:, :, None] + modes[:, None, :]).reshape(dims, -1)
+    assert np.array_equal(in_open_box(g, sums), np.all(np.abs(summed) < n // 2, axis=0))
 
 
 def test_out_of_range_errors():
@@ -175,12 +181,12 @@ def test_box_index_lists_the_box_in_key_order(dims):
         modes = key_to_mode(g, keys)
         assert keys.size == (2 * k + 1) ** dims
         assert np.all(np.diff(keys) > 0) and np.abs(modes).max() == k
-        assert np.array_equal(index, key_to_fft_index(g, keys, n_out))
-    # the full box is the open box of the key table
-    table = key_index_table(g, g.n_padded)
-    keys, index = box_index(g, 7, g.n_padded)
-    assert np.array_equal(keys, np.flatnonzero(table >= 0))
-    assert np.array_equal(index, table[keys])
+        place = np.ravel_multi_index(tuple(np.mod(modes, n_out)), (n_out,) * dims)
+        assert np.array_equal(index, place)
+    # the full box is the open box
+    keys = box_index(g, 7, g.n_padded)[0]
+    every = np.arange((2 * g.n_per_dim) ** dims)
+    assert np.array_equal(keys, every[in_open_box(g, every)])
 
 
 @pytest.mark.parametrize("dims", [1, 2])

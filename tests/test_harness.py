@@ -1,5 +1,6 @@
 import warnings
 
+import numpy as np
 import pytest
 
 from sparsedyn import (
@@ -14,7 +15,7 @@ from sparsedyn import (
     parse_config_text,
     run,
 )
-from sparsedyn import harness
+from sparsedyn import dft_inverse, harness
 from sparsedyn.harness import write_field_csv
 
 SMALL_CONFIG = """
@@ -32,6 +33,18 @@ initial_condition = gauss_bump
 initial_width = 0.6
 baselines = dense
 snapshot_times = 2e-3
+"""
+
+VORTICITY_CONFIG = """
+equation = vorticity2d
+dims = 2
+n_per_dim = 16
+dt = 0.005
+t_end = 0.02
+lambda_mode = fixed
+fixed_lambda = 1e-6
+gamma = 0.01
+initial_condition = two_vortices
 """
 
 
@@ -152,6 +165,22 @@ def test_run_writes_expected_files(tmp_path):
     field_lines = (tmp_path / "field_final.csv").read_text().splitlines()
     assert field_lines[0] == "x,u"
     assert len(field_lines) == 65
+
+
+@pytest.mark.parametrize("text", [SMALL_CONFIG, VORTICITY_CONFIG], ids=["1d", "2d"])
+def test_field_csv_holds_the_final_field_as_plain_numbers(text, tmp_path):
+    # every value parses with float() and equals the final state's field
+    # exactly, whatever repr numpy gives its own scalars
+    run(parse_config_text(text), out_dir=tmp_path)
+    final = load_spectrum(str(tmp_path / "spectrum_final.txt"))
+    values = dft_inverse(final.to_dense()).values
+    lines = (tmp_path / "field_final.csv").read_text().splitlines()
+    g = final.grid
+    assert lines[0] == ("x,u" if g.dims == 1 else "x,y,u")
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    coords = np.meshgrid(*([g.axis_coordinates()] * g.dims), indexing="ij")
+    want = np.stack([c.ravel() for c in coords] + [values.ravel()], axis=1)
+    assert np.array_equal(rows, want)
 
 
 def test_run_without_baseline_leaves_error_columns_empty(tmp_path):

@@ -500,7 +500,8 @@ def test_burgers_rhs_makes_three_transforms(monkeypatch):
         SparseSpectrum.from_dense(dft_forward(SpatialField(g, rng.standard_normal(64))))
         for _ in range(2)
     )
-    assert _transform_is_cheaper(g, u.n_s - 2, a.n_s)  # u_x loses k = 0 and the Nyquist
+    # u_x loses k = 0 and the Nyquist
+    assert _transform_is_cheaper(g, u.n_s - 2, a.n_s, g.n_padded)
     for state, coeff in ((u, a), (u.to_dense(), a.to_dense())):
         held = HeldField(coeff)
         first = _burgers_rhs(state, held)  # makes the coefficient's field
