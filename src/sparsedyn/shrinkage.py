@@ -4,11 +4,12 @@ threshold schedule, and truncated sparse-sparse spectral convolution.
 Entries are keyed by integer mode vectors and stored sorted (lexicographic
 mode order), so iteration and serialization are deterministic.
 
-What counts as a zero coefficient: arithmetic drops only true underflow
-(``DROP_TOL``); a spectrum that comes out of a transform also drops its
-roundoff tail, every entry below ``ROUNDOFF_FLOOR`` times its largest
-magnitude.  Nothing non-finite is ever dropped.  Only the soft threshold
-removes small coefficients beyond that.
+What counts as a zero coefficient: sparse arithmetic drops only true
+underflow (``DROP_TOL``); a spectrum made densely, by
+:meth:`SparseSpectrum.from_dense` or by the transform path of a
+convolution, also drops its roundoff tail, every entry below
+``ROUNDOFF_FLOOR`` times its largest magnitude.  Nothing non-finite is ever
+dropped.  Only the soft threshold removes small coefficients beyond that.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .spectral import DenseSpectrum, HeldField, hold_operands, padded_product
 # Magnitudes below this are treated as exact zeros during arithmetic.
 DROP_TOL = 1e-300
 
-# Share of the largest magnitude below which a transform-made coefficient is
+# Share of the largest magnitude below which a densely made coefficient is
 # roundoff.  The FFT roundoff of the bundled coefficient and forcing spectra
 # reaches about 15 eps of their largest entry; 16 eps lies just above that
 # and far below any threshold a run uses.
@@ -65,7 +66,7 @@ def _nonzero(values: np.ndarray) -> np.ndarray:
 
 
 def _above_roundoff(values: np.ndarray) -> np.ndarray:
-    """Mask of entries of a transform-made spectrum that are not roundoff:
+    """Mask of entries of a densely made spectrum that are not roundoff:
     magnitude at or above ``ROUNDOFF_FLOOR`` times the largest, and not
     underflow.  When any entry is NaN or infinite this is :func:`_nonzero`,
     so nothing finite is dropped on the way to a divergence error."""
@@ -130,19 +131,10 @@ class SparseSpectrum:
 
     @classmethod
     def from_dense(cls, spec: DenseSpectrum) -> "SparseSpectrum":
-        """Sparsify a dense spectrum, dropping only underflow-level entries."""
-        return cls._sparsify(spec, _nonzero)
-
-    @classmethod
-    def from_transform(cls, spec: DenseSpectrum) -> "SparseSpectrum":
-        """Sparsify a dense spectrum that comes out of a transform, dropping
-        its roundoff tail as well (see :func:`_above_roundoff`)."""
-        return cls._sparsify(spec, _above_roundoff)
-
-    @classmethod
-    def _sparsify(cls, spec: DenseSpectrum, keep) -> "SparseSpectrum":
+        """Sparsify a dense spectrum, dropping its roundoff tail (see
+        :func:`_above_roundoff`)."""
         flat = spec.coeffs.ravel()
-        idx = np.flatnonzero(keep(flat))
+        idx = np.flatnonzero(_above_roundoff(flat))
         grid = spec.grid
         keys = mode_to_key(grid, fft_index_to_mode(grid, idx))
         order = np.argsort(keys)
@@ -348,23 +340,26 @@ def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
     non-empty terms, products are made on ``P`` points per dimension, the
     smallest ``2^a 3^b >= R + K + 1`` and at most ``3n/2``, and read at the
     box ``|s_d| <= K = min(R, n/2 - 1)`` (:func:`~sparsedyn.grid.transform_size`).
-    Each term then takes the cheaper of two paths at ``M = P**dims`` (see
-    :func:`_transform_is_cheaper`): entry pairs, a fixed cost per row of
-    the smaller operand plus one per pair, or the transform, O(M log M).
-    Pair terms are weighted and added as sparse spectra.  Transform terms
-    share the padded grid: each distinct operand is scattered and
-    inverse-transformed once, and the weighted products are summed in space
-    and transformed forward (:func:`~sparsedyn.spectral.padded_product`).
+    The whole call takes one of two paths, the cheaper at ``M = P**dims``
+    for its term with the most pairs (see :func:`_transform_is_cheaper`):
+    entry pairs, a fixed cost per row of the smaller operand plus one per
+    pair, or the transform, O(M log M).  On pairs every term adds its
+    weighted pairs into one accumulator (:func:`_pair_convolve`).  On the
+    transform the terms share the padded grid: each distinct operand is
+    scattered and inverse-transformed once, and the weighted products are
+    summed in space and transformed forward
+    (:func:`~sparsedyn.spectral.padded_product`); the sum then drops its
+    roundoff tail (see :func:`_above_roundoff`), so it carries only the
+    modes it really has.
     With ``real`` the caller declares every operand the spectrum of a real
     field and every weight real (the solver's promise, not a user option):
     each operand then takes one real inverse transform, the sum one real
-    forward transform, and the transform part is exactly Hermitian.
+    forward transform, and the transform's output is exactly Hermitian.
     Without it any complex operand is taken, as two real fields per
-    operand and two for the sum.  With operands that fill the box and every
-    term on the transform path the output is that of
+    operand and two for the sum.  With operands that fill the box the
+    transform output is that of
     :func:`~sparsedyn.spectral.dense_convolve_sum` on the same terms in the
-    same order, less its roundoff tail (see :func:`_above_roundoff`), so it
-    carries only the modes the sum really has.
+    same order, less its roundoff tail.
     """
     grid, terms = hold_operands(terms)
 
@@ -379,68 +374,58 @@ def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
             held.entries = keys, vals, reach
         return held.entries
 
-    live, reach = [], -1
+    live, reach, rows, cols = [], -1, 0, 0
     for w, a, b in terms:
-        a_entries, b_entries = entries(a), entries(b)
-        if a_entries[0].size and b_entries[0].size:
-            live.append((w, a, b, a_entries, b_entries))
-            reach = max(reach, a_entries[2] + b_entries[2])
+        (a_keys, _, a_reach), (b_keys, _, b_reach) = entries(a), entries(b)
+        if a_keys.size and b_keys.size:
+            live.append((w, a, b))
+            reach = max(reach, a_reach + b_reach)
+            if a_keys.size * b_keys.size > rows * cols:
+                rows, cols = a_keys.size, b_keys.size
     if not live:
         return SparseSpectrum.empty(grid)
     size, k = transform_size(grid, reach)
+    if not _transform_is_cheaper(grid, rows, cols, size):
+        return _pair_convolve(grid, [(w, entries(a), entries(b)) for w, a, b in live])
 
-    parts = []
-    transform_terms = []
-    for w, a, b, (a_keys, a_vals, _), (b_keys, b_vals, _) in live:
-        if _transform_is_cheaper(grid, a_keys.size, b_keys.size, size):
-            transform_terms.append((w, a, b))
-        else:
-            out = _pair_convolve(grid, a_keys, a_vals, b_keys, b_vals)
-            parts.append(out if w == 1 else w * out)
-    if transform_terms:
+    def placed(held: HeldField, negated: bool) -> tuple[np.ndarray, np.ndarray]:
+        keys, vals, _ = entries(held)
+        if negated:
+            keys, vals = negated_keys(grid, keys[::-1]), np.conjugate(vals[::-1])
+        keep, index = half_index(grid, keys, size)
+        return index, vals[keep]
 
-        def placed(held: HeldField, negated: bool) -> tuple[np.ndarray, np.ndarray]:
-            keys, vals, _ = entries(held)
-            if negated:
-                keys, vals = negated_keys(grid, keys[::-1]), np.conjugate(vals[::-1])
-            keep, index = half_index(grid, keys, size)
-            return index, vals[keep]
-
-        vals = padded_product(grid, transform_terms, placed, size, k, real)
-        keep = _above_roundoff(vals)
-        parts.insert(0, SparseSpectrum(grid, box_index(grid, k, size)[0][keep], vals[keep]))
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    return total
+    vals = padded_product(grid, live, placed, size, k, real)
+    keep = _above_roundoff(vals)
+    return SparseSpectrum(grid, box_index(grid, k, size)[0][keep], vals[keep])
 
 
-def _pair_convolve(
-    grid: GridSpec,
-    a_keys: np.ndarray,
-    a_vals: np.ndarray,
-    b_keys: np.ndarray,
-    b_vals: np.ndarray,
-) -> SparseSpectrum:
-    """The entry-pair path on open-box entries: one row per entry of the
-    smaller operand, so the sum runs in the same order either way round.
+def _pair_convolve(grid: GridSpec, terms) -> SparseSpectrum:
+    """The entry-pair path: ``sum w * (a * b)`` over terms ``(w, a, b)`` of
+    open-box entries ``(keys, values, reach)``.  Each term runs one row per
+    entry of its smaller operand, weight folded into the row, so its sum
+    runs in the same order either way round.
 
     Digits of resolved modes lie in ``[0, n)``, so a sum of two keys carries
-    nothing: ``key(k1) + key(k2)`` is ``key(k1 + k2) + key(0)``.  The sums
-    lie in the window ``[a_keys[0] + b_keys[0], a_keys[-1] + b_keys[-1]]``,
-    and the accumulator covers that window alone, whatever the grid.
+    nothing: ``key(k1) + key(k2)`` is ``key(k1 + k2) + key(0)``.  One
+    accumulator covers the window from the smallest to the largest key sum
+    of the terms, and that window alone, whatever the grid.
     """
-    if b_keys.size < a_keys.size:
-        a_keys, a_vals, b_keys, b_vals = b_keys, b_vals, a_keys, a_vals
-    low = int(a_keys[0] + b_keys[0])
-    acc = np.zeros(int(a_keys[-1] + b_keys[-1]) - low + 1, dtype=np.complex128)
-    shifted = b_keys - low
-    idx = np.empty_like(b_keys)
-    prod = np.empty_like(b_vals)
-    for j in range(a_keys.size):
-        np.add(shifted, a_keys[j], out=idx)
-        np.multiply(b_vals, a_vals[j], out=prod)
-        acc[idx] += prod
+    low = min(int(a[0][0] + b[0][0]) for _, a, b in terms)
+    high = max(int(a[0][-1] + b[0][-1]) for _, a, b in terms)
+    acc = np.zeros(high - low + 1, dtype=np.complex128)
+    for w, (a_keys, a_vals, _), (b_keys, b_vals, _) in terms:
+        if b_keys.size < a_keys.size:
+            a_keys, a_vals, b_keys, b_vals = b_keys, b_vals, a_keys, a_vals
+        if w != 1:
+            a_vals = w * a_vals
+        shifted = b_keys - low
+        idx = np.empty_like(b_keys)
+        prod = np.empty_like(b_vals)
+        for j in range(a_keys.size):
+            np.add(shifted, a_keys[j], out=idx)
+            np.multiply(b_vals, a_vals[j], out=prod)
+            acc[idx] += prod
 
     keys = np.flatnonzero(acc != 0)  # NaN != 0, so NaN cells are kept
     vals = acc[keys]

@@ -204,8 +204,7 @@ def step_vorticity(
 
 def _prepare(params: EquationParams, initial: Spectrum, dt: float, strict_cfl: bool) -> Spectrum:
     """The run's coefficient (or forcing) spectrum, in the container type of
-    ``initial``; checks the stability guard once for the whole run.  The
-    sparse spectrum comes out of a transform, so it drops its roundoff tail."""
+    ``initial``; checks the stability guard once for the whole run."""
     grid = initial.grid
     if params.equation == "vorticity2d":
         if grid.dims != 2:
@@ -221,7 +220,7 @@ def _prepare(params: EquationParams, initial: Spectrum, dt: float, strict_cfl: b
         elif a_max > 0:
             _check_cfl("explicit-diffusion", dt, CFL_DIFFUSION * grid.dx**2 / a_max, strict_cfl)
         dense = coefficient_field_of(params.coeff, grid)
-    return SparseSpectrum.from_transform(dense) if isinstance(initial, SparseSpectrum) else dense
+    return SparseSpectrum.from_dense(dense) if isinstance(initial, SparseSpectrum) else dense
 
 
 def _iterate(

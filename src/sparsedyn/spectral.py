@@ -33,7 +33,8 @@ from .grid import (
     transform_size,
 )
 
-# Imaginary residual above this aborts a nominally real inverse transform.
+# Imaginary residual above this, relative to the field's largest real value
+# when that exceeds one, aborts a nominally real inverse transform.
 IMAG_RESIDUAL_LIMIT = 1e-8
 
 
@@ -123,14 +124,14 @@ def dft_inverse(spec: DenseSpectrum) -> SpatialField:
     ------
     HermitianViolation
         If the reconstructed field has an imaginary residual larger than
-        ``IMAG_RESIDUAL_LIMIT`` (signals a solver bug upstream).
+        ``IMAG_RESIDUAL_LIMIT`` times ``max(1, max|real part|)`` (signals a
+        solver bug upstream; a huge but finite field is not one).
     """
     values = np.fft.ifftn(spec.coeffs) * spec.grid.n_total
-    residual = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    if residual > IMAG_RESIDUAL_LIMIT:
-        raise HermitianViolation(
-            f"imaginary residual {residual:.3e} exceeds {IMAG_RESIDUAL_LIMIT:.0e}"
-        )
+    residual = float(np.max(np.abs(values.imag), initial=0.0))
+    limit = IMAG_RESIDUAL_LIMIT * max(1.0, float(np.max(np.abs(values.real), initial=0.0)))
+    if residual > limit:
+        raise HermitianViolation(f"imaginary residual {residual:.3e} exceeds {limit:.0e}")
     return SpatialField(spec.grid, values.real.copy())
 
 
@@ -149,11 +150,12 @@ class HeldField:
     contract, makes it again), and for a sparse operand its open-box
     entries and reach (``entries``, made by the sparse convolution on first
     use).  Every call puts its operands behind one each
-    (:func:`hold_operands`); hold one across calls for an operand that
-    every step convolves again, such as a run's coefficient.  The field is
-    as large as the padded grid, so hold one per run, never one per state."""
+    (:func:`hold_operands`), marked ``call_only`` if made for that call;
+    hold one across calls for an operand that every step convolves again,
+    such as a run's coefficient.  The field is as large as the padded grid,
+    so hold one per run, never one per state."""
 
-    __slots__ = ("spectrum", "field", "size", "real", "entries")
+    __slots__ = ("spectrum", "field", "size", "real", "entries", "call_only")
 
     def __init__(self, spectrum) -> None:
         self.spectrum = spectrum
@@ -161,6 +163,7 @@ class HeldField:
         self.size = 0
         self.real = False
         self.entries = None
+        self.call_only = False
 
 
 def spectrum_of(operand):
@@ -185,7 +188,8 @@ def hold_operands(terms) -> tuple[GridSpec, list]:
         if isinstance(operand, HeldField):
             return operand
         if id(operand) not in held:
-            held[id(operand)] = HeldField(operand)
+            held[id(operand)] = made = HeldField(operand)
+            made.call_only = True
         return held[id(operand)]
 
     terms = [(w, hold(a), hold(b)) for w, a, b in terms]
@@ -210,7 +214,8 @@ def padded_product(grid: GridSpec, terms, entries, size: int, k: int, real: bool
     instead those with ``m_last <= 0``, at the index of their negated mode,
     conjugated.  Each held operand is scattered and inverse-transformed
     once for as long as calls keep its size and contract, so ``u*u``
-    transforms ``u`` once.
+    transforms ``u`` once; the field of a ``call_only`` operand is dropped
+    after the last term that needs it.
 
     With ``real`` the caller declares every operand the spectrum of a real
     field and every weight real: each operand's field is one ``irfftn`` of
@@ -251,15 +256,23 @@ def padded_product(grid: GridSpec, terms, entries, size: int, k: int, real: bool
         held.size, held.real = size, real
         return held.field
 
+    # a field made for this call alone is dropped after its last product,
+    # so the call holds few fields at once and none through the forward
+    # transform: a smaller peak, which the heap can serve again next call
+    last = {id(held): j for j, (_, a, b) in enumerate(terms) for held in (a, b)}
     total = None
-    for w, a, b in terms:
+    for j, (w, a, b) in enumerate(terms):
         prod = field(a) * field(b)
+        for held in (a, b):
+            if held.call_only and last[id(held)] == j:
+                held.field, held.size = None, 0
         if w != 1:
             prod *= w
         if total is None:
             total = prod
         else:
             total += prod
+    del prod
 
     stacked = total[None] if real else np.stack((total.real, total.imag))
     spectra = np.fft.rfftn(stacked, shape, axes, norm="forward").reshape(parts, -1)
@@ -290,10 +303,9 @@ def dense_convolve_sum(terms, *, real: bool = False) -> DenseSpectrum:
         flat = held.spectrum.coeffs.ravel()
         return half, (np.conjugate(flat[negated]) if negate else flat[own])
 
+    vals = padded_product(grid, terms, entries, size, k, real)
     coeffs = np.zeros(grid.n_total, dtype=np.complex128)
-    coeffs[box_index(grid, k, grid.n_per_dim)[1]] = padded_product(
-        grid, terms, entries, size, k, real
-    )
+    coeffs[box_index(grid, k, grid.n_per_dim)[1]] = vals
     return DenseSpectrum(grid, coeffs.reshape(grid.shape))
 
 

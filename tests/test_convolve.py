@@ -17,7 +17,13 @@ from sparsedyn import (
 from sparsedyn import shrinkage
 from sparsedyn.grid import negated_fft_index, negated_keys, transform_size
 from sparsedyn.shrinkage import _transform_is_cheaper, sparse_convolve_sum
-from sparsedyn.spectral import HeldField, SpatialField, dense_convolve_sum, is_hermitian
+from sparsedyn.spectral import (
+    HeldField,
+    SpatialField,
+    dense_convolve_sum,
+    hold_operands,
+    is_hermitian,
+)
 
 from oracles import brute_force_convolve
 
@@ -45,6 +51,15 @@ def full_box(grid, rng):
     keys = [int(m[0]) if grid.dims == 1 else tuple(int(c) for c in m) for m in modes]
     values = rng.standard_normal(grid.n_total) + 1j * rng.standard_normal(grid.n_total)
     return SparseSpectrum.from_dict(grid, dict(zip(keys, values)))
+
+
+def with_roundoff(dense: DenseSpectrum) -> SparseSpectrum:
+    """Every entry of a dense spectrum above underflow, its roundoff tail
+    included (``from_dense`` would drop the tail)."""
+    g = dense.grid
+    return SparseSpectrum.from_modes(
+        g, fft_index_to_mode(g, np.arange(g.n_total)), dense.coeffs.ravel()
+    )
 
 
 def assert_matches(got: SparseSpectrum, want: dict, tol=1e-12):
@@ -213,8 +228,16 @@ def weighted_oracle(terms, grid) -> dict:
     return out
 
 
-def test_convolve_sum_matches_brute_force_on_both_containers():
+def test_convolve_sum_matches_brute_force_on_both_containers(monkeypatch):
     rng = np.random.default_rng(40)
+    products = []
+    padded_product = shrinkage.padded_product
+
+    def counted(*args):
+        products.append(args[1])
+        return padded_product(*args)
+
+    monkeypatch.setattr(shrinkage, "padded_product", counted)
     for g in TRANSFORM_GRIDS:
         u, v = full_box(g, rng), full_box(g, rng)
         small = random_sparse(g, rng, max_entries=3)
@@ -223,14 +246,23 @@ def test_convolve_sum_matches_brute_force_on_both_containers():
         cases = [
             [(1.0, u, u)],  # a repeated operand
             [(1.0, u, v), (-0.5, u, u)],  # a negative weight, u shared
-            [(-2.0, u, v), (0.75, small, small)],  # one transform term, one pair term
+            [(-2.0, u, v), (0.75, small, small)],  # a large term and a tiny one
         ]
         dense_of = {id(x): x.to_dense() for x in (u, v, small)}
         for terms in cases:
             want = weighted_oracle(terms, g)
+            products.clear()
             assert_matches(sparse_convolve_sum(terms), want)
+            # the call takes one path, the large term's: one padded product
+            assert len(products) == 1 and len(products[0]) == len(terms)
             dense = dense_convolve_sum([(w, dense_of[id(a)], dense_of[id(b)]) for w, a, b in terms])
             assert_matches(SparseSpectrum.from_dense(dense), want)
+            # every term on pairs, weights folded into one accumulator
+            with monkeypatch.context() as m:
+                m.setattr(shrinkage, "_transform_is_cheaper", lambda *_: False)
+                products.clear()
+                assert_matches(sparse_convolve_sum(terms), want)
+            assert not products
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -354,7 +386,7 @@ def test_transform_output_carries_no_roundoff_tail():
         (g2, np.cos(mx) * np.sin(2 * my), np.cos(mx + my) + 0.5),
     ]
     for g, f, h in cases:
-        u, w = (SparseSpectrum.from_dense(dft_forward(SpatialField(g, v))) for v in (f, h))
+        u, w = (with_roundoff(dft_forward(SpatialField(g, v))) for v in (f, h))
         assert _transform_is_cheaper(g, u.n_s, w.n_s, g.n_padded)
         want = brute_force_convolve(u.to_dict(), w.to_dict(), g)
         real = {k for k, v in want.items() if abs(v) > 1e-12}
@@ -407,6 +439,28 @@ def test_held_field_follows_the_call_size(monkeypatch):
         assert np.array_equal(got.values, want.values)
 
 
+def test_call_only_fields_are_dropped_before_the_forward_transform(monkeypatch):
+    # a call frees the fields it made for itself once their terms are
+    # summed; a field held across calls stays
+    rng = np.random.default_rng(42)
+    g = GridSpec(2, 16)
+    u, v, w = (full_box(g, rng).to_dense() for _ in range(3))
+    coeff = HeldField(w)
+    _, terms = hold_operands([(1.0, coeff, u), (-0.5, u, v), (2.0, v, v)])
+    own = [held for _, a, b in terms for held in (a, b) if held.call_only]
+    held_fields = []
+    rfftn = np.fft.rfftn
+
+    def forward(*args, **kwargs):
+        held_fields.append([held.field is not None for held in own])
+        return rfftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", forward)
+    dense_convolve_sum(terms, real=True)
+    assert own and held_fields == [[False] * len(own)]
+    assert coeff.field is not None
+
+
 @pytest.mark.parametrize("transform", [False, True])
 def test_small_operands_allocate_the_same_on_any_grid(transform, monkeypatch):
     # 16 x 16 entries within |m| <= 8: what one call allocates does not grow
@@ -432,7 +486,10 @@ def test_small_operands_allocate_the_same_on_any_grid(transform, monkeypatch):
         peaks = []
         for n in (2**10, 2**20, 2**10, 2**20):
             a, b = operands(n)
-            peak(a, b)  # a call's peak also depends on the calls made before it
+            # a call's peak also depends on how many calls came before it,
+            # until numpy's caches have filled: warm them on each grid
+            for _ in range(8):
+                peak(a, b)
             peaks.append(peak(a, b))
     finally:
         tracemalloc.stop()

@@ -251,8 +251,10 @@ def test_bench_convolution_small():
 
 
 def test_bench_convolution_rejects_oversparse():
-    with pytest.raises(ConfigError):
-        bench_convolution([16], [64], repetitions=1)
+    # the 1-D open box on N points holds N - 1 modes
+    for sizes, sparsities in (([16], [64]), ([16], [16])):
+        with pytest.raises(ConfigError, match="open box"):
+            bench_convolution(sizes, sparsities, repetitions=1)
 
 
 def test_final_snapshot_is_written_once(tmp_path, monkeypatch):

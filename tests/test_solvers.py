@@ -27,7 +27,7 @@ from sparsedyn import (
     step_vorticity,
 )
 from sparsedyn.coefficients import sample_coefficient
-from sparsedyn.shrinkage import _transform_is_cheaper
+from sparsedyn.shrinkage import ROUNDOFF_FLOOR, _transform_is_cheaper
 from sparsedyn.solvers import SolverState, _burgers_rhs, _prepare, advection_term
 from sparsedyn.spectral import HeldField, SpatialField, dft_inverse, is_hermitian
 
@@ -441,14 +441,27 @@ def test_initial_two_vortices_needs_2d():
 
 
 def test_initial_gauss_bump_spectrum_decays():
-    # frozen from direct sampling: strict decay from k=3 out to k=19, then
-    # the transform roundoff floor
+    # frozen from direct sampling: strict decay from k=3 out to k=16; beyond
+    # that the samples' spectrum is roundoff, which the zero rule drops
     g = GridSpec(1, 256)
     spec = initial_condition(InitialSpec("gauss_bump", width=0.5), g)
     mags = np.abs(spec.to_dense().coeffs[:129])
-    for k in range(3, 20):
+    for k in range(3, 17):
         assert mags[k] < mags[k - 1]
-    assert np.all(mags[20:] < 1e-16)
+    assert np.all(mags[17:] == 0)
+    assert spec.n_s == 33
+
+
+@pytest.mark.parametrize(
+    "name, grid", [("gauss_bump", GridSpec(1, 256)), ("two_vortices", GridSpec(2, 128))]
+)
+def test_sampled_initial_states_hold_no_roundoff(name, grid):
+    # one zero rule: a state sampled and transformed drops what the
+    # coefficient does, every entry below the floor share of the largest
+    spec = initial_condition(InitialSpec(name), grid)
+    mags = np.abs(spec.values)
+    assert 0 < spec.n_s < grid.n_total
+    assert mags.min() >= ROUNDOFF_FLOOR * mags.max()
 
 
 def test_unknown_initial_spec():
