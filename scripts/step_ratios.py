@@ -1,0 +1,153 @@
+"""Sparse against dense step cost, interleaved in one process.
+
+    PYTHONPATH=src python3 scripts/step_ratios.py [--steps 40] [--repeats 1]
+
+A shared host changes speed by up to about 1.7x, so this script never
+compares runs made at different times: each run sets up the sparse run
+(``iter_states``) and the dense reference (``iter_dense_states``) from one
+initial state and takes their steps in turn, timing each step alone.
+
+It prints two tables.  The first covers the four headline recipes, as
+bundled: the sparse first step, the medians of the later sparse and dense
+steps (after step ``SETTLE``), their ratio, the steps the sparse run took
+in FFT layout, and the final retained fraction and relative L2 error
+against the dense run.  The second covers the refinement problems at
+``N = 2^10 .. 2^17``: ``parabolic_fig2`` refined with ``dt`` scaled as
+``dx^2`` and ``convection_fig1`` with ``dt`` scaled as ``dx``, with the
+coefficient's and the final state's ``n_s``.  ``--steps`` caps every run
+(the headline recipes run ``HEADLINE_STEPS`` by default, the refinement
+problems ``REFINE_STEPS``); ``--repeats`` runs each problem that many
+times and prints every run.
+
+Run it single-threaded (the script sets ``OMP_NUM_THREADS=1`` unless it
+is set) on an otherwise idle core.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import time
+from dataclasses import replace
+
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+from sparsedyn import DenseSpectrum, SparseSpectrum, error_metrics, solvers  # noqa: E402
+from sparsedyn.coefficients import coefficient_field_of  # noqa: E402
+from sparsedyn.evaluation import iter_dense_states  # noqa: E402
+from sparsedyn.harness import load_recipe  # noqa: E402
+
+HEADLINE_STEPS = {
+    "convection_fig1": 500,
+    "parabolic_fig2": 2000,
+    "burgers_fig3": 1500,
+    "vorticity_fig4": 40,
+}
+REFINE_STEPS = 60
+REFINE_EXPONENTS = (10, 13, 15, 17)
+SETTLE = 5  # steps left out of the later-step medians
+
+
+class _LayoutCount:
+    """Counts the sparse steps that :func:`solvers._fft_layout` sends to FFT layout."""
+
+    def __init__(self) -> None:
+        self.rule = solvers._fft_layout
+        self.steps = 0
+
+    def __call__(self, *args) -> bool:
+        chosen = self.rule(*args)
+        self.steps += chosen
+        return chosen
+
+
+def interleaved(config, n_steps: int) -> dict:
+    """Step the sparse run and the dense reference of ``config`` in turn."""
+    grid = config.grid()
+    initial = solvers.initial_condition(config.initial_spec(), grid)
+    params = config.equation_params()
+    count = _LayoutCount()
+    solvers._fft_layout = count
+    try:
+        sparse = solvers.iter_states(
+            initial, params, config.schedule(), config.dt, n_steps, config.protect_mean
+        )
+        dense = iter_dense_states(initial.to_dense(), params, config.dt, n_steps)
+        next(sparse), next(dense)
+        sparse_s, dense_s = [], []
+        for _ in range(n_steps):
+            t0 = time.perf_counter()
+            state = next(sparse)
+            t1 = time.perf_counter()
+            reference = next(dense)
+            t2 = time.perf_counter()
+            sparse_s.append(t1 - t0)
+            dense_s.append(t2 - t1)
+    finally:
+        solvers._fft_layout = count.rule
+    l2, _ = error_metrics(state.current, reference)
+    norm, _ = error_metrics(reference, DenseSpectrum(grid, np.zeros(grid.shape, complex)))
+    later = slice(min(SETTLE, n_steps - 1), None)
+    return {
+        "first_ms": 1e3 * sparse_s[0],
+        "sparse_ms": 1e3 * statistics.median(sparse_s[later]),
+        "dense_ms": 1e3 * statistics.median(dense_s[later]),
+        "fft_steps": count.steps,
+        "n_s": state.current.n_s,
+        "fraction": state.current.n_s / grid.n_total,
+        "rel_l2": l2 / norm if norm else float("nan"),
+    }
+
+
+def refined(recipe: str, exponent: int, dt_order: int):
+    """``recipe`` on ``N = 2**exponent`` points, ``dt`` scaled as ``dx**dt_order``."""
+    config = load_recipe(recipe)
+    n = 2**exponent
+    return replace(config, n_per_dim=n, dt=config.dt * (config.n_per_dim / n) ** dt_order)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--steps", type=int, default=None, help="cap on the steps of every run")
+    parser.add_argument("--repeats", type=int, default=1, help="runs of each problem")
+    args = parser.parse_args(argv)
+    cap = args.steps or max(max(HEADLINE_STEPS.values()), REFINE_STEPS)
+
+    print("headline recipes (ms per step; later = median after step "
+          f"{SETTLE}; fft = steps in FFT layout)")
+    print(f"{'recipe':<18}{'steps':>6}{'first':>8}{'sparse':>9}{'dense':>9}{'ratio':>7}"
+          f"{'fft':>6}{'frac':>8}{'rel L2':>11}")
+    for recipe, steps in HEADLINE_STEPS.items():
+        config = load_recipe(recipe)
+        n_steps = min(steps, cap, config.n_steps())
+        for _ in range(args.repeats):
+            r = interleaved(config, n_steps)
+            print(f"{recipe:<18}{n_steps:>6}{r['first_ms']:>8.2f}{r['sparse_ms']:>9.3f}"
+                  f"{r['dense_ms']:>9.3f}{r['sparse_ms'] / r['dense_ms']:>7.2f}"
+                  f"{r['fft_steps']:>6}{100 * r['fraction']:>7.1f}%{r['rel_l2']:>11.4e}",
+                  flush=True)
+
+    print()
+    print("refinement at fixed n_s (ms per step, interleaved; coeff/state = n_s)")
+    print(f"{'problem':<26}{'N':>8}{'steps':>6}{'coeff/state':>13}{'sparse':>9}{'dense':>9}"
+          f"{'ratio':>7}{'fft':>6}")
+    for recipe, order in (("parabolic_fig2", 2), ("convection_fig1", 1)):
+        for exponent in REFINE_EXPONENTS:
+            config = refined(recipe, exponent, order)
+            n_steps = min(REFINE_STEPS, cap)
+            coeff = SparseSpectrum.from_dense(
+                coefficient_field_of(config.equation_params().coeff, config.grid())
+            )
+            for _ in range(args.repeats):
+                r = interleaved(config, n_steps)
+                supports = f"{coeff.n_s}/{r['n_s']}"
+                print(f"{recipe + f' dt~dx^{order}':<26}{2**exponent:>8}{n_steps:>6}{supports:>13}"
+                      f"{r['sparse_ms']:>9.3f}{r['dense_ms']:>9.3f}"
+                      f"{r['sparse_ms'] / r['dense_ms']:>7.2f}{r['fft_steps']:>6}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

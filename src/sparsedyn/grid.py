@@ -8,7 +8,11 @@ modes themselves on the default ``2*pi`` domain.
 
 All index arithmetic lives here.  A sparse key holds its mode's digits
 ``m + n/2`` (:func:`mode_to_key`), and :func:`in_open_box` reads from them
-alone whether the mode lies in the open box ``|m| < n/2``.  A product of
+alone whether the mode lies in the open box ``|m| < n/2``.  Between keys
+and a dense spectrum there is one pair of conversions, with no sort: a
+key's FFT-layout index (:func:`key_to_fft_index`), and the key of an index
+into the ``fftshift``-ed layout, which is in key order
+(:func:`shifted_index_to_key`).  A product of
 operands is made on the smallest alias-free grid for their reach
 (:func:`key_reach`, :func:`transform_size`) with real transforms, which
 keep the half grid ``m_last >= 0``: sparse entries are placed there by
@@ -234,6 +238,40 @@ def key_digit(grid: GridSpec, keys: np.ndarray, axis: int) -> np.ndarray:
     power of two, so a shift and a mask read it."""
     bits = grid.n_per_dim.bit_length()  # 2n == 1 << bits
     return (keys >> (bits * (grid.dims - 1 - axis))) & ((1 << bits) - 1)
+
+
+def key_to_fft_index(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
+    """Flat FFT-layout index of sparse keys: digit ``(d + n/2) & (n - 1)``
+    per dimension, ``d`` the key digit, which is ``m mod n`` for the mode
+    ``m = d - n/2``.  In 1-D this is ``(key + n/2) & (n - 1)``."""
+    n = grid.n_per_dim
+    if grid.dims == 1:
+        return (keys + n // 2) & (n - 1)
+    return _to_flat([(key_digit(grid, keys, axis) + n // 2) & (n - 1) for axis in (0, 1)], n)
+
+
+def shifted_index_to_key(grid: GridSpec, index: np.ndarray) -> np.ndarray:
+    """Sparse keys of flat indices into the ``fftshift``-ed FFT layout, which
+    holds mode ``m`` at digit ``m + n/2`` per dimension, the key's own
+    digits in base ``n`` rather than ``2n``.  Both orders are lexicographic
+    in the mode, so ascending indices give ascending keys: in 1-D the index
+    is the key, in 2-D the leading digit moves up one bit,
+    ``j + (j >> log2 n) * n``."""
+    if grid.dims == 1:
+        return index
+    n = grid.n_per_dim
+    return index + (index >> (n.bit_length() - 1)) * n
+
+
+def fft_shifted(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """An FFT-layout array, ``fftshift``-ed and flattened: mode ``m`` at
+    digit ``m + n/2`` per dimension, so in key order
+    (:func:`shifted_index_to_key`).  Made of two slices per dimension."""
+    h = grid.n_per_dim // 2
+    out = np.concatenate((coeffs[h:], coeffs[:h]))
+    if grid.dims == 2:
+        out = np.concatenate((out[:, h:], out[:, :h]), axis=1)
+    return out.ravel()
 
 
 def negated_keys(grid: GridSpec, keys: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ mode order), so iteration and serialization are deterministic.
 
 What counts as a zero coefficient: sparse arithmetic drops only true
 underflow (``DROP_TOL``); a spectrum made densely, by
-:meth:`SparseSpectrum.from_dense` or by the transform path of a
-convolution, also drops its roundoff tail, every entry below
+:meth:`SparseSpectrum.from_dense`, by the transform path of a
+convolution or by the soft threshold of a dense update (a step in FFT
+layout), also drops its roundoff tail, every entry below
 ``ROUNDOFF_FLOOR`` times its largest magnitude.  Nothing non-finite is ever
 dropped.  Only the soft threshold removes small coefficients beyond that.
 """
@@ -27,15 +28,16 @@ from .grid import (
     GridSpec,
     box_index,
     check_resolved,
-    fft_index_to_mode,
+    fft_shifted,
     half_index,
     in_open_box,
     key_digit,
     key_reach,
+    key_to_fft_index,
     key_to_mode,
-    mode_to_fft_index,
     mode_to_key,
     negated_keys,
+    shifted_index_to_key,
     transform_size,
 )
 from .spectral import DenseSpectrum, HeldField, hold_operands, padded_product
@@ -71,10 +73,34 @@ def _above_roundoff(values: np.ndarray) -> np.ndarray:
     underflow.  When any entry is NaN or infinite this is :func:`_nonzero`,
     so nothing finite is dropped on the way to a divergence error."""
     mags = np.abs(values)
-    top = mags.max(initial=0.0)
-    if not np.isfinite(top):
-        return _nonzero(values)
-    return ~(mags < max(ROUNDOFF_FLOOR * top, DROP_TOL))
+    return ~(mags < _roundoff_floor(mags))
+
+
+def _roundoff_floor(mags: np.ndarray) -> float:
+    """The magnitude below which :func:`_above_roundoff` drops an entry."""
+    top = float(mags.max(initial=0.0))
+    return max(ROUNDOFF_FLOOR * top, DROP_TOL) if math.isfinite(top) else DROP_TOL
+
+
+def _key_ordered(
+    spec: DenseSpectrum, lam: float, mean: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keys, values and magnitudes, in key order, of the entries of a dense
+    spectrum that are not roundoff (:func:`_above_roundoff`) and lie above
+    ``lam``, with the k = 0 entry whatever its size if ``mean``.  The
+    ``fftshift``-ed layout is in key order (:func:`~sparsedyn.grid.fft_shifted`),
+    so nothing is sorted."""
+    grid = spec.grid
+    flat = fft_shifted(grid, spec.coeffs)
+    mags = np.abs(flat)
+    floor = _roundoff_floor(mags)
+    # for a finite magnitude, above lam and not below floor is above the larger
+    keep = ~(mags <= lam) if lam >= floor else ~(mags < floor)
+    if mean:  # k = 0 sits at digit n/2 in every dimension
+        at = (grid.n_per_dim // 2) * sum(grid.n_per_dim**d for d in range(grid.dims))
+        keep[at] = ~(mags[at] < floor)
+    at = np.flatnonzero(keep)
+    return shifted_index_to_key(grid, at), flat[at].astype(np.complex128, copy=False), mags[at]
 
 
 @lru_cache(maxsize=8)
@@ -133,19 +159,15 @@ class SparseSpectrum:
     def from_dense(cls, spec: DenseSpectrum) -> "SparseSpectrum":
         """Sparsify a dense spectrum, dropping its roundoff tail (see
         :func:`_above_roundoff`)."""
-        flat = spec.coeffs.ravel()
-        idx = np.flatnonzero(_above_roundoff(flat))
-        grid = spec.grid
-        keys = mode_to_key(grid, fft_index_to_mode(grid, idx))
-        order = np.argsort(keys)
-        return cls(grid, keys[order], flat[idx][order].astype(np.complex128))
+        keys, values, _ = _key_ordered(spec, 0.0, False)
+        return cls(spec.grid, keys, values)
 
     def to_dense(self) -> DenseSpectrum:
-        coeffs = np.zeros(self.grid.shape, dtype=np.complex128)
-        if self.n_s:
-            flat = mode_to_fft_index(self.grid, self.modes())
-            coeffs.ravel()[flat] = self.values
-        return DenseSpectrum(self.grid, coeffs)
+        """The spectrum in FFT layout (:func:`~sparsedyn.grid.key_to_fft_index`)."""
+        grid = self.grid
+        coeffs = np.zeros(grid.n_total, dtype=np.complex128)
+        coeffs[key_to_fft_index(grid, self.keys)] = self.values
+        return DenseSpectrum(grid, coeffs.reshape(grid.shape))
 
     def modes(self) -> np.ndarray:
         """Integer mode vectors, shape ``(dims, n_s)``, sorted order."""
@@ -295,22 +317,25 @@ def soft_threshold(
 
     Each amplitude z maps to ``max(|z| - lam, 0) * z/|z|``.  With
     ``protect_mean`` the k = 0 coefficient is exempt.  A NaN amplitude is
-    kept (as NaN), never dropped.
+    kept (as NaN), never dropped.  A dense spectrum is shrunk as
+    :meth:`SparseSpectrum.from_dense` of it would be, and read in key
+    order, with no sort.
     """
     if lam < 0:
         raise NegativeLambda(f"lambda must be >= 0, got {lam}")
     if isinstance(spec, DenseSpectrum):
-        spec = SparseSpectrum.from_dense(spec)
-    mags = np.abs(spec.values)
-    keep = ~(mags <= lam)
+        # the entries of from_dense(spec) that are kept, found at once
+        keys, values, mags = _key_ordered(spec, lam, protect_mean)
+    else:
+        keys, values, mags = spec.keys, spec.values, np.abs(spec.values)
+        keep = ~(mags <= lam)
+        if protect_mean:
+            keep |= (keys == _mean_key(spec.grid)) & _nonzero(values)
+        keys, values, mags = keys[keep], values[keep], mags[keep]
+    vals = values * ((mags - lam) / mags)
     if protect_mean:
-        mean_key = _mean_key(spec.grid)
-        keep |= (spec.keys == mean_key) & _nonzero(spec.values)
-    keys = spec.keys[keep]
-    vals = spec.values[keep] * ((mags[keep] - lam) / mags[keep])
-    if protect_mean:
-        exempt = keys == mean_key
-        vals[exempt] = spec.values[keep][exempt]
+        exempt = keys == _mean_key(spec.grid)
+        vals[exempt] = values[exempt]
     return SparseSpectrum(spec.grid, keys, vals)
 
 
@@ -362,34 +387,14 @@ def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
     same order, less its roundoff tail.
     """
     grid, terms = hold_operands(terms)
-
-    def entries(held: HeldField) -> tuple[np.ndarray, np.ndarray, int]:
-        """Keys, values and reach of a held operand's open-box entries."""
-        if held.entries is None:
-            spec = held.spectrum
-            keys, vals, reach = spec.keys, spec.values, key_reach(grid, spec.keys)
-            if reach == grid.n_per_dim // 2 - 1:  # drop the unpaired Nyquist mode, if any
-                keep = in_open_box(grid, keys)
-                keys, vals = keys[keep], vals[keep]
-            held.entries = keys, vals, reach
-        return held.entries
-
-    live, reach, rows, cols = [], -1, 0, 0
-    for w, a, b in terms:
-        (a_keys, _, a_reach), (b_keys, _, b_reach) = entries(a), entries(b)
-        if a_keys.size and b_keys.size:
-            live.append((w, a, b))
-            reach = max(reach, a_reach + b_reach)
-            if a_keys.size * b_keys.size > rows * cols:
-                rows, cols = a_keys.size, b_keys.size
+    live, size, k, transform = _plan(grid, terms)
     if not live:
         return SparseSpectrum.empty(grid)
-    size, k = transform_size(grid, reach)
-    if not _transform_is_cheaper(grid, rows, cols, size):
-        return _pair_convolve(grid, [(w, entries(a), entries(b)) for w, a, b in live])
+    if not transform:
+        return _pair_convolve(grid, [(w, _entries(a), _entries(b)) for w, a, b in live])
 
     def placed(held: HeldField, negated: bool) -> tuple[np.ndarray, np.ndarray]:
-        keys, vals, _ = entries(held)
+        keys, vals, _ = _entries(held)
         if negated:
             keys, vals = negated_keys(grid, keys[::-1]), np.conjugate(vals[::-1])
         keep, index = half_index(grid, keys, size)
@@ -398,6 +403,50 @@ def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
     vals = padded_product(grid, live, placed, size, k, real)
     keep = _above_roundoff(vals)
     return SparseSpectrum(grid, box_index(grid, k, size)[0][keep], vals[keep])
+
+
+def reads_open_box(a: HeldField, b: HeldField) -> bool:
+    """Whether :func:`sparse_convolve_sum` takes the transform path on the
+    product of held sparse operands ``a * b`` (on one grid) and reads the
+    whole open box, ``K = n/2 - 1``: then it makes the transforms of
+    :func:`~sparsedyn.spectral.dense_convolve_sum` on the same operands,
+    and its output has about as many entries as the box."""
+    grid = b.spectrum.grid
+    _, _, k, transform = _plan(grid, [(1.0, a, b)])
+    return transform and k == grid.n_per_dim // 2 - 1
+
+
+def _entries(held: HeldField) -> tuple[np.ndarray, np.ndarray, int]:
+    """Keys, values and reach of a held sparse operand's open-box entries,
+    made on first use and kept in ``held.entries``."""
+    if held.entries is None:
+        spec = held.spectrum
+        grid = spec.grid
+        keys, vals, reach = spec.keys, spec.values, key_reach(grid, spec.keys)
+        if reach == grid.n_per_dim // 2 - 1:  # drop the unpaired Nyquist mode, if any
+            keep = in_open_box(grid, keys)
+            keys, vals = keys[keep], vals[keep]
+        held.entries = keys, vals, reach
+    return held.entries
+
+
+def _plan(grid: GridSpec, terms) -> tuple[list, int, int, bool]:
+    """The path rule of :func:`sparse_convolve_sum` for terms ``(w, a, b)``
+    of held operands: the live terms (both operands non-empty), the call's
+    ``(P, K)`` and whether the transform is the cheaper path for the live
+    term with the most pairs."""
+    live, reach, rows, cols = [], -1, 0, 0
+    for w, a, b in terms:
+        (a_keys, _, a_reach), (b_keys, _, b_reach) = _entries(a), _entries(b)
+        if a_keys.size and b_keys.size:
+            live.append((w, a, b))
+            reach = max(reach, a_reach + b_reach)
+            if a_keys.size * b_keys.size > rows * cols:
+                rows, cols = a_keys.size, b_keys.size
+    if not live:
+        return live, 0, 0, False
+    size, k = transform_size(grid, reach)
+    return live, size, k, _transform_is_cheaper(grid, rows, cols, size)
 
 
 def _pair_convolve(grid: GridSpec, terms) -> SparseSpectrum:

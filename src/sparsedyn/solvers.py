@@ -7,6 +7,14 @@ and :func:`_convolve`, one weighted sum of products per right-hand side,
 so the sparse run, the dense reference and the low-frequency baseline step
 through the same code; each passes v through its own final map (the soft
 threshold for the sparse run).
+
+A sparse run stores its states sparse and takes each step in one of two
+layouts, by one rule (:func:`_fft_layout`).  A step whose largest
+convolution would take the transform path and read the whole open box
+makes the dense step's transforms anyway, and its intermediates hold
+about as many entries as the box: it scatters its state into FFT layout
+and steps the same schemes on dense spectra, and the shrink reads the
+update back in key order with no sort.  Every other step stays sparse.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .shrinkage import (
     LambdaSchedule,
     SparseSpectrum,
     lambda_at,
+    reads_open_box,
     soft_threshold,
     sparse_convolve_sum,
     sparsity_fraction,
@@ -43,7 +52,6 @@ from .spectral import (
     dense_convolve_sum,
     dft_forward,
     spectral_derivative,
-    spectrum_of,
 )
 
 EQUATIONS = ("convection", "parabolic", "burgers", "vorticity2d")
@@ -105,12 +113,14 @@ def _convolve(*terms) -> Spectrum:
     """Truncated ``sum w * (a * b)`` over terms ``(w, a, b)``, with at most
     one forward transform: :func:`~sparsedyn.shrinkage.sparse_convolve_sum`
     for sparse operands, :func:`~sparsedyn.spectral.dense_convolve_sum` for
-    dense ones.  An operand may be a :class:`~sparsedyn.spectral.HeldField`.
+    dense ones.  The first term's second operand comes from the state, so
+    it has the step's layout; the run's coefficient, a
+    :class:`~sparsedyn.spectral.HeldField`, serves either.
 
     Every operand here is the spectrum of a real field (the initial state
     is checked once per run, see :func:`_iterate`) and every weight is
     real, so the call declares them real and takes real transforms only."""
-    if isinstance(spectrum_of(terms[0][1]), SparseSpectrum):
+    if isinstance(terms[0][2], SparseSpectrum):
         return sparse_convolve_sum(terms, real=True)
     return dense_convolve_sum(terms, real=True)
 
@@ -223,6 +233,18 @@ def _prepare(params: EquationParams, initial: Spectrum, dt: float, strict_cfl: b
     return SparseSpectrum.from_dense(dense) if isinstance(initial, SparseSpectrum) else dense
 
 
+def _fft_layout(params: EquationParams, u: Spectrum, coeff: HeldField) -> bool:
+    """Whether a step from a sparse state ``u`` runs in FFT layout: when its
+    largest convolution, coefficient times state (velocity times gradient
+    for vorticity, both with the support of ``u``), would take the
+    transform path and read the whole open box
+    (:func:`~sparsedyn.shrinkage.reads_open_box`)."""
+    if not isinstance(u, SparseSpectrum):
+        return False
+    state = HeldField(u)
+    return reads_open_box(state if params.equation == "vorticity2d" else coeff, state)
+
+
 def _iterate(
     initial: Spectrum,
     params: EquationParams,
@@ -233,6 +255,10 @@ def _iterate(
 ):
     """The stepping loop of every trajectory: yield the state at steps
     0..n_steps, each update passed through ``finish`` before it is stored.
+
+    A sparse state is scattered into FFT layout, with its predecessor for
+    Leap Frog, for a step that :func:`_fft_layout` selects; ``finish`` then
+    takes a dense update.
 
     Raises
     ------
@@ -251,15 +277,25 @@ def _iterate(
     held = HeldField(coeff)  # the run, never a state, keeps its padded field
     state = SolverState(initial, None, 0, 0.0)
     yield state
+    scattered = None, None  # the last state scattered into FFT layout, and its scatter
     for step in range(1, n_steps + 1):
+        now, forcing = state, coeff
+        if _fft_layout(params, state.current, held):
+            current, previous = state.current, state.previous
+            if previous is not None:
+                previous = scattered[1] if previous is scattered[0] else previous.to_dense()
+            scattered = current, current.to_dense()
+            now = SolverState(scattered[1], previous, state.step_index, state.time)
+            if params.equation == "vorticity2d":
+                forcing = coeff.to_dense()
         if params.equation == "convection":
-            v = step_convection(state, held, dt)
+            v = step_convection(now, held, dt)
         elif params.equation == "parabolic":
-            v = step_parabolic(state, held, dt)
+            v = step_parabolic(now, held, dt)
         elif params.equation == "burgers":
-            v = step_burgers(state, held, dt)
+            v = step_burgers(now, held, dt)
         else:
-            v = step_vorticity(state, coeff, params.gamma, dt)
+            v = step_vorticity(now, forcing, params.gamma, dt)
         values = v.values if isinstance(v, SparseSpectrum) else v.coeffs
         if not np.isfinite(values).all():
             raise SolverDiverged(

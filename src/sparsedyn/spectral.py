@@ -166,11 +166,6 @@ class HeldField:
         self.call_only = False
 
 
-def spectrum_of(operand):
-    """The spectrum of a convolution operand, held or not."""
-    return operand.spectrum if isinstance(operand, HeldField) else operand
-
-
 def hold_operands(terms) -> tuple[GridSpec, list]:
     """The common grid of terms ``(w, a, b)`` and the terms with every
     operand a :class:`HeldField`: a held operand as it is, any other behind
@@ -284,7 +279,8 @@ def padded_product(grid: GridSpec, terms, entries, size: int, k: int, real: bool
 
 def dense_convolve_sum(terms, *, real: bool = False) -> DenseSpectrum:
     """Galerkin-truncated ``sum w * (a * b)`` over terms ``(w, a, b)`` of
-    dense spectra (or :class:`HeldField` of one), with one forward
+    dense spectra (or :class:`HeldField` of one, whose spectrum may also be
+    sparse, as a run's coefficient is in a sparse run), with one forward
     transform call: of one real field when the caller declares the operands
     ``real`` (the solver's promise, not a user option), else of two (see
     :func:`padded_product`).
@@ -300,7 +296,10 @@ def dense_convolve_sum(terms, *, real: bool = False) -> DenseSpectrum:
     own, negated, half = box_half_index(grid, k, size)
 
     def entries(held: HeldField, negate: bool) -> tuple[np.ndarray, np.ndarray]:
-        flat = held.spectrum.coeffs.ravel()
+        spec = held.spectrum
+        if not isinstance(spec, DenseSpectrum):  # a held sparse operand places its own keys
+            spec = spec.to_dense()
+        flat = spec.coeffs.ravel()
         return half, (np.conjugate(flat[negated]) if negate else flat[own])
 
     vals = padded_product(grid, terms, entries, size, k, real)

@@ -5,14 +5,17 @@ from sparsedyn import GridSpec, fft_index_to_mode, mode_to_fft_index
 from sparsedyn.grid import (
     box_index,
     box_unfold,
+    fft_shifted,
     half_index,
     in_open_box,
     key_digit,
     key_reach,
+    key_to_fft_index,
     key_to_mode,
     mode_to_key,
     negated_fft_index,
     negated_keys,
+    shifted_index_to_key,
     transform_size,
 )
 
@@ -105,6 +108,23 @@ def test_key_mode_round_trip(dims, n):
     summed = modes[:, :, None] + modes[:, None, :]
     resolved = np.all((summed >= -n // 2) & (summed < n // 2), axis=0)
     assert np.array_equal(sums[resolved], mode_to_key(g, summed[:, resolved]) + zero)
+
+
+@pytest.mark.parametrize("dims,n", [(1, 4), (1, 16), (1, 128), (2, 4), (2, 8), (2, 32)])
+def test_key_fft_index_conversions(dims, n):
+    g = GridSpec(dims, n)
+    axis = np.arange(-n // 2, n // 2)
+    # every resolved mode, Nyquist components included, in key order
+    modes = np.stack([m.ravel() for m in np.meshgrid(*([axis] * dims), indexing="ij")])
+    keys = mode_to_key(g, modes)
+    index = key_to_fft_index(g, keys)
+    assert np.array_equal(index, mode_to_fft_index(g, modes))
+    # the fftshift-ed layout holds the modes in key order: flat position j
+    # holds the key shifted_index_to_key(j), at FFT index key_to_fft_index
+    assert np.array_equal(shifted_index_to_key(g, np.arange(g.n_total)), keys)
+    fft_order = np.arange(g.n_total).reshape(g.shape)
+    assert np.array_equal(fft_shifted(g, fft_order), np.fft.fftshift(fft_order).ravel())
+    assert np.array_equal(fft_shifted(g, fft_order), index)
 
 
 @pytest.mark.parametrize("dims,n", [(1, 4), (1, 16), (1, 128), (2, 4), (2, 8), (2, 32)])

@@ -14,6 +14,7 @@ from sparsedyn import (
     dumps_spectrum,
     lambda_at,
     load_spectrum,
+    mode_to_fft_index,
     soft_threshold,
     sparse_convolve,
     sparsity_fraction,
@@ -67,6 +68,28 @@ def test_accepts_dense_input():
     coeffs[5] = 0.01
     out = soft_threshold(DenseSpectrum(g, coeffs), 0.1)
     assert out.to_dict() == {2: pytest.approx(0.9 + 0j)}
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 64), GridSpec(2, 16)])
+def test_dense_shrink_is_the_shrink_of_from_dense(grid):
+    # the sort-free dense path gives, bit for bit, the shrink of the sparse
+    # spectrum that from_dense makes: a roundoff tail, a small mean, lambda
+    # above and below the roundoff floor, and NaN
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal(grid.shape) * np.logspace(-20, 0, grid.n_total).reshape(grid.shape)
+    coeffs = coeffs + 1j * rng.standard_normal(grid.shape) * 1e-3
+    coeffs.flat[0] = 1e-4
+    roundoff_mean = coeffs.copy()
+    roundoff_mean.flat[0] = 1e-20
+    for values in (coeffs, roundoff_mean, np.where(coeffs.real > 0.5, np.nan, coeffs)):
+        dense = DenseSpectrum(grid, values)
+        sparse = SparseSpectrum.from_dense(dense)
+        for lam in (0.0, 1e-18, 1e-5, 1e-3, 0.5):
+            for protect_mean in (False, True):
+                got = soft_threshold(dense, lam, protect_mean)
+                want = soft_threshold(sparse, lam, protect_mean)
+                assert np.array_equal(got.keys, want.keys)
+                assert np.array_equal(got.values, want.values, equal_nan=True)
 
 
 def test_shrink_is_prox():
@@ -259,6 +282,27 @@ def test_dense_round_trip():
     back = sparse.to_dense()
     assert np.array_equal(back.coeffs, dense.coeffs)
     assert is_hermitian(back)
+
+
+@pytest.mark.parametrize(
+    "grid", [GridSpec(1, 8), GridSpec(1, 256), GridSpec(2, 4), GridSpec(2, 32)]
+)
+def test_dense_conversions_round_trip_bit_exactly(grid):
+    # every mode, Nyquist components included, with a value far above the
+    # roundoff floor; then a subset of them
+    rng = np.random.default_rng(grid.n_total)
+    coeffs = (1 + rng.random(grid.shape)) * np.exp(2j * np.pi * rng.random(grid.shape))
+    dense = DenseSpectrum(grid, coeffs)
+    sparse = SparseSpectrum.from_dense(dense)
+    assert sparse.n_s == grid.n_total
+    assert np.array_equal(sparse.to_dense().coeffs, coeffs)
+    # keys ascend, and each holds the value at its mode's FFT index
+    assert np.all(np.diff(sparse.keys) > 0)
+    assert np.array_equal(sparse.values, coeffs.ravel()[mode_to_fft_index(grid, sparse.modes())])
+    some = SparseSpectrum(grid, sparse.keys[::3], sparse.values[::3])
+    again = SparseSpectrum.from_dense(some.to_dense())
+    assert np.array_equal(again.keys, some.keys)
+    assert np.array_equal(again.values, some.values)
 
 
 def test_dump_format_and_round_trip():
