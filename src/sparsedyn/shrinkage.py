@@ -6,9 +6,8 @@ mode order), so iteration and serialization are deterministic.
 
 What counts as a zero coefficient: sparse arithmetic drops only true
 underflow (``DROP_TOL``); a spectrum made densely, by
-:meth:`SparseSpectrum.from_dense`, by the transform path of a
-convolution or by the soft threshold of a dense update (a step in FFT
-layout), also drops its roundoff tail, every entry below
+:meth:`SparseSpectrum.from_dense` or by the transform path of a
+convolution, also drops its roundoff tail, every entry below
 ``ROUNDOFF_FLOOR`` times its largest magnitude.  Nothing non-finite is ever
 dropped.  Only the soft threshold removes small coefficients beyond that.
 """
@@ -73,34 +72,10 @@ def _above_roundoff(values: np.ndarray) -> np.ndarray:
     underflow.  When any entry is NaN or infinite this is :func:`_nonzero`,
     so nothing finite is dropped on the way to a divergence error."""
     mags = np.abs(values)
-    return ~(mags < _roundoff_floor(mags))
-
-
-def _roundoff_floor(mags: np.ndarray) -> float:
-    """The magnitude below which :func:`_above_roundoff` drops an entry."""
-    top = float(mags.max(initial=0.0))
-    return max(ROUNDOFF_FLOOR * top, DROP_TOL) if math.isfinite(top) else DROP_TOL
-
-
-def _key_ordered(
-    spec: DenseSpectrum, lam: float, mean: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keys, values and magnitudes, in key order, of the entries of a dense
-    spectrum that are not roundoff (:func:`_above_roundoff`) and lie above
-    ``lam``, with the k = 0 entry whatever its size if ``mean``.  The
-    ``fftshift``-ed layout is in key order (:func:`~sparsedyn.grid.fft_shifted`),
-    so nothing is sorted."""
-    grid = spec.grid
-    flat = fft_shifted(grid, spec.coeffs)
-    mags = np.abs(flat)
-    floor = _roundoff_floor(mags)
-    # for a finite magnitude, above lam and not below floor is above the larger
-    keep = ~(mags <= lam) if lam >= floor else ~(mags < floor)
-    if mean:  # k = 0 sits at digit n/2 in every dimension
-        at = (grid.n_per_dim // 2) * sum(grid.n_per_dim**d for d in range(grid.dims))
-        keep[at] = ~(mags[at] < floor)
-    at = np.flatnonzero(keep)
-    return shifted_index_to_key(grid, at), flat[at].astype(np.complex128, copy=False), mags[at]
+    top = mags.max(initial=0.0)
+    if not np.isfinite(top):
+        return _nonzero(values)
+    return ~(mags < max(ROUNDOFF_FLOOR * top, DROP_TOL))
 
 
 @lru_cache(maxsize=8)
@@ -158,9 +133,12 @@ class SparseSpectrum:
     @classmethod
     def from_dense(cls, spec: DenseSpectrum) -> "SparseSpectrum":
         """Sparsify a dense spectrum, dropping its roundoff tail (see
-        :func:`_above_roundoff`)."""
-        keys, values, _ = _key_ordered(spec, 0.0, False)
-        return cls(spec.grid, keys, values)
+        :func:`_above_roundoff`).  The ``fftshift``-ed layout is in key
+        order (:func:`~sparsedyn.grid.fft_shifted`), so nothing is sorted."""
+        grid = spec.grid
+        flat = fft_shifted(grid, spec.coeffs)
+        idx = np.flatnonzero(_above_roundoff(flat))
+        return cls(grid, shifted_index_to_key(grid, idx), flat[idx].astype(np.complex128))
 
     def to_dense(self) -> DenseSpectrum:
         """The spectrum in FFT layout (:func:`~sparsedyn.grid.key_to_fft_index`)."""
@@ -317,25 +295,23 @@ def soft_threshold(
 
     Each amplitude z maps to ``max(|z| - lam, 0) * z/|z|``.  With
     ``protect_mean`` the k = 0 coefficient is exempt.  A NaN amplitude is
-    kept (as NaN), never dropped.  A dense spectrum is shrunk as
-    :meth:`SparseSpectrum.from_dense` of it would be, and read in key
-    order, with no sort.
+    kept (as NaN), never dropped.  A dense spectrum (the update of a step
+    in FFT layout) is read through :meth:`SparseSpectrum.from_dense`.
     """
     if lam < 0:
         raise NegativeLambda(f"lambda must be >= 0, got {lam}")
     if isinstance(spec, DenseSpectrum):
-        # the entries of from_dense(spec) that are kept, found at once
-        keys, values, mags = _key_ordered(spec, lam, protect_mean)
-    else:
-        keys, values, mags = spec.keys, spec.values, np.abs(spec.values)
-        keep = ~(mags <= lam)
-        if protect_mean:
-            keep |= (keys == _mean_key(spec.grid)) & _nonzero(values)
-        keys, values, mags = keys[keep], values[keep], mags[keep]
-    vals = values * ((mags - lam) / mags)
+        spec = SparseSpectrum.from_dense(spec)
+    mags = np.abs(spec.values)
+    keep = ~(mags <= lam)
     if protect_mean:
-        exempt = keys == _mean_key(spec.grid)
-        vals[exempt] = values[exempt]
+        mean_key = _mean_key(spec.grid)
+        keep |= (spec.keys == mean_key) & _nonzero(spec.values)
+    keys = spec.keys[keep]
+    vals = spec.values[keep] * ((mags[keep] - lam) / mags[keep])
+    if protect_mean:
+        exempt = keys == mean_key
+        vals[exempt] = spec.values[keep][exempt]
     return SparseSpectrum(spec.grid, keys, vals)
 
 
@@ -387,10 +363,18 @@ def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
     same order, less its roundoff tail.
     """
     grid, terms = hold_operands(terms)
-    live, size, k, transform = _plan(grid, terms)
+    live, reach, rows, cols = [], -1, 0, 0
+    for w, a, b in terms:
+        (a_keys, _, a_reach), (b_keys, _, b_reach) = _entries(a), _entries(b)
+        if a_keys.size and b_keys.size:
+            live.append((w, a, b))
+            reach = max(reach, a_reach + b_reach)
+            if a_keys.size * b_keys.size > rows * cols:
+                rows, cols = a_keys.size, b_keys.size
     if not live:
         return SparseSpectrum.empty(grid)
-    if not transform:
+    size, k = transform_size(grid, reach)
+    if not _transform_is_cheaper(grid, rows, cols, size):
         return _pair_convolve(grid, [(w, _entries(a), _entries(b)) for w, a, b in live])
 
     def placed(held: HeldField, negated: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -406,14 +390,20 @@ def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
 
 
 def reads_open_box(a: HeldField, b: HeldField) -> bool:
-    """Whether :func:`sparse_convolve_sum` takes the transform path on the
-    product of held sparse operands ``a * b`` (on one grid) and reads the
-    whole open box, ``K = n/2 - 1``: then it makes the transforms of
+    """Whether :func:`sparse_convolve_sum` of the one product ``a * b`` of
+    held sparse operands (on one grid) takes the transform path and reads
+    the whole open box, ``K = n/2 - 1``: then it makes the transforms of
     :func:`~sparsedyn.spectral.dense_convolve_sum` on the same operands,
-    and its output has about as many entries as the box."""
+    and its output has about as many entries as the box.  The box is read
+    whole when the operands' reaches sum to ``n/2 - 1`` or more
+    (:func:`~sparsedyn.grid.transform_size`), and only then is the path
+    rule, :func:`_transform_is_cheaper` at that size, asked."""
+    (a_keys, _, a_reach), (b_keys, _, b_reach) = _entries(a), _entries(b)
     grid = b.spectrum.grid
-    _, _, k, transform = _plan(grid, [(1.0, a, b)])
-    return transform and k == grid.n_per_dim // 2 - 1
+    if a_reach + b_reach < grid.n_per_dim // 2 - 1 or not (a_keys.size and b_keys.size):
+        return False
+    size, _ = transform_size(grid, a_reach + b_reach)
+    return _transform_is_cheaper(grid, a_keys.size, b_keys.size, size)
 
 
 def _entries(held: HeldField) -> tuple[np.ndarray, np.ndarray, int]:
@@ -428,25 +418,6 @@ def _entries(held: HeldField) -> tuple[np.ndarray, np.ndarray, int]:
             keys, vals = keys[keep], vals[keep]
         held.entries = keys, vals, reach
     return held.entries
-
-
-def _plan(grid: GridSpec, terms) -> tuple[list, int, int, bool]:
-    """The path rule of :func:`sparse_convolve_sum` for terms ``(w, a, b)``
-    of held operands: the live terms (both operands non-empty), the call's
-    ``(P, K)`` and whether the transform is the cheaper path for the live
-    term with the most pairs."""
-    live, reach, rows, cols = [], -1, 0, 0
-    for w, a, b in terms:
-        (a_keys, _, a_reach), (b_keys, _, b_reach) = _entries(a), _entries(b)
-        if a_keys.size and b_keys.size:
-            live.append((w, a, b))
-            reach = max(reach, a_reach + b_reach)
-            if a_keys.size * b_keys.size > rows * cols:
-                rows, cols = a_keys.size, b_keys.size
-    if not live:
-        return live, 0, 0, False
-    size, k = transform_size(grid, reach)
-    return live, size, k, _transform_is_cheaper(grid, rows, cols, size)
 
 
 def _pair_convolve(grid: GridSpec, terms) -> SparseSpectrum:

@@ -277,17 +277,16 @@ def _iterate(
     held = HeldField(coeff)  # the run, never a state, keeps its padded field
     state = SolverState(initial, None, 0, 0.0)
     yield state
-    scattered = None, None  # the last state scattered into FFT layout, and its scatter
+    dense_forcing = None  # the forcing in FFT layout, made on the first step that needs it
     for step in range(1, n_steps + 1):
         now, forcing = state, coeff
         if _fft_layout(params, state.current, held):
-            current, previous = state.current, state.previous
-            if previous is not None:
-                previous = scattered[1] if previous is scattered[0] else previous.to_dense()
-            scattered = current, current.to_dense()
-            now = SolverState(scattered[1], previous, state.step_index, state.time)
+            previous = None if state.previous is None else state.previous.to_dense()
+            now = SolverState(state.current.to_dense(), previous, state.step_index, state.time)
             if params.equation == "vorticity2d":
-                forcing = coeff.to_dense()
+                if dense_forcing is None:
+                    dense_forcing = coeff.to_dense()
+                forcing = dense_forcing
         if params.equation == "convection":
             v = step_convection(now, held, dt)
         elif params.equation == "parabolic":

@@ -10,6 +10,7 @@ import pytest
 from sparsedyn import (
     CflWarning,
     CoefficientSpec,
+    DenseSpectrum,
     EquationParams,
     GridSpec,
     InitialSpec,
@@ -21,6 +22,7 @@ from sparsedyn import (
     iter_dense_states,
     iter_states,
     load_recipe,
+    shrinkage,
     solvers,
 )
 from sparsedyn.shrinkage import sparse_convolve_sum
@@ -80,9 +82,9 @@ def test_fft_layout_matches_sparse_layout_on_recipes(monkeypatch, recipe, n_step
     assert_same_run(chosen, sparse)
 
 
-def test_leap_frog_pairs_each_state_with_its_own_predecessor(monkeypatch):
-    # layouts that change from step to step: a step in FFT layout after a
-    # sparse one must scatter its previous state, not reuse an older one
+def test_layouts_that_change_from_step_to_step_give_the_same_run(monkeypatch):
+    # a Leap Frog step in FFT layout scatters the stored previous state,
+    # whichever layout made it
     config = load_recipe("convection_fig1")
     pattern = itertools.cycle([True, True, False])
     monkeypatch.setattr(solvers, "_fft_layout", lambda *args: next(pattern))
@@ -204,3 +206,43 @@ def test_held_sparse_coefficient_places_its_keys_at_a_new_size():
     assert held.size == g.n_padded
     want = dense_convolve_sum(((1.0, coeff.to_dense(), wide),), real=True)
     assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def band(grid: GridSpec, reach: int, stride: int, seed: int) -> SparseSpectrum:
+    """Spectrum of a real field on the modes with every ``|m_d| <= reach``
+    and a multiple of ``stride``."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.fft.fftn(rng.standard_normal(grid.shape)) / grid.n_total
+    m = np.abs(np.fft.fftfreq(grid.n_per_dim, 1.0 / grid.n_per_dim)).astype(int)
+    axis = (m <= reach) & (m % stride == 0)
+    mask = np.logical_and.outer(axis, axis) if grid.dims == 2 else axis
+    return SparseSpectrum.from_dense(DenseSpectrum(grid, np.where(mask, coeffs, 0)))
+
+
+def test_reads_open_box_is_the_path_the_convolution_takes(monkeypatch):
+    # the rule's answer against the path and box sparse_convolve_sum takes
+    # on the same product: inside the box, reaches summing to one short of
+    # its edge and to the edge, at the edge on either path, and thin
+    # operands that reach the edge with few pairs
+    boxes = []
+    original = shrinkage.padded_product
+
+    def recorded(grid, terms, entries, size, k, real):
+        boxes.append(k)
+        return original(grid, terms, entries, size, k, real)
+
+    monkeypatch.setattr(shrinkage, "padded_product", recorded)
+    answers = []
+    for grid in (GridSpec(1, 64), GridSpec(1, 1024), GridSpec(2, 16), GridSpec(2, 64)):
+        edge = grid.n_per_dim // 2 - 1
+        for reach_a, reach_b, stride in [
+            (edge, edge, 1), (edge, 4, 1), (edge // 2, edge - edge // 2 - 1, 1),
+            (edge // 2, edge - edge // 2, 1), (edge, edge, edge), (2, 2, 1),
+        ]:
+            a, b = band(grid, reach_a, stride, 1), band(grid, reach_b, 1, 2)
+            boxes.clear()
+            sparse_convolve_sum(((1.0, a, b),), real=True)
+            full_box = boxes == [edge]
+            assert shrinkage.reads_open_box(HeldField(a), HeldField(b)) == full_box
+            answers.append(full_box)
+    assert 0 < sum(answers) < len(answers)

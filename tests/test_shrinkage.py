@@ -70,28 +70,6 @@ def test_accepts_dense_input():
     assert out.to_dict() == {2: pytest.approx(0.9 + 0j)}
 
 
-@pytest.mark.parametrize("grid", [GridSpec(1, 64), GridSpec(2, 16)])
-def test_dense_shrink_is_the_shrink_of_from_dense(grid):
-    # the sort-free dense path gives, bit for bit, the shrink of the sparse
-    # spectrum that from_dense makes: a roundoff tail, a small mean, lambda
-    # above and below the roundoff floor, and NaN
-    rng = np.random.default_rng(5)
-    coeffs = rng.standard_normal(grid.shape) * np.logspace(-20, 0, grid.n_total).reshape(grid.shape)
-    coeffs = coeffs + 1j * rng.standard_normal(grid.shape) * 1e-3
-    coeffs.flat[0] = 1e-4
-    roundoff_mean = coeffs.copy()
-    roundoff_mean.flat[0] = 1e-20
-    for values in (coeffs, roundoff_mean, np.where(coeffs.real > 0.5, np.nan, coeffs)):
-        dense = DenseSpectrum(grid, values)
-        sparse = SparseSpectrum.from_dense(dense)
-        for lam in (0.0, 1e-18, 1e-5, 1e-3, 0.5):
-            for protect_mean in (False, True):
-                got = soft_threshold(dense, lam, protect_mean)
-                want = soft_threshold(sparse, lam, protect_mean)
-                assert np.array_equal(got.keys, want.keys)
-                assert np.array_equal(got.values, want.values, equal_nan=True)
-
-
 def test_shrink_is_prox():
     # oracle: dense objective scan around the minimizer, 1000 random scalars
     rng = np.random.default_rng(23)
