@@ -4,6 +4,7 @@ output, resolution sweeps, and the convolution microbenchmark."""
 from __future__ import annotations
 
 import importlib.resources
+import math
 import shutil
 import time
 from dataclasses import dataclass, fields, replace
@@ -197,6 +198,9 @@ def format_config(config: ExperimentConfig) -> str:
 
 
 def validate_config(config: ExperimentConfig) -> None:
+    for f in fields(ExperimentConfig):
+        if f.type == "float" and not math.isfinite(value := getattr(config, f.name)):
+            raise ConfigError(f"{f.name}: must be finite, got {value!r}")
     if config.equation not in EQUATIONS:
         raise ConfigError(
             f"equation: {config.equation!r} is not one of {', '.join(EQUATIONS)}"
@@ -212,6 +216,8 @@ def validate_config(config: ExperimentConfig) -> None:
     if config.t_end < 0:
         raise ConfigError("t_end: must be nonnegative")
     config.n_steps()
+    if not config.initial_width > 0:
+        raise ConfigError("initial_width: must be positive")
     if config.lambda_mode not in ("fixed", "power_law"):
         raise ConfigError("lambda_mode: must be 'fixed' or 'power_law'")
     if config.fixed_lambda < 0 or config.lambda_c < 0:
@@ -249,7 +255,7 @@ def validate_config(config: ExperimentConfig) -> None:
     if "low_frequency" in config.baselines and "dense" not in config.baselines:
         raise ConfigError("baselines: low_frequency needs the dense baseline too")
     for t in config.snapshot_times:
-        if t < 0 or t > config.t_end + 1e-12:
+        if not 0 <= t <= config.t_end + 1e-12:  # NaN is outside too
             raise ConfigError(f"snapshot_times: {t} outside [0, t_end]")
 
 

@@ -28,10 +28,8 @@ from .grid import (
     box_index,
     check_resolved,
     fft_shifted,
-    half_index,
     in_open_box,
     key_digit,
-    key_reach,
     key_to_fft_index,
     key_to_mode,
     mode_to_key,
@@ -39,7 +37,7 @@ from .grid import (
     shifted_index_to_key,
     transform_size,
 )
-from .spectral import DenseSpectrum, HeldField, hold_operands, padded_product
+from .spectral import DenseSpectrum, hold_operands, padded_product
 
 # Magnitudes below this are treated as exact zeros during arithmetic.
 DROP_TOL = 1e-300
@@ -179,14 +177,8 @@ class SparseSpectrum:
     def items(self) -> Iterator[tuple]:
         """Yield ``(mode, amplitude)`` sorted by mode; mode is an int in 1-D,
         a tuple in 2-D."""
-        modes = self.modes()
-        for j in range(self.n_s):
-            if self.grid.dims == 1:
-                yield int(modes[0, j]), complex(self.values[j])
-            else:
-                yield tuple(int(modes[d, j]) for d in range(self.grid.dims)), complex(
-                    self.values[j]
-                )
+        for mode, value in zip(self.modes().T.tolist(), self.values.tolist()):
+            yield (mode[0] if self.grid.dims == 1 else tuple(mode)), value
 
     def to_dict(self) -> dict:
         return dict(self.items())
@@ -208,16 +200,25 @@ class SparseSpectrum:
             return SparseSpectrum(self.grid, self.keys, vals)
         return SparseSpectrum(self.grid, self.keys[keep], vals[keep])
 
-    def __add__(self, other: "SparseSpectrum") -> "SparseSpectrum":
-        if not isinstance(other, SparseSpectrum):
+    def __add__(self, other) -> "SparseSpectrum | DenseSpectrum":
+        """Sum with a spectrum on the same grid, in either order: sparse
+        with sparse, or dense with this one's keys scattered in, each entry
+        that of :meth:`to_dense` plus the dense spectrum."""
+        if not isinstance(other, (SparseSpectrum, DenseSpectrum)):
             return NotImplemented
         if other.grid != self.grid:
             raise GridMismatch("cannot add spectra on different grids")
+        if isinstance(other, DenseSpectrum):
+            coeffs = other.coeffs.astype(np.complex128, order="C")
+            coeffs.reshape(-1)[key_to_fft_index(self.grid, self.keys)] += self.values
+            return DenseSpectrum(self.grid, coeffs)
         return _accumulate(
             self.grid,
             np.concatenate([self.keys, other.keys]),
             np.concatenate([self.values, other.values]),
         )
+
+    __radd__ = __add__
 
     def __mul__(self, scalar: complex) -> "SparseSpectrum":
         vals = self.values * scalar
@@ -260,10 +261,10 @@ class LambdaSchedule:
     def __post_init__(self) -> None:
         if self.mode not in ("fixed", "power_law"):
             raise ValueError(f"mode must be 'fixed' or 'power_law', got {self.mode!r}")
-        if self.fixed_lambda < 0:
-            raise ValueError("fixed_lambda must be >= 0")
-        if self.c < 0:
-            raise ValueError("C must be >= 0")
+        if not self.fixed_lambda >= 0:  # NaN fails too
+            raise ValueError(f"fixed_lambda must be >= 0, got {self.fixed_lambda}")
+        if not self.c >= 0:
+            raise ValueError(f"C must be >= 0, got {self.c}")
         if not self.p > 0:
             raise ValueError("p must be > 0")
 
@@ -298,7 +299,7 @@ def soft_threshold(
     kept (as NaN), never dropped.  A dense spectrum (the update of a step
     in FFT layout) is read through :meth:`SparseSpectrum.from_dense`.
     """
-    if lam < 0:
+    if not lam >= 0:  # NaN fails too
         raise NegativeLambda(f"lambda must be >= 0, got {lam}")
     if isinstance(spec, DenseSpectrum):
         spec = SparseSpectrum.from_dense(spec)
@@ -336,19 +337,11 @@ def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
     """Truncated ``sum w * (a * b)`` over terms ``(w, a, b)`` of sparse
     spectra (or :class:`~sparsedyn.spectral.HeldField` of one).
 
-    The call's transform grid is sized to its operands: with ``R`` the
-    largest sum of the two operands' reaches (largest ``|m_d|``) over its
-    non-empty terms, products are made on ``P`` points per dimension, the
-    smallest ``2^a 3^b >= R + K + 1`` and at most ``3n/2``, and read at the
-    box ``|s_d| <= K = min(R, n/2 - 1)`` (:func:`~sparsedyn.grid.transform_size`).
-    The whole call takes one of two paths, the cheaper at ``M = P**dims``
-    for its term with the most pairs (see :func:`_transform_is_cheaper`):
-    entry pairs, a fixed cost per row of the smaller operand plus one per
-    pair, or the transform, O(M log M).  On pairs every term adds its
-    weighted pairs into one accumulator (:func:`_pair_convolve`).  On the
-    transform the terms share the padded grid: each distinct operand is
-    scattered and inverse-transformed once, and the weighted products are
-    summed in space and transformed forward
+    The whole call takes the one path :func:`plan_convolution` picks.  On
+    entry pairs every term adds its weighted pairs into one accumulator
+    (:func:`_pair_convolve`).  On the transform the terms share the padded
+    grid: each distinct operand is scattered and inverse-transformed once,
+    and the weighted products are summed in space and transformed forward
     (:func:`~sparsedyn.spectral.padded_product`); the sum then drops its
     roundoff tail (see :func:`_above_roundoff`), so it carries only the
     modes it really has.
@@ -363,61 +356,42 @@ def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
     same order, less its roundoff tail.
     """
     grid, terms = hold_operands(terms)
+    live, size, k, transform = plan_convolution(grid, terms)
+    if not live:
+        return SparseSpectrum.empty(grid)
+    if not transform:
+        return _pair_convolve(grid, [(w, a.entries(), b.entries()) for w, a, b in live])
+    vals = padded_product(grid, live, size, k, real)
+    keep = _above_roundoff(vals)
+    return SparseSpectrum(grid, box_index(grid, k, size)[0][keep], vals[keep])
+
+
+def plan_convolution(grid: GridSpec, terms) -> tuple[list, int, int, bool]:
+    """``(live, P, K, transform)``: the path :func:`sparse_convolve_sum` takes
+    on terms ``(w, a, b)`` of held sparse operands (:func:`~sparsedyn.spectral.hold_operands`).
+
+    The live terms are those whose two operands both have open-box entries.
+    With ``R`` the largest sum of the two operands' reaches (largest
+    ``|m_d|``) over them, products are made on ``P`` points per dimension,
+    the smallest ``2^a 3^b >= R + K + 1`` and at most ``3n/2``, and read at
+    the box ``|s_d| <= K = min(R, n/2 - 1)`` (:func:`~sparsedyn.grid.transform_size`).
+    The call takes entry pairs, a fixed cost per row of the smaller operand
+    plus one per pair, or the transform, O(M log M) for ``M = P**dims``,
+    whichever costs less for its term with the most pairs
+    (:func:`_transform_is_cheaper`).  With no live term the plan reads
+    ``P = K = 0`` and pairs."""
     live, reach, rows, cols = [], -1, 0, 0
     for w, a, b in terms:
-        (a_keys, _, a_reach), (b_keys, _, b_reach) = _entries(a), _entries(b)
+        (a_keys, _, a_reach), (b_keys, _, b_reach) = a.entries(), b.entries()
         if a_keys.size and b_keys.size:
             live.append((w, a, b))
             reach = max(reach, a_reach + b_reach)
             if a_keys.size * b_keys.size > rows * cols:
                 rows, cols = a_keys.size, b_keys.size
     if not live:
-        return SparseSpectrum.empty(grid)
+        return live, 0, 0, False
     size, k = transform_size(grid, reach)
-    if not _transform_is_cheaper(grid, rows, cols, size):
-        return _pair_convolve(grid, [(w, _entries(a), _entries(b)) for w, a, b in live])
-
-    def placed(held: HeldField, negated: bool) -> tuple[np.ndarray, np.ndarray]:
-        keys, vals, _ = _entries(held)
-        if negated:
-            keys, vals = negated_keys(grid, keys[::-1]), np.conjugate(vals[::-1])
-        keep, index = half_index(grid, keys, size)
-        return index, vals[keep]
-
-    vals = padded_product(grid, live, placed, size, k, real)
-    keep = _above_roundoff(vals)
-    return SparseSpectrum(grid, box_index(grid, k, size)[0][keep], vals[keep])
-
-
-def reads_open_box(a: HeldField, b: HeldField) -> bool:
-    """Whether :func:`sparse_convolve_sum` of the one product ``a * b`` of
-    held sparse operands (on one grid) takes the transform path and reads
-    the whole open box, ``K = n/2 - 1``: then it makes the transforms of
-    :func:`~sparsedyn.spectral.dense_convolve_sum` on the same operands,
-    and its output has about as many entries as the box.  The box is read
-    whole when the operands' reaches sum to ``n/2 - 1`` or more
-    (:func:`~sparsedyn.grid.transform_size`), and only then is the path
-    rule, :func:`_transform_is_cheaper` at that size, asked."""
-    (a_keys, _, a_reach), (b_keys, _, b_reach) = _entries(a), _entries(b)
-    grid = b.spectrum.grid
-    if a_reach + b_reach < grid.n_per_dim // 2 - 1 or not (a_keys.size and b_keys.size):
-        return False
-    size, _ = transform_size(grid, a_reach + b_reach)
-    return _transform_is_cheaper(grid, a_keys.size, b_keys.size, size)
-
-
-def _entries(held: HeldField) -> tuple[np.ndarray, np.ndarray, int]:
-    """Keys, values and reach of a held sparse operand's open-box entries,
-    made on first use and kept in ``held.entries``."""
-    if held.entries is None:
-        spec = held.spectrum
-        grid = spec.grid
-        keys, vals, reach = spec.keys, spec.values, key_reach(grid, spec.keys)
-        if reach == grid.n_per_dim // 2 - 1:  # drop the unpaired Nyquist mode, if any
-            keep = in_open_box(grid, keys)
-            keys, vals = keys[keep], vals[keep]
-        held.entries = keys, vals, reach
-    return held.entries
+    return live, size, k, _transform_is_cheaper(grid, rows, cols, size)
 
 
 def _pair_convolve(grid: GridSpec, terms) -> SparseSpectrum:
@@ -506,14 +480,12 @@ def load_spectrum(
     kwargs = {} if domain_length is None else {"domain_length": domain_length}
     grid = GridSpec(dims=len(sizes), n_per_dim=sizes[0], **kwargs)
     n_s = int(ns_part.split("=")[1])
-    modes = np.zeros((grid.dims, n_s), dtype=np.int64)
-    values = np.zeros(n_s, dtype=np.complex128)
-    for j in range(n_s):
-        fields = stream.readline().split("\t")
-        for d in range(grid.dims):
-            modes[d, j] = int(fields[d])
-        values[j] = float(fields[grid.dims]) + 1j * float(fields[grid.dims + 1])
-    return SparseSpectrum.from_modes(grid, modes, values)
+    rows = [line.split("\t") for line in stream.read().splitlines() if line.strip()]
+    if len(rows) != n_s:
+        raise ValueError(f"spectrum dump header gives n_s={n_s}, but {len(rows)} entries follow")
+    modes = np.array([[int(r[d]) for r in rows] for d in range(grid.dims)], dtype=np.int64)
+    values = [float(r[grid.dims]) + 1j * float(r[grid.dims + 1]) for r in rows]
+    return SparseSpectrum.from_modes(grid, modes.reshape(grid.dims, n_s), values)
 
 
 def dumps_spectrum(spec: SparseSpectrum) -> str:

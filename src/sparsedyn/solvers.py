@@ -12,9 +12,11 @@ A sparse run stores its states sparse and takes each step in one of two
 layouts, by one rule (:func:`_fft_layout`).  A step whose largest
 convolution would take the transform path and read the whole open box
 makes the dense step's transforms anyway, and its intermediates hold
-about as many entries as the box: it scatters its state into FFT layout
-and steps the same schemes on dense spectra, and the shrink reads the
-update back in key order with no sort.  Every other step stays sparse.
+about as many entries as the box: it scatters its state, and only its
+state, into FFT layout and steps the same schemes, whose sparse operands
+(the Leap Frog previous state, the forcing) add into dense terms; the
+shrink reads the update back in key order with no sort.  Every other
+step stays sparse.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .shrinkage import (
     LambdaSchedule,
     SparseSpectrum,
     lambda_at,
-    reads_open_box,
+    plan_convolution,
     soft_threshold,
     sparse_convolve_sum,
     sparsity_fraction,
@@ -237,12 +239,14 @@ def _fft_layout(params: EquationParams, u: Spectrum, coeff: HeldField) -> bool:
     """Whether a step from a sparse state ``u`` runs in FFT layout: when its
     largest convolution, coefficient times state (velocity times gradient
     for vorticity, both with the support of ``u``), would take the
-    transform path and read the whole open box
-    (:func:`~sparsedyn.shrinkage.reads_open_box`)."""
+    transform path and read the whole open box, ``K = n/2 - 1``
+    (:func:`~sparsedyn.shrinkage.plan_convolution`)."""
     if not isinstance(u, SparseSpectrum):
         return False
     state = HeldField(u)
-    return reads_open_box(state if params.equation == "vorticity2d" else coeff, state)
+    other = state if params.equation == "vorticity2d" else coeff
+    _, _, k, transform = plan_convolution(u.grid, [(1.0, other, state)])
+    return transform and k == u.grid.n_per_dim // 2 - 1
 
 
 def _iterate(
@@ -256,9 +260,10 @@ def _iterate(
     """The stepping loop of every trajectory: yield the state at steps
     0..n_steps, each update passed through ``finish`` before it is stored.
 
-    A sparse state is scattered into FFT layout, with its predecessor for
-    Leap Frog, for a step that :func:`_fft_layout` selects; ``finish`` then
-    takes a dense update.
+    A sparse state is scattered into FFT layout for a step that
+    :func:`_fft_layout` selects; the Leap Frog previous state and the
+    vorticity forcing stay sparse and add into the dense terms, and
+    ``finish`` then takes a dense update.
 
     Raises
     ------
@@ -277,16 +282,11 @@ def _iterate(
     held = HeldField(coeff)  # the run, never a state, keeps its padded field
     state = SolverState(initial, None, 0, 0.0)
     yield state
-    dense_forcing = None  # the forcing in FFT layout, made on the first step that needs it
     for step in range(1, n_steps + 1):
-        now, forcing = state, coeff
+        now = state
         if _fft_layout(params, state.current, held):
-            previous = None if state.previous is None else state.previous.to_dense()
-            now = SolverState(state.current.to_dense(), previous, state.step_index, state.time)
-            if params.equation == "vorticity2d":
-                if dense_forcing is None:
-                    dense_forcing = coeff.to_dense()
-                forcing = dense_forcing
+            dense = state.current.to_dense()
+            now = SolverState(dense, state.previous, state.step_index, state.time)
         if params.equation == "convection":
             v = step_convection(now, held, dt)
         elif params.equation == "parabolic":
@@ -294,7 +294,7 @@ def _iterate(
         elif params.equation == "burgers":
             v = step_burgers(now, held, dt)
         else:
-            v = step_vorticity(now, forcing, params.gamma, dt)
+            v = step_vorticity(now, coeff, params.gamma, dt)
         values = v.values if isinstance(v, SparseSpectrum) else v.coeffs
         if not np.isfinite(values).all():
             raise SolverDiverged(

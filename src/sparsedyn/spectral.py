@@ -8,8 +8,10 @@ padded just enough for the operands' reach (at most ``P = 3n/2`` points per
 dimension, the 2/3 rule), in one place for both containers
 (:func:`padded_product`), with real-to-complex transforms only: a caller
 that declares its operands real (the solver) makes one real field per
-operand; any other operand is split into two real fields.  The grid's
-index arithmetic (:func:`~sparsedyn.grid.transform_size`,
+operand; any other operand is split into two real fields.  Each operand,
+behind a :class:`HeldField`, places itself on the padded grid, a sparse one
+by its keys and a dense one by gathering the box; the grid's index
+arithmetic (:func:`~sparsedyn.grid.transform_size`,
 :func:`~sparsedyn.grid.half_index`, :func:`~sparsedyn.grid.box_unfold`)
 sizes, pads and crops.
 """
@@ -29,7 +31,11 @@ from .grid import (
     box_index,
     box_unfold,
     digit_tables,
+    half_index,
+    in_open_box,
+    key_reach,
     negated_fft_index,
+    negated_keys,
     transform_size,
 )
 
@@ -144,26 +150,53 @@ def spectral_derivative(spec, axis: int = 0):
 
 
 class HeldField:
-    """The memo of one convolution operand: its field on the padded grid,
-    made on first use and kept with the grid's size and whether the call
-    declared its operands real (a call on another size, or under the other
-    contract, makes it again), and for a sparse operand its open-box
-    entries and reach (``entries``, made by the sparse convolution on first
-    use).  Every call puts its operands behind one each
-    (:func:`hold_operands`), marked ``call_only`` if made for that call;
-    hold one across calls for an operand that every step convolves again,
-    such as a run's coefficient.  The field is as large as the padded grid,
-    so hold one per run, never one per state."""
+    """One convolution operand with its memos: its field on the padded
+    grid, kept with the grid's size and whether the call declared its
+    operands real (a call on another size or contract makes it again), and
+    for a sparse operand its open-box entries (:meth:`entries`).  Every call
+    holds its operands (:func:`hold_operands`), marked ``call_only`` if made
+    for that call; hold one across calls for an operand that every step
+    convolves again, such as a run's coefficient, but never one per state:
+    the field is as large as the padded grid."""
 
-    __slots__ = ("spectrum", "field", "size", "real", "entries", "call_only")
+    __slots__ = ("spectrum", "field", "size", "real", "call_only", "_entries")
 
     def __init__(self, spectrum) -> None:
         self.spectrum = spectrum
         self.field: np.ndarray | None = None
         self.size = 0
         self.real = False
-        self.entries = None
         self.call_only = False
+        self._entries = None
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Keys, values and reach of a sparse operand's open-box entries,
+        made on first use and kept."""
+        if self._entries is None:
+            grid, keys, vals = self.spectrum.grid, self.spectrum.keys, self.spectrum.values
+            reach = key_reach(grid, keys)
+            if reach == grid.n_per_dim // 2 - 1:  # drop the unpaired Nyquist mode, if any
+                keep = in_open_box(grid, keys)
+                keys, vals = keys[keep], vals[keep]
+            self._entries = keys, vals, reach
+        return self._entries
+
+    def half_entries(self, size: int, negated: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(Flat index on the half grid of a real transform on ``size`` points
+        per dimension, value) of the open-box entries with ``m_last >= 0``,
+        or with ``negated`` of those with ``m_last <= 0`` at their negated
+        mode, conjugated: a sparse operand places its keys
+        (:func:`~sparsedyn.grid.half_index`), a dense one gathers the box."""
+        spec, grid = self.spectrum, self.spectrum.grid
+        if isinstance(spec, DenseSpectrum):
+            own, negation, index = box_half_index(grid, grid.n_per_dim // 2 - 1, size)
+            flat = spec.coeffs.ravel()
+            return index, (np.conjugate(flat[negation]) if negated else flat[own])
+        keys, vals, _ = self.entries()
+        if negated:
+            keys, vals = negated_keys(grid, keys[::-1]), np.conjugate(vals[::-1])
+        keep, index = half_index(grid, keys, size)
+        return index, vals[keep]
 
 
 def hold_operands(terms) -> tuple[GridSpec, list]:
@@ -194,7 +227,7 @@ def hold_operands(terms) -> tuple[GridSpec, list]:
     return grid, terms
 
 
-def padded_product(grid: GridSpec, terms, entries, size: int, k: int, real: bool) -> np.ndarray:
+def padded_product(grid: GridSpec, terms, size: int, k: int, real: bool) -> np.ndarray:
     """Values of ``sum w * a * b`` over terms ``(w, a, b)`` of held operands
     (:func:`hold_operands`) at the modes ``|s_d| <= k`` in key order
     (:func:`~sparsedyn.grid.box_index`), made on the grid of ``size``
@@ -203,14 +236,11 @@ def padded_product(grid: GridSpec, terms, entries, size: int, k: int, real: bool
     ``size`` and ``k`` come from :func:`~sparsedyn.grid.transform_size` for
     the largest sum of the operands' reaches, so every product lands on its
     own mode or outside the box read: the result is free of aliasing.
-    ``entries(held, negated)`` gives a held operand's open-box entries with
-    ``m_last >= 0`` as (flat index on the half grid of
-    :func:`~sparsedyn.grid.half_index`, value); with ``negated`` it gives
-    instead those with ``m_last <= 0``, at the index of their negated mode,
-    conjugated.  Each held operand is scattered and inverse-transformed
-    once for as long as calls keep its size and contract, so ``u*u``
-    transforms ``u`` once; the field of a ``call_only`` operand is dropped
-    after the last term that needs it.
+    Each held operand places itself on the half grid
+    (:meth:`HeldField.half_entries`) and is inverse-transformed once for as
+    long as calls keep its size and contract, so ``u*u`` transforms ``u``
+    once; the field of a ``call_only`` operand is dropped after the last
+    term that needs it.
 
     With ``real`` the caller declares every operand the spectrum of a real
     field and every weight real: each operand's field is one ``irfftn`` of
@@ -238,7 +268,7 @@ def padded_product(grid: GridSpec, terms, entries, size: int, k: int, real: bool
             return held.field
         half = np.zeros((parts, math.prod(half_shape)), dtype=np.complex128)
         for row, negated in zip(half, (False, True)):
-            index, values = entries(held, negated)
+            index, values = held.half_entries(size, negated)
             row[index] = values
         if not real:  # rows c(m) and conj c(-m) become the two parts
             own, odd = half
@@ -293,16 +323,7 @@ def dense_convolve_sum(terms, *, real: bool = False) -> DenseSpectrum:
     """
     grid, terms = hold_operands(terms)
     size, k = transform_size(grid, 2 * (grid.n_per_dim // 2 - 1))
-    own, negated, half = box_half_index(grid, k, size)
-
-    def entries(held: HeldField, negate: bool) -> tuple[np.ndarray, np.ndarray]:
-        spec = held.spectrum
-        if not isinstance(spec, DenseSpectrum):  # a held sparse operand places its own keys
-            spec = spec.to_dense()
-        flat = spec.coeffs.ravel()
-        return half, (np.conjugate(flat[negated]) if negate else flat[own])
-
-    vals = padded_product(grid, terms, entries, size, k, real)
+    vals = padded_product(grid, terms, size, k, real)
     coeffs = np.zeros(grid.n_total, dtype=np.complex128)
     coeffs[box_index(grid, k, grid.n_per_dim)[1]] = vals
     return DenseSpectrum(grid, coeffs.reshape(grid.shape))

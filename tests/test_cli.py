@@ -40,6 +40,15 @@ def test_run_config_error_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_non_finite_dt_is_a_config_error(tmp_path, capsys):
+    # dt = inf ran 0 steps and exited 0
+    bad = GOOD_CONFIG.replace("dt = 1e-4", "dt = inf")
+    code = main(["run", "--config", write(tmp_path, bad), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "dt: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_solver_error_exit_2(tmp_path, capsys):
     # negative diffusion coefficient passes config parsing but fails in the solver
     bad = GOOD_CONFIG.replace("coefficient_value = 0.4", "coefficient_value = -0.4")

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from sparsedyn import (
     CflWarning,
     ConfigError,
+    ExperimentConfig,
     bench_convolution,
     bundled_recipes,
     convergence_study,
@@ -101,6 +103,40 @@ def test_low_frequency_requires_dense():
     bad = SMALL_CONFIG.replace("baselines = dense", "baselines = low_frequency")
     with pytest.raises(ConfigError, match="baselines"):
         parse_config_text(bad)
+
+
+def with_value(text: str, key: str, value: str) -> str:
+    """Config ``text`` with ``key`` set to ``value``, in place of any line
+    that sets it."""
+    lines = [line for line in text.splitlines() if line.split("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+def test_every_float_key_must_be_finite():
+    # on parabolic_converge, dt = inf ran 0 steps, t_end = inf overflowed in
+    # the step count, and t_end = nan or lambda_c = nan failed as solver errors
+    text = bundled_recipes()["parabolic_converge"]
+    keys = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
+    assert {"dt", "t_end", "lambda_c", "initial_width", "gamma"} <= set(keys)
+    for key in keys:
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
+                parse_config_text(with_value(text, key, value))
+
+
+def test_nan_snapshot_time_is_rejected():
+    # NaN fails both bounds checks, so it passed as inside [0, t_end]
+    text = with_value(bundled_recipes()["parabolic_converge"], "snapshot_times", "0.004,nan")
+    with pytest.raises(ConfigError, match="^snapshot_times:"):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("width", ["0", "-0.5"])
+def test_initial_width_must_be_positive(width):
+    # a zero width made a non-Hermitian gauss_bump and a solver error
+    text = with_value(bundled_recipes()["parabolic_converge"], "initial_condition", "gauss_bump")
+    with pytest.raises(ConfigError, match="^initial_width:"):
+        parse_config_text(with_value(text, "initial_width", width))
 
 
 def test_round_trip_fixpoint_for_all_recipes():

@@ -26,7 +26,7 @@ from sparsedyn import (
     solvers,
 )
 from sparsedyn.shrinkage import sparse_convolve_sum
-from sparsedyn.spectral import HeldField, dense_convolve_sum
+from sparsedyn.spectral import HeldField, dense_convolve_sum, hold_operands
 
 
 def record_layouts(monkeypatch) -> list[str]:
@@ -219,19 +219,21 @@ def band(grid: GridSpec, reach: int, stride: int, seed: int) -> SparseSpectrum:
     return SparseSpectrum.from_dense(DenseSpectrum(grid, np.where(mask, coeffs, 0)))
 
 
-def test_reads_open_box_is_the_path_the_convolution_takes(monkeypatch):
-    # the rule's answer against the path and box sparse_convolve_sum takes
-    # on the same product: inside the box, reaches summing to one short of
+def test_layout_rule_is_the_path_the_convolution_takes(monkeypatch):
+    # the plan against the path and box sparse_convolve_sum takes on the
+    # same product, and the layout rule's answer against whether that path
+    # reads the open box: inside the box, reaches summing to one short of
     # its edge and to the edge, at the edge on either path, and thin
     # operands that reach the edge with few pairs
     boxes = []
     original = shrinkage.padded_product
 
-    def recorded(grid, terms, entries, size, k, real):
-        boxes.append(k)
-        return original(grid, terms, entries, size, k, real)
+    def recorded(grid, terms, size, k, real):
+        boxes.append((size, k))
+        return original(grid, terms, size, k, real)
 
     monkeypatch.setattr(shrinkage, "padded_product", recorded)
+    params = EquationParams("parabolic", coeff=CoefficientSpec.constant(1.0))
     answers = []
     for grid in (GridSpec(1, 64), GridSpec(1, 1024), GridSpec(2, 16), GridSpec(2, 64)):
         edge = grid.n_per_dim // 2 - 1
@@ -242,7 +244,9 @@ def test_reads_open_box_is_the_path_the_convolution_takes(monkeypatch):
             a, b = band(grid, reach_a, stride, 1), band(grid, reach_b, 1, 2)
             boxes.clear()
             sparse_convolve_sum(((1.0, a, b),), real=True)
-            full_box = boxes == [edge]
-            assert shrinkage.reads_open_box(HeldField(a), HeldField(b)) == full_box
+            _, size, k, transform = shrinkage.plan_convolution(*hold_operands([(1.0, a, b)]))
+            assert boxes == ([(size, k)] if transform else [])
+            full_box = [k for _, k in boxes] == [edge]
+            assert solvers._fft_layout(params, b, HeldField(a)) == full_box
             answers.append(full_box)
     assert 0 < sum(answers) < len(answers)

@@ -5,6 +5,7 @@ import pytest
 
 from sparsedyn import (
     DenseSpectrum,
+    GridMismatch,
     GridSpec,
     LambdaSchedule,
     NegativeLambda,
@@ -178,6 +179,19 @@ def test_schedule_validation():
         LambdaSchedule("adaptive")
 
 
+def test_nan_thresholds_are_rejected():
+    # a NaN threshold fails every comparison, so it passed as nonnegative
+    nan = float("nan")
+    with pytest.raises(ValueError, match="fixed_lambda"):
+        LambdaSchedule.fixed(nan)
+    with pytest.raises(ValueError, match="C must"):
+        LambdaSchedule.power_law(nan, 2.0)
+    with pytest.raises(ValueError, match="p must"):
+        LambdaSchedule.power_law(1.0, nan)
+    with pytest.raises(NegativeLambda, match="nan"):
+        soft_threshold(SparseSpectrum.from_dict(GridSpec(1, 8), {1: 1.0}), nan)
+
+
 def test_sparsity_fraction():
     g = GridSpec(1, 512)
     assert sparsity_fraction(SparseSpectrum.empty(g)) == 0.0
@@ -199,6 +213,32 @@ def test_arithmetic_and_mean_mode():
     assert SparseSpectrum.empty(g).mean_mode() == 0.0
     doubled = 2.0 * a
     assert doubled.to_dict()[2] == 2.0 + 2.0j
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 16), GridSpec(2, 8)], ids=["1d", "2d"])
+def test_sparse_plus_dense_is_the_scattered_sum_in_either_order(grid):
+    # a Nyquist mode and a NaN among the sparse entries; the dense spectrum
+    # is full, so most of its entries meet no sparse one
+    rng = np.random.default_rng(5)
+    if grid.dims == 1:
+        modes = {-4: 0.5, -3: 1.5 - 2j, 0: 0.25, 1: np.nan}
+    else:
+        modes = {(-4, 3): 0.5, (-3, 0): 1.5 - 2j, (0, 0): 0.25, (1, 2): np.nan}
+    sparse = SparseSpectrum.from_dict(grid, modes)
+    shape = grid.shape
+    dense = DenseSpectrum(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    before = dense.coeffs.copy()
+    want = sparse.to_dense() + dense
+    for total in (sparse + dense, dense + sparse):
+        assert isinstance(total, DenseSpectrum)
+        assert np.array_equal(total.coeffs, want.coeffs, equal_nan=True)
+        assert np.isnan(total.coeffs).sum() == 1
+    assert np.array_equal(dense.coeffs, before)  # the dense operand is not written
+    other = DenseSpectrum(GridSpec(grid.dims, 32), np.zeros((32,) * grid.dims, complex))
+    with pytest.raises(GridMismatch):
+        sparse + other
+    with pytest.raises(GridMismatch):
+        other + sparse
 
 
 def test_nan_entries_are_never_dropped():
@@ -295,6 +335,15 @@ def test_dump_format_and_round_trip():
     loaded = load_spectrum(io.StringIO(text))
     assert loaded.grid == g
     assert loaded.to_dict() == spec.to_dict()
+    assert load_spectrum(io.StringIO("# grid=16 n_s=0\n")).n_s == 0
+
+
+@pytest.mark.parametrize("header", ["n_s=2", "n_s=4"])
+def test_dump_whose_header_miscounts_its_entries_is_rejected(header):
+    # n_s=2 silently dropped the third entry; n_s=4 failed in int()
+    text = dumps_spectrum(SparseSpectrum.from_dict(GridSpec(1, 16), {-3: 1.0, 0: 0.5, 3: 1.0}))
+    with pytest.raises(ValueError, match=f"{header}, but 3 entries"):
+        load_spectrum(io.StringIO(text.replace("n_s=3", header)))
 
 
 def test_out_of_range_modes_are_rejected_not_aliased():
