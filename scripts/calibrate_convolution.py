@@ -100,7 +100,7 @@ def sweep(repeats: int, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     rows_out = []
     for grid, reach in ((g, r) for g in GRIDS for r in REACHES):
-        reach = grid.n_per_dim // 2 - 1 if reach is None else reach
+        reach = grid.box_edge if reach is None else reach
         for rows, cols in shapes(grid, reach):
             a, b = operand(grid, rows, reach, rng), operand(grid, cols, reach, rng)
             size = transform_size(grid, key_reach(grid, a.keys) + key_reach(grid, b.keys))[0]

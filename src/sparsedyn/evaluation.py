@@ -110,9 +110,8 @@ def match_mode_count(run: RunReport) -> int:
     run's final n_s modes."""
     n_s = run.records[-1].n_s if run.records else 0
     dims = run.grid.dims
-    cap = run.grid.n_per_dim // 2 - 1
     k = 0
-    while (2 * k + 1) ** dims < n_s and k < cap:
+    while (2 * k + 1) ** dims < n_s and k < run.grid.box_edge:
         k += 1
     return k
 
@@ -125,8 +124,7 @@ def inject(spec: DenseSpectrum | SparseSpectrum, fine: GridSpec) -> DenseSpectru
     coarse = spec.grid
     if fine.dims != coarse.dims or fine.n_per_dim < coarse.n_per_dim:
         raise GridMismatch("target grid must match dims and be at least as fine")
-    k = coarse.n_per_dim // 2 - 1
-    index = box_index(coarse, k, coarse.n_per_dim)[1]
+    k = coarse.box_edge
     coeffs = np.zeros(fine.n_total, dtype=np.complex128)
-    coeffs[box_index(coarse, k, fine.n_per_dim)[1]] = spec.coeffs.ravel()[index]
+    coeffs[box_index(fine, k)[1]] = spec.coeffs.ravel()[box_index(coarse, k)[1]]
     return DenseSpectrum(fine, coeffs.reshape(fine.shape))

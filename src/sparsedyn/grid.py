@@ -19,6 +19,11 @@ keep the half grid ``m_last >= 0``: sparse entries are placed there by
 :func:`half_index`, dense ones by :func:`box_half_index`, and the box of
 modes the product can reach is read back from it as conjugates where
 needed (:func:`box_unfold`), in the key order of :func:`box_index`.
+
+Every per-grid table is built here once, cached and shared read-only:
+:func:`fft_digits`, :func:`mode_mesh`, :func:`mean_key`,
+:func:`digit_tables`, :func:`negated_fft_index`, :func:`box_index`,
+:func:`box_half_index`, :func:`box_unfold` and :func:`transform_size`.
 """
 
 from __future__ import annotations
@@ -56,8 +61,8 @@ class GridSpec:
         n = self.n_per_dim
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError(f"n_per_dim must be a power of two >= 4, got {n}")
-        if not self.domain_length > 0:
-            raise ValueError("domain_length must be positive")
+        if not 0 < self.domain_length < math.inf:  # NaN fails too
+            raise ValueError(f"domain_length must be positive and finite, got {self.domain_length}")
 
     @property
     def dx(self) -> float:
@@ -89,9 +94,7 @@ class GridSpec:
 
     def mode_numbers(self) -> np.ndarray:
         """Integer modes along one axis in FFT order: 0..n/2-1, -n/2..-1."""
-        n = self.n_per_dim
-        m = np.arange(n)
-        return np.where(m < n // 2, m, m - n)
+        return fft_digits(self) - self.n_per_dim // 2
 
     def wavenumbers(self) -> np.ndarray:
         """Physical angular wavenumbers along one axis in FFT order."""
@@ -116,6 +119,11 @@ class GridSpec:
     def nyquist_mode(self) -> int:
         """The unpaired integer mode -n/2; zeroed by derivatives."""
         return -(self.n_per_dim // 2)
+
+    @property
+    def box_edge(self) -> int:
+        """Largest ``|m_d|`` of the open box ``|m_d| < n/2``: ``n/2 - 1``."""
+        return self.n_per_dim // 2 - 1
 
 
 def wavenumbers_of(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
@@ -151,6 +159,23 @@ def digit_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(wavenumbers_of(grid, modes), derivative_factor(grid, modes))
 
 
+@lru_cache(maxsize=8)
+def fft_digits(grid: GridSpec) -> np.ndarray:
+    """Digit ``m + n/2`` of the mode at each FFT-layout index along one
+    axis, ``(j + n/2) mod n`` at index ``j``: an index into
+    :func:`digit_tables`.  Read-only, shared per grid."""
+    n = grid.n_per_dim
+    return _read_only((np.arange(n) + n // 2) & (n - 1))[0]
+
+
+@lru_cache(maxsize=8)
+def mode_mesh(grid: GridSpec) -> np.ndarray:
+    """Integer mode vectors, shape ``(dims, *grid.shape)``, FFT layout.
+    Read-only, shared per grid."""
+    m = grid.mode_numbers()
+    return _read_only(np.stack(np.meshgrid(*([m] * grid.dims), indexing="ij")))[0]
+
+
 def _to_flat(digits, base: int) -> np.ndarray:
     """Row-major flat index of per-dimension ``digits`` (first axis slowest)."""
     flat = np.zeros(np.shape(digits[0]), dtype=np.int64)
@@ -179,7 +204,7 @@ def fft_index_to_mode(grid: GridSpec, index: int | np.ndarray) -> np.ndarray:
     idx = np.asarray(index)
     if np.any((idx < 0) | (idx >= grid.n_total)):
         raise IndexError("flat index out of range")
-    return np.stack([np.where(d < n // 2, d, d - n) for d in _from_flat(idx, n, grid.dims)])
+    return np.stack([fft_digits(grid)[d] for d in _from_flat(idx, n, grid.dims)]) - n // 2
 
 
 @lru_cache(maxsize=8)
@@ -202,16 +227,11 @@ def check_resolved(grid: GridSpec, modes) -> np.ndarray:
     return modes
 
 
-def _place(modes, n_out: int) -> np.ndarray:
-    """Flat FFT-layout index of mode vectors on a grid of ``n_out`` points
-    per dimension: digit ``m mod n_out`` per dimension."""
-    return _to_flat([np.mod(m, n_out) for m in modes], n_out)
-
-
 def mode_to_fft_index(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
     """Map integer mode vectors (shape ``(dims,)`` or ``(dims, m)``) to flat
-    FFT-layout indices."""
-    return _place(check_resolved(grid, modes), grid.n_per_dim)
+    FFT-layout indices: digit ``m mod n`` per dimension."""
+    n = grid.n_per_dim
+    return _to_flat([np.mod(m, n) for m in check_resolved(grid, modes)], n)
 
 
 def mode_to_key(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
@@ -224,6 +244,12 @@ def mode_to_key(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
     """
     half = grid.n_per_dim // 2
     return _to_flat([m + half for m in np.asarray(modes, dtype=np.int64)], 2 * grid.n_per_dim)
+
+
+@lru_cache(maxsize=8)
+def mean_key(grid: GridSpec) -> int:
+    """Key of the mode k = 0."""
+    return int(mode_to_key(grid, np.zeros(grid.dims, dtype=np.int64)))
 
 
 def key_to_mode(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
@@ -310,17 +336,17 @@ def key_reach(grid: GridSpec, keys: np.ndarray) -> int:
     bound it; only in 2-D, when that does not already reach the edge, are
     the last digits decoded.
     """
-    half = grid.n_per_dim // 2
+    half, edge = grid.n_per_dim // 2, grid.box_edge
     if keys.size == 0:
         return 0
     if grid.dims == 1:
-        return min(max(half - int(keys[0]), int(keys[-1]) - half), half - 1)
+        return min(max(half - int(keys[0]), int(keys[-1]) - half), edge)
     base = 2 * grid.n_per_dim
     reach = max(half - int(keys[0]) // base, int(keys[-1]) // base - half)
-    if reach >= half - 1:
-        return half - 1
+    if reach >= edge:
+        return edge
     last = keys % base
-    return min(max(reach, half - int(last.min()), int(last.max()) - half), half - 1)
+    return min(max(reach, half - int(last.min()), int(last.max()) - half), edge)
 
 
 @lru_cache(maxsize=256)
@@ -336,7 +362,7 @@ def transform_size(grid: GridSpec, reach: int) -> tuple[int, int]:
     for any band).  Operands that fill the box have ``reach = n - 2`` and
     get ``P = 3n/2`` for ``n >= 8``.
     """
-    k = min(reach, grid.n_per_dim // 2 - 1)
+    k = min(reach, grid.box_edge)
     size, threes = grid.n_padded, 1
     while threes < size:
         p = threes
@@ -354,14 +380,14 @@ def _box_modes(grid: GridSpec, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def box_index(grid: GridSpec, k: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+def box_index(grid: GridSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Keys, ascending, of the modes ``|m_d| <= k`` (``k < n/2``), and their
-    flat index on the FFT grid of ``n_out`` points per dimension.  With
-    ``k = n/2 - 1`` this is the open box.  The box is symmetric, so its
-    keys reversed are those of the negated modes.  Read-only, shared per
-    grid, ``k`` and size."""
+    flat index on the grid's own FFT layout.  With ``k`` the box edge
+    (:attr:`GridSpec.box_edge`) this is the open box.  The box is
+    symmetric, so its keys reversed are those of the negated modes.
+    Read-only, shared per grid and ``k``."""
     modes = _box_modes(grid, k)
-    return _read_only(mode_to_key(grid, modes), _place(modes, n_out).astype(np.intp))
+    return _read_only(mode_to_key(grid, modes), mode_to_fft_index(grid, modes).astype(np.intp))
 
 
 def _half_place(modes, n_out: int) -> np.ndarray:
@@ -389,13 +415,13 @@ def half_index(grid: GridSpec, keys: np.ndarray, n_out: int) -> tuple[np.ndarray
 
 
 @lru_cache(maxsize=16)
-def box_half_index(grid: GridSpec, k: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For the modes of the box ``|m_d| <= k`` with ``m_last >= 0``: their
-    flat index on the grid's own FFT layout, that of their negations, and
-    their flat index on the half grid of a real transform on ``n_out``
-    points per dimension (:func:`half_index`).  Read-only, shared per grid,
-    ``k`` and size."""
-    keys, own = box_index(grid, k, grid.n_per_dim)
+def box_half_index(grid: GridSpec, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the modes of the open box ``|m_d| <= n/2 - 1``
+    (:attr:`GridSpec.box_edge`) with ``m_last >= 0``: their flat index on
+    the grid's own FFT layout, that of their negations, and their flat
+    index on the half grid of a real transform on ``n_out`` points per
+    dimension (:func:`half_index`).  Read-only, shared per grid and size."""
+    keys, own = box_index(grid, grid.box_edge)
     keep, index = half_index(grid, keys, n_out)
     return _read_only(own[keep], own[::-1][keep], index)
 

@@ -407,6 +407,8 @@ def convergence_study(
     validate_config(config)
     if len(resolutions) < 3:
         raise ConfigError("resolutions: need at least 3")
+    if any(n < 4 or n & (n - 1) for n in resolutions):
+        raise ConfigError(f"resolutions: each must be a power of two >= 4, got {resolutions}")
     if sorted(resolutions) != list(resolutions):
         raise ConfigError("resolutions: must be ascending")
     if config.lambda_mode != "power_law":
@@ -468,6 +470,10 @@ def bench_convolution(
 ) -> list[tuple[int, int, float, float]]:
     """Median wall-clock of the sparse entry-pair convolution against the
     transform-based dense product, after checking both agree."""
+    if any(n < 4 or n & (n - 1) for n in n_list):
+        raise ConfigError(f"sizes: each must be a power of two >= 4, got {n_list}")
+    if repetitions < 1:
+        raise ConfigError(f"reps: need at least 1, got {repetitions}")
     rng = np.random.default_rng(seed)
     rows = []
     for n in n_list:
@@ -504,8 +510,8 @@ def bench_convolution(
 
 
 def _random_sparse(grid: GridSpec, n_s: int, rng: np.random.Generator) -> SparseSpectrum:
-    half = grid.n_per_dim // 2
-    modes = rng.choice(np.arange(-half + 1, half), size=n_s, replace=False)
+    edge = grid.box_edge
+    modes = rng.choice(np.arange(-edge, edge + 1), size=n_s, replace=False)
     values = rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
     return SparseSpectrum.from_modes(grid, modes.reshape(1, -1), values)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import IO, Iterator
 
 import numpy as np
@@ -32,6 +31,7 @@ from .grid import (
     key_digit,
     key_to_fft_index,
     key_to_mode,
+    mean_key,
     mode_to_key,
     negated_keys,
     shifted_index_to_key,
@@ -74,12 +74,6 @@ def _above_roundoff(values: np.ndarray) -> np.ndarray:
     if not np.isfinite(top):
         return _nonzero(values)
     return ~(mags < max(ROUNDOFF_FLOOR * top, DROP_TOL))
-
-
-@lru_cache(maxsize=8)
-def _mean_key(grid: GridSpec) -> int:
-    """Key of the mode k = 0."""
-    return int(mode_to_key(grid, np.zeros(grid.dims, dtype=np.int64)))
 
 
 @dataclass(frozen=True)
@@ -159,18 +153,14 @@ class SparseSpectrum:
         amplitude, as :func:`~sparsedyn.spectral.is_hermitian` checks a
         dense spectrum; a missing partner counts as zero, so a state made
         from real samples, whose roundoff partners may have underflowed,
-        passes.  The negated keys are the keys reversed, but for modes with
-        a Nyquist component, so a stable sort matches the partners in
-        O(n_s); only when some partner is missing are they searched."""
+        passes.  Each partner is found by a binary search of the keys, so
+        the check takes O(n_s log n_s) and builds no array the size of the
+        grid."""
         if not self.n_s:
             return True
         partner = negated_keys(self.grid, self.keys)
-        order = np.argsort(partner, kind="stable")
-        if np.array_equal(partner[order], self.keys):
-            mirror = np.conj(self.values[order])
-        else:
-            at = np.minimum(np.searchsorted(self.keys, partner), self.n_s - 1)
-            mirror = np.where(self.keys[at] == partner, np.conj(self.values[at]), 0.0)
+        at = np.minimum(np.searchsorted(self.keys, partner), self.n_s - 1)
+        mirror = np.where(self.keys[at] == partner, np.conj(self.values[at]), 0.0)
         gap = float(np.max(np.abs(self.values - mirror)))
         return gap <= rtol * (float(np.max(np.abs(self.values))) or 1.0)
 
@@ -185,7 +175,7 @@ class SparseSpectrum:
 
     def mean_mode(self) -> complex:
         """Amplitude at k = 0 (zero when absent)."""
-        key = _mean_key(self.grid)
+        key = mean_key(self.grid)
         pos = np.searchsorted(self.keys, key)
         if pos < self.n_s and self.keys[pos] == key:
             return complex(self.values[pos])
@@ -261,12 +251,12 @@ class LambdaSchedule:
     def __post_init__(self) -> None:
         if self.mode not in ("fixed", "power_law"):
             raise ValueError(f"mode must be 'fixed' or 'power_law', got {self.mode!r}")
-        if not self.fixed_lambda >= 0:  # NaN fails too
-            raise ValueError(f"fixed_lambda must be >= 0, got {self.fixed_lambda}")
-        if not self.c >= 0:
-            raise ValueError(f"C must be >= 0, got {self.c}")
-        if not self.p > 0:
-            raise ValueError("p must be > 0")
+        if not 0 <= self.fixed_lambda < math.inf:  # NaN fails too
+            raise ValueError(f"fixed_lambda must be >= 0 and finite, got {self.fixed_lambda}")
+        if not 0 <= self.c < math.inf:
+            raise ValueError(f"C must be >= 0 and finite, got {self.c}")
+        if not 0 < self.p < math.inf:
+            raise ValueError(f"p must be > 0 and finite, got {self.p}")
 
     @classmethod
     def fixed(cls, value: float) -> "LambdaSchedule":
@@ -306,12 +296,12 @@ def soft_threshold(
     mags = np.abs(spec.values)
     keep = ~(mags <= lam)
     if protect_mean:
-        mean_key = _mean_key(spec.grid)
-        keep |= (spec.keys == mean_key) & _nonzero(spec.values)
+        zero_key = mean_key(spec.grid)
+        keep |= (spec.keys == zero_key) & _nonzero(spec.values)
     keys = spec.keys[keep]
     vals = spec.values[keep] * ((mags[keep] - lam) / mags[keep])
     if protect_mean:
-        exempt = keys == mean_key
+        exempt = keys == zero_key
         vals[exempt] = spec.values[keep][exempt]
     return SparseSpectrum(spec.grid, keys, vals)
 
@@ -363,7 +353,7 @@ def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
         return _pair_convolve(grid, [(w, a.entries(), b.entries()) for w, a, b in live])
     vals = padded_product(grid, live, size, k, real)
     keep = _above_roundoff(vals)
-    return SparseSpectrum(grid, box_index(grid, k, size)[0][keep], vals[keep])
+    return SparseSpectrum(grid, box_index(grid, k)[0][keep], vals[keep])
 
 
 def plan_convolution(grid: GridSpec, terms) -> tuple[list, int, int, bool]:
@@ -423,7 +413,7 @@ def _pair_convolve(grid: GridSpec, terms) -> SparseSpectrum:
 
     keys = np.flatnonzero(acc != 0)  # NaN != 0, so NaN cells are kept
     vals = acc[keys]
-    keys += low - _mean_key(grid)  # the output key
+    keys += low - mean_key(grid)  # the output key
     inside = in_open_box(grid, keys) & _nonzero(vals)
     return SparseSpectrum(grid, keys[inside], vals[inside])
 

@@ -37,7 +37,7 @@ from .errors import (
     SolverDiverged,
     UnknownInitialSpec,
 )
-from .grid import GridSpec, digit_tables
+from .grid import GridSpec, box_index, digit_tables, key_to_mode, mean_key
 from .shrinkage import (
     LambdaSchedule,
     SparseSpectrum,
@@ -109,6 +109,12 @@ class InitialSpec:
     width: float = 0.5
     amplitude: float = 1.0
     seed: int = 42
+
+    def __post_init__(self) -> None:
+        if not 0 < self.width < np.inf:  # NaN fails too
+            raise ValueError(f"width must be positive and finite, got {self.width}")
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
 
 
 def _convolve(*terms) -> Spectrum:
@@ -246,7 +252,7 @@ def _fft_layout(params: EquationParams, u: Spectrum, coeff: HeldField) -> bool:
     state = HeldField(u)
     other = state if params.equation == "vorticity2d" else coeff
     _, _, k, transform = plan_convolution(u.grid, [(1.0, other, state)])
-    return transform and k == u.grid.n_per_dim // 2 - 1
+    return transform and k == u.grid.box_edge
 
 
 def _iterate(
@@ -372,25 +378,16 @@ def initial_condition(spec: InitialSpec, grid: GridSpec) -> SparseSpectrum:
         )
 
     if spec.name == "sine_low":
+        # the box less k = 0: keys ascend in lexicographic mode order, so the
+        # modes above k = 0 come last, and the box is symmetric, so the
+        # modes below it are their negations in reverse order
+        keys = box_index(grid, SINE_LOW_REACH)[0]
+        keys = keys[keys != mean_key(grid)]
         rng = np.random.default_rng(spec.seed)
-        entries: dict = {}
-        half_space = []
-        top = SINE_LOW_REACH
-        if grid.dims == 1:
-            half_space = [(m,) for m in range(1, top + 1)]
-        else:
-            for m1 in range(-top, top + 1):
-                for m2 in range(-top, top + 1):
-                    if (m1, m2) > (0, 0):
-                        half_space.append((m1, m2))
-        for mode in half_space:
-            re, im = rng.standard_normal(2) * (spec.amplitude / 4.0)
-            value = re + 1j * im
-            key = mode[0] if grid.dims == 1 else mode
-            conj_key = -mode[0] if grid.dims == 1 else tuple(-m for m in mode)
-            entries[key] = value
-            entries[conj_key] = value.conjugate()
-        return SparseSpectrum.from_dict(grid, entries)
+        re, im = (rng.standard_normal((keys.size // 2, 2)) * (spec.amplitude / 4.0)).T
+        upper = re + 1j * im
+        values = np.concatenate((np.conj(upper[::-1]), upper))
+        return SparseSpectrum.from_modes(grid, key_to_mode(grid, keys), values)
 
     if spec.name == "two_vortices":
         if grid.dims != 2:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,9 +30,11 @@ from .grid import (
     box_index,
     box_unfold,
     digit_tables,
+    fft_digits,
     half_index,
     in_open_box,
     key_reach,
+    mode_mesh,
     negated_fft_index,
     negated_keys,
     transform_size,
@@ -78,15 +79,15 @@ class DenseSpectrum:
     def modes(self) -> np.ndarray:
         """Integer mode vectors, shape ``(dims, *grid.shape)``, FFT layout;
         read-only and shared by every spectrum on the grid."""
-        return _mode_mesh(self.grid)
+        return mode_mesh(self.grid)
 
     def mode_digits(self, axis: int) -> np.ndarray:
         """Digit ``m + n/2`` of the mode along ``axis``, shaped to broadcast
         against ``coeffs``: an index into
-        :func:`~sparsedyn.grid.digit_tables`."""
-        grid = self.grid
-        shape = [-1 if d == axis else 1 for d in range(grid.dims)]
-        return (grid.mode_numbers() + grid.n_per_dim // 2).reshape(shape)
+        :func:`~sparsedyn.grid.digit_tables`.  Read-only, a view of the
+        grid's :func:`~sparsedyn.grid.fft_digits`."""
+        shape = [-1 if d == axis else 1 for d in range(self.grid.dims)]
+        return fft_digits(self.grid).reshape(shape)
 
     def is_hermitian(self, rtol: float = 1e-12) -> bool:
         """Whether this is the spectrum of a real field (:func:`is_hermitian`)."""
@@ -107,14 +108,6 @@ class DenseSpectrum:
         return DenseSpectrum(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-
-@lru_cache(maxsize=8)
-def _mode_mesh(grid: GridSpec) -> np.ndarray:
-    m = grid.mode_numbers()
-    mesh = np.stack(np.meshgrid(*([m] * grid.dims), indexing="ij"))
-    mesh.setflags(write=False)
-    return mesh
 
 
 def dft_forward(field: SpatialField) -> DenseSpectrum:
@@ -175,7 +168,7 @@ class HeldField:
         if self._entries is None:
             grid, keys, vals = self.spectrum.grid, self.spectrum.keys, self.spectrum.values
             reach = key_reach(grid, keys)
-            if reach == grid.n_per_dim // 2 - 1:  # drop the unpaired Nyquist mode, if any
+            if reach == grid.box_edge:  # drop the unpaired Nyquist mode, if any
                 keep = in_open_box(grid, keys)
                 keys, vals = keys[keep], vals[keep]
             self._entries = keys, vals, reach
@@ -189,7 +182,7 @@ class HeldField:
         (:func:`~sparsedyn.grid.half_index`), a dense one gathers the box."""
         spec, grid = self.spectrum, self.spectrum.grid
         if isinstance(spec, DenseSpectrum):
-            own, negation, index = box_half_index(grid, grid.n_per_dim // 2 - 1, size)
+            own, negation, index = box_half_index(grid, size)
             flat = spec.coeffs.ravel()
             return index, (np.conjugate(flat[negation]) if negated else flat[own])
         keys, vals, _ = self.entries()
@@ -322,10 +315,10 @@ def dense_convolve_sum(terms, *, real: bool = False) -> DenseSpectrum:
     the open box, so the unpaired Nyquist mode is zero.
     """
     grid, terms = hold_operands(terms)
-    size, k = transform_size(grid, 2 * (grid.n_per_dim // 2 - 1))
+    size, k = transform_size(grid, 2 * grid.box_edge)
     vals = padded_product(grid, terms, size, k, real)
     coeffs = np.zeros(grid.n_total, dtype=np.complex128)
-    coeffs[box_index(grid, k, grid.n_per_dim)[1]] = vals
+    coeffs[box_index(grid, k)[1]] = vals
     return DenseSpectrum(grid, coeffs.reshape(grid.shape))
 
 

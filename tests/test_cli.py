@@ -105,8 +105,7 @@ def test_recipes_show(capsys):
     assert main(["recipes", "--show", "missing"]) == 1
 
 
-def test_converge_cli(tmp_path, capsys):
-    cfg = """
+CONVERGE_CONFIG = """
 equation = parabolic
 dims = 1
 n_per_dim = 64
@@ -119,11 +118,14 @@ coefficient = constant
 coefficient_value = 0.3
 initial_condition = sine_low
 """
+
+
+def test_converge_cli(tmp_path, capsys):
     code = main(
         [
             "converge",
             "--config",
-            write(tmp_path, cfg),
+            write(tmp_path, CONVERGE_CONFIG),
             "--resolutions",
             "16,32,64",
             "--out",
@@ -135,6 +137,23 @@ initial_condition = sine_low
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "dx,l2,linf"
     assert len(lines) == 4
+
+
+def test_converge_cli_resolution_error_exit_1(tmp_path, capsys):
+    # a size that is no power of two exited 2, as a solver error
+    cfg = write(tmp_path, CONVERGE_CONFIG)
+    assert main(["converge", "--config", cfg, "--resolutions", "64,100,128"]) == 1
+    assert "config error: resolutions:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [(["--sizes", "1000"], "sizes"), (["--sizes", "64", "--reps", "0"], "reps")],
+)
+def test_bench_conv_input_errors_exit_1(flags, name, capsys):
+    # --reps 0 printed nan medians and exited 0
+    assert main(["bench-conv", "--sparsities", "4", *flags]) == 1
+    assert f"config error: {name}:" in capsys.readouterr().err
 
 
 def test_bench_conv_cli(tmp_path, capsys):

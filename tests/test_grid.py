@@ -25,6 +25,7 @@ def test_basic_geometry():
     assert g.dx * g.n_per_dim == g.domain_length
     assert g.n_total == 64
     assert g.shape == (64,)
+    assert g.box_edge == 31 and g.nyquist_mode == -32
 
     g2 = GridSpec(2, 32)
     assert g2.n_total == 1024
@@ -36,6 +37,13 @@ def test_basic_geometry():
 def test_rejects_non_power_of_two(n):
     with pytest.raises(ValueError):
         GridSpec(1, n)
+
+
+@pytest.mark.parametrize("length", [0.0, -1.0, np.inf, -np.inf, np.nan])
+def test_rejects_bad_domain_length(length):
+    # an infinite period gave zero wavenumbers: a diffusion run changed nothing
+    with pytest.raises(ValueError, match="domain_length"):
+        GridSpec(1, 64, domain_length=length)
 
 
 def test_rejects_bad_dims():
@@ -196,15 +204,16 @@ def test_transform_size_is_the_smallest_alias_free_grid():
 @pytest.mark.parametrize("dims", [1, 2])
 def test_box_index_lists_the_box_in_key_order(dims):
     g = GridSpec(dims, 16)
-    for k, n_out in ((0, 1), (3, 9), (7, 16), (7, 24)):
-        keys, index = box_index(g, k, n_out)
+    for k in (0, 3, 7):
+        keys, index = box_index(g, k)
         modes = key_to_mode(g, keys)
         assert keys.size == (2 * k + 1) ** dims
         assert np.all(np.diff(keys) > 0) and np.abs(modes).max() == k
-        place = np.ravel_multi_index(tuple(np.mod(modes, n_out)), (n_out,) * dims)
+        place = np.ravel_multi_index(tuple(np.mod(modes, g.n_per_dim)), g.shape)
         assert np.array_equal(index, place)
+        assert not index.flags.writeable
     # the full box is the open box
-    keys = box_index(g, 7, g.n_padded)[0]
+    keys = box_index(g, g.box_edge)[0]
     every = np.arange((2 * g.n_per_dim) ** dims)
     assert np.array_equal(keys, every[in_open_box(g, every)])
 
@@ -220,7 +229,8 @@ def test_half_grid_holds_the_box_of_a_real_transform(dims):
         field = rng.standard_normal((n_out,) * dims)
         full = np.fft.fftn(field).ravel()
         half = np.fft.rfftn(field).ravel()
-        keys, index = box_index(g, k, n_out)
+        keys = box_index(g, k)[0]
+        index = np.ravel_multi_index(tuple(np.mod(key_to_mode(g, keys), n_out)), field.shape)
         keep, placed = half_index(g, keys, n_out)
         assert np.array_equal(keep, key_to_mode(g, keys)[-1] >= 0)
         assert np.allclose(half[placed], full[index[keep]], rtol=0, atol=1e-12)

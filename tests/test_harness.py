@@ -260,6 +260,8 @@ def test_convergence_study_validation():
         convergence_study(cfg, [64])
     with pytest.raises(ConfigError, match="resolutions"):
         convergence_study(cfg, [64, 32, 128])
+    with pytest.raises(ConfigError, match="resolutions"):
+        convergence_study(cfg, [64, 100, 128])
     fixed = parse_config_text(SMALL_CONFIG)
     with pytest.raises(ConfigError, match="lambda_mode"):
         convergence_study(fixed, [16, 32, 64])

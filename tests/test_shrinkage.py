@@ -192,6 +192,38 @@ def test_nan_thresholds_are_rejected():
         soft_threshold(SparseSpectrum.from_dict(GridSpec(1, 8), {1: 1.0}), nan)
 
 
+def test_infinite_thresholds_are_rejected():
+    # power_law(1.0, inf) gave lambda = 0 for every dt < 1
+    inf = float("inf")
+    with pytest.raises(ValueError, match="fixed_lambda"):
+        LambdaSchedule.fixed(inf)
+    with pytest.raises(ValueError, match="C must"):
+        LambdaSchedule.power_law(inf, 2.0)
+    with pytest.raises(ValueError, match="p must"):
+        LambdaSchedule.power_law(1.0, inf)
+
+
+def test_sparse_is_hermitian_agrees_with_the_dense_check():
+    g, g2 = GridSpec(1, 16), GridSpec(2, 16)
+    pair = {2: 1 + 2j, -2: 1 - 2j}
+    field = np.random.default_rng(0).standard_normal(g2.shape)
+    cases = [
+        (SparseSpectrum.from_dict(g, pair), True),
+        (SparseSpectrum.from_dense(dft_forward(SpatialField(g2, field))), True),
+        # mode 5 without its partner: a gap of its own size
+        (SparseSpectrum.from_dict(g, {**pair, 5: 1e-13}), True),
+        (SparseSpectrum.from_dict(g, {**pair, 5: 1e-6}), False),
+        # the Nyquist mode is its own partner, and pairs the rest of its row
+        (SparseSpectrum.from_dict(g, {**pair, -8: 0.5}), True),
+        (SparseSpectrum.from_dict(g, {**pair, -8: 0.5j}), False),
+        (SparseSpectrum.from_dict(g2, {(-8, 3): 1 + 1j, (-8, -3): 1 - 1j}), True),
+        (SparseSpectrum.from_dict(g2, {(-8, 3): 1 + 1j, (-8, -3): 1 + 1j}), False),
+        (SparseSpectrum.empty(g), True),
+    ]
+    for spec, expected in cases:
+        assert spec.is_hermitian(1e-12) == is_hermitian(spec.to_dense(), 1e-12) == expected
+
+
 def test_sparsity_fraction():
     g = GridSpec(1, 512)
     assert sparsity_fraction(SparseSpectrum.empty(g)) == 0.0

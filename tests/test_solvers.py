@@ -464,6 +464,17 @@ def test_sampled_initial_states_hold_no_roundoff(name, grid):
     assert mags.min() >= ROUNDOFF_FLOOR * mags.max()
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("width", 0.0), ("width", -0.5), ("width", np.inf), ("width", np.nan),
+     ("amplitude", np.inf), ("amplitude", -np.inf), ("amplitude", np.nan)],
+)
+def test_initial_spec_rejects_bad_width_and_amplitude(name, value):
+    # width 0 gave NaN entries, reported later as a HermitianViolation
+    with pytest.raises(ValueError, match=name):
+        InitialSpec("gauss_bump", **{name: value})
+
+
 def test_unknown_initial_spec():
     with pytest.raises(UnknownInitialSpec):
         initial_condition(InitialSpec("square_wave"), GridSpec(1, 64))

@@ -142,6 +142,18 @@ def test_2d_derivative_axes_are_independent():
     assert np.max(np.abs(dy + 2 * np.sin(x) * np.sin(2 * y))) < 1e-12
 
 
+@pytest.mark.parametrize("dims", [1, 2])
+def test_dense_mode_digits_are_the_shifted_mode_numbers(dims):
+    g = GridSpec(dims, 16)
+    spec = DenseSpectrum(g, np.zeros(g.shape, dtype=complex))
+    for axis in range(dims):
+        digits = spec.mode_digits(axis)
+        shape = [-1 if d == axis else 1 for d in range(dims)]
+        assert np.array_equal(digits, (g.mode_numbers() + 8).reshape(shape))
+        assert np.array_equal(np.broadcast_to(digits, g.shape), spec.modes()[axis] + 8)
+        assert not digits.flags.writeable
+
+
 def test_shape_mismatch_rejected():
     g = GridSpec(1, 32)
     with pytest.raises(ValueError):
