@@ -43,6 +43,8 @@ class CoefficientSpec:
                 f"unknown coefficient kind {self.kind!r}; "
                 f"expected one of {sorted(_NAMED_FORMS)}"
             )
+        if not np.isfinite(self.value):
+            raise ValueError(f"value must be finite, got {self.value}")
 
     @classmethod
     def constant(cls, value: float) -> "CoefficientSpec":
@@ -69,25 +71,19 @@ def sample_coefficient(spec: CoefficientSpec, grid: GridSpec) -> np.ndarray:
     if spec.kind == "constant":
         return np.full(grid.shape, spec.value)
 
+    x = grid.axis_coordinates()
     if spec.kind == "convection_oscillatory":
-        (x,) = grid.meshgrid()
         return 0.25 * np.exp((0.6 + 0.2 * np.cos(x)) / (1.0 + 0.7 * np.sin(64 * x)))
 
     if spec.kind == "parabolic_oscillatory":
-        (x,) = grid.meshgrid()
         return 0.1 * np.exp((0.6 + 0.2 * np.cos(x)) / (1.0 + 0.7 * np.sin(256 * x)))
 
     if spec.kind == "burgers_oscillatory":
-        (x,) = grid.meshgrid()
         return 0.075 * np.exp((0.65 + 0.2 * np.cos(x)) / (1.0 + 0.7 * np.sin(128 * x)))
 
-    # vorticity_forcing
-    x, y = grid.meshgrid()
-    return (
-        0.025
-        * (np.sin(32 * x) + np.sin(32 * y))
-        / (1.0 + 0.25 * (np.cos(64 * x) + np.cos(64 * y)))
-    )
+    # vorticity_forcing, from its terms along each axis
+    sin, cos = np.sin(32 * x), np.cos(64 * x)
+    return 0.025 * np.add.outer(sin, sin) / (1.0 + 0.25 * np.add.outer(cos, cos))
 
 
 def coefficient_field_of(spec: CoefficientSpec, grid: GridSpec) -> DenseSpectrum:

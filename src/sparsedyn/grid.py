@@ -21,9 +21,11 @@ modes the product can reach is read back from it as conjugates where
 needed (:func:`box_unfold`), in the key order of :func:`box_index`.
 
 Every per-grid table is built here once, cached and shared read-only:
-:func:`fft_digits`, :func:`mode_mesh`, :func:`mean_key`,
-:func:`digit_tables`, :func:`negated_fft_index`, :func:`box_index`,
-:func:`box_half_index`, :func:`box_unfold` and :func:`transform_size`.
+:func:`mode_mesh`, :func:`mean_key`, :func:`negated_fft_index`,
+:func:`box_index`, :func:`box_half_index`, :func:`box_unfold`,
+:func:`transform_size`, and the factors of the diagonal operators, each of
+the grid's shape in FFT layout: :func:`derivative_factors`,
+:func:`wavenumber_squares` and :func:`biot_savart_factors`.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class GridSpec:
 
     def mode_numbers(self) -> np.ndarray:
         """Integer modes along one axis in FFT order: 0..n/2-1, -n/2..-1."""
-        return fft_digits(self) - self.n_per_dim // 2
+        return np.fft.ifftshift(np.arange(self.nyquist_mode, -self.nyquist_mode))
 
     def wavenumbers(self) -> np.ndarray:
         """Physical angular wavenumbers along one axis in FFT order."""
@@ -132,40 +134,11 @@ def wavenumbers_of(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
     return modes * (TWO_PI / grid.domain_length)
 
 
-def derivative_factor(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
-    """The derivative factor ``i*k`` of integer modes along one axis.
-
-    The unpaired Nyquist mode -n/2 gets 0: it has no real-valued
-    derivative, so zeroing it keeps real fields real.
-    """
-    k = np.where(modes == grid.nyquist_mode, 0.0, wavenumbers_of(grid, modes))
-    return 1j * k
-
-
 def _read_only(*arrays) -> tuple[np.ndarray, ...]:
     """The arrays, made read-only: cached results are shared."""
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-@lru_cache(maxsize=8)
-def digit_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The wavenumber ``k`` and the derivative factor ``i*k``
-    (:func:`derivative_factor`) of mode ``m = d - n/2`` along one axis, at
-    index ``d`` (0 .. n-1): the digit of ``m`` in a sparse key
-    (:func:`key_digit`).  Read-only, shared per grid."""
-    modes = np.arange(grid.n_per_dim) - grid.n_per_dim // 2
-    return _read_only(wavenumbers_of(grid, modes), derivative_factor(grid, modes))
-
-
-@lru_cache(maxsize=8)
-def fft_digits(grid: GridSpec) -> np.ndarray:
-    """Digit ``m + n/2`` of the mode at each FFT-layout index along one
-    axis, ``(j + n/2) mod n`` at index ``j``: an index into
-    :func:`digit_tables`.  Read-only, shared per grid."""
-    n = grid.n_per_dim
-    return _read_only((np.arange(n) + n // 2) & (n - 1))[0]
 
 
 @lru_cache(maxsize=8)
@@ -176,21 +149,43 @@ def mode_mesh(grid: GridSpec) -> np.ndarray:
     return _read_only(np.stack(np.meshgrid(*([m] * grid.dims), indexing="ij")))[0]
 
 
+@lru_cache(maxsize=8)
+def derivative_factors(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """The derivative factor ``i*k_d`` of every mode along each axis ``d``,
+    shape ``grid.shape``, FFT layout.  Read-only, shared per grid.
+
+    The unpaired Nyquist mode -n/2 gets 0: it has no real-valued
+    derivative, so zeroing it keeps real fields real.
+    """
+    modes = mode_mesh(grid)
+    k = np.where(modes == grid.nyquist_mode, 0.0, wavenumbers_of(grid, modes))
+    return _read_only(*(1j * k))
+
+
+@lru_cache(maxsize=8)
+def wavenumber_squares(grid: GridSpec) -> np.ndarray:
+    """``|k|^2`` of every mode, shape ``grid.shape``, FFT layout.
+    Read-only, shared per grid."""
+    return _read_only(sum(k * k for k in wavenumbers_of(grid, mode_mesh(grid))))[0]
+
+
+@lru_cache(maxsize=8)
+def biot_savart_factors(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The factors ``(i*k_1, -i*k_0) / |k|^2`` that take a 2-D vorticity to
+    its two velocity components, the perpendicular gradient of the inverse
+    Laplacian, 0 at k = 0 (a mean-free streamfunction); shape
+    ``grid.shape``, FFT layout.  Read-only, shared per grid."""
+    k, ksq = wavenumbers_of(grid, mode_mesh(grid)), wavenumber_squares(grid)
+    inv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq != 0)
+    return _read_only(1j * k[1] * inv, -1j * k[0] * inv)
+
+
 def _to_flat(digits, base: int) -> np.ndarray:
     """Row-major flat index of per-dimension ``digits`` (first axis slowest)."""
     flat = np.zeros(np.shape(digits[0]), dtype=np.int64)
     for d in digits:
         flat = flat * base + d
     return flat
-
-
-def _from_flat(flat: np.ndarray, base: int, dims: int) -> list[np.ndarray]:
-    """Per-dimension digits of row-major flat indices; inverse of :func:`_to_flat`."""
-    digits = []
-    for _ in range(dims):
-        flat, d = np.divmod(flat, base)
-        digits.append(d)
-    return digits[::-1]
 
 
 def fft_index_to_mode(grid: GridSpec, index: int | np.ndarray) -> np.ndarray:
@@ -200,11 +195,10 @@ def fft_index_to_mode(grid: GridSpec, index: int | np.ndarray) -> np.ndarray:
     ``(dims, len(index))`` for an index array.  Inverse of
     :func:`mode_to_fft_index`.
     """
-    n = grid.n_per_dim
     idx = np.asarray(index)
     if np.any((idx < 0) | (idx >= grid.n_total)):
         raise IndexError("flat index out of range")
-    return np.stack([fft_digits(grid)[d] for d in _from_flat(idx, n, grid.dims)]) - n // 2
+    return mode_mesh(grid).reshape(grid.dims, -1).take(idx, axis=1)
 
 
 @lru_cache(maxsize=8)
@@ -213,8 +207,7 @@ def negated_fft_index(grid: GridSpec) -> np.ndarray:
     ``-j mod n`` per dimension, so the unpaired Nyquist mode is its own
     negation.  Read-only, shared per grid."""
     n = grid.n_per_dim
-    digits = _from_flat(np.arange(grid.n_total), n, grid.dims)
-    return _read_only(_to_flat([np.mod(-d, n) for d in digits], n))[0]
+    return _read_only(_to_flat([np.mod(-m, n) for m in mode_mesh(grid)], n).ravel())[0]
 
 
 def check_resolved(grid: GridSpec, modes) -> np.ndarray:
@@ -269,11 +262,14 @@ def key_digit(grid: GridSpec, keys: np.ndarray, axis: int) -> np.ndarray:
 def key_to_fft_index(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
     """Flat FFT-layout index of sparse keys: digit ``(d + n/2) & (n - 1)``
     per dimension, ``d`` the key digit, which is ``m mod n`` for the mode
-    ``m = d - n/2``.  In 1-D this is ``(key + n/2) & (n - 1)``."""
+    ``m = d - n/2``.  Read from the key's bits: ``n`` divides the base, so
+    that of the last digit is ``(key + n/2) & (n - 1)``; in 2-D the leading
+    digit is ``key >> log2(2n)``."""
     n = grid.n_per_dim
+    last = (keys + n // 2) & (n - 1)
     if grid.dims == 1:
-        return (keys + n // 2) & (n - 1)
-    return _to_flat([(key_digit(grid, keys, axis) + n // 2) & (n - 1) for axis in (0, 1)], n)
+        return last
+    return (((keys >> n.bit_length()) + n // 2) & (n - 1)) * n + last
 
 
 def shifted_index_to_key(grid: GridSpec, index: np.ndarray) -> np.ndarray:

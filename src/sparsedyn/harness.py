@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .coefficients import _NAMED_FORMS, CoefficientSpec
-from .errors import ConfigError
+from .errors import ConfigError, UnderResolved
 from .evaluation import (
     RunReport,
     StepRecord,
@@ -36,6 +36,7 @@ from .solvers import (
     SINE_LOW_REACH,
     EquationParams,
     InitialSpec,
+    coefficient_samples,
     initial_condition,
     iter_states,
 )
@@ -197,6 +198,20 @@ def format_config(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# keys whose rule the library owns, each with a check of its value alone by
+# that owner, so the rule is written once and its ValueError names the key
+_OWNED_RULES = {
+    "n_per_dim": lambda n: GridSpec(1, n),
+    "domain_length": lambda length: GridSpec(1, 4, length),
+    "initial_width": lambda width: InitialSpec("", width=width),
+    "seed": lambda seed: InitialSpec("", seed=seed),
+    "lambda_mode": LambdaSchedule,
+    "fixed_lambda": LambdaSchedule.fixed,
+    "lambda_c": lambda c: LambdaSchedule.power_law(c, 1.0),
+    "lambda_p": lambda p: LambdaSchedule.power_law(0.0, p),
+}
+
+
 def validate_config(config: ExperimentConfig) -> None:
     for f in fields(ExperimentConfig):
         if f.type == "float" and not math.isfinite(value := getattr(config, f.name)):
@@ -208,22 +223,16 @@ def validate_config(config: ExperimentConfig) -> None:
     expected_dims = 2 if config.equation == "vorticity2d" else 1
     if config.dims != expected_dims:
         raise ConfigError(f"dims: {config.equation} requires dims = {expected_dims}")
-    n = config.n_per_dim
-    if n < 4 or (n & (n - 1)) != 0:
-        raise ConfigError("n_per_dim: must be a power of two >= 4")
+    for key, check in _OWNED_RULES.items():
+        try:
+            check(getattr(config, key))
+        except ValueError as err:
+            raise ConfigError(f"{key}: {err}") from None
     if not config.dt > 0:
         raise ConfigError("dt: must be positive")
     if config.t_end < 0:
         raise ConfigError("t_end: must be nonnegative")
     config.n_steps()
-    if not config.initial_width > 0:
-        raise ConfigError("initial_width: must be positive")
-    if config.lambda_mode not in ("fixed", "power_law"):
-        raise ConfigError("lambda_mode: must be 'fixed' or 'power_law'")
-    if config.fixed_lambda < 0 or config.lambda_c < 0:
-        raise ConfigError("fixed_lambda/lambda_c: thresholds must be nonnegative")
-    if not config.lambda_p > 0:
-        raise ConfigError("lambda_p: must be positive")
     if config.equation == "vorticity2d":
         if not config.gamma > 0:
             raise ConfigError("gamma: vorticity2d requires gamma > 0")
@@ -244,7 +253,7 @@ def validate_config(config: ExperimentConfig) -> None:
             f"initial_condition: {config.initial_condition!r} is not one of "
             f"{', '.join(_INITIAL_NAMES)}"
         )
-    if config.initial_condition == "sine_low" and n // 2 <= SINE_LOW_REACH:
+    if config.initial_condition == "sine_low" and config.n_per_dim // 2 <= SINE_LOW_REACH:
         raise ConfigError(
             f"n_per_dim: sine_low holds modes |k| <= {SINE_LOW_REACH}, "
             f"which need n_per_dim > {2 * SINE_LOW_REACH}"
@@ -257,6 +266,12 @@ def validate_config(config: ExperimentConfig) -> None:
     for t in config.snapshot_times:
         if not 0 <= t <= config.t_end + 1e-12:  # NaN is outside too
             raise ConfigError(f"snapshot_times: {t} outside [0, t_end]")
+    try:  # the rules of the coefficient (or forcing) on this grid
+        coefficient_samples(config.equation_params(), config.grid())
+    except UnderResolved as err:
+        raise ConfigError(f"n_per_dim: {err}") from None
+    except ValueError as err:
+        raise ConfigError(f"coefficient_value: {err}") from None
 
 
 def _fmt(value: float | None) -> str:
@@ -280,13 +295,13 @@ def write_field_csv(state: SparseSpectrum | DenseSpectrum, path: Path) -> None:
     if isinstance(state, SparseSpectrum):
         state = state.to_dense()
     fld = dft_inverse(state)
-    coords = fld.grid.axis_coordinates().tolist()
+    coords = [repr(x) for x in fld.grid.axis_coordinates().tolist()]  # each formatted once
     values = fld.values.tolist()
     if fld.grid.dims == 1:
-        lines = ["x,u"] + [f"{x!r},{u!r}" for x, u in zip(coords, values)]
+        lines = ["x,u"] + [f"{x},{u!r}" for x, u in zip(coords, values)]
     else:
         lines = ["x,y,u"] + [
-            f"{x!r},{y!r},{u!r}" for x, row in zip(coords, values) for y, u in zip(coords, row)
+            f"{x},{y},{u!r}" for x, row in zip(coords, values) for y, u in zip(coords, row)
         ]
     path.write_text("\n".join(lines) + "\n")
 

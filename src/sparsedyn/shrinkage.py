@@ -28,7 +28,6 @@ from .grid import (
     check_resolved,
     fft_shifted,
     in_open_box,
-    key_digit,
     key_to_fft_index,
     key_to_mode,
     mean_key,
@@ -143,10 +142,12 @@ class SparseSpectrum:
         """Integer mode vectors, shape ``(dims, n_s)``, sorted order."""
         return key_to_mode(self.grid, self.keys)
 
-    def mode_digits(self, axis: int) -> np.ndarray:
-        """Per-entry digit ``m + n/2`` of the mode along ``axis``: an index
-        into :func:`~sparsedyn.grid.digit_tables`."""
-        return key_digit(self.grid, self.keys, axis)
+    def at(self, table: np.ndarray) -> np.ndarray:
+        """Per-entry values, in sorted order, of a per-grid mode table
+        (shape ``grid.shape``, FFT layout, such as
+        :func:`~sparsedyn.grid.derivative_factors`): read where
+        :meth:`to_dense` places each entry."""
+        return table.take(key_to_fft_index(self.grid, self.keys))
 
     def is_hermitian(self, rtol: float = 1e-12) -> bool:
         """Whether ``u(-k) == conj(u(k))`` up to ``rtol`` of the largest

@@ -2,11 +2,11 @@
 
 Every scheme produces a pre-shrinkage update v from the current (and, for
 Leap Frog, previous) state.  The schemes use only the operations both
-containers share (``mode_digits``, ``apply_mode_factor``, ``+``, scalar ``*``)
-and :func:`_convolve`, one weighted sum of products per right-hand side,
-so the sparse run, the dense reference and the low-frequency baseline step
-through the same code; each passes v through its own final map (the soft
-threshold for the sparse run).
+containers share (``at``, which reads a per-grid mode factor table,
+``apply_mode_factor``, ``+``, scalar ``*``) and :func:`_convolve`, one
+weighted sum of products per right-hand side, so the sparse run, the dense
+reference and the low-frequency baseline step through the same code; each
+passes v through its own final map (the soft threshold for the sparse run).
 
 A sparse run stores its states sparse and takes each step in one of two
 layouts, by one rule (:func:`_fft_layout`).  A step whose largest
@@ -37,7 +37,8 @@ from .errors import (
     SolverDiverged,
     UnknownInitialSpec,
 )
-from .grid import GridSpec, box_index, digit_tables, key_to_mode, mean_key
+from .grid import GridSpec, biot_savart_factors, box_index, key_to_mode, mean_key
+from .grid import wavenumber_squares
 from .shrinkage import (
     LambdaSchedule,
     SparseSpectrum,
@@ -84,6 +85,8 @@ class EquationParams:
     def __post_init__(self) -> None:
         if self.equation not in EQUATIONS:
             raise ValueError(f"unknown equation {self.equation!r}")
+        if not np.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.equation == "vorticity2d":
             if not self.gamma > 0:
                 raise ValueError("vorticity2d requires gamma > 0")
@@ -115,6 +118,8 @@ class InitialSpec:
             raise ValueError(f"width must be positive and finite, got {self.width}")
         if not np.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _convolve(*terms) -> Spectrum:
@@ -178,27 +183,12 @@ def step_burgers(state: SolverState, a_hat: Spectrum | HeldField, dt: float) -> 
     return 0.5 * (u + u1) + (0.5 * dt) * _burgers_rhs(u1, a_hat)
 
 
-def _ksq(spec: Spectrum) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Per-entry 2-D wavenumbers (k_0, k_1) and |k|^2."""
-    table = digit_tables(spec.grid)[0]
-    k = table[spec.mode_digits(0)], table[spec.mode_digits(1)]
-    return k, k[0] * k[0] + k[1] * k[1]
-
-
-def _velocity(u: Spectrum, axis: int) -> Spectrum:
-    """Velocity component from vorticity: perpendicular gradient of the
-    inverse Laplacian, zero at k = 0 (mean-free streamfunction)."""
-    k, ksq = _ksq(u)
-    inv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq != 0)
-    factor = (1j * k[1] * inv) if axis == 0 else (-1j * k[0] * inv)
-    return u.apply_mode_factor(factor)
-
-
 def advection_term(u: Spectrum) -> Spectrum:
-    """Spectral form of -(velocity . grad u) for the vorticity equation."""
-    return _convolve(
-        *((-1.0, _velocity(u, axis), spectral_derivative(u, axis)) for axis in range(2))
-    )
+    """Spectral form of -(velocity . grad u) for the vorticity equation.
+    Each velocity component is the perpendicular gradient of the inverse
+    Laplacian, zero at k = 0 (mean-free streamfunction)."""
+    velocity = [u.apply_mode_factor(u.at(f)) for f in biot_savart_factors(u.grid)]
+    return _convolve(*((-1.0, velocity[axis], spectral_derivative(u, axis)) for axis in range(2)))
 
 
 def step_vorticity(
@@ -213,11 +203,25 @@ def step_vorticity(
         raise NotTwoDimensional("vorticity stepping requires a 2-D grid")
     rhs = advection_term(u) + f_hat
     # gamma dt |k|^2: the diffusion CN splits half explicit, half implicit
-    damp_rhs = gamma * dt * _ksq(rhs)[1]
-    damp_u = gamma * dt * _ksq(u)[1]
+    ksq = wavenumber_squares(u.grid)
+    damp_rhs = gamma * dt * rhs.at(ksq)
+    damp_u = gamma * dt * u.at(ksq)
     gain = 2.0 * dt / (2.0 + damp_rhs)
     decay = (2.0 - damp_u) / (2.0 + damp_u)
     return rhs.apply_mode_factor(gain) + u.apply_mode_factor(decay)
+
+
+def coefficient_samples(params: EquationParams, grid: GridSpec) -> np.ndarray:
+    """The run's coefficient, or the vorticity forcing, sampled on ``grid``
+    (:func:`~sparsedyn.coefficients.sample_coefficient`, which raises
+    ``UnderResolved`` on a grid too coarse for it); raises ``ValueError``
+    for a parabolic or burgers coefficient that is not strictly positive."""
+    if params.equation == "vorticity2d":
+        return sample_coefficient(params.forcing or CoefficientSpec.constant(0.0), grid)
+    samples = sample_coefficient(params.coeff, grid)
+    if params.equation in ("parabolic", "burgers") and samples.min() <= 0:
+        raise ValueError(f"{params.equation} needs a strictly positive coefficient")
+    return samples
 
 
 def _prepare(params: EquationParams, initial: Spectrum, dt: float, strict_cfl: bool) -> Spectrum:
@@ -229,9 +233,7 @@ def _prepare(params: EquationParams, initial: Spectrum, dt: float, strict_cfl: b
             raise NotTwoDimensional("vorticity2d requires a 2-D grid")
         dense = coefficient_field_of(params.forcing or CoefficientSpec.constant(0.0), grid)
     else:
-        samples = sample_coefficient(params.coeff, grid)
-        if params.equation in ("parabolic", "burgers") and samples.min() <= 0:
-            raise ValueError(f"{params.equation} needs a strictly positive coefficient")
+        samples = coefficient_samples(params, grid)
         a_max = float(np.max(np.abs(samples)))
         if a_max > 0 and params.equation == "convection":
             _check_cfl("transport", dt, CFL_TRANSPORT * grid.dx / a_max, strict_cfl)
@@ -357,7 +359,8 @@ def _periodized_gaussian(x: np.ndarray, center: float, width: float, period: flo
 
 
 def initial_condition(spec: InitialSpec, grid: GridSpec) -> SparseSpectrum:
-    """Build one of the named starting states.
+    """Build one of the named starting states; a field that is a product
+    of per-axis factors is built from them, not on the mesh.
 
     ``gauss_bump``: periodized Gaussian centered mid-domain (product form in
     2-D).  ``sine_low``: random modes with all |k| <= ``SINE_LOW_REACH``,
@@ -365,18 +368,6 @@ def initial_condition(spec: InitialSpec, grid: GridSpec) -> SparseSpectrum:
     opposite-sign Gaussian vorticity patches of width 0.4 at (L/4, L/2) and
     (3L/4, L/2).
     """
-    period = grid.domain_length
-    if spec.name == "gauss_bump":
-        mesh = grid.meshgrid()
-        values = np.ones(grid.shape)
-        for axis_coords in mesh:
-            values = values * _periodized_gaussian(
-                axis_coords, period / 2.0, spec.width, period
-            )
-        return SparseSpectrum.from_dense(
-            dft_forward(SpatialField(grid, spec.amplitude * values))
-        )
-
     if spec.name == "sine_low":
         # the box less k = 0: keys ascend in lexicographic mode order, so the
         # modes above k = 0 come last, and the box is symmetric, so the
@@ -389,15 +380,18 @@ def initial_condition(spec: InitialSpec, grid: GridSpec) -> SparseSpectrum:
         values = np.concatenate((np.conj(upper[::-1]), upper))
         return SparseSpectrum.from_modes(grid, key_to_mode(grid, keys), values)
 
-    if spec.name == "two_vortices":
+    period, x = grid.domain_length, grid.axis_coordinates()
+    if spec.name == "gauss_bump":
+        bump = _periodized_gaussian(x, period / 2.0, spec.width, period)
+        values = bump if grid.dims == 1 else np.multiply.outer(bump, bump)
+    elif spec.name == "two_vortices":
         if grid.dims != 2:
             raise NotTwoDimensional("two_vortices requires a 2-D grid")
-        x, y = grid.meshgrid()
         width = 0.4
-        row = _periodized_gaussian(y, period / 2.0, width, period)
-        positive = _periodized_gaussian(x, period / 4.0, width, period) * row
-        negative = _periodized_gaussian(x, 3.0 * period / 4.0, width, period) * row
-        values = spec.amplitude * (positive - negative)
-        return SparseSpectrum.from_dense(dft_forward(SpatialField(grid, values)))
-
-    raise UnknownInitialSpec(f"no initial condition named {spec.name!r}")
+        row = _periodized_gaussian(x, period / 2.0, width, period)
+        positive = np.multiply.outer(_periodized_gaussian(x, period / 4.0, width, period), row)
+        negative = np.multiply.outer(_periodized_gaussian(x, 3 * period / 4.0, width, period), row)
+        values = positive - negative
+    else:
+        raise UnknownInitialSpec(f"no initial condition named {spec.name!r}")
+    return SparseSpectrum.from_dense(dft_forward(SpatialField(grid, spec.amplitude * values)))

@@ -29,8 +29,7 @@ from .grid import (
     box_half_index,
     box_index,
     box_unfold,
-    digit_tables,
-    fft_digits,
+    derivative_factors,
     half_index,
     in_open_box,
     key_reach,
@@ -81,13 +80,11 @@ class DenseSpectrum:
         read-only and shared by every spectrum on the grid."""
         return mode_mesh(self.grid)
 
-    def mode_digits(self, axis: int) -> np.ndarray:
-        """Digit ``m + n/2`` of the mode along ``axis``, shaped to broadcast
-        against ``coeffs``: an index into
-        :func:`~sparsedyn.grid.digit_tables`.  Read-only, a view of the
-        grid's :func:`~sparsedyn.grid.fft_digits`."""
-        shape = [-1 if d == axis else 1 for d in range(self.grid.dims)]
-        return fft_digits(self.grid).reshape(shape)
+    def at(self, table: np.ndarray) -> np.ndarray:
+        """A per-grid mode table (shape ``grid.shape``, FFT layout, such as
+        :func:`~sparsedyn.grid.derivative_factors`) aligned with ``coeffs``:
+        the table itself."""
+        return table
 
     def is_hermitian(self, rtol: float = 1e-12) -> bool:
         """Whether this is the spectrum of a real field (:func:`is_hermitian`)."""
@@ -139,7 +136,7 @@ def spectral_derivative(spec, axis: int = 0):
     Nyquist mode is zeroed."""
     if not 0 <= axis < spec.grid.dims:
         raise ValueError(f"axis {axis} out of range for dims={spec.grid.dims}")
-    return spec.apply_mode_factor(digit_tables(spec.grid)[1][spec.mode_digits(axis)])
+    return spec.apply_mode_factor(spec.at(derivative_factors(spec.grid)[axis]))
 
 
 class HeldField:

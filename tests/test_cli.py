@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from sparsedyn import CflWarning
+from sparsedyn import CflWarning, bundled_recipes
 from sparsedyn.cli import main
+
+from test_harness import with_value
 
 GOOD_CONFIG = """
 equation = parabolic
@@ -50,11 +52,35 @@ def test_non_finite_dt_is_a_config_error(tmp_path, capsys):
 
 
 def test_run_solver_error_exit_2(tmp_path, capsys):
-    # negative diffusion coefficient passes config parsing but fails in the solver
-    bad = GOOD_CONFIG.replace("coefficient_value = 0.4", "coefficient_value = -0.4")
+    # a time step over the diffusion guard passes config parsing but fails
+    # in the solver under strict_cfl (a negative diffusion coefficient did
+    # too, and is now a config error, see below)
+    bad = GOOD_CONFIG.replace("dt = 1e-4", "dt = 1e-1").replace("t_end = 2e-3", "t_end = 2.0")
+    bad += "strict_cfl = true\n"
     code = main(["run", "--config", write(tmp_path, bad), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "solver error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "recipe, key, value",
+    [
+        ("parabolic_converge", "domain_length", "-1.0"),
+        ("parabolic_converge", "domain_length", "0.0"),
+        ("parabolic_converge", "seed", "-1"),
+        ("parabolic_converge", "coefficient_value", "-0.3"),
+        ("parabolic_converge", "coefficient_value", "0.0"),
+        ("parabolic_fig2", "n_per_dim", "256"),
+        ("vorticity_fig4", "n_per_dim", "64"),
+    ],
+)
+def test_input_errors_are_config_errors_naming_the_key(tmp_path, capsys, recipe, key, value):
+    # each exited 2 as a solver error; numpy's message for the seed named no key
+    text = with_value(bundled_recipes()[recipe], key, value)
+    code = main(["run", "--config", write(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"config error: {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_strict_cfl_is_a_solver_error(tmp_path):

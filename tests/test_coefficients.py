@@ -23,6 +23,13 @@ def test_unknown_kind_rejected():
         CoefficientSpec("exotic")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_rejected(value):
+    # it was taken, and the run stopped as non-finite at step 1
+    with pytest.raises(ValueError, match="value must be finite"):
+        CoefficientSpec.constant(value)
+
+
 def test_convection_coefficient_positive_and_bounded():
     g = GridSpec(1, 512)
     a = sample_coefficient(CoefficientSpec("convection_oscillatory"), g)
@@ -56,6 +63,15 @@ def test_dims_guard():
         sample_coefficient(CoefficientSpec("vorticity_forcing"), GridSpec(1, 256))
     with pytest.raises(ValueError):
         sample_coefficient(CoefficientSpec("convection_oscillatory"), GridSpec(2, 256))
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_forcing_is_its_mesh_formula(n):
+    # sampled from its per-axis terms, bit for bit what the mesh gives
+    g = GridSpec(2, n)
+    x, y = g.meshgrid()
+    want = 0.025 * (np.sin(32 * x) + np.sin(32 * y)) / (1.0 + 0.25 * (np.cos(64 * x) + np.cos(64 * y)))
+    assert np.array_equal(sample_coefficient(CoefficientSpec("vorticity_forcing"), g), want)
 
 
 def test_forcing_spatial_max_regression():

@@ -118,7 +118,9 @@ def test_key_mode_round_trip(dims, n):
     assert np.array_equal(sums[resolved], mode_to_key(g, summed[:, resolved]) + zero)
 
 
-@pytest.mark.parametrize("dims,n", [(1, 4), (1, 16), (1, 128), (2, 4), (2, 8), (2, 32)])
+@pytest.mark.parametrize(
+    "dims,n", [(1, 4), (1, 16), (1, 128), (2, 4), (2, 8), (2, 32), (2, 64), (2, 256)]
+)
 def test_key_fft_index_conversions(dims, n):
     g = GridSpec(dims, n)
     axis = np.arange(-n // 2, n // 2)
@@ -127,6 +129,10 @@ def test_key_fft_index_conversions(dims, n):
     keys = mode_to_key(g, modes)
     index = key_to_fft_index(g, keys)
     assert np.array_equal(index, mode_to_fft_index(g, modes))
+    # the index read from the key's bits is the digit formula: digit
+    # (d + n/2) mod n per dimension, d the key digit, row-major in base n
+    digits = [(key_digit(g, keys, axis) + n // 2) % n for axis in range(dims)]
+    assert np.array_equal(index, np.ravel_multi_index(digits, g.shape))
     # the fftshift-ed layout holds the modes in key order: flat position j
     # holds the key shifted_index_to_key(j), at FFT index key_to_fft_index
     assert np.array_equal(shifted_index_to_key(g, np.arange(g.n_total)), keys)

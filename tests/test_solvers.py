@@ -452,6 +452,38 @@ def test_initial_gauss_bump_spectrum_decays():
     assert spec.n_s == 33
 
 
+def mesh_gaussian(c, center, width, period):
+    """The 13-image periodized Gaussian, evaluated on a mesh array ``c``."""
+    total = np.zeros_like(c)
+    for image in range(-6, 7):
+        total += np.exp(-((c - center - image * period) ** 2) / (2.0 * width**2))
+    return total
+
+
+@pytest.mark.parametrize("name", ["gauss_bump", "two_vortices"])
+def test_separable_initial_states_are_their_mesh_formulas(name):
+    # built from per-axis factors, bit for bit what the mesh gives
+    g = GridSpec(2, 64, domain_length=5.0)
+    x, y = g.meshgrid()
+    period = g.domain_length
+    if name == "gauss_bump":
+        values = mesh_gaussian(x, period / 2, 0.7, period) * mesh_gaussian(y, period / 2, 0.7, period)
+    else:
+        row = mesh_gaussian(y, period / 2, 0.4, period)
+        values = mesh_gaussian(x, period / 4, 0.4, period) * row - mesh_gaussian(
+            x, 3 * period / 4, 0.4, period
+        ) * row
+    want = SparseSpectrum.from_dense(dft_forward(SpatialField(g, 1.5 * values)))
+    got = initial_condition(InitialSpec(name, width=0.7, amplitude=1.5), g)
+    assert np.array_equal(got.keys, want.keys)
+    assert np.array_equal(got.values, want.values)
+    one = GridSpec(1, 64, domain_length=5.0)
+    (x,) = one.meshgrid()
+    want = SparseSpectrum.from_dense(dft_forward(SpatialField(one, mesh_gaussian(x, 2.5, 0.7, 5.0))))
+    got = initial_condition(InitialSpec("gauss_bump", width=0.7), one)
+    assert np.array_equal(got.values, want.values)
+
+
 @pytest.mark.parametrize(
     "name, grid", [("gauss_bump", GridSpec(1, 256)), ("two_vortices", GridSpec(2, 128))]
 )
@@ -467,7 +499,8 @@ def test_sampled_initial_states_hold_no_roundoff(name, grid):
 @pytest.mark.parametrize(
     "name, value",
     [("width", 0.0), ("width", -0.5), ("width", np.inf), ("width", np.nan),
-     ("amplitude", np.inf), ("amplitude", -np.inf), ("amplitude", np.nan)],
+     ("amplitude", np.inf), ("amplitude", -np.inf), ("amplitude", np.nan),
+     ("seed", -1), ("seed", 1.5), ("seed", None)],
 )
 def test_initial_spec_rejects_bad_width_and_amplitude(name, value):
     # width 0 gave NaN entries, reported later as a HermitianViolation
@@ -503,6 +536,12 @@ def test_previous_kept_only_for_leapfrog():
 def test_equation_params_validation():
     with pytest.raises(ValueError):
         EquationParams("vorticity2d", gamma=0.0)
+    # an infinite gamma was taken, and the run stopped as non-finite at step 1
+    for gamma in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            EquationParams("vorticity2d", gamma=gamma)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        EquationParams("parabolic", coeff=CoefficientSpec.constant(1.0), gamma=np.inf)
     with pytest.raises(ValueError):
         EquationParams("parabolic")
     with pytest.raises(ValueError):

@@ -5,11 +5,13 @@ from sparsedyn import (
     DenseSpectrum,
     GridSpec,
     HermitianViolation,
+    SparseSpectrum,
     SpatialField,
     dft_forward,
     dft_inverse,
     spectral_derivative,
 )
+from sparsedyn.grid import biot_savart_factors, derivative_factors, wavenumber_squares
 from sparsedyn.spectral import is_hermitian
 
 
@@ -143,15 +145,59 @@ def test_2d_derivative_axes_are_independent():
 
 
 @pytest.mark.parametrize("dims", [1, 2])
-def test_dense_mode_digits_are_the_shifted_mode_numbers(dims):
+def test_at_reads_the_table_where_to_dense_places_each_entry(dims):
     g = GridSpec(dims, 16)
-    spec = DenseSpectrum(g, np.zeros(g.shape, dtype=complex))
-    for axis in range(dims):
-        digits = spec.mode_digits(axis)
-        shape = [-1 if d == axis else 1 for d in range(dims)]
-        assert np.array_equal(digits, (g.mode_numbers() + 8).reshape(shape))
-        assert np.array_equal(np.broadcast_to(digits, g.shape), spec.modes()[axis] + 8)
-        assert not digits.flags.writeable
+    rng = np.random.default_rng(3)
+    # a random half of the modes, every Nyquist mode included, each with
+    # its own value, so each entry's position in to_dense() can be read off
+    modes = np.stack([m.ravel() for m in np.meshgrid(*([np.arange(-8, 8)] * dims), indexing="ij")])
+    nyquist = np.flatnonzero(np.any(modes == -8, axis=0))
+    picked = np.union1d(np.flatnonzero(rng.random(g.n_total) < 0.5), nyquist)
+    spec = SparseSpectrum.from_modes(g, modes[:, picked], np.arange(1.0, picked.size + 1))
+    dense = spec.to_dense()
+    flat = dense.coeffs.ravel()
+    nonzero = np.flatnonzero(flat)
+    position = nonzero[np.argsort(flat[nonzero].real)]
+    table = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    assert np.array_equal(spec.at(table), table.ravel()[position])
+    assert dense.at(table) is table
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_mode_tables_are_their_formulas_and_read_only(dims):
+    n, length = 16, 3.0
+    g = GridSpec(dims, n, length)
+    m = np.meshgrid(*([np.fft.fftfreq(n, 1.0 / n)] * dims), indexing="ij")
+    k = [2 * np.pi / length * md for md in m]
+    derivative = derivative_factors(g)
+    assert len(derivative) == dims
+    for d in range(dims):
+        # the unpaired Nyquist mode gets 0
+        assert np.array_equal(derivative[d], np.where(m[d] == -n // 2, 0.0, 1j * k[d]))
+    ksq = wavenumber_squares(g)
+    assert np.allclose(ksq, sum(kd**2 for kd in k), rtol=1e-15, atol=0)
+    tables = [*derivative, ksq]
+    if dims == 2:
+        velocity = biot_savart_factors(g)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = (1j * k[1] / ksq, -1j * k[0] / ksq)
+        for got, expected in zip(velocity, want):
+            assert got[0, 0] == 0
+            assert np.allclose(got.ravel()[1:], expected.ravel()[1:], rtol=1e-15, atol=0)
+        tables += velocity
+    for table in tables:
+        assert table.shape == g.shape
+        assert not table.flags.writeable
+
+
+def test_sparse_derivative_is_the_dense_one_at_its_entries():
+    rng = np.random.default_rng(11)
+    for dims, n in [(1, 32), (2, 16)]:
+        g = GridSpec(dims, n)
+        spec = SparseSpectrum.from_dense(random_real_spectrum(g, rng))
+        for axis in range(dims):
+            got = spectral_derivative(spec, axis).to_dense().coeffs
+            assert np.array_equal(got, spectral_derivative(spec.to_dense(), axis).coeffs)
 
 
 def test_shape_mismatch_rejected():
