@@ -7,17 +7,23 @@ compares runs made at different times: each run sets up the sparse run
 (``iter_states``) and the dense reference (``iter_dense_states``) from one
 initial state and takes their steps in turn, timing each step alone.
 
-It prints two tables.  The first covers the four headline recipes, as
+It prints three tables.  The first covers the four headline recipes, as
 bundled: the sparse first step, the medians of the later sparse and dense
 steps (after step ``SETTLE``), their ratio, the steps the sparse run took
 in FFT layout, and the final retained fraction and relative L2 error
 against the dense run.  The second covers the refinement problems at
 ``N = 2^10 .. 2^17``: ``parabolic_fig2`` refined with ``dt`` scaled as
 ``dx^2`` and ``convection_fig1`` with ``dt`` scaled as ``dx``, with the
-coefficient's and the final state's ``n_s``.  ``--steps`` caps every run
-(the headline recipes run ``HEADLINE_STEPS`` by default, the refinement
-problems ``REFINE_STEPS``); ``--repeats`` runs each problem that many
-times and prints every run.
+coefficient's and the final state's ``n_s``.  The third covers
+``vorticity_converge`` on ``n^2`` grids, ``n = 128 .. 1024``, with ``dt``
+as bundled: the setup of the sparse run (``initial_condition`` and the
+inputs of ``iter_states``), its first and later steps, the dense step
+interleaved up to ``DENSE_2D_MAX``, ``n_s`` at steps 0 and last, and the
+peak RSS of the same sparse run, alone, in a process of its own.
+``--steps`` caps every run (the headline recipes run ``HEADLINE_STEPS``
+by default, the refinement problems ``REFINE_STEPS`` and
+``REFINE_2D_STEPS``); ``--repeats`` runs each problem that many times and
+prints every run.
 
 Run it single-threaded (the script sets ``OMP_NUM_THREADS=1`` unless it
 is set) on an otherwise idle core.
@@ -26,8 +32,11 @@ is set) on an otherwise idle core.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import statistics
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -48,6 +57,9 @@ HEADLINE_STEPS = {
 }
 REFINE_STEPS = 60
 REFINE_EXPONENTS = (10, 13, 15, 17)
+REFINE_2D_STEPS = 20
+REFINE_2D_SIZES = (128, 256, 512, 1024)
+DENSE_2D_MAX = 512  # the dense step takes about 0.4 s at 1024^2
 SETTLE = 5  # steps left out of the later-step medians
 
 
@@ -64,42 +76,51 @@ class _LayoutCount:
         return chosen
 
 
-def interleaved(config, n_steps: int) -> dict:
-    """Step the sparse run and the dense reference of ``config`` in turn."""
+def interleaved(config, n_steps: int, dense: bool = True) -> dict:
+    """Set up the sparse run of ``config`` and step it and, with ``dense``,
+    the dense reference in turn."""
     grid = config.grid()
-    initial = solvers.initial_condition(config.initial_spec(), grid)
     params = config.equation_params()
     count = _LayoutCount()
     solvers._fft_layout = count
     try:
+        t0 = time.perf_counter()
+        initial = solvers.initial_condition(config.initial_spec(), grid)
         sparse = solvers.iter_states(
             initial, params, config.schedule(), config.dt, n_steps, config.protect_mean
         )
-        dense = iter_dense_states(initial.to_dense(), params, config.dt, n_steps)
-        next(sparse), next(dense)
+        next(sparse)
+        setup_s = time.perf_counter() - t0
+        if dense:
+            reference_run = iter_dense_states(initial.to_dense(), params, config.dt, n_steps)
+            next(reference_run)
         sparse_s, dense_s = [], []
         for _ in range(n_steps):
             t0 = time.perf_counter()
             state = next(sparse)
             t1 = time.perf_counter()
-            reference = next(dense)
-            t2 = time.perf_counter()
             sparse_s.append(t1 - t0)
-            dense_s.append(t2 - t1)
+            if dense:
+                reference = next(reference_run)
+                dense_s.append(time.perf_counter() - t1)
     finally:
         solvers._fft_layout = count.rule
-    l2, _ = error_metrics(state.current, reference)
-    norm, _ = error_metrics(reference, DenseSpectrum(grid, np.zeros(grid.shape, complex)))
     later = slice(min(SETTLE, n_steps - 1), None)
-    return {
+    out = {
+        "setup_ms": 1e3 * setup_s,
         "first_ms": 1e3 * sparse_s[0],
         "sparse_ms": 1e3 * statistics.median(sparse_s[later]),
-        "dense_ms": 1e3 * statistics.median(dense_s[later]),
         "fft_steps": count.steps,
+        "n_s0": initial.n_s,
         "n_s": state.current.n_s,
         "fraction": state.current.n_s / grid.n_total,
-        "rel_l2": l2 / norm if norm else float("nan"),
     }
+    if dense:
+        l2, _ = error_metrics(state.current, reference)
+        norm, _ = error_metrics(reference, DenseSpectrum(grid, np.zeros(grid.shape, complex)))
+        out["dense_ms"] = 1e3 * statistics.median(dense_s[later])
+        out["rel_l2"] = l2 / norm if norm else float("nan")
+    return out
 
 
 def refined(recipe: str, exponent: int, dt_order: int):
@@ -109,12 +130,47 @@ def refined(recipe: str, exponent: int, dt_order: int):
     return replace(config, n_per_dim=n, dt=config.dt * (config.n_per_dim / n) ** dt_order)
 
 
+def vorticity_on(n: int):
+    """``vorticity_converge`` on an ``n^2`` grid, ``dt`` as bundled."""
+    return replace(load_recipe("vorticity_converge"), n_per_dim=n)
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size since it started this program
+    (``VmHWM``, Linux).  ``ru_maxrss`` would also count the process it was
+    spawned from: the kernel carries it across ``exec``."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmHWM in /proc/self/status")
+
+
+def alone(n: int, n_steps: int) -> dict:
+    """The sparse run of :func:`vorticity_on` ``(n)`` in a process of its
+    own (this script with ``--alone``), with that process's peak RSS."""
+    command = [sys.executable, __file__, "--alone", str(n), "--steps", str(n_steps)]
+    done = subprocess.run(command, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--steps", type=int, default=None, help="cap on the steps of every run")
     parser.add_argument("--repeats", type=int, default=1, help="runs of each problem")
+    parser.add_argument(
+        "--alone", type=int, metavar="N",
+        help="only run vorticity_converge sparse on N^2 points, and print it as JSON with "
+        "this process's peak RSS",
+    )
     args = parser.parse_args(argv)
-    cap = args.steps or max(max(HEADLINE_STEPS.values()), REFINE_STEPS)
+    if args.alone:
+        r = interleaved(vorticity_on(args.alone), min(REFINE_2D_STEPS, args.steps or REFINE_2D_STEPS),
+                        dense=False)
+        r["rss_mb"] = peak_rss_mb()
+        print(json.dumps(r))
+        return
+    cap = args.steps or max(max(HEADLINE_STEPS.values()), REFINE_STEPS, REFINE_2D_STEPS)
 
     print("headline recipes (ms per step; later = median after step "
           f"{SETTLE}; fft = steps in FFT layout)")
@@ -147,6 +203,22 @@ def main(argv=None) -> None:
                 print(f"{recipe + f' dt~dx^{order}':<26}{2**exponent:>8}{n_steps:>6}{supports:>13}"
                       f"{r['sparse_ms']:>9.3f}{r['dense_ms']:>9.3f}"
                       f"{r['sparse_ms'] / r['dense_ms']:>7.2f}{r['fft_steps']:>6}", flush=True)
+
+    print()
+    print("vorticity_converge on n^2 points (ms; setup = initial_condition and the run's "
+          f"inputs; dense interleaved up to {DENSE_2D_MAX}^2; RSS of the sparse run alone)")
+    print(f"{'n^2':>7}{'steps':>6}{'setup':>8}{'first':>8}{'sparse':>9}{'dense':>9}{'ratio':>7}"
+          f"{'n_s 0/last':>12}{'RSS MB':>8}")
+    n_steps = min(REFINE_2D_STEPS, cap)
+    for n in REFINE_2D_SIZES:
+        for _ in range(args.repeats):
+            r = interleaved(vorticity_on(n), n_steps, dense=n <= DENSE_2D_MAX)
+            dense = (f"{r['dense_ms']:>9.3f}{r['sparse_ms'] / r['dense_ms']:>7.2f}"
+                     if "dense_ms" in r else f"{'-':>9}{'-':>7}")
+            supports = f"{r['n_s0']}/{r['n_s']}"
+            print(f"{f'{n}^2':>7}{n_steps:>6}{r['setup_ms']:>8.2f}{r['first_ms']:>8.2f}"
+                  f"{r['sparse_ms']:>9.3f}{dense}{supports:>12}{alone(n, n_steps)['rss_mb']:>8.1f}",
+                  flush=True)
 
 
 if __name__ == "__main__":

@@ -7,32 +7,40 @@ wavenumbers are ``2*pi*m / domain_length``, which reduces to the integer
 modes themselves on the default ``2*pi`` domain.
 
 All index arithmetic lives here.  A sparse key holds its mode's digits
-``m + n/2`` (:func:`mode_to_key`), and :func:`in_open_box` reads from them
-alone whether the mode lies in the open box ``|m| < n/2``.  Between keys
-and a dense spectrum there is one pair of conversions, with no sort: a
-key's FFT-layout index (:func:`key_to_fft_index`), and the key of an index
-into the ``fftshift``-ed layout, which is in key order
-(:func:`shifted_index_to_key`).  A product of
-operands is made on the smallest alias-free grid for their reach
-(:func:`key_reach`, :func:`transform_size`) with real transforms, which
-keep the half grid ``m_last >= 0``: sparse entries are placed there by
-:func:`half_index`, dense ones by :func:`box_half_index`, and the box of
+``m + n/2`` (:func:`mode_to_key`, :func:`key_digit`, and
+:func:`product_keys` for every combination of per-axis digits), and
+:func:`in_open_box` reads from them alone whether the mode lies in the open
+box ``|m| < n/2``.  Between keys and a dense spectrum there is one pair of
+conversions, with no sort: a key's FFT-layout index
+(:func:`key_to_fft_index`), and the key of an index into the
+``fftshift``-ed layout, which is in key order (:func:`shifted_index_to_key`).
+A product of operands is made on the smallest alias-free grid for their
+reach (:func:`key_reach`, :func:`transform_size`) with real transforms,
+which keep the half grid ``m_last >= 0``: sparse entries are placed there
+by :func:`half_index`, dense ones by :func:`box_half_index`, and the box of
 modes the product can reach is read back from it as conjugates where
 needed (:func:`box_unfold`), in the key order of :func:`box_index`.
 
+The factors of the diagonal operators (:data:`DERIVATIVE_FACTORS`,
+:func:`wavenumber_squares`, :func:`biot_savart_factors`) are each one
+formula of per-axis tables of length ``n`` (:func:`axis_tables`), read at
+the modes' key digits.  A sparse spectrum evaluates the formula at the
+digits of its own keys, so it builds nothing the size of the grid; a dense
+spectrum reads the whole table (:func:`mode_table`), made from the same
+per-axis values by the same formula the first time a dense spectrum asks.
+
 Every per-grid table is built here once, cached and shared read-only:
-:func:`mode_mesh`, :func:`mean_key`, :func:`negated_fft_index`,
-:func:`box_index`, :func:`box_half_index`, :func:`box_unfold`,
-:func:`transform_size`, and the factors of the diagonal operators, each of
-the grid's shape in FFT layout: :func:`derivative_factors`,
-:func:`wavenumber_squares` and :func:`biot_savart_factors`.
+:func:`axis_tables`, :func:`mode_table`, :func:`mode_mesh`,
+:func:`mean_key`, :func:`negated_fft_index`, :func:`box_index`,
+:func:`box_half_index`, :func:`box_unfold` and :func:`transform_size`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +50,9 @@ TWO_PI = 2.0 * math.pi
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry of a periodic 1-D or 2-D grid.
+
+    Equal grids hash equal; the hash is computed once, when the grid is
+    made, since every cached per-grid table is looked up by it.
 
     Parameters
     ----------
@@ -65,6 +76,10 @@ class GridSpec:
             raise ValueError(f"n_per_dim must be a power of two >= 4, got {n}")
         if not 0 < self.domain_length < math.inf:  # NaN fails too
             raise ValueError(f"domain_length must be positive and finite, got {self.domain_length}")
+        object.__setattr__(self, "_hash", hash((self.dims, n, self.domain_length)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dx(self) -> float:
@@ -149,35 +164,75 @@ def mode_mesh(grid: GridSpec) -> np.ndarray:
     return _read_only(np.stack(np.meshgrid(*([m] * grid.dims), indexing="ij")))[0]
 
 
-@lru_cache(maxsize=8)
-def derivative_factors(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """The derivative factor ``i*k_d`` of every mode along each axis ``d``,
-    shape ``grid.shape``, FFT layout.  Read-only, shared per grid.
+class AxisTables(NamedTuple):
+    """Per key digit ``d`` along one axis (mode ``d - n/2``), length ``n``,
+    the values the mode factors are made of.  With ``k`` the wavenumber:
+    ``derivative`` is ``i*k``, but 0 at the unpaired Nyquist mode -n/2
+    (digit 0), which has no real-valued derivative, so zeroing it keeps
+    real fields real; ``square`` is ``k^2``; ``i_k`` and ``minus_i_k`` are
+    ``i*k`` and ``-i*k``."""
 
-    The unpaired Nyquist mode -n/2 gets 0: it has no real-valued
-    derivative, so zeroing it keeps real fields real.
-    """
-    modes = mode_mesh(grid)
-    k = np.where(modes == grid.nyquist_mode, 0.0, wavenumbers_of(grid, modes))
-    return _read_only(*(1j * k))
-
-
-@lru_cache(maxsize=8)
-def wavenumber_squares(grid: GridSpec) -> np.ndarray:
-    """``|k|^2`` of every mode, shape ``grid.shape``, FFT layout.
-    Read-only, shared per grid."""
-    return _read_only(sum(k * k for k in wavenumbers_of(grid, mode_mesh(grid))))[0]
+    derivative: np.ndarray
+    square: np.ndarray
+    i_k: np.ndarray
+    minus_i_k: np.ndarray
 
 
 @lru_cache(maxsize=8)
-def biot_savart_factors(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The factors ``(i*k_1, -i*k_0) / |k|^2`` that take a 2-D vorticity to
-    its two velocity components, the perpendicular gradient of the inverse
-    Laplacian, 0 at k = 0 (a mean-free streamfunction); shape
-    ``grid.shape``, FFT layout.  Read-only, shared per grid."""
-    k, ksq = wavenumbers_of(grid, mode_mesh(grid)), wavenumber_squares(grid)
-    inv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq != 0)
-    return _read_only(1j * k[1] * inv, -1j * k[0] * inv)
+def axis_tables(grid: GridSpec) -> AxisTables:
+    """The per-axis tables of ``grid``; read-only, shared per grid."""
+    digits = np.arange(grid.n_per_dim)
+    k = wavenumbers_of(grid, digits - grid.n_per_dim // 2)
+    return AxisTables(*_read_only(1j * np.where(digits == 0, 0.0, k), k * k, 1j * k, -1j * k))
+
+
+# A mode factor is a function ``factor(grid, digits)`` of the key digits of
+# a set of modes, one integer array per dimension (broadcast together),
+# that returns the factor at each of them.  Sparse and dense spectra read
+# it through ``spec.at(factor)``.
+
+
+def derivative_factor(grid: GridSpec, digits, axis: int) -> np.ndarray:
+    """The derivative factor ``i*k_axis``, 0 at the Nyquist mode."""
+    return axis_tables(grid).derivative.take(digits[axis])
+
+
+def wavenumber_squares(grid: GridSpec, digits) -> np.ndarray:
+    """``|k|^2``, the sum of ``k_d^2`` over the dimensions."""
+    squares = axis_tables(grid).square
+    ksq = squares.take(digits[0])
+    for d in digits[1:]:
+        ksq = ksq + squares.take(d)
+    return ksq
+
+
+def biot_savart_factors(grid: GridSpec, digits) -> np.ndarray:
+    """``(i*k_1, -i*k_0) / |k|^2``, stacked on a leading axis of two: the
+    factors that take a 2-D vorticity to its two velocity components, the
+    perpendicular gradient of the inverse Laplacian; 0 at k = 0 (a
+    mean-free streamfunction).  Both share one ``1 / |k|^2``."""
+    tables, ksq = axis_tables(grid), wavenumber_squares(grid, digits)
+    inv = np.divide(1.0, ksq, out=np.zeros(ksq.shape), where=ksq != 0)
+    out = np.empty((2, *inv.shape), dtype=np.complex128)
+    np.multiply(tables.i_k.take(digits[1]), inv, out=out[0])
+    np.multiply(tables.minus_i_k.take(digits[0]), inv, out=out[1])
+    return out
+
+
+DERIVATIVE_FACTORS = tuple(partial(derivative_factor, axis=axis) for axis in range(2))
+
+
+@lru_cache(maxsize=32)
+def mode_table(grid: GridSpec, factor) -> np.ndarray:
+    """The mode factor ``factor`` at every mode, FFT layout, shape
+    ``grid.shape`` (after the leading axis of a stacked factor): what a
+    dense spectrum reads.  Made from the per-axis tables at the digits of
+    the FFT layout the first time it is asked for; read-only, shared per
+    grid and factor."""
+    digits = np.ix_(*[grid.mode_numbers() + grid.n_per_dim // 2] * grid.dims)
+    values = factor(grid, digits)
+    shape = values.shape[: values.ndim - grid.dims] + grid.shape
+    return _read_only(np.broadcast_to(values, shape).copy())[0]
 
 
 def _to_flat(digits, base: int) -> np.ndarray:
@@ -253,10 +308,24 @@ def key_to_mode(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
 
 
 def key_digit(grid: GridSpec, keys: np.ndarray, axis: int) -> np.ndarray:
-    """Digit ``m_axis + n/2`` of sparse keys along ``axis``: ``2n`` is a
-    power of two, so a shift and a mask read it."""
+    """Digit ``m_axis + n/2`` of sparse keys along ``axis``, read from the
+    key's bits (``2n`` is a power of two): a 1-D key is its one digit; in
+    2-D the leading digit is the key shifted down, with nothing above it,
+    and the last digit the key's low bits."""
+    if grid.dims == 1:
+        return keys
     bits = grid.n_per_dim.bit_length()  # 2n == 1 << bits
-    return (keys >> (bits * (grid.dims - 1 - axis))) & ((1 << bits) - 1)
+    return keys >> bits if axis == 0 else keys & ((1 << bits) - 1)
+
+
+def product_keys(grid: GridSpec, digits) -> np.ndarray:
+    """Keys, ascending, of every mode whose digit along each axis is taken
+    from that axis's ascending digit array (one per dimension), in
+    row-major order: first axis slowest."""
+    keys = np.zeros(1, dtype=np.int64)
+    for d in digits:
+        keys = np.add.outer(keys * (2 * grid.n_per_dim), d).ravel()
+    return keys
 
 
 def key_to_fft_index(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
@@ -317,8 +386,7 @@ def in_open_box(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
     n = grid.n_per_dim
     if grid.dims == 1:
         return (keys > 0) & (keys < n)
-    last = key_digit(grid, keys, 1)
-    lead = keys >> n.bit_length()  # unmasked, so a negative key is out
+    lead, last = key_digit(grid, keys, 0), key_digit(grid, keys, 1)  # a negative key leads < 0
     return (lead > 0) & (lead < n) & (last > 0) & (last < n)
 
 

@@ -28,11 +28,13 @@ from .grid import (
     check_resolved,
     fft_shifted,
     in_open_box,
+    key_digit,
     key_to_fft_index,
     key_to_mode,
     mean_key,
     mode_to_key,
     negated_keys,
+    product_keys,
     shifted_index_to_key,
     transform_size,
 )
@@ -131,6 +133,49 @@ class SparseSpectrum:
         idx = np.flatnonzero(_above_roundoff(flat))
         return cls(grid, shifted_index_to_key(grid, idx), flat[idx].astype(np.complex128))
 
+    @classmethod
+    def from_separable(cls, grid: GridSpec, *factors: np.ndarray) -> "SparseSpectrum":
+        """The spectrum of the real field ``f_0(x_0) * ... * f_last(x_last)``,
+        one factor of ``n`` samples per dimension, as the outer product of
+        the factors' 1-D spectra: nothing the size of the grid is built.
+
+        Each 1-D spectrum is one ``rfft``, normalised as
+        :func:`~sparsedyn.spectral.dft_forward` normalises, with its negative
+        half mirrored as conjugates, so the product is exactly Hermitian.
+        The zero rule (:func:`_above_roundoff`) drops each factor's roundoff
+        tail, then that of the product of the surviving entries.
+        """
+        n, half = grid.n_per_dim, grid.n_per_dim // 2
+        digits, values = [], np.ones(1, dtype=np.complex128)
+        for samples in factors:
+            positive = np.fft.rfft(samples) / n
+            spectrum = np.concatenate((np.conjugate(positive[half:0:-1]), positive[:half]))
+            kept = np.flatnonzero(_above_roundoff(spectrum))  # key digits, ascending
+            digits.append(kept)
+            values = np.multiply.outer(values, spectrum[kept]).ravel()
+        keep = _above_roundoff(values)
+        return cls(grid, product_keys(grid, digits)[keep], values[keep])
+
+    @classmethod
+    def from_period_cell(cls, grid: GridSpec, cell: np.ndarray) -> "SparseSpectrum":
+        """The spectrum of the real field whose samples repeat every ``p``
+        points along each axis, from one ``p**dims`` period cell of them
+        (``p`` divides ``n``): nothing the size of the grid is built.
+
+        It lives on the modes that are multiples of ``n/p``, where it equals
+        the DFT of the cell normalised as
+        :func:`~sparsedyn.spectral.dft_forward` normalises, taken here as
+        its Hermitian part ``(c(q) + conj c(-q)) / 2`` so that it is exactly
+        Hermitian; then the zero rule (:func:`_above_roundoff`) applies.
+        """
+        p = cell.shape[0]
+        coeffs = np.fft.fftshift(np.fft.fftn(cell)) / cell.size  # index i holds q = i - p/2
+        negated = np.ix_(*[(p - np.arange(p)) % p] * grid.dims)
+        flat = ((coeffs + np.conjugate(coeffs[negated])) * 0.5).ravel()
+        digits = (grid.n_per_dim // p) * np.arange(p)  # digit of mode (n/p)*q
+        keep = _above_roundoff(flat)
+        return cls(grid, product_keys(grid, [digits] * grid.dims)[keep], flat[keep])
+
     def to_dense(self) -> DenseSpectrum:
         """The spectrum in FFT layout (:func:`~sparsedyn.grid.key_to_fft_index`)."""
         grid = self.grid
@@ -142,12 +187,22 @@ class SparseSpectrum:
         """Integer mode vectors, shape ``(dims, n_s)``, sorted order."""
         return key_to_mode(self.grid, self.keys)
 
-    def at(self, table: np.ndarray) -> np.ndarray:
-        """Per-entry values, in sorted order, of a per-grid mode table
-        (shape ``grid.shape``, FFT layout, such as
-        :func:`~sparsedyn.grid.derivative_factors`): read where
-        :meth:`to_dense` places each entry."""
-        return table.take(key_to_fft_index(self.grid, self.keys))
+    @property
+    def digits(self) -> tuple[np.ndarray, ...]:
+        """The key digits along each axis (:func:`~sparsedyn.grid.key_digit`),
+        made on first use and kept."""
+        memo = self.__dict__  # the dataclass is frozen, its __dict__ is not
+        if "_digits" not in memo:
+            grid = self.grid
+            memo["_digits"] = tuple([key_digit(grid, self.keys, axis) for axis in range(grid.dims)])
+        return memo["_digits"]
+
+    def at(self, factor) -> np.ndarray:
+        """A mode factor (such as :func:`~sparsedyn.grid.wavenumber_squares`)
+        at each entry, in sorted order: its formula evaluated at the key
+        :attr:`digits`, the same values that :meth:`to_dense` meets in the
+        dense table, with nothing built the size of the grid."""
+        return factor(self.grid, self.digits)
 
     def is_hermitian(self, rtol: float = 1e-12) -> bool:
         """Whether ``u(-k) == conj(u(k))`` up to ``rtol`` of the largest

@@ -2,7 +2,7 @@
 
 Every scheme produces a pre-shrinkage update v from the current (and, for
 Leap Frog, previous) state.  The schemes use only the operations both
-containers share (``at``, which reads a per-grid mode factor table,
+containers share (``at``, which reads a mode factor of the grid,
 ``apply_mode_factor``, ``+``, scalar ``*``) and :func:`_convolve`, one
 weighted sum of products per right-hand side, so the sparse run, the dense
 reference and the low-frequency baseline step through the same code; each
@@ -28,7 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSpec, coefficient_field_of, sample_coefficient
+from .coefficients import (
+    CoefficientSpec,
+    closed_form_spectrum,
+    coefficient_field_of,
+    sample_coefficient,
+)
 from .errors import (
     CflViolation,
     CflWarning,
@@ -37,8 +42,14 @@ from .errors import (
     SolverDiverged,
     UnknownInitialSpec,
 )
-from .grid import GridSpec, biot_savart_factors, box_index, key_to_mode, mean_key
-from .grid import wavenumber_squares
+from .grid import (
+    GridSpec,
+    biot_savart_factors,
+    box_index,
+    key_to_mode,
+    mean_key,
+    wavenumber_squares,
+)
 from .shrinkage import (
     LambdaSchedule,
     SparseSpectrum,
@@ -187,7 +198,7 @@ def advection_term(u: Spectrum) -> Spectrum:
     """Spectral form of -(velocity . grad u) for the vorticity equation.
     Each velocity component is the perpendicular gradient of the inverse
     Laplacian, zero at k = 0 (mean-free streamfunction)."""
-    velocity = [u.apply_mode_factor(u.at(f)) for f in biot_savart_factors(u.grid)]
+    velocity = [u.apply_mode_factor(f) for f in u.at(biot_savart_factors)]
     return _convolve(*((-1.0, velocity[axis], spectral_derivative(u, axis)) for axis in range(2)))
 
 
@@ -203,9 +214,8 @@ def step_vorticity(
         raise NotTwoDimensional("vorticity stepping requires a 2-D grid")
     rhs = advection_term(u) + f_hat
     # gamma dt |k|^2: the diffusion CN splits half explicit, half implicit
-    ksq = wavenumber_squares(u.grid)
-    damp_rhs = gamma * dt * rhs.at(ksq)
-    damp_u = gamma * dt * u.at(ksq)
+    damp_rhs = gamma * dt * rhs.at(wavenumber_squares)
+    damp_u = gamma * dt * u.at(wavenumber_squares)
     gain = 2.0 * dt / (2.0 + damp_rhs)
     decay = (2.0 - damp_u) / (2.0 + damp_u)
     return rhs.apply_mode_factor(gain) + u.apply_mode_factor(decay)
@@ -226,12 +236,15 @@ def coefficient_samples(params: EquationParams, grid: GridSpec) -> np.ndarray:
 
 def _prepare(params: EquationParams, initial: Spectrum, dt: float, strict_cfl: bool) -> Spectrum:
     """The run's coefficient (or forcing) spectrum, in the container type of
-    ``initial``; checks the stability guard once for the whole run."""
+    ``initial``: in closed form where there is one
+    (:func:`~sparsedyn.coefficients.closed_form_spectrum`), so a sparse run
+    of such a form builds nothing the size of the grid, else the DFT of its
+    samples; checks the stability guard once for the whole run."""
     grid = initial.grid
     if params.equation == "vorticity2d":
         if grid.dims != 2:
             raise NotTwoDimensional("vorticity2d requires a 2-D grid")
-        dense = coefficient_field_of(params.forcing or CoefficientSpec.constant(0.0), grid)
+        spec = params.forcing or CoefficientSpec.constant(0.0)
     else:
         samples = coefficient_samples(params, grid)
         a_max = float(np.max(np.abs(samples)))
@@ -239,8 +252,13 @@ def _prepare(params: EquationParams, initial: Spectrum, dt: float, strict_cfl: b
             _check_cfl("transport", dt, CFL_TRANSPORT * grid.dx / a_max, strict_cfl)
         elif a_max > 0:
             _check_cfl("explicit-diffusion", dt, CFL_DIFFUSION * grid.dx**2 / a_max, strict_cfl)
-        dense = coefficient_field_of(params.coeff, grid)
-    return SparseSpectrum.from_dense(dense) if isinstance(initial, SparseSpectrum) else dense
+        spec = params.coeff
+    sparse = isinstance(initial, SparseSpectrum)
+    closed = closed_form_spectrum(spec, grid)
+    if closed is not None:
+        return closed if sparse else closed.to_dense()
+    dense = coefficient_field_of(spec, grid)
+    return SparseSpectrum.from_dense(dense) if sparse else dense
 
 
 def _fft_layout(params: EquationParams, u: Spectrum, coeff: HeldField) -> bool:
@@ -359,8 +377,11 @@ def _periodized_gaussian(x: np.ndarray, center: float, width: float, period: flo
 
 
 def initial_condition(spec: InitialSpec, grid: GridSpec) -> SparseSpectrum:
-    """Build one of the named starting states; a field that is a product
-    of per-axis factors is built from them, not on the mesh.
+    """Build one of the named starting states.  In 2-D each is a product of
+    per-axis factors, and its spectrum is the outer product of theirs
+    (:meth:`~sparsedyn.shrinkage.SparseSpectrum.from_separable`), with
+    nothing built the size of the grid; in 1-D it is the DFT of the
+    samples.
 
     ``gauss_bump``: periodized Gaussian centered mid-domain (product form in
     2-D).  ``sine_low``: random modes with all |k| <= ``SINE_LOW_REACH``,
@@ -383,15 +404,16 @@ def initial_condition(spec: InitialSpec, grid: GridSpec) -> SparseSpectrum:
     period, x = grid.domain_length, grid.axis_coordinates()
     if spec.name == "gauss_bump":
         bump = _periodized_gaussian(x, period / 2.0, spec.width, period)
-        values = bump if grid.dims == 1 else np.multiply.outer(bump, bump)
-    elif spec.name == "two_vortices":
+        if grid.dims == 1:
+            return SparseSpectrum.from_dense(dft_forward(SpatialField(grid, spec.amplitude * bump)))
+        return SparseSpectrum.from_separable(grid, spec.amplitude * bump, bump)
+    if spec.name == "two_vortices":
         if grid.dims != 2:
             raise NotTwoDimensional("two_vortices requires a 2-D grid")
         width = 0.4
+        column = _periodized_gaussian(x, period / 4.0, width, period) - _periodized_gaussian(
+            x, 3 * period / 4.0, width, period
+        )
         row = _periodized_gaussian(x, period / 2.0, width, period)
-        positive = np.multiply.outer(_periodized_gaussian(x, period / 4.0, width, period), row)
-        negative = np.multiply.outer(_periodized_gaussian(x, 3 * period / 4.0, width, period), row)
-        values = positive - negative
-    else:
-        raise UnknownInitialSpec(f"no initial condition named {spec.name!r}")
-    return SparseSpectrum.from_dense(dft_forward(SpatialField(grid, spec.amplitude * values)))
+        return SparseSpectrum.from_separable(grid, spec.amplitude * column, row)
+    raise UnknownInitialSpec(f"no initial condition named {spec.name!r}")

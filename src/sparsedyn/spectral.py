@@ -25,15 +25,16 @@ import numpy as np
 
 from .errors import GridMismatch, HermitianViolation
 from .grid import (
+    DERIVATIVE_FACTORS,
     GridSpec,
     box_half_index,
     box_index,
     box_unfold,
-    derivative_factors,
     half_index,
     in_open_box,
     key_reach,
     mode_mesh,
+    mode_table,
     negated_fft_index,
     negated_keys,
     transform_size,
@@ -80,11 +81,11 @@ class DenseSpectrum:
         read-only and shared by every spectrum on the grid."""
         return mode_mesh(self.grid)
 
-    def at(self, table: np.ndarray) -> np.ndarray:
-        """A per-grid mode table (shape ``grid.shape``, FFT layout, such as
-        :func:`~sparsedyn.grid.derivative_factors`) aligned with ``coeffs``:
-        the table itself."""
-        return table
+    def at(self, factor) -> np.ndarray:
+        """A mode factor (such as :func:`~sparsedyn.grid.wavenumber_squares`)
+        at every mode, aligned with ``coeffs``: its cached table
+        (:func:`~sparsedyn.grid.mode_table`)."""
+        return mode_table(self.grid, factor)
 
     def is_hermitian(self, rtol: float = 1e-12) -> bool:
         """Whether this is the spectrum of a real field (:func:`is_hermitian`)."""
@@ -136,7 +137,7 @@ def spectral_derivative(spec, axis: int = 0):
     Nyquist mode is zeroed."""
     if not 0 <= axis < spec.grid.dims:
         raise ValueError(f"axis {axis} out of range for dims={spec.grid.dims}")
-    return spec.apply_mode_factor(spec.at(derivative_factors(spec.grid)[axis]))
+    return spec.apply_mode_factor(spec.at(DERIVATIVE_FACTORS[axis]))
 
 
 class HeldField:

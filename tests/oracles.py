@@ -1,12 +1,15 @@
 """Independent reference computations used by several test modules.
 
 Everything here is deliberately written as plain dict/loop code so it shares
-no internals with the library paths it checks.
+no internals with the library paths it checks, except the spectrum of
+samples on the mesh (:func:`assert_closed_form_spectrum`), which is the
+reference a closed form replaces.
 """
 
 import numpy as np
 
-from sparsedyn import GridSpec
+from sparsedyn import GridSpec, SparseSpectrum, SpatialField, dft_forward
+from sparsedyn.shrinkage import ROUNDOFF_FLOOR
 
 
 def brute_force_convolve(a: dict, b: dict, grid: GridSpec) -> dict:
@@ -77,3 +80,17 @@ def direct_l2_linf(u: np.ndarray, v: np.ndarray, dx_total: float) -> tuple[float
         l2_sq += du * du * dx_total
         linf = max(linf, du)
     return float(np.sqrt(l2_sq)), float(linf)
+
+
+def assert_closed_form_spectrum(got, samples: np.ndarray) -> None:
+    """``got``, a spectrum built in closed form, against the one the zero
+    rule makes of the DFT of its ``samples`` on the mesh: the same keys
+    wherever either holds ``|c| >= 2 * ROUNDOFF_FLOOR`` of the largest
+    entry, values within 4 eps of the largest, and exactly Hermitian."""
+    want = SparseSpectrum.from_dense(dft_forward(SpatialField(got.grid, samples)))
+    got_c, want_c = got.to_dense().coeffs, want.to_dense().coeffs
+    top = np.abs(want_c).max()
+    for a, b in ((got_c, want_c), (want_c, got_c)):
+        assert np.all(b[np.abs(a) >= 2 * ROUNDOFF_FLOOR * top] != 0)
+    assert np.abs(got_c - want_c).max() <= 4 * np.finfo(np.float64).eps * top
+    assert got.is_hermitian(rtol=0)

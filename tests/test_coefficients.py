@@ -3,12 +3,19 @@ import pytest
 
 from sparsedyn import (
     CoefficientSpec,
+    EquationParams,
     GridSpec,
+    SparseSpectrum,
     UnderResolved,
     coefficient_field_of,
     sample_coefficient,
 )
+from sparsedyn.coefficients import closed_form_spectrum
+from sparsedyn.grid import mean_key
+from sparsedyn.solvers import _prepare
 from sparsedyn.spectral import is_hermitian
+
+from oracles import assert_closed_form_spectrum
 
 
 def test_constant_coefficient_spectrum():
@@ -16,6 +23,27 @@ def test_constant_coefficient_spectrum():
     spec = coefficient_field_of(CoefficientSpec.constant(2.5), g)
     assert spec.coeffs[0] == pytest.approx(2.5)
     assert np.max(np.abs(spec.coeffs[1:])) < 1e-14
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("value", [2.5, 0.0])
+def test_constant_is_its_mean_mode_alone(dims, value):
+    # a run's constant coefficient or forcing, sparse and dense, with no
+    # sampling: one k = 0 entry, none for 0
+    g = GridSpec(dims, 32)
+    spec = CoefficientSpec.constant(value)
+    if dims == 1:
+        params = EquationParams("convection", coeff=spec)
+    else:
+        params = EquationParams("vorticity2d", gamma=0.1, forcing=spec)
+    initial = SparseSpectrum.empty(g)
+    sparse = _prepare(params, initial, 1e-3, False)
+    assert sparse.keys.tolist() == ([mean_key(g)] if value else [])
+    assert sparse.values.tolist() == ([value] if value else [])
+    dense = _prepare(params, initial.to_dense(), 1e-3, False)
+    want = np.zeros(g.shape, dtype=complex)
+    want[(0,) * dims] = value
+    assert np.array_equal(dense.coeffs, want)
 
 
 def test_unknown_kind_rejected():
@@ -95,3 +123,33 @@ def test_forcing_spectrum_support():
     # no energy away from the 32/64 mixture lattice
     assert mags[1, 1] < 1e-15
     assert mags[17, 5] < 1e-15
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_forcing_spectrum_is_that_of_one_period_cell(n):
+    # the samples repeat every n/32 points along each axis.  Against the
+    # mesh formula with its arguments reduced exactly, 32 x = 2 pi (32 j mod
+    # n) / n: the tolerance oracle.  The samples at x = j dx carry argument
+    # roundoff that grows with x, and their spectrum differs from both by
+    # up to about 18 eps of the largest entry, but holds the same entries
+    g = GridSpec(2, n)
+    j = np.arange(n)
+    sin, cos = np.sin(2 * np.pi * (32 * j % n) / n), np.cos(2 * np.pi * (64 * j % n) / n)
+    mesh = 0.025 * np.add.outer(sin, sin) / (1.0 + 0.25 * np.add.outer(cos, cos))
+    forcing = CoefficientSpec("vorticity_forcing")
+    got = closed_form_spectrum(forcing, g)
+    assert_closed_form_spectrum(got, mesh)
+    assert np.all(got.modes() % 32 == 0)
+    sampled = SparseSpectrum.from_dense(coefficient_field_of(forcing, g))
+    assert np.array_equal(got.keys, sampled.keys)
+
+
+def test_forcing_is_sampled_where_its_samples_do_not_repeat():
+    # on a domain that is not a whole number of 2 pi periods
+    forcing = CoefficientSpec("vorticity_forcing")
+    assert closed_form_spectrum(forcing, GridSpec(2, 256, domain_length=3.0)) is None
+    two_periods = GridSpec(2, 256, domain_length=4 * np.pi)
+    sampled = SparseSpectrum.from_dense(coefficient_field_of(forcing, two_periods))
+    assert np.array_equal(closed_form_spectrum(forcing, two_periods).keys, sampled.keys)
+    with pytest.raises(UnderResolved):
+        closed_form_spectrum(forcing, GridSpec(2, 128))

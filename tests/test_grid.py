@@ -46,6 +46,17 @@ def test_rejects_bad_domain_length(length):
         GridSpec(1, 64, domain_length=length)
 
 
+def test_equal_grids_hash_equal_and_share_cached_tables():
+    a, b = GridSpec(2, 64), GridSpec(2, 64, 2 * np.pi)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert GridSpec(2, 64, 3.0) != a and GridSpec(1, 64) != a
+    assert {a: 1}[b] == 1
+    first = transform_size(a, 17)
+    hits = transform_size.cache_info().hits
+    assert transform_size(b, 17) == first
+    assert transform_size.cache_info().hits == hits + 1
+
+
 def test_rejects_bad_dims():
     with pytest.raises(ValueError):
         GridSpec(3, 64)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,7 +32,7 @@ from sparsedyn.shrinkage import ROUNDOFF_FLOOR, _transform_is_cheaper
 from sparsedyn.solvers import SolverState, _burgers_rhs, _prepare, advection_term
 from sparsedyn.spectral import HeldField, SpatialField, dft_inverse, is_hermitian
 
-from oracles import brute_force_advection, brute_force_burgers_step
+from oracles import assert_closed_form_spectrum, brute_force_advection, brute_force_burgers_step
 
 NO_SHRINK = LambdaSchedule.power_law(0.0, 2.0)
 
@@ -462,21 +463,21 @@ def mesh_gaussian(c, center, width, period):
 
 @pytest.mark.parametrize("name", ["gauss_bump", "two_vortices"])
 def test_separable_initial_states_are_their_mesh_formulas(name):
-    # built from per-axis factors, bit for bit what the mesh gives
-    g = GridSpec(2, 64, domain_length=5.0)
-    x, y = g.meshgrid()
-    period = g.domain_length
-    if name == "gauss_bump":
-        values = mesh_gaussian(x, period / 2, 0.7, period) * mesh_gaussian(y, period / 2, 0.7, period)
-    else:
-        row = mesh_gaussian(y, period / 2, 0.4, period)
-        values = mesh_gaussian(x, period / 4, 0.4, period) * row - mesh_gaussian(
-            x, 3 * period / 4, 0.4, period
-        ) * row
-    want = SparseSpectrum.from_dense(dft_forward(SpatialField(g, 1.5 * values)))
-    got = initial_condition(InitialSpec(name, width=0.7, amplitude=1.5), g)
-    assert np.array_equal(got.keys, want.keys)
-    assert np.array_equal(got.values, want.values)
+    # in 2-D the outer product of per-axis spectra is, to roundoff, the
+    # spectrum of the mesh formula's samples; in 1-D the state is the
+    # spectrum of its samples, bit for bit
+    for g in (GridSpec(2, 64, domain_length=5.0), GridSpec(2, 256)):
+        x, y = g.meshgrid()
+        period = g.domain_length
+        if name == "gauss_bump":
+            values = mesh_gaussian(x, period / 2, 0.7, period) * mesh_gaussian(y, period / 2, 0.7, period)
+        else:
+            row = mesh_gaussian(y, period / 2, 0.4, period)
+            values = mesh_gaussian(x, period / 4, 0.4, period) * row - mesh_gaussian(
+                x, 3 * period / 4, 0.4, period
+            ) * row
+        got = initial_condition(InitialSpec(name, width=0.7, amplitude=1.5), g)
+        assert_closed_form_spectrum(got, 1.5 * values)
     one = GridSpec(1, 64, domain_length=5.0)
     (x,) = one.meshgrid()
     want = SparseSpectrum.from_dense(dft_forward(SpatialField(one, mesh_gaussian(x, 2.5, 0.7, 5.0))))
@@ -582,3 +583,28 @@ def test_burgers_rhs_makes_three_transforms(monkeypatch):
         assert sorted(calls) == ["irfftn", "irfftn", "rfftn"]
         assert error_metrics(again, first) == (0.0, 0.0)
         assert error_metrics(again, _burgers_rhs(state, coeff)) == (0.0, 0.0)
+
+
+def test_sparse_vorticity_run_allocates_the_same_on_any_grid():
+    # closed-form inputs and per-axis mode factors: the setup and first
+    # steps of a sparse 2-D run build nothing the size of the grid, the
+    # per-grid tables made on the way included (a domain length no other
+    # test uses, so no cache holds them yet)
+    config = load_recipe("vorticity_converge")
+
+    def peak(n: int, domain_length: float) -> int:
+        grid = GridSpec(2, n, domain_length)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        u0 = initial_condition(config.initial_spec(), grid)
+        states = iter_states(u0, config.equation_params(), config.schedule(), config.dt, 2)
+        assert [s.current.n_s > 0 for s in states] == [True] * 3
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        peak(64, 7.0)  # pays the tracer's own one-time allocations
+        small, large = peak(128, 7.0), peak(1024, 7.0)
+    finally:
+        tracemalloc.stop()
+    assert large < 2 * small

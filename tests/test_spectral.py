@@ -11,7 +11,13 @@ from sparsedyn import (
     dft_inverse,
     spectral_derivative,
 )
-from sparsedyn.grid import biot_savart_factors, derivative_factors, wavenumber_squares
+from sparsedyn.grid import (
+    DERIVATIVE_FACTORS,
+    axis_tables,
+    biot_savart_factors,
+    mode_table,
+    wavenumber_squares,
+)
 from sparsedyn.spectral import is_hermitian
 
 
@@ -144,9 +150,17 @@ def test_2d_derivative_axes_are_independent():
     assert np.max(np.abs(dy + 2 * np.sin(x) * np.sin(2 * y))) < 1e-12
 
 
+def mode_factors(dims):
+    factors = [*DERIVATIVE_FACTORS[:dims], wavenumber_squares]
+    return factors + [biot_savart_factors] if dims == 2 else factors
+
+
 @pytest.mark.parametrize("dims", [1, 2])
 def test_at_reads_the_table_where_to_dense_places_each_entry(dims):
-    g = GridSpec(dims, 16)
+    # every mode factor: the sparse read, made from the per-axis tables at
+    # the key digits, is bit for bit the dense table where to_dense places
+    # each entry
+    g = GridSpec(dims, 16, 3.0)
     rng = np.random.default_rng(3)
     # a random half of the modes, every Nyquist mode included, each with
     # its own value, so each entry's position in to_dense() can be read off
@@ -158,9 +172,11 @@ def test_at_reads_the_table_where_to_dense_places_each_entry(dims):
     flat = dense.coeffs.ravel()
     nonzero = np.flatnonzero(flat)
     position = nonzero[np.argsort(flat[nonzero].real)]
-    table = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    assert np.array_equal(spec.at(table), table.ravel()[position])
-    assert dense.at(table) is table
+    for factor in mode_factors(dims):
+        table = dense.at(factor)
+        assert table is mode_table(g, factor)
+        flat = table.reshape(table.shape[: table.ndim - dims] + (-1,))  # a stacked factor's rows
+        assert np.array_equal(spec.at(factor), flat[..., position])
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -169,24 +185,25 @@ def test_mode_tables_are_their_formulas_and_read_only(dims):
     g = GridSpec(dims, n, length)
     m = np.meshgrid(*([np.fft.fftfreq(n, 1.0 / n)] * dims), indexing="ij")
     k = [2 * np.pi / length * md for md in m]
-    derivative = derivative_factors(g)
-    assert len(derivative) == dims
     for d in range(dims):
         # the unpaired Nyquist mode gets 0
-        assert np.array_equal(derivative[d], np.where(m[d] == -n // 2, 0.0, 1j * k[d]))
-    ksq = wavenumber_squares(g)
+        derivative = mode_table(g, DERIVATIVE_FACTORS[d])
+        assert np.array_equal(derivative, np.where(m[d] == -n // 2, 0.0, 1j * k[d]))
+    ksq = mode_table(g, wavenumber_squares)
     assert np.allclose(ksq, sum(kd**2 for kd in k), rtol=1e-15, atol=0)
-    tables = [*derivative, ksq]
     if dims == 2:
-        velocity = biot_savart_factors(g)
         with np.errstate(divide="ignore", invalid="ignore"):
             want = (1j * k[1] / ksq, -1j * k[0] / ksq)
-        for got, expected in zip(velocity, want):
+        for got, expected in zip(mode_table(g, biot_savart_factors), want):
             assert got[0, 0] == 0
             assert np.allclose(got.ravel()[1:], expected.ravel()[1:], rtol=1e-15, atol=0)
-        tables += velocity
-    for table in tables:
-        assert table.shape == g.shape
+    # the dense tables have the grid's shape, the per-axis ones length n
+    for factor in mode_factors(dims):
+        table = mode_table(g, factor)
+        assert table.shape == ((2, *g.shape) if factor is biot_savart_factors else g.shape)
+        assert not table.flags.writeable
+    for table in axis_tables(g):
+        assert table.shape == (n,)
         assert not table.flags.writeable
 
 
