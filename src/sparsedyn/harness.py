@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import _NAMED_FORMS, CoefficientSpec
+from .coefficients import _NAMED_FORMS, CoefficientSpec, _check_grid
 from .errors import ConfigError, UnderResolved
 from .evaluation import (
     RunReport,
@@ -266,8 +266,12 @@ def validate_config(config: ExperimentConfig) -> None:
     for t in config.snapshot_times:
         if not 0 <= t <= config.t_end + 1e-12:  # NaN is outside too
             raise ConfigError(f"snapshot_times: {t} outside [0, t_end]")
+    params, grid = config.equation_params(), config.grid()
     try:  # the rules of the coefficient (or forcing) on this grid
-        coefficient_samples(config.equation_params(), config.grid())
+        if config.equation == "vorticity2d":  # a forcing has no sign rule
+            _check_grid(params.forcing, grid)
+        else:
+            coefficient_samples(params, grid)
     except UnderResolved as err:
         raise ConfigError(f"n_per_dim: {err}") from None
     except ValueError as err:

@@ -49,14 +49,15 @@ DROP_TOL = 1e-300
 # and far below any threshold a run uses.
 ROUNDOFF_FLOOR = 16 * np.finfo(np.float64).eps
 
-# Cost of the entry-pair loop per row of its smaller operand, of the padded
-# transform per unit of M log2 M (M = P**dims the padded grid size of the
-# call), and of the transform's fixed part beyond the loop's, all in units of
-# one pair.  From the pairs-vs-transform sweep in
-# scripts/calibrate_convolution.py.
+# Prices of the path rule in units of one pair: per row of the smaller
+# operand on entry pairs (fitted when pairs ran one row at a time; blocked
+# rows cost less), per unit of M log2 M on the padded transform (M = P**dims
+# the padded grid size of the call), and the transform's fixed part beyond
+# that of pairs.  From the sweep in scripts/calibrate_convolution.py.
 _ROW_COST = 750
 _TRANSFORM_COST = 1.5
 _TRANSFORM_FIXED = 10_000
+_PAIR_BLOCK = 1 << 14  # most pairs the entry-pair path forms at once
 
 
 def _nonzero(values: np.ndarray) -> np.ndarray:
@@ -442,9 +443,10 @@ def plan_convolution(grid: GridSpec, terms) -> tuple[list, int, int, bool]:
 
 def _pair_convolve(grid: GridSpec, terms) -> SparseSpectrum:
     """The entry-pair path: ``sum w * (a * b)`` over terms ``(w, a, b)`` of
-    open-box entries ``(keys, values, reach)``.  Each term runs one row per
-    entry of its smaller operand, weight folded into the row, so its sum
-    runs in the same order either way round.
+    open-box entries ``(keys, values, reach)``.  Each term runs the rows of
+    its smaller operand, weight folded in, so its sum runs in the same order
+    either way round; rows go in blocks of at most ``_PAIR_BLOCK`` pairs,
+    each added by one ``np.add.at`` in input order, so cells sum row by row.
 
     Digits of resolved modes lie in ``[0, n)``, so a sum of two keys carries
     nothing: ``key(k1) + key(k2)`` is ``key(k1 + k2) + key(0)``.  One
@@ -460,12 +462,10 @@ def _pair_convolve(grid: GridSpec, terms) -> SparseSpectrum:
         if w != 1:
             a_vals = w * a_vals
         shifted = b_keys - low
-        idx = np.empty_like(b_keys)
-        prod = np.empty_like(b_vals)
-        for j in range(a_keys.size):
-            np.add(shifted, a_keys[j], out=idx)
-            np.multiply(b_vals, a_vals[j], out=prod)
-            acc[idx] += prod
+        step = max(1, _PAIR_BLOCK // b_keys.size)
+        for j in range(0, a_keys.size, step):
+            sums = np.add.outer(a_keys[j : j + step], shifted).ravel()
+            np.add.at(acc, sums, (b_vals * a_vals[j : j + step, None]).ravel())
 
     keys = np.flatnonzero(acc != 0)  # NaN != 0, so NaN cells are kept
     vals = acc[keys]
@@ -475,12 +475,12 @@ def _pair_convolve(grid: GridSpec, terms) -> SparseSpectrum:
 
 
 def _transform_is_cheaper(grid: GridSpec, n_a: int, n_b: int, size: int) -> bool:
-    """Whether the entry-pair loop over ``n_a * n_b`` pairs costs more than a
+    """Whether the entry-pair path over ``n_a * n_b`` pairs costs more than a
     transform on ``M = size**dims`` points, ``size`` the call's padded grid
     size (:func:`~sparsedyn.grid.transform_size`).
 
-    The loop runs one row per entry of the smaller operand, each costing
-    ``_ROW_COST`` pairs on top of its own, against
+    Pairs are priced at one per pair plus ``_ROW_COST`` per entry of the
+    smaller operand, against
     ``_TRANSFORM_FIXED + _TRANSFORM_COST * M log2 M`` for the transform.
     The fixed part (two scatters, three real FFTs, a gather and the
     roundoff filter, each a separate numpy call) keeps small operands on

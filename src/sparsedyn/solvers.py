@@ -21,6 +21,7 @@ step stays sparse.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import warnings
@@ -222,12 +223,10 @@ def step_vorticity(
 
 
 def coefficient_samples(params: EquationParams, grid: GridSpec) -> np.ndarray:
-    """The run's coefficient, or the vorticity forcing, sampled on ``grid``
+    """The coefficient of a 1-D run sampled on ``grid``
     (:func:`~sparsedyn.coefficients.sample_coefficient`, which raises
     ``UnderResolved`` on a grid too coarse for it); raises ``ValueError``
     for a parabolic or burgers coefficient that is not strictly positive."""
-    if params.equation == "vorticity2d":
-        return sample_coefficient(params.forcing or CoefficientSpec.constant(0.0), grid)
     samples = sample_coefficient(params.coeff, grid)
     if params.equation in ("parabolic", "burgers") and samples.min() <= 0:
         raise ValueError(f"{params.equation} needs a strictly positive coefficient")
@@ -370,9 +369,17 @@ def advance(
 
 
 def _periodized_gaussian(x: np.ndarray, center: float, width: float, period: float) -> np.ndarray:
+    """The Gaussian at ``center`` in ``[0, period]`` and its images
+    ``center + i * period`` at the points ``x`` in ``[0, period)``, over the
+    images that can change a sample: each point lies within ``period / 2``
+    of one image, and every image beyond ``|i| = reach`` lies more than
+    ``reach * period`` from it, so together they add less than eps/8 of
+    the nearest."""
+    spread = 2.0 * width**2
+    reach = math.ceil(math.sqrt(0.25 + spread * math.log(16.0 / np.finfo(float).eps) / period**2))
     total = np.zeros_like(x)
-    for image in range(-6, 7):
-        total += np.exp(-((x - center - image * period) ** 2) / (2.0 * width**2))
+    for image in range(-reach, reach + 1):
+        total += np.exp(-((x - center - image * period) ** 2) / spread)
     return total
 
 

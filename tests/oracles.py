@@ -3,13 +3,16 @@
 Everything here is deliberately written as plain dict/loop code so it shares
 no internals with the library paths it checks, except the spectrum of
 samples on the mesh (:func:`assert_closed_form_spectrum`), which is the
-reference a closed form replaces.
+reference a closed form replaces, and the row-by-row entry-pair sum
+(:func:`row_loop_convolve`), which the blocked entry-pair path must match
+bit for bit.
 """
 
 import numpy as np
 
 from sparsedyn import GridSpec, SparseSpectrum, SpatialField, dft_forward
-from sparsedyn.shrinkage import ROUNDOFF_FLOOR
+from sparsedyn.grid import in_open_box, mean_key
+from sparsedyn.shrinkage import DROP_TOL, ROUNDOFF_FLOOR
 
 
 def brute_force_convolve(a: dict, b: dict, grid: GridSpec) -> dict:
@@ -30,6 +33,34 @@ def brute_force_convolve(a: dict, b: dict, grid: GridSpec) -> dict:
                 key = ks[0] if grid.dims == 1 else ks
                 out[key] = out.get(key, 0.0) + va * vb
     return {k: v for k, v in out.items() if v != 0}
+
+
+def row_loop_convolve(terms, grid: GridSpec) -> SparseSpectrum:
+    """``sum w * (a * b)`` over terms ``(w, a, b)`` of sparse spectra, one
+    row at a time, in the entry-pair path's order: per term, one row per
+    open-box entry of the smaller operand (``a`` on a tie), weight folded
+    into it, the products ``other * row`` added cell by cell, each cell from
+    zero.  Keeps every cell that is nonzero (NaN included) and lies in the
+    open box."""
+
+    def open_entries(spec):
+        inside = in_open_box(grid, spec.keys)
+        return spec.keys[inside], spec.values[inside]
+
+    acc: dict = {}
+    for w, a, b in terms:
+        (a_keys, a_vals), (b_keys, b_vals) = open_entries(a), open_entries(b)
+        if b_keys.size < a_keys.size:
+            a_keys, a_vals, b_keys, b_vals = b_keys, b_vals, a_keys, a_vals
+        if w != 1:
+            a_vals = w * a_vals
+        for key, val in zip(a_keys, a_vals):
+            for cell, prod in zip(b_keys + key, b_vals * val):
+                acc[cell] = acc.get(cell, 0j) + prod
+    keys = np.array(sorted(acc), dtype=np.int64) - mean_key(grid)
+    vals = np.array([acc[k] for k in sorted(acc)], dtype=np.complex128)
+    keep = in_open_box(grid, keys) & ~(np.abs(vals) < DROP_TOL)
+    return SparseSpectrum(grid, keys[keep], vals[keep])
 
 
 def brute_force_advection(w: dict, grid: GridSpec) -> dict:

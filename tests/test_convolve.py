@@ -25,7 +25,7 @@ from sparsedyn.spectral import (
     is_hermitian,
 )
 
-from oracles import brute_force_convolve
+from oracles import brute_force_convolve, row_loop_convolve
 
 
 def random_sparse(grid, rng, max_entries=20):
@@ -495,3 +495,94 @@ def test_small_operands_allocate_the_same_on_any_grid(transform, monkeypatch):
         tracemalloc.stop()
     assert first < 64 * 1024
     assert peaks[2] == peaks[3]
+
+
+def pairs_only(monkeypatch):
+    monkeypatch.setattr(shrinkage, "_transform_is_cheaper", lambda *_: False)
+
+
+def assert_bit_equal(got: SparseSpectrum, want: SparseSpectrum):
+    assert np.array_equal(got.keys, want.keys)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_blocked_pairs_match_the_row_loop_bit_for_bit(dims, monkeypatch):
+    pairs_only(monkeypatch)
+    rng = np.random.default_rng(50 + dims)
+    g = GridSpec(dims, 256 if dims == 1 else 32)
+    for _ in range(3):
+        a, b = within(g, 9, rng, 40), within(g, 6, rng, 70)
+        assert_bit_equal(sparse_convolve(a, b), row_loop_convolve([(1.0, a, b)], g))
+
+
+def test_pairs_across_several_blocks_match_the_row_loop(monkeypatch):
+    # 2**14 // 2047 = 8 rows a block, so 40 rows take five blocks; a row of
+    # 20 000 pairs is a block of its own
+    pairs_only(monkeypatch)
+    rng = np.random.default_rng(52)
+    g = GridSpec(1, 2**12)
+    a, b = within(g, 1023, rng, 2047), within(g, 30, rng, 40)
+    assert_bit_equal(sparse_convolve(a, b), row_loop_convolve([(1.0, a, b)], g))
+    g = GridSpec(1, 2**16)
+    a, b = within(g, 3, rng, 3), within(g, 20_000, rng, 20_000)
+    assert_bit_equal(sparse_convolve(a, b), row_loop_convolve([(1.0, a, b)], g))
+
+
+def test_two_term_pairs_match_the_row_loop(monkeypatch):
+    # weights folded into each term's rows, both terms in one accumulator
+    pairs_only(monkeypatch)
+    rng = np.random.default_rng(53)
+    for g in (GridSpec(1, 512), GridSpec(2, 32)):
+        u, v = within(g, 10, rng, 60), within(g, 12, rng, 90)
+        terms = [(1.0, u, v), (-0.5, u, u)]
+        assert_bit_equal(sparse_convolve_sum(terms), row_loop_convolve(terms, g))
+
+
+def test_pairs_with_the_coefficient_second_match_the_row_loop(monkeypatch):
+    # coefficient x state, as a step makes it: the swap takes the state's
+    # entries as rows and the weight folds into them
+    pairs_only(monkeypatch)
+    rng = np.random.default_rng(54)
+    g = GridSpec(1, 2048)
+    coeff, state = within(g, 1023, rng, 208), within(g, 20, rng, 15)
+    for w in (1.0, 0.25 - 2.0j):
+        terms = [(w, HeldField(coeff), state)]
+        got = sparse_convolve_sum(terms)
+        assert_bit_equal(got, row_loop_convolve([(w, coeff, state)], g))
+
+
+def test_a_nan_product_cell_is_kept(monkeypatch):
+    # one NaN entry beside finite ones: every cell it reaches stays, as NaN
+    pairs_only(monkeypatch)
+    rng = np.random.default_rng(55)
+    for g in (GridSpec(1, 64), GridSpec(2, 16)):
+        a, b = within(g, 3, rng, 4), within(g, 3, rng, 6)
+        values = a.values.copy()
+        values[1] = complex(np.nan, 0.0)
+        a = SparseSpectrum(g, a.keys, values)
+        got, want = sparse_convolve(a, b), row_loop_convolve([(1.0, a, b)], g)
+        nan_cells = set(sparse_convolve(SparseSpectrum(g, a.keys[1:2], values[1:2]), b).keys)
+        assert nan_cells and nan_cells == set(got.keys[np.isnan(got.values)])
+        assert_bit_equal(got, want)
+
+
+def test_pair_blocks_keep_memory_beyond_the_window_small(monkeypatch):
+    # 600 x 600 entries in 2-D are 360 000 pairs; beyond the accumulator
+    # over the key window, a call holds one block of sums and products
+    pairs_only(monkeypatch)
+    rng = np.random.default_rng(56)
+    g = GridSpec(2, 64)
+    a, b = within(g, 12, rng, 600), within(g, 12, rng, 600)
+    held_a, held_b = HeldField(a), HeldField(b)
+    window = int(held_a.entries()[0][-1] + held_b.entries()[0][-1])
+    window -= int(held_a.entries()[0][0] + held_b.entries()[0][0]) - 1
+    sparse_convolve_sum([(1.0, held_a, held_b)])  # pays one-time allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sparse_convolve_sum([(1.0, held_a, held_b)])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak - 16 * window < 2**20

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -312,3 +313,24 @@ def test_final_snapshot_is_written_once(tmp_path, monkeypatch):
     ):
         assert (tmp_path / final).read_bytes() == (tmp_path / snapshot).read_bytes()
     assert written == ["field_step000050.csv"]  # one field CSV for the final state
+
+
+def test_validating_a_2d_run_samples_nothing_the_size_of_the_grid():
+    # the forcing's rules are checked without sampling it on the grid,
+    # which took 8 MB at 1024^2
+    text = with_value(bundled_recipes()["vorticity_converge"], "n_per_dim", "1024")
+    cfg = parse_config_text(text)  # validates once, paying one-time costs
+    tracemalloc.start()
+    try:
+        harness.validate_config(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_an_under_resolved_forcing_names_the_grid():
+    text = with_value(bundled_recipes()["vorticity_converge"], "forcing", "vorticity_forcing")
+    with pytest.raises(ConfigError, match="^n_per_dim: vorticity_forcing oscillates at frequency 64"):
+        parse_config_text(text)  # 128 points per axis
+    assert parse_config_text(with_value(text, "n_per_dim", "256")).n_per_dim == 256

@@ -29,7 +29,13 @@ from sparsedyn import (
 )
 from sparsedyn.coefficients import sample_coefficient
 from sparsedyn.shrinkage import ROUNDOFF_FLOOR, _transform_is_cheaper
-from sparsedyn.solvers import SolverState, _burgers_rhs, _prepare, advection_term
+from sparsedyn.solvers import (
+    SolverState,
+    _burgers_rhs,
+    _periodized_gaussian,
+    _prepare,
+    advection_term,
+)
 from sparsedyn.spectral import HeldField, SpatialField, dft_inverse, is_hermitian
 
 from oracles import assert_closed_form_spectrum, brute_force_advection, brute_force_burgers_step
@@ -483,6 +489,20 @@ def test_separable_initial_states_are_their_mesh_formulas(name):
     want = SparseSpectrum.from_dense(dft_forward(SpatialField(one, mesh_gaussian(x, 2.5, 0.7, 5.0))))
     got = initial_condition(InitialSpec("gauss_bump", width=0.7), one)
     assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize(
+    "width, period",
+    [(0.4, 2 * np.pi), (0.5, 2 * np.pi), (0.7, 5.0), (1.5, 2 * np.pi), (0.1, 1.0), (0.5, 1.0)],
+)
+def test_gaussian_images_beyond_the_cut_change_no_sample(width, period):
+    # the periodized Gaussian sums only the images that can change a sample
+    # (+-1 for width 0.4 on 2 pi); up to width period / 2 the 13-image sum
+    # is complete too, and the two agree bit for bit
+    x = GridSpec(1, 512, domain_length=period).axis_coordinates()
+    for center in (period / 4, period / 2, 3 * period / 4):
+        got = _periodized_gaussian(x, center, width, period)
+        assert got.tobytes() == mesh_gaussian(x, center, width, period).tobytes()
 
 
 @pytest.mark.parametrize(
