@@ -57,7 +57,7 @@ def iter_dense_states(
     strict_cfl: bool = False,
 ):
     """Dense no-shrinkage trajectory; yields steps 0..n_steps."""
-    return (s.current for s in _iterate(initial, params, dt, n_steps, strict_cfl, lambda v: v))
+    return (s.current for s in _iterate(initial, params, dt, n_steps, strict_cfl, lambda v: (v, v)))
 
 
 def project_low_frequency(spec: DenseSpectrum, cutoff: int) -> DenseSpectrum:
@@ -76,7 +76,8 @@ def iter_low_frequency_states(
     """Dense stepping with a hard cutoff applied at entry and after every
     step (the fixed-band comparison baseline)."""
     project = partial(project_low_frequency, cutoff=cutoff)
-    return (s.current for s in _iterate(project(initial), params, dt, n_steps, False, project))
+    states = _iterate(project(initial), params, dt, n_steps, False, lambda v: (project(v),) * 2)
+    return (s.current for s in states)
 
 
 def _as_field(state) -> SpatialField:

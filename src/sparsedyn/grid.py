@@ -332,12 +332,12 @@ def key_to_fft_index(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
     """Flat FFT-layout index of sparse keys: digit ``(d + n/2) & (n - 1)``
     per dimension, ``d`` the key digit, which is ``m mod n`` for the mode
     ``m = d - n/2``.  Read from the key's bits: ``n`` divides the base, so
-    that of the last digit is ``(key + n/2) & (n - 1)``; in 2-D the leading
-    digit is ``key >> log2(2n)``."""
+    that of the last digit is ``(key + n/2) & (n - 1)`` (``key ^ n/2`` in
+    1-D); in 2-D the leading digit is ``key >> log2(2n)``."""
     n = grid.n_per_dim
-    last = (keys + n // 2) & (n - 1)
     if grid.dims == 1:
-        return last
+        return keys ^ (n // 2)
+    last = (keys + n // 2) & (n - 1)
     return (((keys >> n.bit_length()) + n // 2) & (n - 1)) * n + last
 
 
@@ -411,6 +411,17 @@ def key_reach(grid: GridSpec, keys: np.ndarray) -> int:
         return edge
     last = keys % base
     return min(max(reach, half - int(last.min()), int(last.max()) - half), edge)
+
+
+def open_support(grid: GridSpec, keys: np.ndarray) -> tuple[int, int]:
+    """``(count, reach)`` of the open-box entries of ascending keys, those a
+    convolution reads; only a reach at the box edge can count a Nyquist key."""
+    reach = key_reach(grid, keys)
+    if reach < grid.box_edge:
+        return keys.size, reach
+    if grid.dims == 1:  # the Nyquist key is 0, the smallest
+        return keys.size - int(keys[0] == 0), reach
+    return int(np.count_nonzero(in_open_box(grid, keys))), reach
 
 
 @lru_cache(maxsize=256)

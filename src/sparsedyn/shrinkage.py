@@ -6,8 +6,8 @@ mode order), so iteration and serialization are deterministic.
 
 What counts as a zero coefficient: sparse arithmetic drops only true
 underflow (``DROP_TOL``); a spectrum made densely, by
-:meth:`SparseSpectrum.from_dense` or by the transform path of a
-convolution, also drops its roundoff tail, every entry below
+:meth:`SparseSpectrum.from_dense`, :func:`soft_threshold_dense` or the
+transform path of a convolution, also drops its roundoff tail, every entry below
 ``ROUNDOFF_FLOOR`` times its largest magnitude.  Nothing non-finite is ever
 dropped.  Only the soft threshold removes small coefficients beyond that.
 """
@@ -66,16 +66,20 @@ def _nonzero(values: np.ndarray) -> np.ndarray:
     return ~(np.abs(values) < DROP_TOL)
 
 
-def _above_roundoff(values: np.ndarray) -> np.ndarray:
-    """Mask of entries of a densely made spectrum that are not roundoff:
-    magnitude at or above ``ROUNDOFF_FLOOR`` times the largest, and not
-    underflow.  When any entry is NaN or infinite this is :func:`_nonzero`,
+def _roundoff_floor(mags: np.ndarray) -> float:
+    """Magnitude below which an entry of a densely made spectrum is
+    roundoff: ``ROUNDOFF_FLOOR`` times the largest of ``mags``, at least
+    ``DROP_TOL``, and ``DROP_TOL`` alone when any entry is NaN or infinite,
     so nothing finite is dropped on the way to a divergence error."""
+    top = float(mags.max(initial=0.0))
+    return max(ROUNDOFF_FLOOR * top, DROP_TOL) if math.isfinite(top) else DROP_TOL
+
+
+def _above_roundoff(values: np.ndarray) -> np.ndarray:
+    """Mask of entries of a densely made spectrum that are not roundoff
+    (:func:`_roundoff_floor`)."""
     mags = np.abs(values)
-    top = mags.max(initial=0.0)
-    if not np.isfinite(top):
-        return _nonzero(values)
-    return ~(mags < max(ROUNDOFF_FLOOR * top, DROP_TOL))
+    return ~(mags < _roundoff_floor(mags))
 
 
 @dataclass(frozen=True)
@@ -127,12 +131,9 @@ class SparseSpectrum:
     @classmethod
     def from_dense(cls, spec: DenseSpectrum) -> "SparseSpectrum":
         """Sparsify a dense spectrum, dropping its roundoff tail (see
-        :func:`_above_roundoff`).  The ``fftshift``-ed layout is in key
-        order (:func:`~sparsedyn.grid.fft_shifted`), so nothing is sorted."""
-        grid = spec.grid
-        flat = fft_shifted(grid, spec.coeffs)
-        idx = np.flatnonzero(_above_roundoff(flat))
-        return cls(grid, shifted_index_to_key(grid, idx), flat[idx].astype(np.complex128))
+        :func:`_roundoff_floor`), with nothing sorted (:func:`_dense_kept`)."""
+        keys, _, values, _ = _dense_kept(spec, 0.0, False)
+        return cls(spec.grid, keys, values)
 
     @classmethod
     def from_separable(cls, grid: GridSpec, *factors: np.ndarray) -> "SparseSpectrum":
@@ -247,25 +248,16 @@ class SparseSpectrum:
             return SparseSpectrum(self.grid, self.keys, vals)
         return SparseSpectrum(self.grid, self.keys[keep], vals[keep])
 
-    def __add__(self, other) -> "SparseSpectrum | DenseSpectrum":
-        """Sum with a spectrum on the same grid, in either order: sparse
-        with sparse, or dense with this one's keys scattered in, each entry
-        that of :meth:`to_dense` plus the dense spectrum."""
-        if not isinstance(other, (SparseSpectrum, DenseSpectrum)):
+    def __add__(self, other: "SparseSpectrum") -> "SparseSpectrum":
+        if not isinstance(other, SparseSpectrum):
             return NotImplemented
         if other.grid != self.grid:
             raise GridMismatch("cannot add spectra on different grids")
-        if isinstance(other, DenseSpectrum):
-            coeffs = other.coeffs.astype(np.complex128, order="C")
-            coeffs.reshape(-1)[key_to_fft_index(self.grid, self.keys)] += self.values
-            return DenseSpectrum(self.grid, coeffs)
         return _accumulate(
             self.grid,
             np.concatenate([self.keys, other.keys]),
             np.concatenate([self.values, other.values]),
         )
-
-    __radd__ = __add__
 
     def __mul__(self, scalar: complex) -> "SparseSpectrum":
         vals = self.values * scalar
@@ -344,23 +336,66 @@ def soft_threshold(
     Each amplitude z maps to ``max(|z| - lam, 0) * z/|z|``.  With
     ``protect_mean`` the k = 0 coefficient is exempt.  A NaN amplitude is
     kept (as NaN), never dropped.  A dense spectrum (the update of a step
-    in FFT layout) is read through :meth:`SparseSpectrum.from_dense`.
+    in FFT layout) also drops its roundoff tail, in the same pass
+    (:func:`soft_threshold_dense`).
     """
+    if isinstance(spec, DenseSpectrum):
+        return soft_threshold_dense(spec, lam, protect_mean)[0]
+    mags = np.abs(spec.values)
+    keep = _kept(mags, lam, DROP_TOL)
+    if protect_mean:
+        keep |= (spec.keys == mean_key(spec.grid)) & ~(mags < DROP_TOL)
+    return _shrunk(spec.grid, spec.keys[keep], spec.values[keep], mags[keep], lam, protect_mean)
+
+
+def soft_threshold_dense(
+    spec: DenseSpectrum, lam: float, protect_mean: bool = False
+) -> tuple[SparseSpectrum, DenseSpectrum]:
+    """``soft_threshold(SparseSpectrum.from_dense(spec), lam, protect_mean)``
+    in one pass, the same entries and bits, and the same spectrum in FFT
+    layout: the kept entries (:func:`_dense_kept`) are shrunk and
+    scattered into a zeroed array."""
+    grid = spec.grid
+    keys, at, values, mags = _dense_kept(spec, lam, protect_mean)
+    shrunk = _shrunk(grid, keys, values, mags, lam, protect_mean)
+    coeffs = np.zeros(grid.n_total, dtype=np.complex128)
+    coeffs[at] = shrunk.values
+    return shrunk, DenseSpectrum(grid, coeffs.reshape(grid.shape))
+
+
+def _dense_kept(spec: DenseSpectrum, lam: float, protect_mean: bool):
+    """Keys, FFT-layout indices, values and magnitudes, in key order, of
+    the entries of a dense spectrum that are not roundoff
+    (:func:`_roundoff_floor`) and lie above ``lam``; with ``protect_mean``
+    k = 0 unless it is roundoff.  Only the mask is read ``fftshift``-ed,
+    which is key order (:func:`~sparsedyn.grid.fft_shifted`)."""
+    grid, flat = spec.grid, spec.coeffs.ravel()
+    mags = np.abs(flat)
+    floor = _roundoff_floor(mags)
+    keep = _kept(mags, lam, floor)
+    if protect_mean:  # FFT index 0 holds k = 0
+        keep[0] = not mags[0] < floor
+    keys = shifted_index_to_key(grid, fft_shifted(grid, keep.reshape(grid.shape)).nonzero()[0])
+    at = key_to_fft_index(grid, keys)
+    return keys, at, flat[at].astype(np.complex128, copy=False), mags[at]
+
+
+def _kept(mags: np.ndarray, lam: float, floor: float) -> np.ndarray:
+    """Mask of the magnitudes above ``lam`` and not below ``floor``, NaN
+    included; one comparison, as one bound implies the other."""
     if not lam >= 0:  # NaN fails too
         raise NegativeLambda(f"lambda must be >= 0, got {lam}")
-    if isinstance(spec, DenseSpectrum):
-        spec = SparseSpectrum.from_dense(spec)
-    mags = np.abs(spec.values)
-    keep = ~(mags <= lam)
+    return ~(mags <= lam) if lam >= floor else ~(mags < floor)
+
+
+def _shrunk(grid, keys, values, mags, lam, protect_mean) -> SparseSpectrum:
+    """Kept entries of magnitudes ``mags`` shrunk to ``c (|c| - lam) / |c|``;
+    with ``protect_mean`` the k = 0 entry, if kept, as it is."""
+    vals = values * ((mags - lam) / mags)
     if protect_mean:
-        zero_key = mean_key(spec.grid)
-        keep |= (spec.keys == zero_key) & _nonzero(spec.values)
-    keys = spec.keys[keep]
-    vals = spec.values[keep] * ((mags[keep] - lam) / mags[keep])
-    if protect_mean:
-        exempt = keys == zero_key
-        vals[exempt] = spec.values[keep][exempt]
-    return SparseSpectrum(spec.grid, keys, vals)
+        exempt = keys == mean_key(grid)
+        vals[exempt] = values[exempt]
+    return SparseSpectrum(grid, keys, vals)
 
 
 def sparsity_fraction(spec: SparseSpectrum) -> float:
@@ -437,8 +472,14 @@ def plan_convolution(grid: GridSpec, terms) -> tuple[list, int, int, bool]:
                 rows, cols = a_keys.size, b_keys.size
     if not live:
         return live, 0, 0, False
+    return (live, *price_convolution(grid, reach, rows, cols))
+
+
+def price_convolution(grid: GridSpec, reach: int, n_a: int, n_b: int) -> tuple[int, int, bool]:
+    """``(P, K, transform)`` of :func:`plan_convolution` for the largest
+    reach sum ``reach`` and the largest term, ``n_a`` by ``n_b`` entries."""
     size, k = transform_size(grid, reach)
-    return live, size, k, _transform_is_cheaper(grid, rows, cols, size)
+    return size, k, _transform_is_cheaper(grid, n_a, n_b, size)
 
 
 def _pair_convolve(grid: GridSpec, terms) -> SparseSpectrum:

@@ -8,15 +8,14 @@ weighted sum of products per right-hand side, so the sparse run, the dense
 reference and the low-frequency baseline step through the same code; each
 passes v through its own final map (the soft threshold for the sparse run).
 
-A sparse run stores its states sparse and takes each step in one of two
-layouts, by one rule (:func:`_fft_layout`).  A step whose largest
-convolution would take the transform path and read the whole open box
-makes the dense step's transforms anyway, and its intermediates hold
-about as many entries as the box: it scatters its state, and only its
-state, into FFT layout and steps the same schemes, whose sparse operands
-(the Leap Frog previous state, the forcing) add into dense terms; the
-shrink reads the update back in key order with no sort.  Every other
-step stays sparse.
+A sparse run yields sparse states and takes each step in one of two
+layouts, by one rule (:func:`_fft_layout`), priced from the state's count
+and reach.  A step whose largest convolution would take the transform path
+and read the whole open box makes the dense step's transforms anyway: the
+run then stays in FFT layout, its states (the Leap Frog previous state
+too) kept dense from step to step, and each update is shrunk in one pass
+into both the dense state the next step starts from and the sparse state
+it yields.  Every other step stays sparse.
 """
 
 from __future__ import annotations
@@ -49,14 +48,16 @@ from .grid import (
     box_index,
     key_to_mode,
     mean_key,
+    open_support,
     wavenumber_squares,
 )
 from .shrinkage import (
     LambdaSchedule,
     SparseSpectrum,
     lambda_at,
-    plan_convolution,
+    price_convolution,
     soft_threshold,
+    soft_threshold_dense,
     sparse_convolve_sum,
     sparsity_fraction,
 )
@@ -260,18 +261,22 @@ def _prepare(params: EquationParams, initial: Spectrum, dt: float, strict_cfl: b
     return SparseSpectrum.from_dense(dense) if sparse else dense
 
 
-def _fft_layout(params: EquationParams, u: Spectrum, coeff: HeldField) -> bool:
-    """Whether a step from a sparse state ``u`` runs in FFT layout: when its
-    largest convolution, coefficient times state (velocity times gradient
-    for vorticity, both with the support of ``u``), would take the
-    transform path and read the whole open box, ``K = n/2 - 1``
-    (:func:`~sparsedyn.shrinkage.plan_convolution`)."""
-    if not isinstance(u, SparseSpectrum):
-        return False
-    state = HeldField(u)
-    other = state if params.equation == "vorticity2d" else coeff
-    _, _, k, transform = plan_convolution(u.grid, [(1.0, other, state)])
-    return transform and k == u.grid.box_edge
+def _fft_layout(
+    params: EquationParams, state: tuple[int, int], coeff: HeldField, answers: dict
+) -> bool:
+    """Whether a step runs in FFT layout, from the sparse state's open-box
+    ``state = (count, reach)`` (:func:`~sparsedyn.grid.open_support`): when
+    its largest convolution, coefficient times state (the state times
+    itself for vorticity), takes the transform path on the whole open box,
+    ``K = n/2 - 1``, as :func:`~sparsedyn.shrinkage.plan_convolution` would.
+    ``answers`` keeps the run's answer for each ``state``."""
+    if state not in answers:
+        keys, _, reach = coeff.entries()
+        other = state if params.equation == "vorticity2d" else (keys.size, reach)
+        grid = coeff.spectrum.grid
+        _, k, transform = price_convolution(grid, state[1] + other[1], other[0], state[0])
+        answers[state] = bool(state[0] and other[0] and transform and k == grid.box_edge)
+    return answers[state]
 
 
 def _iterate(
@@ -283,12 +288,13 @@ def _iterate(
     finish,
 ):
     """The stepping loop of every trajectory: yield the state at steps
-    0..n_steps, each update passed through ``finish`` before it is stored.
+    0..n_steps.  ``finish`` maps each update to the state to yield and the
+    same state in the update's layout, which the next step starts from.
 
-    A sparse state is scattered into FFT layout for a step that
-    :func:`_fft_layout` selects; the Leap Frog previous state and the
-    vorticity forcing stay sparse and add into the dense terms, and
-    ``finish`` then takes a dense update.
+    A sparse run asks :func:`_fft_layout` before every step.  On entering
+    FFT layout it scatters its states once, and it steps from the dense
+    states ``finish`` returns until the rule sends it back to its sparse
+    states.  The vorticity forcing is scattered the first time it is needed.
 
     Raises
     ------
@@ -305,13 +311,19 @@ def _iterate(
         )
     coeff = _prepare(params, initial, dt, strict_cfl)
     held = HeldField(coeff)  # the run, never a state, keeps its padded field
-    state = SolverState(initial, None, 0, 0.0)
+    forcing = {type(coeff): coeff}  # the vorticity forcing in each layout stepped in
+    layouts: dict = {}  # the rule's answers, by state extent
+    sparse, leap_frog = isinstance(initial, SparseSpectrum), params.equation == "convection"
+    state = now = SolverState(initial, None, 0, 0.0)
     yield state
     for step in range(1, n_steps + 1):
-        now = state
-        if _fft_layout(params, state.current, held):
-            dense = state.current.to_dense()
-            now = SolverState(dense, state.previous, state.step_index, state.time)
+        if sparse:
+            extent = open_support(initial.grid, state.current.keys)
+            if not _fft_layout(params, extent, held, layouts):
+                now = state
+            elif isinstance(now.current, SparseSpectrum):
+                previous = state.previous and state.previous.to_dense()
+                now = SolverState(state.current.to_dense(), previous, state.step_index, state.time)
         if params.equation == "convection":
             v = step_convection(now, held, dt)
         elif params.equation == "parabolic":
@@ -319,14 +331,18 @@ def _iterate(
         elif params.equation == "burgers":
             v = step_burgers(now, held, dt)
         else:
-            v = step_vorticity(now, coeff, params.gamma, dt)
+            if type(now.current) not in forcing:
+                forcing[type(now.current)] = coeff.to_dense()
+            v = step_vorticity(now, forcing[type(now.current)], params.gamma, dt)
         values = v.values if isinstance(v, SparseSpectrum) else v.coeffs
         if not np.isfinite(values).all():
             raise SolverDiverged(
                 f"{params.equation}: non-finite coefficient at step {step} (t={step * dt:.6g})"
             )
-        previous = state.current if params.equation == "convection" else None
-        state = SolverState(finish(v), previous, step, step * dt)
+        current, stepped = finish(v)
+        state = SolverState(current, state.current if leap_frog else None, step, step * dt)
+        previous = now.current if leap_frog else None
+        now = state if stepped is current else SolverState(stepped, previous, step, step * dt)
         yield state
 
 
@@ -339,11 +355,14 @@ def iter_states(
     protect_mean: bool = False,
     strict_cfl: bool = False,
 ):
-    """Yield the state at steps 0..n_steps; each produced update is shrunk."""
+    """Yield the state at steps 0..n_steps; each produced update is shrunk,
+    and every state yielded is a :class:`~sparsedyn.shrinkage.SparseSpectrum`."""
     lam = lambda_at(schedule, dt) if n_steps > 0 else 0.0
 
-    def shrink(v: SparseSpectrum) -> SparseSpectrum:
-        return soft_threshold(v, lam, protect_mean)
+    def shrink(v: Spectrum) -> tuple[SparseSpectrum, Spectrum]:
+        if isinstance(v, DenseSpectrum):
+            return soft_threshold_dense(v, lam, protect_mean)
+        return (soft_threshold(v, lam, protect_mean),) * 2
 
     yield from _iterate(initial, params, dt, n_steps, strict_cfl, shrink)
 

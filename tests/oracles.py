@@ -5,13 +5,15 @@ no internals with the library paths it checks, except the spectrum of
 samples on the mesh (:func:`assert_closed_form_spectrum`), which is the
 reference a closed form replaces, and the row-by-row entry-pair sum
 (:func:`row_loop_convolve`), which the blocked entry-pair path must match
-bit for bit.
+bit for bit, and the soft threshold of a dense update
+(:func:`loop_dense_shrink`), which the one-pass dense shrink must match bit
+for bit.
 """
 
 import numpy as np
 
 from sparsedyn import GridSpec, SparseSpectrum, SpatialField, dft_forward
-from sparsedyn.grid import in_open_box, mean_key
+from sparsedyn.grid import in_open_box, mean_key, mode_to_key
 from sparsedyn.shrinkage import DROP_TOL, ROUNDOFF_FLOOR
 
 
@@ -125,3 +127,32 @@ def assert_closed_form_spectrum(got, samples: np.ndarray) -> None:
         assert np.all(b[np.abs(a) >= 2 * ROUNDOFF_FLOOR * top] != 0)
     assert np.abs(got_c - want_c).max() <= 4 * np.finfo(np.float64).eps * top
     assert got.is_hermitian(rtol=0)
+
+
+def loop_dense_shrink(dense, lam: float, protect_mean: bool) -> SparseSpectrum:
+    """The soft threshold of a dense spectrum, entry by entry in mode order
+    (``np.fft.fftshift``): an entry below the roundoff floor (``ROUNDOFF_FLOOR``
+    times the largest magnitude, at least ``DROP_TOL``; ``DROP_TOL`` when the
+    largest is not finite) is a zero; with ``protect_mean`` the k = 0 entry,
+    if not a zero, is kept as it is; every other entry is kept, as
+    ``c (|c| - lam) / |c|``, when its magnitude is not at or below ``lam``."""
+    grid = dense.grid
+    half = grid.n_per_dim // 2
+    top = float(np.abs(dense.coeffs).max())
+    floor = max(ROUNDOFF_FLOOR * top, DROP_TOL) if np.isfinite(top) else DROP_TOL
+    shifted = np.fft.fftshift(dense.coeffs)
+    modes, values = [], []
+    for index in np.ndindex(shifted.shape):
+        c = shifted[index]
+        mag = np.abs(c)
+        mode = [i - half for i in index]
+        if mag < floor:
+            continue
+        if protect_mean and not any(mode):
+            modes.append(mode)
+            values.append(c)
+        elif not mag <= lam:
+            modes.append(mode)
+            values.append(c * ((mag - lam) / mag))
+    keys = mode_to_key(grid, np.array(modes, dtype=np.int64).reshape(-1, grid.dims).T)
+    return SparseSpectrum(grid, keys, np.array(values, dtype=np.complex128))

@@ -15,6 +15,7 @@ from sparsedyn.grid import (
     mode_to_key,
     negated_fft_index,
     negated_keys,
+    open_support,
     shifted_index_to_key,
     transform_size,
 )
@@ -200,7 +201,10 @@ def test_key_reach_is_the_largest_mode_component(dims):
             keys = np.unique(mode_to_key(g, np.clip(modes, resolved[0], resolved[-1])))
             want = min(int(np.abs(key_to_mode(g, keys)).max()), 15)  # Nyquist counts as 15
             assert key_reach(g, keys) == want
+            # the open-box count leaves every Nyquist key out
+            assert open_support(g, keys) == (int(np.count_nonzero(in_open_box(g, keys))), want)
     assert key_reach(g, np.empty(0, np.int64)) == 0
+    assert open_support(g, np.empty(0, np.int64)) == (0, 0)
 
 
 def test_transform_size_is_the_smallest_alias_free_grid():

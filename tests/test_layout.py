@@ -25,6 +25,7 @@ from sparsedyn import (
     shrinkage,
     solvers,
 )
+from sparsedyn.grid import open_support
 from sparsedyn.shrinkage import sparse_convolve_sum
 from sparsedyn.spectral import HeldField, dense_convolve_sum, hold_operands
 
@@ -171,6 +172,29 @@ def test_layout_rule_on_recipes(monkeypatch, recipe, n_steps, fft_steps):
     assert calls.count("fft") == per_step * fft_steps
 
 
+def test_rule_driven_run_that_enters_and_leaves_fft_layout(monkeypatch):
+    # convection_fig1 refined to N = 1024 with dt scaled as dx: the rule
+    # sends step 2 into FFT layout, later back to sparse, then in again,
+    # so the dense states, the Leap Frog previous state among them, are
+    # scattered and left on the rule's word; every step matches the run
+    # kept sparse
+    config = load_recipe("convection_fig1")
+    config = replace(config, n_per_dim=1024, dt=config.dt / 2)
+    chosen = []
+    rule = solvers._fft_layout
+
+    def counted(*args):
+        chosen.append(rule(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(solvers, "_fft_layout", counted)
+    ruled = recipe_states(config, 150)
+    monkeypatch.setattr(solvers, "_fft_layout", lambda *args: False)
+    assert_same_run(ruled, recipe_states(config, 150))
+    flips = [step for step in range(1, 150) if chosen[step] != chosen[step - 1]]
+    assert not chosen[0] and len(flips) >= 3
+
+
 @pytest.mark.parametrize("recipe,dt_order", [("parabolic_fig2", 2), ("convection_fig1", 1)])
 @pytest.mark.parametrize("exponent", [15, 16, 17])
 def test_refinement_at_small_n_s_stays_sparse(monkeypatch, recipe, dt_order, exponent):
@@ -221,10 +245,12 @@ def band(grid: GridSpec, reach: int, stride: int, seed: int) -> SparseSpectrum:
 
 def test_layout_rule_is_the_path_the_convolution_takes(monkeypatch):
     # the plan against the path and box sparse_convolve_sum takes on the
-    # same product, and the layout rule's answer against whether that path
-    # reads the open box: inside the box, reaches summing to one short of
-    # its edge and to the edge, at the edge on either path, and thin
-    # operands that reach the edge with few pairs
+    # same product, and the layout rule's answer, priced from the state's
+    # open-box count and reach, against whether that path reads the open
+    # box: inside the box, reaches summing to one short of its edge and to
+    # the edge, at the edge on either path, and thin operands that reach
+    # the edge with few pairs; coefficient times state, and for vorticity
+    # the state times itself
     boxes = []
     original = shrinkage.padded_product
 
@@ -233,7 +259,8 @@ def test_layout_rule_is_the_path_the_convolution_takes(monkeypatch):
         return original(grid, terms, size, k, real)
 
     monkeypatch.setattr(shrinkage, "padded_product", recorded)
-    params = EquationParams("parabolic", coeff=CoefficientSpec.constant(1.0))
+    parabolic = EquationParams("parabolic", coeff=CoefficientSpec.constant(1.0))
+    vorticity = EquationParams("vorticity2d", gamma=0.01)
     answers = []
     for grid in (GridSpec(1, 64), GridSpec(1, 1024), GridSpec(2, 16), GridSpec(2, 64)):
         edge = grid.n_per_dim // 2 - 1
@@ -242,11 +269,15 @@ def test_layout_rule_is_the_path_the_convolution_takes(monkeypatch):
             (edge // 2, edge - edge // 2, 1), (edge, edge, edge), (2, 2, 1),
         ]:
             a, b = band(grid, reach_a, stride, 1), band(grid, reach_b, 1, 2)
-            boxes.clear()
-            sparse_convolve_sum(((1.0, a, b),), real=True)
-            _, size, k, transform = shrinkage.plan_convolution(*hold_operands([(1.0, a, b)]))
-            assert boxes == ([(size, k)] if transform else [])
-            full_box = [k for _, k in boxes] == [edge]
-            assert solvers._fft_layout(params, b, HeldField(a)) == full_box
-            answers.append(full_box)
+            for params, other in ((parabolic, a), (vorticity, b)):
+                boxes.clear()
+                sparse_convolve_sum(((1.0, other, b),), real=True)
+                _, size, k, transform = shrinkage.plan_convolution(
+                    *hold_operands([(1.0, other, b)])
+                )
+                assert boxes == ([(size, k)] if transform else [])
+                full_box = [k for _, k in boxes] == [edge]
+                state = open_support(grid, b.keys)
+                assert solvers._fft_layout(params, state, HeldField(a), {}) == full_box
+                answers.append(full_box)
     assert 0 < sum(answers) < len(answers)

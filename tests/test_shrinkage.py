@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from oracles import loop_dense_shrink
 
 from sparsedyn import (
     DenseSpectrum,
@@ -20,7 +21,7 @@ from sparsedyn import (
     sparse_convolve,
     sparsity_fraction,
 )
-from sparsedyn.shrinkage import ROUNDOFF_FLOOR
+from sparsedyn.shrinkage import ROUNDOFF_FLOOR, soft_threshold_dense
 from sparsedyn.spectral import SpatialField, is_hermitian
 
 
@@ -248,29 +249,16 @@ def test_arithmetic_and_mean_mode():
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 16), GridSpec(2, 8)], ids=["1d", "2d"])
-def test_sparse_plus_dense_is_the_scattered_sum_in_either_order(grid):
-    # a Nyquist mode and a NaN among the sparse entries; the dense spectrum
-    # is full, so most of its entries meet no sparse one
-    rng = np.random.default_rng(5)
-    if grid.dims == 1:
-        modes = {-4: 0.5, -3: 1.5 - 2j, 0: 0.25, 1: np.nan}
-    else:
-        modes = {(-4, 3): 0.5, (-3, 0): 1.5 - 2j, (0, 0): 0.25, (1, 2): np.nan}
-    sparse = SparseSpectrum.from_dict(grid, modes)
-    shape = grid.shape
-    dense = DenseSpectrum(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    before = dense.coeffs.copy()
-    want = sparse.to_dense() + dense
-    for total in (sparse + dense, dense + sparse):
-        assert isinstance(total, DenseSpectrum)
-        assert np.array_equal(total.coeffs, want.coeffs, equal_nan=True)
-        assert np.isnan(total.coeffs).sum() == 1
-    assert np.array_equal(dense.coeffs, before)  # the dense operand is not written
-    other = DenseSpectrum(GridSpec(grid.dims, 32), np.zeros((32,) * grid.dims, complex))
+def test_a_sparse_spectrum_adds_only_sparse_spectra_on_its_grid(grid):
+    sparse = SparseSpectrum.from_modes(grid, np.zeros((grid.dims, 1), int), [1.0])
+    dense = sparse.to_dense()
+    with pytest.raises(TypeError):
+        sparse + dense
+    with pytest.raises(TypeError):
+        dense + sparse
+    other = SparseSpectrum.empty(GridSpec(grid.dims, 32))
     with pytest.raises(GridMismatch):
         sparse + other
-    with pytest.raises(GridMismatch):
-        other + sparse
 
 
 def test_nan_entries_are_never_dropped():
@@ -401,3 +389,66 @@ def test_dump_2d_format():
     assert lines[2].split("\t")[:2] == ["1", "-2"]
     loaded = load_spectrum(io.StringIO(text))
     assert loaded.to_dict() == spec.to_dict()
+
+
+def decaying_update(grid: GridSpec, seed: int) -> np.ndarray:
+    """The FFT-layout spectrum of a random real field, damped as
+    ``exp(-|m|^2 / 8)`` so that its magnitudes cross the roundoff floor,
+    with one entry exactly at the floor."""
+    rng = np.random.default_rng(seed)
+    m = np.fft.fftfreq(grid.n_per_dim, 1.0 / grid.n_per_dim)
+    ksq = m**2 if grid.dims == 1 else np.add.outer(m**2, m**2)
+    coeffs = np.fft.fftn(rng.standard_normal(grid.shape)) / grid.n_total * np.exp(-ksq / 8)
+    coeffs[(1,) * grid.dims] = ROUNDOFF_FLOOR * np.abs(coeffs).max()
+    return coeffs
+
+
+def shrink_cases(grid: GridSpec):
+    """``(name, coeffs, lam, protect_mean, kept)`` for the dense shrink, with
+    the number of entries kept where a case pins it."""
+    coeffs = decaying_update(grid, 7)
+    top = np.abs(coeffs).max()
+    floor = ROUNDOFF_FLOOR * top
+    mean = (0,) * grid.dims
+    with_nan = coeffs.copy()
+    with_nan[(2,) * grid.dims] = np.nan
+    roundoff_mean = coeffs.copy()
+    roundoff_mean[mean] = floor / 3
+    underflow_mean = np.zeros(grid.shape, complex)
+    underflow_mean[mean] = 1e-310
+    yield "lambda 0", coeffs, 0.0, False, None
+    yield "below the floor", coeffs, floor / 4, False, None
+    yield "at the floor", coeffs, floor, False, None
+    yield "above the floor", coeffs, 1e3 * floor, False, None
+    yield "most dropped", coeffs, 0.3 * top, False, None
+    yield "kept NaN", with_nan, 1e-3 * top, False, None
+    yield "kept NaN, mean kept", with_nan, 1e-3 * top, True, None
+    yield "mean kept unshrunk", coeffs, 0.5 * top, True, None
+    yield "mean alone kept", coeffs, 2 * top, True, 1
+    yield "mean below the floor dropped", roundoff_mean, 0.0, True, None
+    yield "mean that underflows dropped", underflow_mean, 0.0, True, 0
+    yield "every entry dropped", coeffs, 2 * top, False, 0
+    yield "all zero", np.zeros(grid.shape, complex), 0.0, True, 0
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 64), GridSpec(2, 16)], ids=["1d", "2d"])
+def test_dense_shrink_is_the_soft_threshold_of_from_dense_bit_for_bit(grid):
+    # against the sparse path and against an entry-by-entry loop; the same
+    # spectrum in FFT layout; NaN kept, the mean kept as it is unless it
+    # is a zero
+    mean = (0,) * grid.dims
+    for name, coeffs, lam, protect_mean, kept in shrink_cases(grid):
+        dense = DenseSpectrum(grid, coeffs)
+        got, got_dense = soft_threshold_dense(dense, lam, protect_mean)
+        via_sparse = soft_threshold(SparseSpectrum.from_dense(dense), lam, protect_mean)
+        for want in (via_sparse, loop_dense_shrink(dense, lam, protect_mean)):
+            assert np.array_equal(got.keys, want.keys), name
+            assert got.values.tobytes() == want.values.tobytes(), name
+        assert got_dense.coeffs.tobytes() == got.to_dense().coeffs.tobytes(), name
+        assert soft_threshold(dense, lam, protect_mean).values.tobytes() == got.values.tobytes()
+        assert np.isnan(got.values).sum() == np.isnan(coeffs).sum(), name
+        if kept is not None:
+            assert got.n_s == kept, name
+        mean_is_zero = np.abs(coeffs[mean]) < max(ROUNDOFF_FLOOR * np.abs(coeffs).max(), 1e-300)
+        if protect_mean:
+            assert got.mean_mode() == (0 if mean_is_zero else coeffs[mean]), name
