@@ -10,7 +10,9 @@ initial state and takes their steps in turn, timing each step alone.
 It prints three tables.  The first covers the four headline recipes, as
 bundled: the sparse first step, the medians of the later sparse and dense
 steps (after step ``SETTLE``), their ratio, the steps the sparse run took
-in FFT layout, and the final retained fraction and relative L2 error
+in FFT layout, the minor page faults per later sparse and dense step (the
+heap's growth and trims show there: ``ru_minflt`` of this process, read
+around each step), and the final retained fraction and relative L2 error
 against the dense run.  The second covers the refinement problems at
 ``N = 2^10 .. 2^17``: ``parabolic_fig2`` refined with ``dt`` scaled as
 ``dx^2`` and ``convection_fig1`` with ``dt`` scaled as ``dx``, with the
@@ -18,8 +20,9 @@ coefficient's and the final state's ``n_s``.  The third covers
 ``vorticity_converge`` on ``n^2`` grids, ``n = 128 .. 1024``, with ``dt``
 as bundled: the setup of the sparse run (``initial_condition`` and the
 inputs of ``iter_states``), its first and later steps, the dense step
-interleaved up to ``DENSE_2D_MAX``, ``n_s`` at steps 0 and last, and the
-peak RSS of the same sparse run, alone, in a process of its own.
+interleaved up to ``DENSE_2D_MAX``, the minor page faults per later sparse
+and dense step, ``n_s`` at steps 0 and last, and the peak RSS of the same
+sparse run, alone, in a process of its own.
 ``--steps`` caps every run (the headline recipes run ``HEADLINE_STEPS``
 by default, the refinement problems ``REFINE_STEPS`` and
 ``REFINE_2D_STEPS``); ``--repeats`` runs each problem that many times and
@@ -34,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -76,6 +80,11 @@ class _LayoutCount:
         return chosen
 
 
+def minor_faults() -> int:
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def interleaved(config, n_steps: int, dense: bool = True) -> dict:
     """Set up the sparse run of ``config`` and step it and, with ``dense``,
     the dense reference in turn."""
@@ -94,15 +103,19 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
         if dense:
             reference_run = iter_dense_states(initial.to_dense(), params, config.dt, n_steps)
             next(reference_run)
-        sparse_s, dense_s = [], []
+        sparse_s, dense_s, sparse_faults, dense_faults = [], [], [], []
         for _ in range(n_steps):
+            faults = minor_faults()
             t0 = time.perf_counter()
             state = next(sparse)
-            t1 = time.perf_counter()
-            sparse_s.append(t1 - t0)
+            sparse_s.append(time.perf_counter() - t0)
+            sparse_faults.append(minor_faults() - faults)
             if dense:
+                faults = minor_faults()
+                t0 = time.perf_counter()
                 reference = next(reference_run)
-                dense_s.append(time.perf_counter() - t1)
+                dense_s.append(time.perf_counter() - t0)
+                dense_faults.append(minor_faults() - faults)
     finally:
         solvers._fft_layout = count.rule
     later = slice(min(SETTLE, n_steps - 1), None)
@@ -110,6 +123,7 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
         "setup_ms": 1e3 * setup_s,
         "first_ms": 1e3 * sparse_s[0],
         "sparse_ms": 1e3 * statistics.median(sparse_s[later]),
+        "sparse_faults": statistics.mean(sparse_faults[later]),
         "fft_steps": count.steps,
         "n_s0": initial.n_s,
         "n_s": state.current.n_s,
@@ -119,6 +133,7 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
         l2, _ = error_metrics(state.current, reference)
         norm, _ = error_metrics(reference, DenseSpectrum(grid, np.zeros(grid.shape, complex)))
         out["dense_ms"] = 1e3 * statistics.median(dense_s[later])
+        out["dense_faults"] = statistics.mean(dense_faults[later])
         out["rel_l2"] = l2 / norm if norm else float("nan")
     return out
 
@@ -173,9 +188,9 @@ def main(argv=None) -> None:
     cap = args.steps or max(max(HEADLINE_STEPS.values()), REFINE_STEPS, REFINE_2D_STEPS)
 
     print("headline recipes (ms per step; later = median after step "
-          f"{SETTLE}; fft = steps in FFT layout)")
+          f"{SETTLE}; fft = steps in FFT layout; flt = minor page faults per later step)")
     print(f"{'recipe':<18}{'steps':>6}{'first':>8}{'sparse':>9}{'dense':>9}{'ratio':>7}"
-          f"{'fft':>6}{'frac':>8}{'rel L2':>11}")
+          f"{'fft':>6}{'flt sp':>8}{'flt de':>8}{'frac':>8}{'rel L2':>11}")
     for recipe, steps in HEADLINE_STEPS.items():
         config = load_recipe(recipe)
         n_steps = min(steps, cap, config.n_steps())
@@ -183,7 +198,8 @@ def main(argv=None) -> None:
             r = interleaved(config, n_steps)
             print(f"{recipe:<18}{n_steps:>6}{r['first_ms']:>8.2f}{r['sparse_ms']:>9.3f}"
                   f"{r['dense_ms']:>9.3f}{r['sparse_ms'] / r['dense_ms']:>7.2f}"
-                  f"{r['fft_steps']:>6}{100 * r['fraction']:>7.1f}%{r['rel_l2']:>11.4e}",
+                  f"{r['fft_steps']:>6}{r['sparse_faults']:>8.1f}{r['dense_faults']:>8.1f}"
+                  f"{100 * r['fraction']:>7.1f}%{r['rel_l2']:>11.4e}",
                   flush=True)
 
     print()
@@ -206,19 +222,22 @@ def main(argv=None) -> None:
 
     print()
     print("vorticity_converge on n^2 points (ms; setup = initial_condition and the run's "
-          f"inputs; dense interleaved up to {DENSE_2D_MAX}^2; RSS of the sparse run alone)")
+          f"inputs; dense interleaved up to {DENSE_2D_MAX}^2; flt = minor page faults per "
+          "later step; RSS of the sparse run alone)")
     print(f"{'n^2':>7}{'steps':>6}{'setup':>8}{'first':>8}{'sparse':>9}{'dense':>9}{'ratio':>7}"
-          f"{'n_s 0/last':>12}{'RSS MB':>8}")
+          f"{'flt sp':>8}{'flt de':>8}{'n_s 0/last':>12}{'RSS MB':>8}")
     n_steps = min(REFINE_2D_STEPS, cap)
     for n in REFINE_2D_SIZES:
         for _ in range(args.repeats):
             r = interleaved(vorticity_on(n), n_steps, dense=n <= DENSE_2D_MAX)
             dense = (f"{r['dense_ms']:>9.3f}{r['sparse_ms'] / r['dense_ms']:>7.2f}"
                      if "dense_ms" in r else f"{'-':>9}{'-':>7}")
+            faults = f"{r['sparse_faults']:>8.1f}" + (
+                f"{r['dense_faults']:>8.1f}" if "dense_faults" in r else f"{'-':>8}")
             supports = f"{r['n_s0']}/{r['n_s']}"
             print(f"{f'{n}^2':>7}{n_steps:>6}{r['setup_ms']:>8.2f}{r['first_ms']:>8.2f}"
-                  f"{r['sparse_ms']:>9.3f}{dense}{supports:>12}{alone(n, n_steps)['rss_mb']:>8.1f}",
-                  flush=True)
+                  f"{r['sparse_ms']:>9.3f}{dense}{faults}{supports:>12}"
+                  f"{alone(n, n_steps)['rss_mb']:>8.1f}", flush=True)
 
 
 if __name__ == "__main__":

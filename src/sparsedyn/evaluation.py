@@ -18,7 +18,7 @@ import numpy as np
 # layer tracer in perfbench/, look them up in this module
 from .coefficients import coefficient_field_of  # noqa: F401
 from .errors import GridMismatch
-from .grid import GridSpec, box_index
+from .grid import GridSpec, box_blocks
 from .shrinkage import SparseSpectrum
 from .solvers import EquationParams, _iterate
 from .spectral import DenseSpectrum, SpatialField, dft_inverse
@@ -126,6 +126,8 @@ def inject(spec: DenseSpectrum | SparseSpectrum, fine: GridSpec) -> DenseSpectru
     if fine.dims != coarse.dims or fine.n_per_dim < coarse.n_per_dim:
         raise GridMismatch("target grid must match dims and be at least as fine")
     k = coarse.box_edge
-    coeffs = np.zeros(fine.n_total, dtype=np.complex128)
-    coeffs[box_index(fine, k)[1]] = spec.coeffs.ravel()[box_index(coarse, k)[1]]
-    return DenseSpectrum(fine, coeffs.reshape(fine.shape))
+    coeffs = np.zeros(fine.shape, dtype=np.complex128)
+    for dst, src in zip(box_blocks(fine.dims, k, fine.n_per_dim),
+                        box_blocks(coarse.dims, k, coarse.n_per_dim)):
+        coeffs[dst.at] = spec.coeffs[src.at]
+    return DenseSpectrum(fine, coeffs)

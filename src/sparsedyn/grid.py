@@ -17,9 +17,12 @@ conversions, with no sort: a key's FFT-layout index
 A product of operands is made on the smallest alias-free grid for their
 reach (:func:`key_reach`, :func:`transform_size`) with real transforms,
 which keep the half grid ``m_last >= 0``: sparse entries are placed there
-by :func:`half_index`, dense ones by :func:`box_half_index`, and the box of
-modes the product can reach is read back from it as conjugates where
-needed (:func:`box_unfold`), in the key order of :func:`box_index`.
+by :func:`half_index`.  The box ``|m_d| <= k`` is a few sign blocks, each
+contiguous on any FFT layout, on the half grid and in key order
+(:func:`box_blocks`), so a dense spectrum is padded onto the half grid, and
+the box of modes a product can reach read back from it, as conjugated
+reversed slices where needed, by block copies with no index table; a
+sparse result takes the box's keys from :func:`box_index`.
 
 The factors of the diagonal operators (:data:`DERIVATIVE_FACTORS`,
 :func:`wavenumber_squares`, :func:`biot_savart_factors`) are each one
@@ -31,8 +34,9 @@ per-axis values by the same formula the first time a dense spectrum asks.
 
 Every per-grid table is built here once, cached and shared read-only:
 :func:`axis_tables`, :func:`mode_table`, :func:`mode_mesh`,
-:func:`mean_key`, :func:`negated_fft_index`, :func:`box_index`,
-:func:`box_half_index`, :func:`box_unfold` and :func:`transform_size`.
+:func:`mean_key`, :func:`negated_fft_index`, :func:`box_index` and
+:func:`transform_size`; the box's blocks (:func:`box_blocks`) are cached per
+layout.
 """
 
 from __future__ import annotations
@@ -447,70 +451,79 @@ def transform_size(grid: GridSpec, reach: int) -> tuple[int, int]:
     return size, k
 
 
-def _box_modes(grid: GridSpec, k: int) -> np.ndarray:
-    """Mode vectors ``(dims, (2k+1)**dims)`` of the box ``|m_d| <= k``, in key
-    order."""
-    m = np.arange(-k, k + 1)
-    return np.stack([c.ravel() for c in np.meshgrid(*([m] * grid.dims), indexing="ij")])
-
-
 @lru_cache(maxsize=32)
-def box_index(grid: GridSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keys, ascending, of the modes ``|m_d| <= k`` (``k < n/2``), and their
-    flat index on the grid's own FFT layout.  With ``k`` the box edge
-    (:attr:`GridSpec.box_edge`) this is the open box.  The box is
-    symmetric, so its keys reversed are those of the negated modes.
-    Read-only, shared per grid and ``k``."""
-    modes = _box_modes(grid, k)
-    return _read_only(mode_to_key(grid, modes), mode_to_fft_index(grid, modes).astype(np.intp))
+def box_index(grid: GridSpec, k: int) -> np.ndarray:
+    """Keys, ascending, of the modes ``|m_d| <= k`` (``k < n/2``).  With
+    ``k`` the box edge (:attr:`GridSpec.box_edge`) this is the open box.
+    The box is symmetric, so its keys reversed are those of the negated
+    modes.  Read-only, shared per grid and ``k``."""
+    digits = np.arange(-k, k + 1) + grid.n_per_dim // 2
+    return _read_only(product_keys(grid, [digits] * grid.dims))[0]
 
 
-def _half_place(modes, n_out: int) -> np.ndarray:
-    """Flat index of mode vectors with ``m_last >= 0`` on the half grid of a
-    real transform on ``n_out`` points per dimension: shape ``(n_out, ...,
-    n_out//2 + 1)``, digit ``m mod n_out`` per leading dimension and ``m``
-    along the last."""
-    index = np.asarray(modes[-1], dtype=np.intp)
-    if len(modes) == 2:
-        index = np.mod(modes[0], n_out) * (n_out // 2 + 1) + index
-    return index
+class BoxBlock(NamedTuple):
+    """One block of the box (:func:`box_blocks`): its slices on a layout;
+    for a block outside the canonical half-space (``m_last < 0``, or
+    ``m_last == 0`` and ``m_0 < 0``) the slices of its negation, in the
+    order of its own modes, else None; and whether ``m_last >= 0``."""
+
+    at: tuple[slice, ...]
+    negated: tuple[slice, ...] | None
+    half: bool
+
+
+@lru_cache(maxsize=64)
+def box_blocks(dims: int, k: int, size: int) -> tuple[BoxBlock, ...]:
+    """The box ``|m_d| <= k`` as blocks of whole sign ranges per dimension,
+    placed on a ``size``-point FFT layout per dimension (mode ``m`` at digit
+    ``m mod size``, ``size > 2k``) or, with ``size`` 0, on the box itself in
+    key order (mode ``m`` at ``m + k``).
+
+    Every block is contiguous on every such layout, so the box moves
+    between layouts by block slices, not index tables; every call lists the
+    same blocks in the same order, so two layouts pair block for block.  A
+    block read as it is spans ``0..k`` along a dimension where it can; one
+    read as the conjugate of its negation (its ``negated`` slices, on the
+    half grid of a real transform on ``size`` points, shape ``(size, ...,
+    size//2 + 1)``) keeps the mode 0 apart, since the negation of ``0..k``
+    wraps around the layout.  Padding and truncation are block copies, as
+    in Orszag's rule (J. Atmos. Sci. 28 (1971) 1074)."""
+
+    def span(first: int, last: int) -> slice:  # the modes first..last, in that order
+        i, j = (first + k, last + k) if size == 0 else (first % size, last % size)
+        step = 1 if j >= i else -1
+        return slice(i, j + step if j + step >= 0 else None, step)
+
+    zero, pos, neg, nonneg = (0, 0), (1, k), (-k, -1), (0, k)
+    if k == 0:
+        read, folded = [(zero,) * dims], []
+    elif dims == 1:
+        read, folded = [(nonneg,)], [(neg,)]
+    else:
+        read = [(nonneg, nonneg), (neg, pos)]
+        folded = [(neg, zero), (zero, neg), (pos, neg), (neg, neg)]
+    return tuple(
+        BoxBlock(
+            tuple(span(lo, hi) for lo, hi in ranges),
+            tuple(span(-lo, -hi) for lo, hi in ranges) if fold else None,
+            ranges[-1][0] >= 0,
+        )
+        for fold, blocks in ((False, read), (True, folded))
+        for ranges in blocks
+    )
 
 
 def half_index(grid: GridSpec, keys: np.ndarray, n_out: int) -> tuple[np.ndarray, np.ndarray]:
     """Which sparse keys have a last mode component ``m_last >= 0`` (a
     mask), and their flat index on the half grid of a real transform on
-    ``n_out`` points per dimension, ``n_out > 2 max m_last``."""
+    ``n_out`` points per dimension, shape ``(n_out, ..., n_out//2 + 1)``
+    (``n_out > 2 max m_last``): digit ``m mod n_out`` per leading dimension
+    and ``m`` along the last."""
     half = grid.n_per_dim // 2
     last = key_digit(grid, keys, grid.dims - 1) - half
     keep = last >= 0
-    modes = [last[keep]]
+    index = last[keep]
     if grid.dims == 2:
-        modes.insert(0, key_digit(grid, keys[keep], 0) - half)
-    return keep, _half_place(modes, n_out)
-
-
-@lru_cache(maxsize=16)
-def box_half_index(grid: GridSpec, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For the modes of the open box ``|m_d| <= n/2 - 1``
-    (:attr:`GridSpec.box_edge`) with ``m_last >= 0``: their flat index on
-    the grid's own FFT layout, that of their negations, and their flat
-    index on the half grid of a real transform on ``n_out`` points per
-    dimension (:func:`half_index`).  Read-only, shared per grid and size."""
-    keys, own = box_index(grid, grid.box_edge)
-    keep, index = half_index(grid, keys, n_out)
-    return _read_only(own[keep], own[::-1][keep], index)
-
-
-@lru_cache(maxsize=32)
-def box_unfold(grid: GridSpec, k: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the half spectrum of a real transform on ``n_out`` points per
-    dimension holds each mode of the box ``|m_d| <= k``, in key order:
-    the flat half-grid index of the mode itself when it lies in the
-    canonical half-space (``m_last > 0``, or ``m_last == 0`` and
-    ``m_0 >= 0``), else of its negation, together with a mask of the modes
-    read that way, as conjugates.  Every mode and its negation then read
-    one stored value, so the box read is exactly Hermitian.  Read-only,
-    shared per grid, ``k`` and size."""
-    modes = _box_modes(grid, k)
-    flip = (modes[-1] < 0) | ((modes[-1] == 0) & (modes[0] < 0))
-    return _read_only(_half_place(np.where(flip, -modes, modes), n_out), flip)
+        lead = key_digit(grid, keys[keep], 0) - half
+        index = np.mod(lead, n_out) * (n_out // 2 + 1) + index
+    return keep, index

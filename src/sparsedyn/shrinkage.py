@@ -253,6 +253,11 @@ class SparseSpectrum:
             return NotImplemented
         if other.grid != self.grid:
             raise GridMismatch("cannot add spectra on different grids")
+        if not (self.n_s and other.n_s):  # nothing to merge: _accumulate's result, unsorted
+            spec = other if self.n_s == 0 else self
+            vals = spec.values + 0.0
+            keep = _nonzero(vals)
+            return SparseSpectrum(self.grid, spec.keys[keep], vals[keep])
         return _accumulate(
             self.grid,
             np.concatenate([self.keys, other.keys]),
@@ -443,9 +448,9 @@ def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
         return SparseSpectrum.empty(grid)
     if not transform:
         return _pair_convolve(grid, [(w, a.entries(), b.entries()) for w, a, b in live])
-    vals = padded_product(grid, live, size, k, real)
+    vals = padded_product(grid, live, size, k, real).ravel()
     keep = _above_roundoff(vals)
-    return SparseSpectrum(grid, box_index(grid, k)[0][keep], vals[keep])
+    return SparseSpectrum(grid, box_index(grid, k)[keep], vals[keep])
 
 
 def plan_convolution(grid: GridSpec, terms) -> tuple[list, int, int, bool]:

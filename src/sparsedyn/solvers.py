@@ -419,7 +419,7 @@ def initial_condition(spec: InitialSpec, grid: GridSpec) -> SparseSpectrum:
         # the box less k = 0: keys ascend in lexicographic mode order, so the
         # modes above k = 0 come last, and the box is symmetric, so the
         # modes below it are their negations in reverse order
-        keys = box_index(grid, SINE_LOW_REACH)[0]
+        keys = box_index(grid, SINE_LOW_REACH)
         keys = keys[keys != mean_key(grid)]
         rng = np.random.default_rng(spec.seed)
         re, im = (rng.standard_normal((keys.size // 2, 2)) * (spec.amplitude / 4.0)).T

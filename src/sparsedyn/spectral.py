@@ -10,15 +10,15 @@ dimension, the 2/3 rule), in one place for both containers
 that declares its operands real (the solver) makes one real field per
 operand; any other operand is split into two real fields.  Each operand,
 behind a :class:`HeldField`, places itself on the padded grid, a sparse one
-by its keys and a dense one by gathering the box; the grid's index
-arithmetic (:func:`~sparsedyn.grid.transform_size`,
-:func:`~sparsedyn.grid.half_index`, :func:`~sparsedyn.grid.box_unfold`)
-sizes, pads and crops.
+by its keys and a dense one by copying the box; the grid's index
+arithmetic sizes (:func:`~sparsedyn.grid.transform_size`), places keys
+(:func:`~sparsedyn.grid.half_index`) and gives the box's blocks
+(:func:`~sparsedyn.grid.box_blocks`), whose slices pad a dense operand and
+crop every product (:func:`read_box`), with no index table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +27,7 @@ from .errors import GridMismatch, HermitianViolation
 from .grid import (
     DERIVATIVE_FACTORS,
     GridSpec,
-    box_half_index,
-    box_index,
-    box_unfold,
+    box_blocks,
     half_index,
     in_open_box,
     key_reach,
@@ -172,22 +170,36 @@ class HeldField:
             self._entries = keys, vals, reach
         return self._entries
 
-    def half_entries(self, size: int, negated: bool) -> tuple[np.ndarray, np.ndarray]:
-        """(Flat index on the half grid of a real transform on ``size`` points
-        per dimension, value) of the open-box entries with ``m_last >= 0``,
-        or with ``negated`` of those with ``m_last <= 0`` at their negated
-        mode, conjugated: a sparse operand places its keys
-        (:func:`~sparsedyn.grid.half_index`), a dense one gathers the box."""
+    def place(self, half: np.ndarray, size: int) -> None:
+        """Write the operand onto ``half``, zeros of shape ``(rows, size, ...,
+        size//2 + 1)`` on the half grid of a real transform on ``size`` points
+        per dimension: in row 0 its open-box entries with ``m_last >= 0``, in
+        a second row, if any, those with ``m_last <= 0`` at their negated
+        mode, conjugated.  A sparse operand places its keys
+        (:func:`~sparsedyn.grid.half_index`), a dense one copies the open
+        box's blocks (:func:`~sparsedyn.grid.box_blocks`), for the second row
+        from its coefficients reversed and rolled by one on every axis."""
         spec, grid = self.spectrum, self.spectrum.grid
         if isinstance(spec, DenseSpectrum):
-            own, negation, index = box_half_index(grid, size)
-            flat = spec.coeffs.ravel()
-            return index, (np.conjugate(flat[negation]) if negated else flat[own])
+            rows = [spec.coeffs]
+            if len(half) == 2:
+                axes = tuple(range(grid.dims))
+                rows.append(np.conjugate(np.roll(np.flip(spec.coeffs), 1, axes)))
+            edge = grid.box_edge
+            for src, dst in zip(box_blocks(grid.dims, edge, grid.n_per_dim),
+                                box_blocks(grid.dims, edge, size)):
+                if dst.half:
+                    for row, coeffs in zip(half, rows):
+                        row[dst.at] = coeffs[src.at]
+            return
         keys, vals, _ = self.entries()
-        if negated:
-            keys, vals = negated_keys(grid, keys[::-1]), np.conjugate(vals[::-1])
+        flat = half.reshape(len(half), -1)
         keep, index = half_index(grid, keys, size)
-        return index, vals[keep]
+        flat[0, index] = vals[keep]
+        if len(half) == 2:
+            keys, vals = negated_keys(grid, keys[::-1]), np.conjugate(vals[::-1])
+            keep, index = half_index(grid, keys, size)
+            flat[1, index] = vals[keep]
 
 
 def hold_operands(terms) -> tuple[GridSpec, list]:
@@ -218,17 +230,21 @@ def hold_operands(terms) -> tuple[GridSpec, list]:
     return grid, terms
 
 
-def padded_product(grid: GridSpec, terms, size: int, k: int, real: bool) -> np.ndarray:
+def padded_product(
+    grid: GridSpec, terms, size: int, k: int, real: bool, fft_layout: bool = False
+) -> np.ndarray:
     """Values of ``sum w * a * b`` over terms ``(w, a, b)`` of held operands
-    (:func:`hold_operands`) at the modes ``|s_d| <= k`` in key order
-    (:func:`~sparsedyn.grid.box_index`), made on the grid of ``size``
-    points per dimension with real transforms.
+    (:func:`hold_operands`) at the modes ``|s_d| <= k``, made on the grid
+    of ``size`` points per dimension with real transforms: the box in key
+    order (:func:`~sparsedyn.grid.box_index`), shape ``(2k + 1,) * dims``,
+    or with ``fft_layout`` written straight into the grid's own FFT layout,
+    shape ``grid.shape``, zero outside the box (:func:`read_box`).
 
     ``size`` and ``k`` come from :func:`~sparsedyn.grid.transform_size` for
     the largest sum of the operands' reaches, so every product lands on its
     own mode or outside the box read: the result is free of aliasing.
     Each held operand places itself on the half grid
-    (:meth:`HeldField.half_entries`) and is inverse-transformed once for as
+    (:meth:`HeldField.place`) and is inverse-transformed once for as
     long as calls keep its size and contract, so ``u*u`` transforms ``u``
     once; the field of a ``call_only`` operand is dropped after the last
     term that needs it.
@@ -242,9 +258,9 @@ def padded_product(grid: GridSpec, terms, size: int, k: int, real: bool) -> np.n
     conj c(-m))/2`` and of ``(c(m) - conj c(-m))/2i``, so ``c`` is their
     first plus ``i`` times their second; the two are stacked and made by
     one ``irfftn`` call, and the real and imaginary parts of the product
-    likewise by one ``rfftn`` call.  Either way the box is read through
-    :func:`~sparsedyn.grid.box_unfold`, so the spectrum of each real
-    product field is exactly Hermitian.
+    likewise by one ``rfftn`` call.  Either way the box is read off the half
+    spectrum by :func:`read_box`, so the spectrum of each real product field
+    is exactly Hermitian.
 
     This is the one place that multiplies in physical space, for sparse and
     dense spectra alike.
@@ -257,17 +273,15 @@ def padded_product(grid: GridSpec, terms, size: int, k: int, real: bool) -> np.n
     def field(held: HeldField) -> np.ndarray:
         if (held.size, held.real) == (size, real):
             return held.field
-        half = np.zeros((parts, math.prod(half_shape)), dtype=np.complex128)
-        for row, negated in zip(half, (False, True)):
-            index, values = held.half_entries(size, negated)
-            row[index] = values
+        half = np.zeros((parts,) + half_shape, dtype=np.complex128)
+        held.place(half, size)
         if not real:  # rows c(m) and conj c(-m) become the two parts
             own, odd = half
             even = (own + odd) * 0.5
             odd -= own
             odd *= 0.5j
             own[:] = even
-        fields = np.fft.irfftn(half.reshape((parts,) + half_shape), shape, axes, norm="forward")
+        fields = np.fft.irfftn(half, shape, axes, norm="forward")
         held.field = fields[0] if real else fields[0] + 1j * fields[1]
         held.size, held.real = size, real
         return held.field
@@ -291,11 +305,35 @@ def padded_product(grid: GridSpec, terms, size: int, k: int, real: bool) -> np.n
     del prod
 
     stacked = total[None] if real else np.stack((total.real, total.imag))
-    spectra = np.fft.rfftn(stacked, shape, axes, norm="forward").reshape(parts, -1)
-    index, flip = box_unfold(grid, k, size)
-    out = spectra[:, index]
-    np.conjugate(out, out=out, where=flip)
+    del total
+    spectra = np.fft.rfftn(stacked, shape, axes, norm="forward")
+    del stacked  # the sum's memory can serve the box read
+    out = read_box(spectra, size, k, grid.n_per_dim if fft_layout else 0)
     return out[0] if real else out[0] + 1j * out[1]
+
+
+def read_box(spectra: np.ndarray, size: int, k: int, layout: int) -> np.ndarray:
+    """The box ``|m_d| <= k`` of half spectra, ``spectra`` of shape
+    ``(rows, size, ..., size//2 + 1)`` from real transforms on ``size``
+    points per dimension, one row each: on a ``layout``-point FFT layout
+    per dimension, zero outside the box, or with ``layout`` 0 the box
+    alone in key order (:func:`~sparsedyn.grid.box_blocks`).
+
+    A block in the canonical half-space (``m_last > 0``, or ``m_last == 0``
+    and ``m_0 >= 0``) is copied, every other one read as the conjugate of
+    its negation, reversed: every mode and its negation read one stored
+    value, so the box of a real field's spectrum is exactly Hermitian.
+    """
+    rows, dims = len(spectra), spectra.ndim - 1
+    points = layout or 2 * k + 1
+    out = (np.zeros if layout else np.empty)((rows,) + (points,) * dims, dtype=np.complex128)
+    every = (slice(None),)
+    for dst, src in zip(box_blocks(dims, k, layout), box_blocks(dims, k, size)):
+        if src.negated is None:
+            out[every + dst.at] = spectra[every + src.at]
+        else:
+            np.conjugate(spectra[every + src.negated], out=out[every + dst.at])
+    return out
 
 
 def dense_convolve_sum(terms, *, real: bool = False) -> DenseSpectrum:
@@ -308,16 +346,14 @@ def dense_convolve_sum(terms, *, real: bool = False) -> DenseSpectrum:
 
     Dense operands fill the box, so :func:`padded_product` works on
     ``P = 3n/2`` points per dimension (:attr:`~sparsedyn.grid.GridSpec.n_padded`,
-    the 2/3 rule) for ``n >= 8``: each distinct operand's open-box
-    coefficients are placed there, and the weighted sum is written back to
-    the open box, so the unpaired Nyquist mode is zero.
+    the 2/3 rule) for ``n >= 8``: each distinct operand's open box is
+    copied there and the weighted sum's open box copied back into the FFT
+    layout, block by sign block (:func:`~sparsedyn.grid.box_blocks`), so
+    the unpaired Nyquist mode is zero.
     """
     grid, terms = hold_operands(terms)
     size, k = transform_size(grid, 2 * grid.box_edge)
-    vals = padded_product(grid, terms, size, k, real)
-    coeffs = np.zeros(grid.n_total, dtype=np.complex128)
-    coeffs[box_index(grid, k)[1]] = vals
-    return DenseSpectrum(grid, coeffs.reshape(grid.shape))
+    return DenseSpectrum(grid, padded_product(grid, terms, size, k, real, fft_layout=True))
 
 
 def dense_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -5,15 +5,18 @@ no internals with the library paths it checks, except the spectrum of
 samples on the mesh (:func:`assert_closed_form_spectrum`), which is the
 reference a closed form replaces, and the row-by-row entry-pair sum
 (:func:`row_loop_convolve`), which the blocked entry-pair path must match
-bit for bit, and the soft threshold of a dense update
+bit for bit, the soft threshold of a dense update
 (:func:`loop_dense_shrink`), which the one-pass dense shrink must match bit
-for bit.
+for bit, and the padded product of dense spectra through index tables
+(:func:`table_place`, :func:`table_read_box`,
+:func:`table_dense_convolve_sum`), which the block copies of the dense
+path must match bit for bit.
 """
 
 import numpy as np
 
-from sparsedyn import GridSpec, SparseSpectrum, SpatialField, dft_forward
-from sparsedyn.grid import in_open_box, mean_key, mode_to_key
+from sparsedyn import DenseSpectrum, GridSpec, SparseSpectrum, SpatialField, dft_forward
+from sparsedyn.grid import in_open_box, mean_key, mode_to_key, transform_size
 from sparsedyn.shrinkage import DROP_TOL, ROUNDOFF_FLOOR
 
 
@@ -156,3 +159,96 @@ def loop_dense_shrink(dense, lam: float, protect_mean: bool) -> SparseSpectrum:
             values.append(c * ((mag - lam) / mag))
     keys = mode_to_key(grid, np.array(modes, dtype=np.int64).reshape(-1, grid.dims).T)
     return SparseSpectrum(grid, keys, np.array(values, dtype=np.complex128))
+
+
+def _box_modes(grid: GridSpec, k: int) -> np.ndarray:
+    """Mode vectors ``(dims, (2k+1)**dims)`` of the box ``|m_d| <= k``, in key
+    order (row-major, first axis slowest)."""
+    m = np.arange(-k, k + 1)
+    return np.stack([c.ravel() for c in np.meshgrid(*([m] * grid.dims), indexing="ij")])
+
+
+def _flat(modes, points: int, last_points: int) -> np.ndarray:
+    """Flat index of mode vectors on a layout of ``points`` per leading
+    dimension and ``last_points`` along the last, digit ``m mod points``."""
+    index = np.mod(modes[-1], points)
+    if len(modes) == 2:
+        index = np.mod(modes[0], points) * last_points + index
+    return index
+
+
+def table_box_index(grid: GridSpec, k: int) -> np.ndarray:
+    """Flat FFT-layout index of the box ``|m_d| <= k``, in key order."""
+    return _flat(_box_modes(grid, k), grid.n_per_dim, grid.n_per_dim)
+
+
+def table_place(spec: DenseSpectrum, size: int, rows: int) -> np.ndarray:
+    """A dense operand on the half grid of a real transform on ``size``
+    points per dimension, by index tables: row 0 gathers the open box's
+    modes with ``m_last >= 0`` from the FFT layout, row 1 (with ``rows`` 2)
+    the conjugates of their negations; shape ``(rows, size, ..., size//2 + 1)``."""
+    grid = spec.grid
+    modes = _box_modes(grid, grid.box_edge)
+    keep = modes[-1] >= 0
+    own = _flat(modes, grid.n_per_dim, grid.n_per_dim)
+    negation = own[::-1]  # the box is symmetric: reversed, it lists the negations
+    index = _flat(modes[:, keep], size, size // 2 + 1)
+    flat = spec.coeffs.ravel()
+    half = np.zeros((rows,) + (size,) * (grid.dims - 1) + (size // 2 + 1,), dtype=np.complex128)
+    half.reshape(rows, -1)[0, index] = flat[own[keep]]
+    if rows == 2:
+        half.reshape(rows, -1)[1, index] = np.conjugate(flat[negation[keep]])
+    return half
+
+
+def table_read_box(spectra: np.ndarray, grid: GridSpec, k: int, size: int) -> np.ndarray:
+    """The box ``|m_d| <= k`` of half spectra (shape ``(rows, size, ...,
+    size//2 + 1)``) in key order, by an index table: a mode in the canonical
+    half-space (``m_last > 0``, or ``m_last == 0`` and ``m_0 >= 0``) is
+    gathered as it is, every other one as the conjugate of its negation
+    (a masked conjugate); shape ``(rows, (2k+1)**dims)``."""
+    modes = _box_modes(grid, k)
+    flip = (modes[-1] < 0) | ((modes[-1] == 0) & (modes[0] < 0))
+    index = _flat(np.where(flip, -modes, modes), size, size // 2 + 1)
+    out = spectra.reshape(len(spectra), -1)[:, index]
+    np.conjugate(out, out=out, where=flip)
+    return out
+
+
+def table_dense_convolve_sum(terms, real: bool) -> DenseSpectrum:
+    """``sum w * (a * b)`` over terms of dense spectra, Galerkin-truncated,
+    through the index tables above on the padded grid of the 2/3 rule:
+    each operand placed (:func:`table_place`) and made into its field by
+    one ``irfftn`` (without ``real``, split into the fields of
+    ``(c(m) + conj c(-m))/2`` and ``(c(m) - conj c(-m))/2i``), the weighted
+    products summed in space, one ``rfftn``, the open box read
+    (:func:`table_read_box`) and scattered into the FFT layout."""
+    grid = terms[0][1].grid
+    size, k = transform_size(grid, 2 * grid.box_edge)
+    shape = (size,) * grid.dims
+    rows = 1 if real else 2
+    axes = tuple(range(1, grid.dims + 1))
+
+    def field(spec):
+        half = table_place(spec, size, rows)
+        if not real:
+            own, odd = half
+            even = (own + odd) * 0.5
+            odd -= own
+            odd *= 0.5j
+            own[:] = even
+        fields = np.fft.irfftn(half, shape, axes, norm="forward")
+        return fields[0] if real else fields[0] + 1j * fields[1]
+
+    total = None
+    for w, a, b in terms:
+        prod = field(a) * field(b)
+        if w != 1:
+            prod *= w
+        total = prod if total is None else total + prod
+    stacked = total[None] if real else np.stack((total.real, total.imag))
+    out = table_read_box(np.fft.rfftn(stacked, shape, axes, norm="forward"), grid, k, size)
+    vals = out[0] if real else out[0] + 1j * out[1]
+    coeffs = np.zeros(grid.n_total, dtype=np.complex128)
+    coeffs[table_box_index(grid, k)] = vals
+    return DenseSpectrum(grid, coeffs.reshape(grid.shape))

@@ -23,9 +23,17 @@ from sparsedyn.spectral import (
     dense_convolve_sum,
     hold_operands,
     is_hermitian,
+    read_box,
 )
 
-from oracles import brute_force_convolve, row_loop_convolve
+from oracles import (
+    brute_force_convolve,
+    row_loop_convolve,
+    table_box_index,
+    table_dense_convolve_sum,
+    table_place,
+    table_read_box,
+)
 
 
 def random_sparse(grid, rng, max_entries=20):
@@ -586,3 +594,70 @@ def test_pair_blocks_keep_memory_beyond_the_window_small(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak - 16 * window < 2**20
+
+
+def random_dense(grid: GridSpec, rng, real: bool) -> DenseSpectrum:
+    """A dense spectrum with every mode set, the Nyquist modes included:
+    that of a random real field, or with random complex values."""
+    if real:
+        return dft_forward(SpatialField(grid, rng.standard_normal(grid.shape)))
+    values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    return DenseSpectrum(grid, values)
+
+
+BLOCK_GRIDS = [GridSpec(dims, n) for dims in (1, 2) for n in (4, 8, 16, 64)]
+
+
+@pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=lambda g: f"{g.dims}d-{g.n_per_dim}")
+def test_dense_placement_is_the_index_table_gather_bit_for_bit(grid):
+    # the block copies of a dense operand onto the half grid, on the size a
+    # dense product takes (P < 3n/2 at n = 4) and on the 3/2 grid, against
+    # the gather through index tables; one row on the real contract, two on
+    # the complex one, the second the conjugated negation
+    rng = np.random.default_rng(grid.n_per_dim + grid.dims)
+    spec = random_dense(grid, rng, real=False)
+    for size in sorted({transform_size(grid, 2 * grid.box_edge)[0], grid.n_padded}):
+        for rows in (1, 2):
+            half = np.zeros((rows,) + (size,) * (grid.dims - 1) + (size // 2 + 1,), dtype=complex)
+            HeldField(spec).place(half, size)
+            want = table_place(spec, size, rows)
+            assert half.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=lambda g: f"{g.dims}d-{g.n_per_dim}")
+def test_box_read_is_the_index_table_fold_bit_for_bit(grid):
+    # the box |m_d| <= k read off random half spectra (one row and two) by
+    # block slices, against the masked-conjugate gather through an index
+    # table: in key order for every k up to the box edge, as a sparse
+    # result reads it, and on the FFT layout, as a dense one is written,
+    # where it is that gather scattered through the box's index
+    rng = np.random.default_rng(grid.n_per_dim - grid.dims)
+    for k in range(grid.box_edge + 1):
+        for reach in sorted({k, 2 * k}):
+            size = transform_size(grid, reach)[0]
+            for rows in (1, 2):
+                shape = (rows,) + (size,) * (grid.dims - 1) + (size // 2 + 1,)
+                spectra = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                want = table_read_box(spectra, grid, k, size)
+                got = read_box(spectra, size, k, 0)
+                assert got.reshape(rows, -1).tobytes() == want.tobytes()
+                dense = np.zeros((rows, grid.n_total), dtype=complex)
+                dense[:, table_box_index(grid, k)] = want
+                got = read_box(spectra, size, k, grid.n_per_dim)
+                assert got.reshape(rows, -1).tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=lambda g: f"{g.dims}d-{g.n_per_dim}")
+def test_dense_convolve_is_the_index_table_path_bit_for_bit(grid):
+    # dense_convolve_sum on two weighted terms, one of them a square, and
+    # dense_convolve, against the padded product through index tables, on
+    # real-field operands with real=True and on complex ones without
+    rng = np.random.default_rng(3 * grid.n_per_dim + grid.dims)
+    for real in (True, False):
+        a, b, c = (random_dense(grid, rng, real) for _ in range(3))
+        terms = ((1.0, a, b), (-0.5, c, c))
+        got = dense_convolve_sum(terms, real=real)
+        assert got.coeffs.tobytes() == table_dense_convolve_sum(terms, real).coeffs.tobytes()
+        got = dense_convolve(a.coeffs, b.coeffs, grid)
+        want = table_dense_convolve_sum(((1.0, a, b),), False)
+        assert got.tobytes() == want.coeffs.tobytes()

@@ -3,8 +3,8 @@ import pytest
 
 from sparsedyn import GridSpec, fft_index_to_mode, mode_to_fft_index
 from sparsedyn.grid import (
+    box_blocks,
     box_index,
-    box_unfold,
     fft_shifted,
     half_index,
     in_open_box,
@@ -19,6 +19,7 @@ from sparsedyn.grid import (
     shifted_index_to_key,
     transform_size,
 )
+from sparsedyn.spectral import read_box
 
 
 def test_basic_geometry():
@@ -226,15 +227,13 @@ def test_transform_size_is_the_smallest_alias_free_grid():
 def test_box_index_lists_the_box_in_key_order(dims):
     g = GridSpec(dims, 16)
     for k in (0, 3, 7):
-        keys, index = box_index(g, k)
+        keys = box_index(g, k)
         modes = key_to_mode(g, keys)
         assert keys.size == (2 * k + 1) ** dims
         assert np.all(np.diff(keys) > 0) and np.abs(modes).max() == k
-        place = np.ravel_multi_index(tuple(np.mod(modes, g.n_per_dim)), g.shape)
-        assert np.array_equal(index, place)
-        assert not index.flags.writeable
+        assert not keys.flags.writeable
     # the full box is the open box
-    keys = box_index(g, g.box_edge)[0]
+    keys = box_index(g, g.box_edge)
     every = np.arange((2 * g.n_per_dim) ** dims)
     assert np.array_equal(keys, every[in_open_box(g, every)])
 
@@ -242,21 +241,64 @@ def test_box_index_lists_the_box_in_key_order(dims):
 @pytest.mark.parametrize("dims", [1, 2])
 def test_half_grid_holds_the_box_of_a_real_transform(dims):
     # a real field's spectrum, read from its rfftn half: the entries with
-    # m_last >= 0 where half_index places them, and the whole box through
-    # box_unfold, the rest as conjugates of their negations
+    # m_last >= 0 where half_index places them, and the whole box by
+    # read_box, the rest as conjugates of their negations, in key order and
+    # on the grid's own FFT layout
     g = GridSpec(dims, 16)
     rng = np.random.default_rng(dims)
     for k, n_out in ((0, 1), (3, 7), (3, 9), (7, 16), (7, 24)):
         field = rng.standard_normal((n_out,) * dims)
         full = np.fft.fftn(field).ravel()
-        half = np.fft.rfftn(field).ravel()
-        keys = box_index(g, k)[0]
+        half = np.fft.rfftn(field)
+        keys = box_index(g, k)
         index = np.ravel_multi_index(tuple(np.mod(key_to_mode(g, keys), n_out)), field.shape)
         keep, placed = half_index(g, keys, n_out)
         assert np.array_equal(keep, key_to_mode(g, keys)[-1] >= 0)
-        assert np.allclose(half[placed], full[index[keep]], rtol=0, atol=1e-12)
-        read, flip = box_unfold(g, k, n_out)
-        got = np.where(flip, np.conj(half[read]), half[read])
+        assert np.allclose(half.ravel()[placed], full[index[keep]], rtol=0, atol=1e-12)
+        got = read_box(half[None], n_out, k, 0)[0].ravel()
         assert np.allclose(got, full[index], rtol=0, atol=1e-12)
         assert np.array_equal(got, np.conj(got[::-1]))  # exactly Hermitian
+        dense = np.zeros(g.n_total, dtype=complex)
+        dense[mode_to_fft_index(g, key_to_mode(g, keys))] = got
+        assert np.array_equal(read_box(half[None], n_out, k, g.n_per_dim)[0].ravel(), dense)
+
+
+def layout_modes(points: int, k: int) -> np.ndarray:
+    """The mode at each index along one axis of a ``points``-point FFT
+    layout, or with ``points`` 0 of the box ``|m| <= k`` in key order."""
+    if points == 0:
+        return np.arange(-k, k + 1)
+    index = np.arange(points)
+    return np.where(index < (points + 1) // 2, index, index - points)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_box_blocks_tile_the_box_and_read_negations(dims):
+    # on every layout each mode of the box lies in exactly one block, a
+    # block is half when all its modes have m_last >= 0, and its negated
+    # slices, given for exactly the blocks outside the canonical half-space,
+    # read the negated modes in the block's order, on the half grid
+    for n in (4, 16):
+        for k in range(n // 2):
+            for size in sorted({0, 2 * k + 1, 2 * k + 2, n, 3 * n // 2}):
+                axis = layout_modes(size, k)
+                mesh = np.stack(np.meshgrid(*[axis] * dims, indexing="ij"))
+                every = (slice(None),)
+                seen = np.zeros(mesh.shape[1:], dtype=int)
+                for block in box_blocks(dims, k, size):
+                    modes = mesh[every + block.at]
+                    assert modes.size and np.abs(modes).max() <= k
+                    seen[block.at] += 1
+                    assert block.half == bool(np.all(modes[-1] >= 0))
+                    if block.half and size:
+                        assert np.arange(size)[block.at[-1]].max() <= size // 2
+                    folded = (modes[-1] < 0) | ((modes[-1] == 0) & (modes[0] < 0))
+                    if block.negated is None:
+                        assert not folded.any()
+                        continue
+                    assert folded.all()
+                    assert np.array_equal(mesh[every + block.negated], -modes)
+                    if size:
+                        assert np.arange(size)[block.negated[-1]].max() <= size // 2
+                assert np.array_equal(seen, np.all(np.abs(mesh) <= k, axis=0))
 

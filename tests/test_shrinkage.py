@@ -21,7 +21,8 @@ from sparsedyn import (
     sparse_convolve,
     sparsity_fraction,
 )
-from sparsedyn.shrinkage import ROUNDOFF_FLOOR, soft_threshold_dense
+from sparsedyn import shrinkage
+from sparsedyn.shrinkage import ROUNDOFF_FLOOR, _accumulate, soft_threshold_dense
 from sparsedyn.spectral import SpatialField, is_hermitian
 
 
@@ -259,6 +260,35 @@ def test_a_sparse_spectrum_adds_only_sparse_spectra_on_its_grid(grid):
     other = SparseSpectrum.empty(GridSpec(grid.dims, 32))
     with pytest.raises(GridMismatch):
         sparse + other
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 16), GridSpec(2, 8)], ids=["1d", "2d"])
+def test_adding_an_empty_spectrum_is_the_accumulated_sum(grid, monkeypatch):
+    # with one side empty the add merges nothing, yet gives what
+    # _accumulate makes of the two sides, in either order: for a spectrum
+    # from the constructors, for one made by hand with an underflowing
+    # entry and negative zero parts, and for two empty ones
+    rng = np.random.default_rng(grid.dims)
+    field = SpatialField(grid, rng.standard_normal(grid.shape))
+    made = SparseSpectrum.from_dense(dft_forward(field))
+    values = np.array([1e-310, complex(-0.0, 1.0), complex(2.0, -0.0), 1e-300], dtype=complex)
+    by_hand = SparseSpectrum(grid, made.keys[:4], values)
+    empty = SparseSpectrum.empty(grid)
+    cases = []
+    for spec in (made, by_hand, empty):
+        want = _accumulate(grid, np.concatenate([spec.keys, empty.keys]),
+                           np.concatenate([spec.values, empty.values]))
+        cases.append((spec, want))
+    assert by_hand.n_s == 4 and cases[1][1].n_s == 3
+
+    def merge(*args):
+        raise AssertionError("an add with an empty side merged")
+
+    monkeypatch.setattr(shrinkage, "_accumulate", merge)
+    for spec, want in cases:
+        for got in (spec + empty, empty + spec):
+            assert np.array_equal(got.keys, want.keys)
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_nan_entries_are_never_dropped():
