@@ -62,7 +62,9 @@ def iter_dense_states(
 
 def project_low_frequency(spec: DenseSpectrum, cutoff: int) -> DenseSpectrum:
     """Zero every coefficient whose mode has any |k_d| > cutoff."""
-    keep = np.all(np.abs(spec.modes()) <= cutoff, axis=0)
+    keep = np.abs(spec.grid.mode_numbers()) <= cutoff
+    if spec.grid.dims == 2:
+        keep = np.logical_and.outer(keep, keep)
     return DenseSpectrum(spec.grid, spec.coeffs * keep)
 
 

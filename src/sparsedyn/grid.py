@@ -33,10 +33,12 @@ spectrum reads the whole table (:func:`mode_table`), made from the same
 per-axis values by the same formula the first time a dense spectrum asks.
 
 Every per-grid table is built here once, cached and shared read-only:
-:func:`axis_tables`, :func:`mode_table`, :func:`mode_mesh`,
-:func:`mean_key`, :func:`negated_fft_index`, :func:`box_index` and
-:func:`transform_size`; the box's blocks (:func:`box_blocks`) are cached per
-layout.
+:func:`axis_tables`, :func:`mode_table`, :func:`mean_key`,
+:func:`box_index` and :func:`transform_size`; the box's blocks
+(:func:`box_blocks`) are cached per layout.  Nothing else the size of the
+grid is kept: a dense spectrum's modes come from the per-axis
+:meth:`GridSpec.mode_numbers`, and its values at the negated modes from a
+reversal and a roll (:func:`at_negated_modes`).
 """
 
 from __future__ import annotations
@@ -160,14 +162,6 @@ def _read_only(*arrays) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@lru_cache(maxsize=8)
-def mode_mesh(grid: GridSpec) -> np.ndarray:
-    """Integer mode vectors, shape ``(dims, *grid.shape)``, FFT layout.
-    Read-only, shared per grid."""
-    m = grid.mode_numbers()
-    return _read_only(np.stack(np.meshgrid(*([m] * grid.dims), indexing="ij")))[0]
-
-
 class AxisTables(NamedTuple):
     """Per key digit ``d`` along one axis (mode ``d - n/2``), length ``n``,
     the values the mode factors are made of.  With ``k`` the wavenumber:
@@ -257,16 +251,15 @@ def fft_index_to_mode(grid: GridSpec, index: int | np.ndarray) -> np.ndarray:
     idx = np.asarray(index)
     if np.any((idx < 0) | (idx >= grid.n_total)):
         raise IndexError("flat index out of range")
-    return mode_mesh(grid).reshape(grid.dims, -1).take(idx, axis=1)
+    return grid.mode_numbers()[np.stack(np.unravel_index(idx, grid.shape))]
 
 
-@lru_cache(maxsize=8)
-def negated_fft_index(grid: GridSpec) -> np.ndarray:
-    """Flat FFT-layout index of the negated mode at every flat index: digit
-    ``-j mod n`` per dimension, so the unpaired Nyquist mode is its own
-    negation.  Read-only, shared per grid."""
-    n = grid.n_per_dim
-    return _read_only(_to_flat([np.mod(-m, n) for m in mode_mesh(grid)], n).ravel())[0]
+def at_negated_modes(values: np.ndarray) -> np.ndarray:
+    """An array on an FFT layout (or the ``fftshift``-ed one) read at the
+    negated modes: digit ``-j mod n`` on every axis, so the unpaired
+    Nyquist mode is its own negation.  The array reversed, then rolled by
+    one on every axis."""
+    return np.roll(np.flip(values), 1, tuple(range(values.ndim)))
 
 
 def check_resolved(grid: GridSpec, modes) -> np.ndarray:

@@ -498,9 +498,9 @@ def bench_convolution(
     for n in n_list:
         grid = GridSpec(1, n)
         for n_s in ns_list:
-            if n_s > n - 1:
+            if not 0 < n_s <= n - 1:
                 raise ConfigError(
-                    f"sparsities: n_s={n_s} exceeds the {n - 1} modes of the open box on N={n}"
+                    f"sparsities: n_s={n_s} not in 1..{n - 1}, the modes of the open box on N={n}"
                 )
             a = _random_sparse(grid, n_s, rng)
             b = _random_sparse(grid, n_s, rng)

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import GridMismatch, NegativeLambda, NonpositiveDt
 from .grid import (
     GridSpec,
+    at_negated_modes,
     box_index,
     check_resolved,
     fft_shifted,
@@ -172,8 +173,7 @@ class SparseSpectrum:
         """
         p = cell.shape[0]
         coeffs = np.fft.fftshift(np.fft.fftn(cell)) / cell.size  # index i holds q = i - p/2
-        negated = np.ix_(*[(p - np.arange(p)) % p] * grid.dims)
-        flat = ((coeffs + np.conjugate(coeffs[negated])) * 0.5).ravel()
+        flat = ((coeffs + np.conjugate(at_negated_modes(coeffs))) * 0.5).ravel()
         digits = (grid.n_per_dim // p) * np.arange(p)  # digit of mode (n/p)*q
         keep = _above_roundoff(flat)
         return cls(grid, product_keys(grid, [digits] * grid.dims)[keep], flat[keep])
@@ -575,6 +575,10 @@ def load_spectrum(
     rows = [line.split("\t") for line in stream.read().splitlines() if line.strip()]
     if len(rows) != n_s:
         raise ValueError(f"spectrum dump header gives n_s={n_s}, but {len(rows)} entries follow")
+    for row in rows:
+        if len(row) != grid.dims + 2:
+            line, want = "\t".join(row), grid.dims + 2
+            raise ValueError(f"spectrum dump line {line!r}: {len(row)} fields, not {want}")
     modes = np.array([[int(r[d]) for r in rows] for d in range(grid.dims)], dtype=np.int64)
     values = [float(r[grid.dims]) + 1j * float(r[grid.dims + 1]) for r in rows]
     return SparseSpectrum.from_modes(grid, modes.reshape(grid.dims, n_s), values)

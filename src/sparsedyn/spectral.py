@@ -27,14 +27,13 @@ from .errors import GridMismatch, HermitianViolation
 from .grid import (
     DERIVATIVE_FACTORS,
     GridSpec,
+    at_negated_modes,
     box_blocks,
     half_index,
     in_open_box,
-    key_reach,
-    mode_mesh,
     mode_table,
-    negated_fft_index,
     negated_keys,
+    open_support,
     transform_size,
 )
 
@@ -75,9 +74,10 @@ class DenseSpectrum:
         return complex(self.coeffs[(0,) * self.grid.dims])
 
     def modes(self) -> np.ndarray:
-        """Integer mode vectors, shape ``(dims, *grid.shape)``, FFT layout;
-        read-only and shared by every spectrum on the grid."""
-        return mode_mesh(self.grid)
+        """Integer mode vectors, shape ``(dims, *grid.shape)``, FFT layout,
+        made from the per-axis :meth:`~sparsedyn.grid.GridSpec.mode_numbers`
+        on each call."""
+        return np.stack(np.meshgrid(*[self.grid.mode_numbers()] * self.grid.dims, indexing="ij"))
 
     def at(self, factor) -> np.ndarray:
         """A mode factor (such as :func:`~sparsedyn.grid.wavenumber_squares`)
@@ -163,8 +163,8 @@ class HeldField:
         made on first use and kept."""
         if self._entries is None:
             grid, keys, vals = self.spectrum.grid, self.spectrum.keys, self.spectrum.values
-            reach = key_reach(grid, keys)
-            if reach == grid.box_edge:  # drop the unpaired Nyquist mode, if any
+            count, reach = open_support(grid, keys)
+            if count < keys.size:  # drop the unpaired Nyquist mode
                 keep = in_open_box(grid, keys)
                 keys, vals = keys[keep], vals[keep]
             self._entries = keys, vals, reach
@@ -178,13 +178,13 @@ class HeldField:
         mode, conjugated.  A sparse operand places its keys
         (:func:`~sparsedyn.grid.half_index`), a dense one copies the open
         box's blocks (:func:`~sparsedyn.grid.box_blocks`), for the second row
-        from its coefficients reversed and rolled by one on every axis."""
+        from its coefficients at the negated modes
+        (:func:`~sparsedyn.grid.at_negated_modes`)."""
         spec, grid = self.spectrum, self.spectrum.grid
         if isinstance(spec, DenseSpectrum):
             rows = [spec.coeffs]
             if len(half) == 2:
-                axes = tuple(range(grid.dims))
-                rows.append(np.conjugate(np.roll(np.flip(spec.coeffs), 1, axes)))
+                rows.append(np.conjugate(at_negated_modes(spec.coeffs)))
             edge = grid.box_edge
             for src, dst in zip(box_blocks(grid.dims, edge, grid.n_per_dim),
                                 box_blocks(grid.dims, edge, size)):
@@ -368,7 +368,7 @@ def dense_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
 def is_hermitian(spec: DenseSpectrum, rtol: float = 1e-12) -> bool:
     """Check u(-k) == conj(u(k)) up to ``rtol`` of the largest amplitude; the
     unpaired Nyquist mode is its own negation."""
-    c = spec.coeffs.ravel()
-    gap = np.max(np.abs(c - np.conj(c[negated_fft_index(spec.grid)])))
+    c = spec.coeffs
+    gap = np.max(np.abs(c - np.conj(at_negated_modes(c))))
     scale = float(np.max(np.abs(c))) or 1.0
     return bool(gap <= rtol * scale)

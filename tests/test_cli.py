@@ -174,10 +174,16 @@ def test_converge_cli_resolution_error_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags, name",
-    [(["--sizes", "1000"], "sizes"), (["--sizes", "64", "--reps", "0"], "reps")],
+    [
+        (["--sizes", "1000"], "sizes"),
+        (["--sizes", "64", "--reps", "0"], "reps"),
+        (["--sizes", "64", "--sparsities", "-1"], "sparsities"),
+        (["--sizes", "64", "--sparsities", "0"], "sparsities"),
+    ],
 )
 def test_bench_conv_input_errors_exit_1(flags, name, capsys):
-    # --reps 0 printed nan medians and exited 0
+    # --reps 0 printed nan medians and exited 0; --sparsities -1 exited 2
+    # with a numpy error, --sparsities 0 exited 0
     assert main(["bench-conv", "--sparsities", "4", *flags]) == 1
     assert f"config error: {name}:" in capsys.readouterr().err
 

@@ -15,7 +15,7 @@ from sparsedyn import (
     spectral_derivative,
 )
 from sparsedyn import shrinkage
-from sparsedyn.grid import negated_fft_index, negated_keys, transform_size
+from sparsedyn.grid import mode_to_fft_index, negated_keys, transform_size
 from sparsedyn.shrinkage import _transform_is_cheaper, sparse_convolve_sum
 from sparsedyn.spectral import (
     HeldField,
@@ -348,7 +348,9 @@ def test_solver_path_is_exactly_hermitian_and_matches_the_general_path():
         assert np.abs(real.to_dense().coeffs - general.to_dense().coeffs).max() < 1e-12
 
         real = dense_convolve_sum(dense_terms, real=True).coeffs.ravel()
-        assert np.array_equal(real, np.conj(real[negated_fft_index(g)]))
+        modes = fft_index_to_mode(g, np.arange(g.n_total))
+        negated = mode_to_fft_index(g, np.where(modes == g.nyquist_mode, modes, -modes))
+        assert np.array_equal(real, np.conj(real[negated]))
         general = dense_convolve_sum(dense_terms).coeffs.ravel()
         assert np.abs(real - general).max() < 1e-12
 

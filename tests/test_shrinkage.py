@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -394,6 +395,15 @@ def test_dump_whose_header_miscounts_its_entries_is_rejected(header):
     text = dumps_spectrum(SparseSpectrum.from_dict(GridSpec(1, 16), {-3: 1.0, 0: 0.5, 3: 1.0}))
     with pytest.raises(ValueError, match=f"{header}, but 3 entries"):
         load_spectrum(io.StringIO(text.replace("n_s=3", header)))
+
+
+@pytest.mark.parametrize("row", ["1\t2\t1.0\t0.0", "3\t1.0"])
+def test_dump_row_with_the_wrong_field_count_is_rejected(row):
+    # under a 1-D header the 2-D row loaded as {1: 2+1j}; the short row
+    # raised IndexError
+    fields = len(row.split("\t"))
+    with pytest.raises(ValueError, match=re.escape(f"line {row!r}: {fields} fields, not 3")):
+        load_spectrum(io.StringIO(f"# grid=16 n_s=1\n{row}\n"))
 
 
 def test_out_of_range_modes_are_rejected_not_aliased():

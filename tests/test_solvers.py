@@ -348,17 +348,33 @@ def test_cfl_warning_from_advance_points_at_the_caller():
 
 def test_diverging_run_raises_instead_of_dropping_nan():
     # 30x over the transport guard Leap Frog blows up; the soft threshold
-    # must not drop the non-finite entries and hand back a small, sparse state
-    g = GridSpec(1, 64)
-    u0 = initial_condition(InitialSpec("gauss_bump", width=0.7), g)
-    params = EquationParams("convection", coeff=CoefficientSpec.constant(1.0))
-    dt = 30 * g.dx
-    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
-        warnings.simplefilter("ignore", CflWarning)
-        with pytest.raises(SolverDiverged):
-            advance(u0, params, LambdaSchedule.fixed(1e-6), dt, 400)
-        with pytest.raises(SolverDiverged):
-            list(iter_dense_states(u0.to_dense(), params, dt, 400))
+    # must not drop the non-finite entries and hand back a small, sparse
+    # state.  Strong vortices blow the vorticity step up at step 12, on
+    # both paths.
+    g1, g2 = GridSpec(1, 64), GridSpec(2, 32)
+    cases = [
+        (
+            initial_condition(InitialSpec("gauss_bump", width=0.7), g1),
+            EquationParams("convection", coeff=CoefficientSpec.constant(1.0)),
+            LambdaSchedule.fixed(1e-6),
+            30 * g1.dx,
+            "non-finite coefficient",
+        ),
+        (
+            initial_condition(InitialSpec("two_vortices", amplitude=200.0), g2),
+            EquationParams("vorticity2d", gamma=0.01, forcing=CoefficientSpec.constant(0.0)),
+            LambdaSchedule.power_law(0.1, 2.0),
+            0.05,
+            "non-finite coefficient at step 12 ",
+        ),
+    ]
+    for u0, params, schedule, dt, where in cases:
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("ignore", CflWarning)
+            with pytest.raises(SolverDiverged, match=where):
+                advance(u0, params, schedule, dt, 400)
+            with pytest.raises(SolverDiverged, match=where):
+                list(iter_dense_states(u0.to_dense(), params, dt, 400))
 
 
 def test_initial_state_must_be_the_spectrum_of_a_real_field():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from sparsedyn import (
     SpatialField,
     dft_forward,
     dft_inverse,
+    fft_index_to_mode,
+    project_low_frequency,
     spectral_derivative,
 )
 from sparsedyn.grid import (
@@ -223,3 +227,22 @@ def test_shape_mismatch_rejected():
         SpatialField(g, np.zeros(16))
     with pytest.raises(ValueError):
         DenseSpectrum(g, np.zeros((32, 32), dtype=complex))
+
+
+def test_dense_mode_reads_keep_nothing_the_size_of_the_grid():
+    # the mode mesh (4 MB at 512^2) and the negation index (2 MB) were
+    # cached per grid; every dense mode read now builds what it needs and
+    # drops it
+    g = GridSpec(2, 512)
+    spec = DenseSpectrum(g, np.zeros(g.shape, dtype=np.complex128))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert is_hermitian(spec)
+        assert project_low_frequency(spec, 8).coeffs.shape == g.shape
+        assert spec.modes().shape == (2, *g.shape)
+        assert fft_index_to_mode(g, np.arange(g.n_total)).shape == (2, g.n_total)
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
