@@ -78,10 +78,15 @@ class ExperimentConfig:
     strict_cfl: bool = False
 
     def n_steps(self) -> int:
-        steps = self.t_end / self.dt
+        return self.step_at(self.t_end, "t_end")
+
+    def step_at(self, t: float, key: str) -> int:
+        """The step at time ``t``; ``ConfigError`` on ``key`` unless ``t/dt``
+        is whole to within ``1e-9 * max(1, t/dt)``."""
+        steps = t / self.dt
         nearest = round(steps)
         if abs(steps - nearest) > 1e-9 * max(1.0, abs(steps)):
-            raise ConfigError(f"t_end: {self.t_end} is not an integer multiple of dt")
+            raise ConfigError(f"{key}: {t} is not an integer multiple of dt")
         return int(nearest)
 
     def grid(self) -> GridSpec:
@@ -266,6 +271,7 @@ def validate_config(config: ExperimentConfig) -> None:
     for t in config.snapshot_times:
         if not 0 <= t <= config.t_end + 1e-12:  # NaN is outside too
             raise ConfigError(f"snapshot_times: {t} outside [0, t_end]")
+        config.step_at(t, "snapshot_times")
     params, grid = config.equation_params(), config.grid()
     try:  # the rules of the coefficient (or forcing) on this grid
         if config.equation == "vorticity2d":  # a forcing has no sign rule
@@ -310,10 +316,6 @@ def write_field_csv(state: SparseSpectrum | DenseSpectrum, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _snapshot_steps(config: ExperimentConfig) -> dict[int, float]:
-    return {int(round(t / config.dt)): t for t in config.snapshot_times}
-
-
 def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunReport:
     """Execute the sparse run plus requested baselines; write the report CSV
     and any snapshot dumps under ``out_dir``."""
@@ -335,7 +337,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunRepor
         dt=config.dt,
         lambda_rule=config.lambda_rule(),
     )
-    snapshots = _snapshot_steps(config)
+    snapshots = {config.step_at(t, "snapshot_times"): t for t in config.snapshot_times}
 
     sparse_it = iter_states(
         initial,

@@ -427,14 +427,14 @@ def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
     The whole call takes the one path :func:`plan_convolution` picks.  On
     entry pairs every term adds its weighted pairs into one accumulator
     (:func:`_pair_convolve`).  On the transform the terms share the padded
-    grid: each distinct operand is scattered and inverse-transformed once,
-    and the weighted products are summed in space and transformed forward
-    (:func:`~sparsedyn.spectral.padded_product`); the sum then drops its
-    roundoff tail (see :func:`_above_roundoff`), so it carries only the
-    modes it really has.
+    grid: the distinct operands are scattered and inverse-transformed once,
+    stacked, and the weighted products summed in space and transformed
+    forward (:func:`~sparsedyn.spectral.padded_product`); the sum then
+    drops its roundoff tail (see :func:`_above_roundoff`), so it carries
+    only the modes it really has.
     With ``real`` the caller declares every operand the spectrum of a real
     field and every weight real (the solver's promise, not a user option):
-    each operand then takes one real inverse transform, the sum one real
+    each operand then takes one real inverse row, the sum one real
     forward transform, and the transform's output is exactly Hermitian.
     Without it any complex operand is taken, as two real fields per
     operand and two for the sum.  With operands that fill the box the
@@ -528,9 +528,9 @@ def _transform_is_cheaper(grid: GridSpec, n_a: int, n_b: int, size: int) -> bool
     Pairs are priced at one per pair plus ``_ROW_COST`` per entry of the
     smaller operand, against
     ``_TRANSFORM_FIXED + _TRANSFORM_COST * M log2 M`` for the transform.
-    The fixed part (two scatters, three real FFTs, a gather and the
-    roundoff filter, each a separate numpy call) keeps small operands on
-    pairs whatever the grid.
+    The fixed part (two scatters, two real FFT calls, one of them for both
+    operands' fields, a gather and the roundoff filter, each a separate
+    numpy call) keeps small operands on pairs whatever the grid.
     """
     m_total = size**grid.dims
     rows, cols = min(n_a, n_b), max(n_a, n_b)

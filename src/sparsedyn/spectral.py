@@ -41,6 +41,8 @@ from .grid import (
 # when that exceeds one, aborts a nominally real inverse transform.
 IMAG_RESIDUAL_LIMIT = 1e-8
 
+_STACK_BYTES = 128 << 10  # half-grid bytes per inverse transform: glibc's mmap threshold
+
 
 @dataclass(frozen=True)
 class SpatialField:
@@ -146,7 +148,8 @@ class HeldField:
     holds its operands (:func:`hold_operands`), marked ``call_only`` if made
     for that call; hold one across calls for an operand that every step
     convolves again, such as a run's coefficient, but never one per state:
-    the field is as large as the padded grid."""
+    the field is as large as the padded grid (a stacked one keeps its stack,
+    of at most ``_STACK_BYTES`` half grids, alive)."""
 
     __slots__ = ("spectrum", "field", "size", "real", "call_only", "_entries")
 
@@ -243,47 +246,51 @@ def padded_product(
     ``size`` and ``k`` come from :func:`~sparsedyn.grid.transform_size` for
     the largest sum of the operands' reaches, so every product lands on its
     own mode or outside the box read: the result is free of aliasing.
-    Each held operand places itself on the half grid
-    (:meth:`HeldField.place`) and is inverse-transformed once for as
-    long as calls keep its size and contract, so ``u*u`` transforms ``u``
-    once; the field of a ``call_only`` operand is dropped after the last
-    term that needs it.
+    Operands not held at this size and contract are made in the order of
+    first need, as many as ``_STACK_BYTES`` of half grids hold (one at
+    least) by one inverse transform of their rows of one zeroed stack
+    (:meth:`HeldField.place`), and kept as long as calls keep that size and
+    contract, so ``u*u`` transforms ``u`` once; the field of a ``call_only``
+    operand is dropped after the last term that needs it.
 
     With ``real`` the caller declares every operand the spectrum of a real
-    field and every weight real: each operand's field is one ``irfftn`` of
-    its half spectrum, the weighted products are summed as one real array,
-    and one ``rfftn`` makes the result.  Any asymmetry of an operand
-    (roundoff, say) is folded into its real field.  Otherwise an operand
-    ``c`` is split into the real fields of its Hermitian part ``(c(m) +
-    conj c(-m))/2`` and of ``(c(m) - conj c(-m))/2i``, so ``c`` is their
-    first plus ``i`` times their second; the two are stacked and made by
-    one ``irfftn`` call, and the real and imaginary parts of the product
-    likewise by one ``rfftn`` call.  Either way the box is read off the half
-    spectrum by :func:`read_box`, so the spectrum of each real product field
-    is exactly Hermitian.
+    field and every weight real: each operand's field is one real row, the
+    weighted products are summed as one real array, and one real forward
+    transform makes the result.  Any asymmetry of an operand (roundoff,
+    say) is folded into its real field.  Otherwise an operand ``c`` takes
+    two rows, the real fields of its Hermitian part ``(c(m) + conj
+    c(-m))/2`` and of ``(c(m) - conj c(-m))/2i``, so ``c`` is their first
+    plus ``i`` times their second, and the real and imaginary parts of the
+    product are made by one forward call.  Either way the box is read off
+    the half spectrum by :func:`read_box`, so the spectrum of each real
+    product field is exactly Hermitian.  In 1-D the transforms are
+    ``irfft``/``rfft``: the bits of ``irfftn``/``rfftn`` for less.
 
     This is the one place that multiplies in physical space, for sparse and
     dense spectra alike.
     """
-    shape = (size,) * grid.dims
-    half_shape = shape[:-1] + (size // 2 + 1,)
-    parts = 1 if real else 2  # real fields per operand, stacked on a leading axis
-    axes = tuple(range(1, grid.dims + 1))
+    half_shape = (size,) * (grid.dims - 1) + (size // 2 + 1,)
+    parts = 1 if real else 2  # real fields per operand, on the second axis
+    one_d = grid.dims == 1  # where the n-d wrappers cost more for the same bits
+    inverse, forward = (np.fft.irfft, np.fft.rfft) if one_d else (np.fft.irfftn, np.fft.rfftn)
+    shape, axes = (size, -1) if one_d else ((size, size), (-2, -1))
+    fresh = [h for h in dict.fromkeys(op for _, a, b in terms for op in (a, b))
+             if (h.size, h.real) != (size, real)]
+    per_stack = max(1, _STACK_BYTES // (16 * parts * size ** (grid.dims - 1) * half_shape[-1]))
 
     def field(held: HeldField) -> np.ndarray:
         if (held.size, held.real) == (size, real):
             return held.field
-        half = np.zeros((parts,) + half_shape, dtype=np.complex128)
-        held.place(half, size)
+        stack, fresh[:per_stack] = fresh[:per_stack], []
+        half = np.zeros((len(stack), parts) + half_shape, dtype=np.complex128)
+        for made, rows in zip(stack, half):
+            made.place(rows, size)
         if not real:  # rows c(m) and conj c(-m) become the two parts
-            own, odd = half
-            even = (own + odd) * 0.5
-            odd -= own
-            odd *= 0.5j
-            own[:] = even
-        fields = np.fft.irfftn(half, shape, axes, norm="forward")
-        held.field = fields[0] if real else fields[0] + 1j * fields[1]
-        held.size, held.real = size, real
+            own, odd = half.swapaxes(0, 1)
+            own[:], odd[:] = (own + odd) * 0.5, (odd - own) * 0.5j
+        for made, rows in zip(stack, inverse(half, shape, axes, norm="forward")):
+            made.field = rows[0] if real else rows[0] + 1j * rows[1]
+            made.size, made.real = size, real
         return held.field
 
     # a field made for this call alone is dropped after its last product,
@@ -306,7 +313,7 @@ def padded_product(
 
     stacked = total[None] if real else np.stack((total.real, total.imag))
     del total
-    spectra = np.fft.rfftn(stacked, shape, axes, norm="forward")
+    spectra = forward(stacked, shape, axes, norm="forward")
     del stacked  # the sum's memory can serve the box read
     out = read_box(spectra, size, k, grid.n_per_dim if fft_layout else 0)
     return out[0] if real else out[0] + 1j * out[1]

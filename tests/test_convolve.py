@@ -14,7 +14,7 @@ from sparsedyn import (
     sparse_convolve,
     spectral_derivative,
 )
-from sparsedyn import shrinkage
+from sparsedyn import shrinkage, spectral
 from sparsedyn.grid import mode_to_fft_index, negated_keys, transform_size
 from sparsedyn.shrinkage import _transform_is_cheaper, sparse_convolve_sum
 from sparsedyn.spectral import (
@@ -663,3 +663,40 @@ def test_dense_convolve_is_the_index_table_path_bit_for_bit(grid):
         got = dense_convolve(a.coeffs, b.coeffs, grid)
         want = table_dense_convolve_sum(((1.0, a, b),), False)
         assert got.tobytes() == want.coeffs.tobytes()
+
+
+STACK_GRIDS = [GridSpec(1, 64), GridSpec(1, 1024), GridSpec(2, 16), GridSpec(2, 32), GridSpec(2, 128)]
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: f"{g.dims}d-{g.n_per_dim}")
+def test_stacked_fields_are_the_one_by_one_fields_bit_for_bit(grid, real, fft_calls, monkeypatch):
+    # the fresh operand fields of a padded product, stacked into as few
+    # inverse transforms as the byte budget allows, against one transform
+    # per operand (a budget of 0): the same bits, on the first call, where
+    # the held sparse coefficient is made too, and on a second, where it is
+    # held; 128^2 pads to 192^2, whose half grid alone exceeds the budget
+    rng = np.random.default_rng(grid.dims * grid.n_per_dim)
+    coefficient = SparseSpectrum.from_dense(random_dense(grid, rng, real))
+    a, b, c, d = (random_dense(grid, rng, real) for _ in range(4))
+    size = grid.n_padded
+    half_bytes = (1 if real else 2) * 16 * size ** (grid.dims - 1) * (size // 2 + 1)
+    per_stack = max(1, spectral._STACK_BYTES // half_bytes)
+    assert (per_stack == 1) == (grid.n_per_dim == 128)
+
+    def products(budget: int) -> tuple[list[bytes], list[int]]:
+        monkeypatch.setattr(spectral, "_STACK_BYTES", budget)
+        held = HeldField(coefficient)
+        terms = ((1.0, held, a), (-0.5, b, b), (2.0, c, d))
+        out, inverse_calls = [], []
+        for _ in range(2):
+            fft_calls.clear()
+            out.append(dense_convolve_sum(terms, real=real).coeffs.tobytes())
+            inverse_calls.append(sum(name.startswith("irfft") for name in fft_calls))
+        return out, inverse_calls
+
+    stacked, calls = products(spectral._STACK_BYTES)
+    alone, one_by_one = products(0)
+    assert stacked == alone
+    assert one_by_one == [5, 4]
+    assert calls == [-(-5 // per_stack), -(-4 // per_stack)]

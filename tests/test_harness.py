@@ -335,3 +335,15 @@ def test_an_under_resolved_forcing_names_the_grid():
     with pytest.raises(ConfigError, match="^n_per_dim: vorticity_forcing oscillates at frequency 64"):
         parse_config_text(text)  # 128 points per axis
     assert parse_config_text(with_value(text, "n_per_dim", "256")).n_per_dim == 256
+
+
+@pytest.mark.parametrize("times", ["0.013,0.017", "0.02,0.025", "0.005"])
+def test_snapshot_times_between_steps_are_rejected(times):
+    # they were rounded to the nearest step: with dt = 0.01, the times 0.013
+    # and 0.017 wrote the snapshots of steps 1 and 2, at t = 0.01 and 0.02
+    text = SMALL_CONFIG.replace("dt = 1e-4", "dt = 0.01").replace("t_end = 5e-3", "t_end = 0.05")
+    with pytest.raises(ConfigError, match="^snapshot_times: .* is not an integer multiple of dt"):
+        parse_config_text(text.replace("snapshot_times = 2e-3", f"snapshot_times = {times}"))
+    # whole steps pass, as t_end does, within 1e-9 of a step
+    cfg = parse_config_text(text.replace("snapshot_times = 2e-3", "snapshot_times = 0.03,0.05"))
+    assert cfg.snapshot_times == (0.03, 0.05)

@@ -590,10 +590,10 @@ def test_equation_params_validation():
         advance(sine_field(g), params, NO_SHRINK, 1e-6, 1)
 
 
-def test_burgers_rhs_makes_three_transforms(monkeypatch):
-    # a*u_x - u*u/2 on the transform path: one real inverse transform each
-    # for u_x and u, one real forward for the sum, no complex transform;
-    # the coefficient's field is held
+def test_burgers_rhs_makes_one_inverse_and_one_forward_transform(fft_calls):
+    # a*u_x - u*u/2 on the transform path: the fields of u_x and u are made
+    # by one stacked real inverse transform, the sum by one real forward
+    # transform, no complex one; the coefficient's field is held
     g = GridSpec(1, 64)
     rng = np.random.default_rng(8)
     u, a = (
@@ -605,20 +605,25 @@ def test_burgers_rhs_makes_three_transforms(monkeypatch):
     for state, coeff in ((u, a), (u.to_dense(), a.to_dense())):
         held = HeldField(coeff)
         first = _burgers_rhs(state, held)  # makes the coefficient's field
-        calls = []
-        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-            original = getattr(np.fft, name)
-
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        coefficient_field = held.field
+        fft_calls.clear()
         again = _burgers_rhs(state, held)
-        monkeypatch.undo()
-        assert sorted(calls) == ["irfftn", "irfftn", "rfftn"]
+        assert sorted(fft_calls) == ["irfft", "rfft"]
+        assert coefficient_field is not None and held.field is coefficient_field
         assert error_metrics(again, first) == (0.0, 0.0)
         assert error_metrics(again, _burgers_rhs(state, coeff)) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("n, inverse_calls", [(32, 1), (256, 4)])
+def test_dense_advection_stacks_its_fields_within_the_budget(n, inverse_calls, fft_calls):
+    # the four operand fields of a dense advection term: one stacked inverse
+    # transform on 48 x 48 points, one per operand on 384 x 384, whose half
+    # grid alone exceeds the stack's byte budget
+    g = GridSpec(2, n)
+    u = dft_forward(SpatialField(g, np.random.default_rng(n).standard_normal(g.shape)))
+    fft_calls.clear()
+    advection_term(u)
+    assert fft_calls == ["irfftn"] * inverse_calls + ["rfftn"]
 
 
 def test_sparse_vorticity_run_allocates_the_same_on_any_grid():
