@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python3 scripts/calibrate_convolution.py [--repeats 7] [--json out.json]
 
-``sparse_convolve_sum`` sends each product either over entry pairs or
+``convolve_sum`` sends each sparse product either over entry pairs or
 through one padded transform, whichever ``shrinkage._transform_is_cheaper``
 prices lower.  This script forces each path in turn over a grid of operand
 sizes (rows = entries of the smaller operand, cols = of the larger) on 1-D
@@ -87,7 +87,7 @@ def forced(transform: bool, a: SparseSpectrum, b: SparseSpectrum, repeats: int) 
     shrinkage._transform_is_cheaper = lambda *_: transform
 
     def call():
-        shrinkage.sparse_convolve_sum(((1.0, a, b),), real=True)
+        shrinkage.convolve_sum(((1.0, a, b),), real=True)
 
     try:
         call()  # warm the per-grid caches

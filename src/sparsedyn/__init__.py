@@ -45,6 +45,7 @@ from .harness import (
 from .shrinkage import (
     LambdaSchedule,
     SparseSpectrum,
+    dense_convolve,
     dump_spectrum,
     dumps_spectrum,
     lambda_at,
@@ -68,7 +69,6 @@ from .solvers import (
 from .spectral import (
     DenseSpectrum,
     SpatialField,
-    dense_convolve,
     dft_forward,
     dft_inverse,
     spectral_derivative,

@@ -20,9 +20,9 @@ from .coefficients import coefficient_field_of  # noqa: F401
 from .errors import GridMismatch
 from .grid import GridSpec, box_blocks
 from .shrinkage import SparseSpectrum
+from .shrinkage import dense_convolve  # noqa: F401
 from .solvers import EquationParams, _iterate
 from .spectral import DenseSpectrum, SpatialField, dft_inverse
-from .spectral import dense_convolve  # noqa: F401
 
 
 @dataclass

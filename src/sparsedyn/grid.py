@@ -263,9 +263,14 @@ def at_negated_modes(values: np.ndarray) -> np.ndarray:
 
 
 def check_resolved(grid: GridSpec, modes) -> np.ndarray:
-    """``modes`` as an array, once every component lies in the resolved set
-    ``[-n/2, n/2)``; raises ``IndexError`` otherwise."""
+    """``modes`` as an array, once it has the shape ``(dims,)`` of one mode
+    vector or ``(dims, m)`` of ``m`` (``ValueError`` otherwise) and every
+    component lies in the resolved set ``[-n/2, n/2)`` (``IndexError``
+    otherwise)."""
     modes = np.asarray(modes)
+    if modes.ndim not in (1, 2) or modes.shape[0] != grid.dims:
+        want = f"({grid.dims},) or ({grid.dims}, m)"
+        raise ValueError(f"modes of shape {modes.shape} on a {grid.dims}-D grid: need {want}")
     half = grid.n_per_dim // 2
     if np.any((modes < -half) | (modes >= half)):
         raise IndexError("mode outside the resolved set")

@@ -217,6 +217,15 @@ _OWNED_RULES = {
 }
 
 
+def _check_owned(key: str, value, rule: str | None = None) -> None:
+    """``value`` checked by its owner's rule, ``_OWNED_RULES[rule or key]``;
+    a ``ValueError`` becomes a ``ConfigError`` that names ``key``."""
+    try:
+        _OWNED_RULES[rule or key](value)
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}") from None
+
+
 def validate_config(config: ExperimentConfig) -> None:
     for f in fields(ExperimentConfig):
         if f.type == "float" and not math.isfinite(value := getattr(config, f.name)):
@@ -228,11 +237,8 @@ def validate_config(config: ExperimentConfig) -> None:
     expected_dims = 2 if config.equation == "vorticity2d" else 1
     if config.dims != expected_dims:
         raise ConfigError(f"dims: {config.equation} requires dims = {expected_dims}")
-    for key, check in _OWNED_RULES.items():
-        try:
-            check(getattr(config, key))
-        except ValueError as err:
-            raise ConfigError(f"{key}: {err}") from None
+    for key in _OWNED_RULES:
+        _check_owned(key, getattr(config, key))
     if not config.dt > 0:
         raise ConfigError("dt: must be positive")
     if config.t_end < 0:
@@ -428,8 +434,8 @@ def convergence_study(
     validate_config(config)
     if len(resolutions) < 3:
         raise ConfigError("resolutions: need at least 3")
-    if any(n < 4 or n & (n - 1) for n in resolutions):
-        raise ConfigError(f"resolutions: each must be a power of two >= 4, got {resolutions}")
+    for n in resolutions:
+        _check_owned("resolutions", n, "n_per_dim")
     if sorted(resolutions) != list(resolutions):
         raise ConfigError("resolutions: must be ascending")
     if config.lambda_mode != "power_law":
@@ -489,10 +495,11 @@ def bench_convolution(
     seed: int = 42,
     out_dir: str | Path | None = None,
 ) -> list[tuple[int, int, float, float]]:
-    """Median wall-clock of the sparse entry-pair convolution against the
-    transform-based dense product, after checking both agree."""
-    if any(n < 4 or n & (n - 1) for n in n_list):
-        raise ConfigError(f"sizes: each must be a power of two >= 4, got {n_list}")
+    """Median wall-clock of ``sparse_convolve``, on the path its plan picks
+    (entry pairs or a padded transform), against ``dense_convolve``, after
+    checking both agree."""
+    for n in n_list:
+        _check_owned("sizes", n, "n_per_dim")
     if repetitions < 1:
         raise ConfigError(f"reps: need at least 1, got {repetitions}")
     rng = np.random.default_rng(seed)

@@ -1,5 +1,8 @@
 """Sparsity machinery: sparse coefficient container, soft thresholding,
-threshold schedule, and truncated sparse-sparse spectral convolution.
+threshold schedule, and the one truncated spectral convolution entry,
+:func:`convolve_sum`, whose operands' container picks the result's
+layout: sparse on the path its plan picks (entry pairs or a padded
+transform, :func:`plan_convolution`), or dense in FFT layout.
 
 Entries are keyed by integer mode vectors and stored sorted (lexicographic
 mode order), so iteration and serialization are deterministic.
@@ -110,11 +113,13 @@ class SparseSpectrum:
     def from_modes(
         cls, grid: GridSpec, modes: np.ndarray, values: np.ndarray
     ) -> "SparseSpectrum":
-        """Build from mode vectors ``(dims, m)`` and amplitudes; duplicate
-        modes accumulate.  A mode outside the resolved set raises
-        ``IndexError``."""
+        """Build from mode vectors ``(dims, m)`` and one amplitude per mode;
+        duplicate modes accumulate.  Arrays of other shapes raise
+        ``ValueError``, a mode outside the resolved set ``IndexError``."""
         modes = check_resolved(grid, np.atleast_2d(np.asarray(modes, dtype=np.int64)))
         values = np.asarray(values, dtype=np.complex128)
+        if values.shape != modes.shape[1:]:
+            raise ValueError(f"values of shape {values.shape} for modes of shape {modes.shape}")
         return _accumulate(grid, mode_to_key(grid, modes), values)
 
     @classmethod
@@ -409,40 +414,51 @@ def sparsity_fraction(spec: SparseSpectrum) -> float:
 
 
 def sparse_convolve(a: SparseSpectrum, b: SparseSpectrum) -> SparseSpectrum:
-    """Linear convolution, truncated to the resolved box: the one-term case
-    of :func:`sparse_convolve_sum`.
+    """Linear convolution, truncated to the resolved box: the one-term
+    :func:`convolve_sum` of sparse spectra.
 
     Output at k sums ``a(k1) * b(k2)`` over ``k1 + k2 = k``; products that
     leave the resolved box are discarded rather than aliased.  The unpaired
     Nyquist mode -n/2 neither contributes nor is produced, which keeps real
     fields real.
     """
-    return sparse_convolve_sum(((1.0, a, b),))
+    return convolve_sum(((1.0, a, b),))
 
 
-def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
-    """Truncated ``sum w * (a * b)`` over terms ``(w, a, b)`` of sparse
-    spectra (or :class:`~sparsedyn.spectral.HeldField` of one).
+def dense_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Galerkin-truncated convolution of amplitude spectra in FFT layout:
+    the one-term :func:`convolve_sum` of dense spectra, with the same
+    truncation contract as :func:`sparse_convolve`."""
+    sa = DenseSpectrum(grid, a)
+    sb = sa if b is a else DenseSpectrum(grid, b)
+    return convolve_sum(((1.0, sa, sb),)).coeffs
 
-    The whole call takes the one path :func:`plan_convolution` picks.  On
-    entry pairs every term adds its weighted pairs into one accumulator
-    (:func:`_pair_convolve`).  On the transform the terms share the padded
-    grid: the distinct operands are scattered and inverse-transformed once,
-    stacked, and the weighted products summed in space and transformed
-    forward (:func:`~sparsedyn.spectral.padded_product`); the sum then
-    drops its roundoff tail (see :func:`_above_roundoff`), so it carries
-    only the modes it really has.
+
+def convolve_sum(terms, *, real: bool = False) -> SparseSpectrum | DenseSpectrum:
+    """Truncated ``sum w * (a * b)`` over terms ``(w, a, b)`` of spectra (or
+    :class:`~sparsedyn.spectral.HeldField` of one), the one convolution
+    entry: the first term's second operand, a step's state, picks the layout.
+
+    A :class:`~sparsedyn.spectral.DenseSpectrum` there fills the box, so the
+    products are made on ``P = 3n/2`` points per dimension (the 2/3 rule)
+    and the sum written into FFT layout, zero outside the open box; any
+    other operand may be sparse, as a run's coefficient is.  Otherwise the
+    call takes the one path :func:`plan_convolution` picks: entry pairs, all
+    terms into one accumulator (:func:`_pair_convolve`), or the transform,
+    whose terms share the padded grid
+    (:func:`~sparsedyn.spectral.padded_product`) and whose sum drops its
+    roundoff tail (:func:`_above_roundoff`).  With operands that fill the
+    box the two layouts give the same values, less that tail.
+
     With ``real`` the caller declares every operand the spectrum of a real
     field and every weight real (the solver's promise, not a user option):
-    each operand then takes one real inverse row, the sum one real
-    forward transform, and the transform's output is exactly Hermitian.
-    Without it any complex operand is taken, as two real fields per
-    operand and two for the sum.  With operands that fill the box the
-    transform output is that of
-    :func:`~sparsedyn.spectral.dense_convolve_sum` on the same terms in the
-    same order, less its roundoff tail.
+    each operand takes one real field, and the output is exactly Hermitian.
+    Without it any complex operand is taken, as two real fields.
     """
     grid, terms = hold_operands(terms)
+    if isinstance(terms[0][2].spectrum, DenseSpectrum):
+        size, k = transform_size(grid, 2 * grid.box_edge)
+        return DenseSpectrum(grid, padded_product(grid, terms, size, k, real, fft_layout=True))
     live, size, k, transform = plan_convolution(grid, terms)
     if not live:
         return SparseSpectrum.empty(grid)
@@ -454,8 +470,8 @@ def sparse_convolve_sum(terms, *, real: bool = False) -> SparseSpectrum:
 
 
 def plan_convolution(grid: GridSpec, terms) -> tuple[list, int, int, bool]:
-    """``(live, P, K, transform)``: the path :func:`sparse_convolve_sum` takes
-    on terms ``(w, a, b)`` of held sparse operands (:func:`~sparsedyn.spectral.hold_operands`).
+    """``(live, P, K, transform)``: the path :func:`convolve_sum` takes on
+    terms ``(w, a, b)`` of held sparse operands (:func:`~sparsedyn.spectral.hold_operands`).
 
     The live terms are those whose two operands both have open-box entries.
     With ``R`` the largest sum of the two operands' reaches (largest
@@ -477,14 +493,8 @@ def plan_convolution(grid: GridSpec, terms) -> tuple[list, int, int, bool]:
                 rows, cols = a_keys.size, b_keys.size
     if not live:
         return live, 0, 0, False
-    return (live, *price_convolution(grid, reach, rows, cols))
-
-
-def price_convolution(grid: GridSpec, reach: int, n_a: int, n_b: int) -> tuple[int, int, bool]:
-    """``(P, K, transform)`` of :func:`plan_convolution` for the largest
-    reach sum ``reach`` and the largest term, ``n_a`` by ``n_b`` entries."""
     size, k = transform_size(grid, reach)
-    return size, k, _transform_is_cheaper(grid, n_a, n_b, size)
+    return live, size, k, _transform_is_cheaper(grid, rows, cols, size)
 
 
 def _pair_convolve(grid: GridSpec, terms) -> SparseSpectrum:

@@ -3,19 +3,23 @@
 Every scheme produces a pre-shrinkage update v from the current (and, for
 Leap Frog, previous) state.  The schemes use only the operations both
 containers share (``at``, which reads a mode factor of the grid,
-``apply_mode_factor``, ``+``, scalar ``*``) and :func:`_convolve`, one
-weighted sum of products per right-hand side, so the sparse run, the dense
+``apply_mode_factor``, ``+``, scalar ``*``) and one call per right-hand
+side of the one convolution entry, :func:`~sparsedyn.shrinkage.convolve_sum`,
+whose result takes the state's container, so the sparse run, the dense
 reference and the low-frequency baseline step through the same code; each
 passes v through its own final map (the soft threshold for the sparse run).
+Every operand is the spectrum of a real field (the initial state is checked
+once per run, see :func:`_iterate`) and every weight real, so each call
+declares them ``real``.
 
 A sparse run yields sparse states and takes each step in one of two
-layouts, by one rule (:func:`_fft_layout`), priced from the state's count
-and reach.  A step whose largest convolution would take the transform path
-and read the whole open box makes the dense step's transforms anyway: the
-run then stays in FFT layout, its states (the Leap Frog previous state
-too) kept dense from step to step, and each update is shrunk in one pass
-into both the dense state the next step starts from and the sparse state
-it yields.  Every other step stays sparse.
+layouts, by one rule (:func:`_fft_layout`).  A step whose largest
+convolution would take the transform path and read the whole open box
+makes the dense step's transforms anyway: the run then stays in FFT
+layout, its states (the Leap Frog previous state too) kept dense from
+step to step, and each update is shrunk in one pass into both the dense
+state the next step starts from and the sparse state it yields.  Every
+other step stays sparse.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .errors import (
     CflViolation,
     CflWarning,
     HermitianViolation,
+    NonpositiveDt,
     NotTwoDimensional,
     SolverDiverged,
     UnknownInitialSpec,
@@ -54,18 +59,17 @@ from .grid import (
 from .shrinkage import (
     LambdaSchedule,
     SparseSpectrum,
+    convolve_sum,
     lambda_at,
-    price_convolution,
+    plan_convolution,
     soft_threshold,
     soft_threshold_dense,
-    sparse_convolve_sum,
     sparsity_fraction,
 )
 from .spectral import (
     DenseSpectrum,
     HeldField,
     SpatialField,
-    dense_convolve_sum,
     dft_forward,
     spectral_derivative,
 )
@@ -135,22 +139,6 @@ class InitialSpec:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-def _convolve(*terms) -> Spectrum:
-    """Truncated ``sum w * (a * b)`` over terms ``(w, a, b)``, with at most
-    one forward transform: :func:`~sparsedyn.shrinkage.sparse_convolve_sum`
-    for sparse operands, :func:`~sparsedyn.spectral.dense_convolve_sum` for
-    dense ones.  The first term's second operand comes from the state, so
-    it has the step's layout; the run's coefficient, a
-    :class:`~sparsedyn.spectral.HeldField`, serves either.
-
-    Every operand here is the spectrum of a real field (the initial state
-    is checked once per run, see :func:`_iterate`) and every weight is
-    real, so the call declares them real and takes real transforms only."""
-    if isinstance(terms[0][2], SparseSpectrum):
-        return sparse_convolve_sum(terms, real=True)
-    return dense_convolve_sum(terms, real=True)
-
-
 def _check_cfl(kind: str, dt: float, limit: float, strict: bool) -> None:
     if dt <= limit:
         return
@@ -172,7 +160,7 @@ def _caller_stacklevel() -> int:
 
 def step_convection(state: SolverState, a_hat: Spectrum | HeldField, dt: float) -> Spectrum:
     """Leap Frog update u_prev + 2 dt a*(i k u); forward Euler on step 0."""
-    transport = _convolve((1.0, a_hat, spectral_derivative(state.current)))
+    transport = convolve_sum(((1.0, a_hat, spectral_derivative(state.current)),), real=True)
     if state.step_index == 0 or state.previous is None:
         return state.current + dt * transport
     return state.previous + (2.0 * dt) * transport
@@ -180,13 +168,14 @@ def step_convection(state: SolverState, a_hat: Spectrum | HeldField, dt: float) 
 
 def step_parabolic(state: SolverState, a_hat: Spectrum | HeldField, dt: float) -> Spectrum:
     """Forward Euler update u + dt i k (a*(i k u))."""
-    flux = spectral_derivative(_convolve((1.0, a_hat, spectral_derivative(state.current))))
-    return state.current + dt * flux
+    flux = convolve_sum(((1.0, a_hat, spectral_derivative(state.current)),), real=True)
+    return state.current + dt * spectral_derivative(flux)
 
 
 def _burgers_rhs(u: Spectrum, a_hat: Spectrum | HeldField) -> Spectrum:
     # i k ( a*(i k u) - (1/2) u*u ): diffusion minus the conservative flux
-    return spectral_derivative(_convolve((1.0, a_hat, spectral_derivative(u)), (-0.5, u, u)))
+    flux = convolve_sum(((1.0, a_hat, spectral_derivative(u)), (-0.5, u, u)), real=True)
+    return spectral_derivative(flux)
 
 
 def step_burgers(state: SolverState, a_hat: Spectrum | HeldField, dt: float) -> Spectrum:
@@ -201,7 +190,8 @@ def advection_term(u: Spectrum) -> Spectrum:
     Each velocity component is the perpendicular gradient of the inverse
     Laplacian, zero at k = 0 (mean-free streamfunction)."""
     velocity = [u.apply_mode_factor(f) for f in u.at(biot_savart_factors)]
-    return _convolve(*((-1.0, velocity[axis], spectral_derivative(u, axis)) for axis in range(2)))
+    terms = [(-1.0, velocity[axis], spectral_derivative(u, axis)) for axis in range(2)]
+    return convolve_sum(terms, real=True)
 
 
 def step_vorticity(
@@ -262,21 +252,24 @@ def _prepare(params: EquationParams, initial: Spectrum, dt: float, strict_cfl: b
 
 
 def _fft_layout(
-    params: EquationParams, state: tuple[int, int], coeff: HeldField, answers: dict
+    params: EquationParams, state: SparseSpectrum, coeff: HeldField, answers: dict
 ) -> bool:
-    """Whether a step runs in FFT layout, from the sparse state's open-box
-    ``state = (count, reach)`` (:func:`~sparsedyn.grid.open_support`): when
-    its largest convolution, coefficient times state (the state times
-    itself for vorticity), takes the transform path on the whole open box,
-    ``K = n/2 - 1``, as :func:`~sparsedyn.shrinkage.plan_convolution` would.
-    ``answers`` keeps the run's answer for each ``state``."""
-    if state not in answers:
-        keys, _, reach = coeff.entries()
-        other = state if params.equation == "vorticity2d" else (keys.size, reach)
-        grid = coeff.spectrum.grid
-        _, k, transform = price_convolution(grid, state[1] + other[1], other[0], state[0])
-        answers[state] = bool(state[0] and other[0] and transform and k == grid.box_edge)
-    return answers[state]
+    """Whether a step from the sparse ``state`` runs in FFT layout: when its
+    largest convolution, coefficient times state (the state times itself
+    for vorticity), takes the transform path on the whole open box,
+    ``K = n/2 - 1``, by the plan :func:`~sparsedyn.shrinkage.convolve_sum`
+    follows (:func:`~sparsedyn.shrinkage.plan_convolution`).  The plan reads
+    of the state only its open-box count and reach
+    (:func:`~sparsedyn.grid.open_support`), so ``answers`` keeps the run's
+    answer for each."""
+    grid = state.grid
+    extent = open_support(grid, state.keys)
+    if extent not in answers:
+        held = HeldField(state)
+        other = held if params.equation == "vorticity2d" else coeff
+        _, _, k, transform = plan_convolution(grid, [(1.0, other, held)])
+        answers[extent] = transform and k == grid.box_edge
+    return answers[extent]
 
 
 def _iterate(
@@ -298,12 +291,20 @@ def _iterate(
 
     Raises
     ------
+    NonpositiveDt
+        Unless ``dt > 0`` (NaN fails too).
+    ValueError
+        If ``n_steps`` is negative.
     HermitianViolation
         Before the first step, if ``initial`` is not the spectrum of a real
         field to ``HERMITIAN_RTOL``: the steps convolve real fields only.
     SolverDiverged
         As soon as an update holds a non-finite value.
     """
+    if not dt > 0:
+        raise NonpositiveDt(f"dt must be positive, got {dt}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if not initial.is_hermitian(HERMITIAN_RTOL):
         raise HermitianViolation(
             f"{params.equation}: the initial state is not the spectrum of a real field "
@@ -318,8 +319,7 @@ def _iterate(
     yield state
     for step in range(1, n_steps + 1):
         if sparse:
-            extent = open_support(initial.grid, state.current.keys)
-            if not _fft_layout(params, extent, held, layouts):
+            if not _fft_layout(params, state.current, held, layouts):
                 now = state
             elif isinstance(now.current, SparseSpectrum):
                 previous = state.previous and state.previous.to_dense()
@@ -357,7 +357,7 @@ def iter_states(
 ):
     """Yield the state at steps 0..n_steps; each produced update is shrunk,
     and every state yielded is a :class:`~sparsedyn.shrinkage.SparseSpectrum`."""
-    lam = lambda_at(schedule, dt) if n_steps > 0 else 0.0
+    lam = lambda_at(schedule, dt)
 
     def shrink(v: Spectrum) -> tuple[SparseSpectrum, Spectrum]:
         if isinstance(v, DenseSpectrum):

@@ -3,9 +3,10 @@
 The forward transform carries the ``1/N_total`` factor, so coefficients are
 amplitudes: the k=0 coefficient equals the spatial mean and a unit-amplitude
 mode has a unit-magnitude coefficient pair.  Spatial fields are real; their
-spectra are Hermitian-symmetric.  Convolutions multiply in space on a grid
-padded just enough for the operands' reach (at most ``P = 3n/2`` points per
-dimension, the 2/3 rule), in one place for both containers
+spectra are Hermitian-symmetric.  The one convolution entry,
+:func:`~sparsedyn.shrinkage.convolve_sum`, multiplies in space here, on a
+grid padded just enough for the operands' reach (at most ``P = 3n/2``
+points per dimension, the 2/3 rule), in one place for both containers
 (:func:`padded_product`), with real-to-complex transforms only: a caller
 that declares its operands real (the solver) makes one real field per
 operand; any other operand is split into two real fields.  Each operand,
@@ -34,7 +35,6 @@ from .grid import (
     mode_table,
     negated_keys,
     open_support,
-    transform_size,
 )
 
 # Imaginary residual above this, relative to the field's largest real value
@@ -341,35 +341,6 @@ def read_box(spectra: np.ndarray, size: int, k: int, layout: int) -> np.ndarray:
         else:
             np.conjugate(spectra[every + src.negated], out=out[every + dst.at])
     return out
-
-
-def dense_convolve_sum(terms, *, real: bool = False) -> DenseSpectrum:
-    """Galerkin-truncated ``sum w * (a * b)`` over terms ``(w, a, b)`` of
-    dense spectra (or :class:`HeldField` of one, whose spectrum may also be
-    sparse, as a run's coefficient is in a sparse run), with one forward
-    transform call: of one real field when the caller declares the operands
-    ``real`` (the solver's promise, not a user option), else of two (see
-    :func:`padded_product`).
-
-    Dense operands fill the box, so :func:`padded_product` works on
-    ``P = 3n/2`` points per dimension (:attr:`~sparsedyn.grid.GridSpec.n_padded`,
-    the 2/3 rule) for ``n >= 8``: each distinct operand's open box is
-    copied there and the weighted sum's open box copied back into the FFT
-    layout, block by sign block (:func:`~sparsedyn.grid.box_blocks`), so
-    the unpaired Nyquist mode is zero.
-    """
-    grid, terms = hold_operands(terms)
-    size, k = transform_size(grid, 2 * grid.box_edge)
-    return DenseSpectrum(grid, padded_product(grid, terms, size, k, real, fft_layout=True))
-
-
-def dense_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Galerkin-truncated convolution of amplitude spectra through padded
-    transforms: the one-term case of :func:`dense_convolve_sum`, with the
-    same truncation contract as the sparse entry-pair kernel."""
-    sa = DenseSpectrum(grid, a)
-    sb = sa if b is a else DenseSpectrum(grid, b)
-    return dense_convolve_sum(((1.0, sa, sb),)).coeffs
 
 
 def is_hermitian(spec: DenseSpectrum, rtol: float = 1e-12) -> bool:

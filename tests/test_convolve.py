@@ -16,11 +16,10 @@ from sparsedyn import (
 )
 from sparsedyn import shrinkage, spectral
 from sparsedyn.grid import mode_to_fft_index, negated_keys, transform_size
-from sparsedyn.shrinkage import _transform_is_cheaper, sparse_convolve_sum
+from sparsedyn.shrinkage import _transform_is_cheaper, convolve_sum
 from sparsedyn.spectral import (
     HeldField,
     SpatialField,
-    dense_convolve_sum,
     hold_operands,
     is_hermitian,
     read_box,
@@ -220,8 +219,8 @@ def test_transform_path_is_bit_identical_to_dense_convolve():
         c = full_box(g, rng)
         terms = [(1.0, a, b), (-0.5, a, a), (2.0, c, b)]
         dense_of = {id(x): x.to_dense() for x in (a, b, c)}
-        got = sparse_convolve_sum(terms)
-        dense = dense_convolve_sum([(w, dense_of[id(x)], dense_of[id(y)]) for w, x, y in terms])
+        got = convolve_sum(terms)
+        dense = convolve_sum([(w, dense_of[id(x)], dense_of[id(y)]) for w, x, y in terms])
         want = SparseSpectrum.from_dense(dense)
         assert np.array_equal(got.keys, want.keys)
         assert np.array_equal(got.values, want.values)
@@ -241,9 +240,9 @@ def test_convolve_sum_matches_brute_force_on_both_containers(monkeypatch):
     products = []
     padded_product = shrinkage.padded_product
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         products.append(args[1])
-        return padded_product(*args)
+        return padded_product(*args, **kwargs)
 
     monkeypatch.setattr(shrinkage, "padded_product", counted)
     for g in TRANSFORM_GRIDS:
@@ -260,16 +259,16 @@ def test_convolve_sum_matches_brute_force_on_both_containers(monkeypatch):
         for terms in cases:
             want = weighted_oracle(terms, g)
             products.clear()
-            assert_matches(sparse_convolve_sum(terms), want)
+            assert_matches(convolve_sum(terms), want)
             # the call takes one path, the large term's: one padded product
             assert len(products) == 1 and len(products[0]) == len(terms)
-            dense = dense_convolve_sum([(w, dense_of[id(a)], dense_of[id(b)]) for w, a, b in terms])
+            dense = convolve_sum([(w, dense_of[id(a)], dense_of[id(b)]) for w, a, b in terms])
             assert_matches(SparseSpectrum.from_dense(dense), want)
             # every term on pairs, weights folded into one accumulator
             with monkeypatch.context() as m:
                 m.setattr(shrinkage, "_transform_is_cheaper", lambda *_: False)
                 products.clear()
-                assert_matches(sparse_convolve_sum(terms), want)
+                assert_matches(convolve_sum(terms), want)
             assert not products
 
 
@@ -338,20 +337,20 @@ def test_solver_path_is_exactly_hermitian_and_matches_the_general_path():
         dense_terms = [(w, dense_of[id(x)], dense_of[id(y)]) for w, x, y in terms]
         assert all(_transform_is_cheaper(g, x.n_s, y.n_s, g.n_padded) for _, x, y in terms)
 
-        real = sparse_convolve_sum(terms, real=True)
+        real = convolve_sum(terms, real=True)
         assert real.n_s > 0
         partner = negated_keys(g, real.keys)
         order = np.argsort(partner)
         assert np.array_equal(partner[order], real.keys)
         assert np.array_equal(real.values, np.conj(real.values[order]))
-        general = sparse_convolve_sum(terms)
+        general = convolve_sum(terms)
         assert np.abs(real.to_dense().coeffs - general.to_dense().coeffs).max() < 1e-12
 
-        real = dense_convolve_sum(dense_terms, real=True).coeffs.ravel()
+        real = convolve_sum(dense_terms, real=True).coeffs.ravel()
         modes = fft_index_to_mode(g, np.arange(g.n_total))
         negated = mode_to_fft_index(g, np.where(modes == g.nyquist_mode, modes, -modes))
         assert np.array_equal(real, np.conj(real[negated]))
-        general = dense_convolve_sum(dense_terms).coeffs.ravel()
+        general = convolve_sum(dense_terms).coeffs.ravel()
         assert np.abs(real - general).max() < 1e-12
 
 
@@ -442,8 +441,8 @@ def test_held_field_follows_the_call_size(monkeypatch):
     held = HeldField(coeff)
     # reach sums max(3 + 2, 2 + 2) and max(3 + 15, 15 + 15)
     for u, size in ((near, 12), (wide, g.n_padded), (near, 12)):
-        got = sparse_convolve_sum([(1.0, held, u), (-0.5, u, u)])
-        want = sparse_convolve_sum([(1.0, coeff, u), (-0.5, u, u)])
+        got = convolve_sum([(1.0, held, u), (-0.5, u, u)])
+        want = convolve_sum([(1.0, coeff, u), (-0.5, u, u)])
         assert held.size == size
         assert np.array_equal(got.keys, want.keys)
         assert np.array_equal(got.values, want.values)
@@ -466,7 +465,7 @@ def test_call_only_fields_are_dropped_before_the_forward_transform(monkeypatch):
         return rfftn(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfftn", forward)
-    dense_convolve_sum(terms, real=True)
+    convolve_sum(terms, real=True)
     assert own and held_fields == [[False] * len(own)]
     assert coeff.field is not None
 
@@ -546,7 +545,7 @@ def test_two_term_pairs_match_the_row_loop(monkeypatch):
     for g in (GridSpec(1, 512), GridSpec(2, 32)):
         u, v = within(g, 10, rng, 60), within(g, 12, rng, 90)
         terms = [(1.0, u, v), (-0.5, u, u)]
-        assert_bit_equal(sparse_convolve_sum(terms), row_loop_convolve(terms, g))
+        assert_bit_equal(convolve_sum(terms), row_loop_convolve(terms, g))
 
 
 def test_pairs_with_the_coefficient_second_match_the_row_loop(monkeypatch):
@@ -558,7 +557,7 @@ def test_pairs_with_the_coefficient_second_match_the_row_loop(monkeypatch):
     coeff, state = within(g, 1023, rng, 208), within(g, 20, rng, 15)
     for w in (1.0, 0.25 - 2.0j):
         terms = [(w, HeldField(coeff), state)]
-        got = sparse_convolve_sum(terms)
+        got = convolve_sum(terms)
         assert_bit_equal(got, row_loop_convolve([(w, coeff, state)], g))
 
 
@@ -587,11 +586,11 @@ def test_pair_blocks_keep_memory_beyond_the_window_small(monkeypatch):
     held_a, held_b = HeldField(a), HeldField(b)
     window = int(held_a.entries()[0][-1] + held_b.entries()[0][-1])
     window -= int(held_a.entries()[0][0] + held_b.entries()[0][0]) - 1
-    sparse_convolve_sum([(1.0, held_a, held_b)])  # pays one-time allocations
+    convolve_sum([(1.0, held_a, held_b)])  # pays one-time allocations
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sparse_convolve_sum([(1.0, held_a, held_b)])
+        convolve_sum([(1.0, held_a, held_b)])
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -651,14 +650,14 @@ def test_box_read_is_the_index_table_fold_bit_for_bit(grid):
 
 @pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=lambda g: f"{g.dims}d-{g.n_per_dim}")
 def test_dense_convolve_is_the_index_table_path_bit_for_bit(grid):
-    # dense_convolve_sum on two weighted terms, one of them a square, and
+    # convolve_sum on two weighted dense terms, one of them a square, and
     # dense_convolve, against the padded product through index tables, on
     # real-field operands with real=True and on complex ones without
     rng = np.random.default_rng(3 * grid.n_per_dim + grid.dims)
     for real in (True, False):
         a, b, c = (random_dense(grid, rng, real) for _ in range(3))
         terms = ((1.0, a, b), (-0.5, c, c))
-        got = dense_convolve_sum(terms, real=real)
+        got = convolve_sum(terms, real=real)
         assert got.coeffs.tobytes() == table_dense_convolve_sum(terms, real).coeffs.tobytes()
         got = dense_convolve(a.coeffs, b.coeffs, grid)
         want = table_dense_convolve_sum(((1.0, a, b),), False)
@@ -691,7 +690,7 @@ def test_stacked_fields_are_the_one_by_one_fields_bit_for_bit(grid, real, fft_ca
         out, inverse_calls = [], []
         for _ in range(2):
             fft_calls.clear()
-            out.append(dense_convolve_sum(terms, real=real).coeffs.tobytes())
+            out.append(convolve_sum(terms, real=real).coeffs.tobytes())
             inverse_calls.append(sum(name.startswith("irfft") for name in fft_calls))
         return out, inverse_calls
 

@@ -25,23 +25,22 @@ from sparsedyn import (
     shrinkage,
     solvers,
 )
-from sparsedyn.grid import open_support
-from sparsedyn.shrinkage import sparse_convolve_sum
-from sparsedyn.spectral import HeldField, dense_convolve_sum, hold_operands
+from sparsedyn.shrinkage import convolve_sum
+from sparsedyn.spectral import HeldField, hold_operands
 
 
 def record_layouts(monkeypatch) -> list[str]:
-    """Wrap the solvers' convolution bindings; each call appends the layout
-    of the step that made it."""
+    """Wrap the solvers' convolution binding; each call appends the layout
+    of the step that made it, read from its result's container."""
     calls = []
-    for name, layout in (("sparse_convolve_sum", "sparse"), ("dense_convolve_sum", "fft")):
-        original = getattr(solvers, name)
+    original = solvers.convolve_sum
 
-        def wrapped(terms, _original=original, _layout=layout, **kwargs):
-            calls.append(_layout)
-            return _original(terms, **kwargs)
+    def wrapped(terms, **kwargs):
+        out = original(terms, **kwargs)
+        calls.append("fft" if isinstance(out, DenseSpectrum) else "sparse")
+        return out
 
-        monkeypatch.setattr(solvers, name, wrapped)
+    monkeypatch.setattr(solvers, "convolve_sum", wrapped)
     return calls
 
 
@@ -223,12 +222,12 @@ def test_held_sparse_coefficient_places_its_keys_at_a_new_size():
     g = GridSpec(1, 64)
     coeff = real_band(g, 8, 1)
     held = HeldField(coeff)
-    sparse_convolve_sum(((1.0, held, real_band(g, 8, 2)),), real=True)
+    convolve_sum(((1.0, held, real_band(g, 8, 2)),), real=True)
     assert 0 < held.size < g.n_padded
     wide = real_band(g, 31, 3).to_dense()
-    got = dense_convolve_sum(((1.0, held, wide),), real=True)
+    got = convolve_sum(((1.0, held, wide),), real=True)
     assert held.size == g.n_padded
-    want = dense_convolve_sum(((1.0, coeff.to_dense(), wide),), real=True)
+    want = convolve_sum(((1.0, coeff.to_dense(), wide),), real=True)
     assert np.array_equal(got.coeffs, want.coeffs)
 
 
@@ -243,20 +242,27 @@ def band(grid: GridSpec, reach: int, stride: int, seed: int) -> SparseSpectrum:
     return SparseSpectrum.from_dense(DenseSpectrum(grid, np.where(mask, coeffs, 0)))
 
 
+def with_nyquist(spec: SparseSpectrum) -> SparseSpectrum:
+    """``spec`` with one more entry, at the unpaired mode -n/2 on every axis."""
+    grid = spec.grid
+    nyquist = np.full((grid.dims, 1), grid.nyquist_mode)
+    return spec + SparseSpectrum.from_modes(grid, nyquist, [0.5])
+
+
 def test_layout_rule_is_the_path_the_convolution_takes(monkeypatch):
-    # the plan against the path and box sparse_convolve_sum takes on the
-    # same product, and the layout rule's answer, priced from the state's
-    # open-box count and reach, against whether that path reads the open
-    # box: inside the box, reaches summing to one short of its edge and to
-    # the edge, at the edge on either path, and thin operands that reach
-    # the edge with few pairs; coefficient times state, and for vorticity
-    # the state times itself
+    # the plan against the path and box convolve_sum takes on the same
+    # product, and the layout rule's answer for the state against whether
+    # that path reads the open box: inside the box, reaches summing to one
+    # short of its edge and to the edge, at the edge on either path, and
+    # thin operands that reach the edge with few pairs, each state also
+    # with the unpaired Nyquist mode, whose reach reads as the edge;
+    # coefficient times state, and for vorticity the state times itself
     boxes = []
     original = shrinkage.padded_product
 
-    def recorded(grid, terms, size, k, real):
+    def recorded(grid, terms, size, k, real, **kwargs):
         boxes.append((size, k))
-        return original(grid, terms, size, k, real)
+        return original(grid, terms, size, k, real, **kwargs)
 
     monkeypatch.setattr(shrinkage, "padded_product", recorded)
     parabolic = EquationParams("parabolic", coeff=CoefficientSpec.constant(1.0))
@@ -269,15 +275,15 @@ def test_layout_rule_is_the_path_the_convolution_takes(monkeypatch):
             (edge // 2, edge - edge // 2, 1), (edge, edge, edge), (2, 2, 1),
         ]:
             a, b = band(grid, reach_a, stride, 1), band(grid, reach_b, 1, 2)
-            for params, other in ((parabolic, a), (vorticity, b)):
-                boxes.clear()
-                sparse_convolve_sum(((1.0, other, b),), real=True)
-                _, size, k, transform = shrinkage.plan_convolution(
-                    *hold_operands([(1.0, other, b)])
-                )
-                assert boxes == ([(size, k)] if transform else [])
-                full_box = [k for _, k in boxes] == [edge]
-                state = open_support(grid, b.keys)
-                assert solvers._fft_layout(params, state, HeldField(a), {}) == full_box
-                answers.append(full_box)
+            for b in (b, with_nyquist(b)):
+                for params, other in ((parabolic, a), (vorticity, b)):
+                    boxes.clear()
+                    convolve_sum(((1.0, other, b),), real=True)
+                    _, size, k, transform = shrinkage.plan_convolution(
+                        *hold_operands([(1.0, other, b)])
+                    )
+                    assert boxes == ([(size, k)] if transform else [])
+                    full_box = [k for _, k in boxes] == [edge]
+                    assert solvers._fft_layout(params, b, HeldField(a), {}) == full_box
+                    answers.append(full_box)
     assert 0 < sum(answers) < len(answers)

@@ -419,6 +419,27 @@ def test_out_of_range_modes_are_rejected_not_aliased():
     assert edges.to_dict() == {(-4, 3): 1.0 + 0j, (3, -4): 2.0 + 0j}
 
 
+def test_mode_arrays_of_the_wrong_shape_are_rejected():
+    # each of these once gave other modes than meant, or dropped values
+    shape = re.escape("modes of shape")
+    with pytest.raises(ValueError, match=shape + r".*\(1, 2\).*need \(2,\) or \(2, m\)"):
+        SparseSpectrum.from_modes(GridSpec(2, 8), [[1, 2]], [1, 2])  # not (-4, 1), (-4, 2)
+    with pytest.raises(ValueError, match=shape + r".*\(2, 2\).*need \(1,\) or \(1, m\)"):
+        SparseSpectrum.from_modes(GridSpec(1, 16), [[1, 2], [3, 4]], [1, 2])  # keys off the grid
+    with pytest.raises(ValueError, match=shape + r".*\(1, 1\)"):
+        SparseSpectrum.from_dict(GridSpec(2, 8), {1: 1.0})  # not (-4, 1)
+    with pytest.raises(ValueError, match=shape + r".*\(1, 2\)"):
+        mode_to_fft_index(GridSpec(2, 8), [[1, 2]])
+    with pytest.raises(ValueError, match=re.escape("values of shape (3,) for modes of shape (1, 2)")):
+        SparseSpectrum.from_modes(GridSpec(1, 16), [[1, 2]], [1, 2, 3])
+    with pytest.raises(ValueError, match=re.escape("values of shape (1,) for modes of shape (1, 2)")):
+        SparseSpectrum.from_modes(GridSpec(1, 16), [[1, 2]], [1])
+    # the shapes meant still load: one mode vector or a row of them per axis
+    assert SparseSpectrum.from_modes(GridSpec(1, 16), [1, 2], [1, 2]).to_dict() == {1: 1, 2: 2}
+    assert SparseSpectrum.from_modes(GridSpec(2, 8), [[1], [2]], [3]).to_dict() == {(1, 2): 3}
+    assert mode_to_fft_index(GridSpec(2, 8), [1, 2]).tolist() == 10
+
+
 def test_dump_2d_format():
     g = GridSpec(2, 8)
     spec = SparseSpectrum.from_dict(g, {(1, -2): 1j, (-1, 2): -1j})

@@ -13,6 +13,7 @@ from sparsedyn import (
     HermitianViolation,
     InitialSpec,
     LambdaSchedule,
+    NonpositiveDt,
     NotTwoDimensional,
     SolverDiverged,
     SparseSpectrum,
@@ -22,6 +23,7 @@ from sparsedyn import (
     error_metrics,
     initial_condition,
     iter_dense_states,
+    iter_low_frequency_states,
     iter_states,
     load_recipe,
     step_burgers,
@@ -188,6 +190,35 @@ def test_advance_zero_steps_returns_initial():
     assert final.step_index == 0
     assert len(trace) == 1
     assert np.array_equal(final.current.values, u0.values)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-5, float("nan")])
+def test_every_trajectory_rejects_a_nonpositive_dt(dt):
+    g = GridSpec(1, 32)
+    u0 = sine_field(g)
+    params = EquationParams("parabolic", coeff=CoefficientSpec.constant(1.0))
+    for states in (
+        iter_states(u0, params, NO_SHRINK, dt, 3),
+        iter_dense_states(u0.to_dense(), params, dt, 3),
+        iter_low_frequency_states(u0.to_dense(), params, dt, 3, cutoff=4),
+    ):
+        with pytest.raises(NonpositiveDt, match="dt must be positive"):
+            list(states)
+
+
+def test_every_trajectory_rejects_a_negative_step_count():
+    g = GridSpec(1, 32)
+    u0 = sine_field(g)
+    params = EquationParams("parabolic", coeff=CoefficientSpec.constant(1.0))
+    for states in (
+        iter_states(u0, params, NO_SHRINK, 1e-4, -5),
+        iter_dense_states(u0.to_dense(), params, 1e-4, -5),
+        iter_low_frequency_states(u0.to_dense(), params, 1e-4, -5, cutoff=4),
+    ):
+        with pytest.raises(ValueError, match="n_steps must be >= 0, got -5"):
+            list(states)
+    with pytest.raises(ValueError, match="n_steps"):
+        advance(u0, params, NO_SHRINK, 1e-4, -5)
 
 
 def test_lambda_zero_matches_dense_all_equations():
