@@ -9,15 +9,18 @@ initial state and takes their steps in turn, timing each step alone.
 
 It prints three tables.  The first covers the four headline recipes, as
 bundled: the sparse first step, the medians of the later sparse and dense
-steps (after step ``SETTLE``), their ratio, the steps the sparse run took
-in FFT layout, the minor page faults per later sparse and dense step (the
-heap's growth and trims show there: ``ru_minflt`` of this process, read
-around each step), and the final retained fraction and relative L2 error
-against the dense run.  The second covers the refinement problems at
-``N = 2^10 .. 2^17``: ``parabolic_fig2`` refined with ``dt`` scaled as
-``dx^2`` and ``convection_fig1`` with ``dt`` scaled as ``dx``, with the
-coefficient's and the final state's ``n_s``.  The third covers
-``vorticity_converge`` on ``n^2`` grids, ``n = 128 .. 1024``, with ``dt``
+steps (after step ``SETTLE``) and their ratio, the same for the means (a
+mean also carries the rare steps that build a pair plan or change layout),
+the steps the sparse run took in FFT layout, the pair plans it built (the
+entry-pair indexes its coefficient keeps per state support, see
+``shrinkage.convolve_sum``), the minor page faults per later sparse and
+dense step (the heap's growth and trims show there: ``ru_minflt`` of this
+process, read around each step), and the final retained fraction and
+relative L2 error against the dense run.  The second covers the
+refinement problems at ``N = 2^10 .. 2^17``: ``parabolic_fig2`` refined
+with ``dt`` scaled as ``dx^2`` and ``convection_fig1`` with ``dt`` scaled
+as ``dx``, with the coefficient's and the final state's ``n_s`` and the
+pair plans built.  The third covers ``vorticity_converge`` on ``n^2`` grids, ``n = 128 .. 1024``, with ``dt``
 as bundled: the setup of the sparse run (``initial_condition`` and the
 inputs of ``iter_states``), its first and later steps, the dense step
 interleaved up to ``DENSE_2D_MAX``, the minor page faults per later sparse
@@ -48,7 +51,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from sparsedyn import DenseSpectrum, SparseSpectrum, error_metrics, solvers  # noqa: E402
+from sparsedyn import DenseSpectrum, SparseSpectrum, error_metrics, shrinkage, solvers  # noqa: E402
 from sparsedyn.coefficients import coefficient_field_of  # noqa: E402
 from sparsedyn.evaluation import iter_dense_states  # noqa: E402
 from sparsedyn.harness import load_recipe  # noqa: E402
@@ -80,6 +83,18 @@ class _LayoutCount:
         return chosen
 
 
+class _PlanCount:
+    """Counts the pair plans :func:`shrinkage._pair_plan` builds."""
+
+    def __init__(self) -> None:
+        self.build = shrinkage._pair_plan
+        self.plans = 0
+
+    def __call__(self, *args):
+        self.plans += 1
+        return self.build(*args)
+
+
 def minor_faults() -> int:
     """Minor page faults of this process so far."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -90,8 +105,8 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
     the dense reference in turn."""
     grid = config.grid()
     params = config.equation_params()
-    count = _LayoutCount()
-    solvers._fft_layout = count
+    count, plans = _LayoutCount(), _PlanCount()
+    solvers._fft_layout, shrinkage._pair_plan = count, plans
     try:
         t0 = time.perf_counter()
         initial = solvers.initial_condition(config.initial_spec(), grid)
@@ -117,12 +132,14 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
                 dense_s.append(time.perf_counter() - t0)
                 dense_faults.append(minor_faults() - faults)
     finally:
-        solvers._fft_layout = count.rule
+        solvers._fft_layout, shrinkage._pair_plan = count.rule, plans.build
     later = slice(min(SETTLE, n_steps - 1), None)
     out = {
         "setup_ms": 1e3 * setup_s,
         "first_ms": 1e3 * sparse_s[0],
         "sparse_ms": 1e3 * statistics.median(sparse_s[later]),
+        "sparse_mean_ms": 1e3 * statistics.mean(sparse_s[later]),
+        "plans": plans.plans,
         "sparse_faults": statistics.mean(sparse_faults[later]),
         "fft_steps": count.steps,
         "n_s0": initial.n_s,
@@ -133,6 +150,7 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
         l2, _ = error_metrics(state.current, reference)
         norm, _ = error_metrics(reference, DenseSpectrum(grid, np.zeros(grid.shape, complex)))
         out["dense_ms"] = 1e3 * statistics.median(dense_s[later])
+        out["dense_mean_ms"] = 1e3 * statistics.mean(dense_s[later])
         out["dense_faults"] = statistics.mean(dense_faults[later])
         out["rel_l2"] = l2 / norm if norm else float("nan")
     return out
@@ -187,10 +205,12 @@ def main(argv=None) -> None:
         return
     cap = args.steps or max(max(HEADLINE_STEPS.values()), REFINE_STEPS, REFINE_2D_STEPS)
 
-    print("headline recipes (ms per step; later = median after step "
-          f"{SETTLE}; fft = steps in FFT layout; flt = minor page faults per later step)")
+    print("headline recipes (ms per step after step "
+          f"{SETTLE}, median and mean; fft = steps in FFT layout; plans = pair plans built; "
+          "flt = minor page faults per later step)")
     print(f"{'recipe':<18}{'steps':>6}{'first':>8}{'sparse':>9}{'dense':>9}{'ratio':>7}"
-          f"{'fft':>6}{'flt sp':>8}{'flt de':>8}{'frac':>8}{'rel L2':>11}")
+          f"{'mean sp':>9}{'mean de':>9}{'ratio':>7}{'fft':>6}{'plans':>6}"
+          f"{'flt sp':>8}{'flt de':>8}{'frac':>8}{'rel L2':>11}")
     for recipe, steps in HEADLINE_STEPS.items():
         config = load_recipe(recipe)
         n_steps = min(steps, cap, config.n_steps())
@@ -198,14 +218,16 @@ def main(argv=None) -> None:
             r = interleaved(config, n_steps)
             print(f"{recipe:<18}{n_steps:>6}{r['first_ms']:>8.2f}{r['sparse_ms']:>9.3f}"
                   f"{r['dense_ms']:>9.3f}{r['sparse_ms'] / r['dense_ms']:>7.2f}"
-                  f"{r['fft_steps']:>6}{r['sparse_faults']:>8.1f}{r['dense_faults']:>8.1f}"
+                  f"{r['sparse_mean_ms']:>9.3f}{r['dense_mean_ms']:>9.3f}"
+                  f"{r['sparse_mean_ms'] / r['dense_mean_ms']:>7.2f}{r['fft_steps']:>6}"
+                  f"{r['plans']:>6}{r['sparse_faults']:>8.1f}{r['dense_faults']:>8.1f}"
                   f"{100 * r['fraction']:>7.1f}%{r['rel_l2']:>11.4e}",
                   flush=True)
 
     print()
     print("refinement at fixed n_s (ms per step, interleaved; coeff/state = n_s)")
     print(f"{'problem':<26}{'N':>8}{'steps':>6}{'coeff/state':>13}{'sparse':>9}{'dense':>9}"
-          f"{'ratio':>7}{'fft':>6}")
+          f"{'ratio':>7}{'fft':>6}{'plans':>6}")
     for recipe, order in (("parabolic_fig2", 2), ("convection_fig1", 1)):
         for exponent in REFINE_EXPONENTS:
             config = refined(recipe, exponent, order)
@@ -218,7 +240,8 @@ def main(argv=None) -> None:
                 supports = f"{coeff.n_s}/{r['n_s']}"
                 print(f"{recipe + f' dt~dx^{order}':<26}{2**exponent:>8}{n_steps:>6}{supports:>13}"
                       f"{r['sparse_ms']:>9.3f}{r['dense_ms']:>9.3f}"
-                      f"{r['sparse_ms'] / r['dense_ms']:>7.2f}{r['fft_steps']:>6}", flush=True)
+                      f"{r['sparse_ms'] / r['dense_ms']:>7.2f}{r['fft_steps']:>6}{r['plans']:>6}",
+                      flush=True)
 
     print()
     print("vorticity_converge on n^2 points (ms; setup = initial_condition and the run's "

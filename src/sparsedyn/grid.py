@@ -10,7 +10,11 @@ All index arithmetic lives here.  A sparse key holds its mode's digits
 ``m + n/2`` (:func:`mode_to_key`, :func:`key_digit`, and
 :func:`product_keys` for every combination of per-axis digits), and
 :func:`in_open_box` reads from them alone whether the mode lies in the open
-box ``|m| < n/2``.  Between keys and a dense spectrum there is one pair of
+box ``|m| < n/2``.  Entry pairs are summed in the box of their digit sums
+(:func:`sum_box`), into which the operands' keys are re-keyed
+(:func:`box_cells`) and out of which the sums are read back as keys
+(:func:`box_cell_keys`): its size follows the operands' reach, not ``n``.
+Between keys and a dense spectrum there is one pair of
 conversions, with no sort: a key's FFT-layout index
 (:func:`key_to_fft_index`), and the key of an index into the
 ``fftshift``-ed layout, which is in key order (:func:`shifted_index_to_key`).
@@ -424,6 +428,58 @@ def open_support(grid: GridSpec, keys: np.ndarray) -> tuple[int, int]:
     if grid.dims == 1:  # the Nyquist key is 0, the smallest
         return keys.size - int(keys[0] == 0), reach
     return int(np.count_nonzero(in_open_box(grid, keys))), reach
+
+
+def sum_box(grid: GridSpec, pairs) -> tuple[list[int], list[int]]:
+    """``(shape, low)`` of the box of digit sums of ascending, non-empty key
+    arrays ``(a, b)`` of operand pairs: along each axis, the lowest sum of
+    a key digit of ``a`` and one of ``b`` over the pairs, and the count of
+    sums from there to the highest.  In 1-D that is the window from
+    ``a[0] + b[0]`` to ``a[-1] + b[-1]``; in any dims it holds at most
+    ``(2R + 1)**dims`` cells for ``R`` the largest sum of two reaches,
+    whatever the grid."""
+    if grid.dims == 1:
+        low = min(int(a[0]) + int(b[0]) for a, b in pairs)
+        return [max(int(a[-1]) + int(b[-1]) for a, b in pairs) - low + 1], [low]
+    spans = [(_digit_span(grid, a), _digit_span(grid, b)) for a, b in pairs]
+    low = [min(a[0][d] + b[0][d] for a, b in spans) for d in range(grid.dims)]
+    high = [max(a[1][d] + b[1][d] for a, b in spans) for d in range(grid.dims)]
+    return [h - lo + 1 for h, lo in zip(high, low)], low
+
+
+def _digit_span(grid: GridSpec, keys: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The lowest and the highest key digit along each axis of ascending 2-D
+    keys: the leading digit is monotone in the key, the last one is not."""
+    digits = key_digit(grid, keys, 1)
+    lead = key_digit(grid, int(keys[0]), 0), key_digit(grid, int(keys[-1]), 0)
+    return (lead[0], int(digits.min())), (lead[1], int(digits.max()))
+
+
+def box_cells(grid: GridSpec, keys: np.ndarray, shape, low) -> np.ndarray:
+    """Keys re-keyed into a box of ``shape`` cells (:func:`sum_box`): key
+    digit ``d`` less ``low[axis]`` along each axis, row-major.  The map is
+    linear, so the cells of one operand's keys with the box's ``low`` and of
+    another's with zeros add to the cell of their digit sum, and cells
+    ascend in lexicographic mode order (:func:`box_cell_keys` reads them
+    back)."""
+    cells = key_digit(grid, keys, 0) - low[0]
+    for axis in range(1, grid.dims):
+        cells = cells * shape[axis] + (key_digit(grid, keys, axis) - low[axis])
+    return cells
+
+
+def box_cell_keys(grid: GridSpec, cells: np.ndarray, shape, low) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of the digit sums at ascending ``cells`` of the box of
+    :func:`sum_box`, and the mask of those in the open box: a sum of keys
+    less ``key(0)`` (:func:`mode_to_key`), as :func:`in_open_box` decides
+    it."""
+    half = grid.n_per_dim // 2
+    if grid.dims == 1:
+        keys = cells + (low[0] - half)
+    else:
+        lead, last = np.divmod(cells, shape[1])
+        keys = (lead + (low[0] - half)) * (2 * grid.n_per_dim) + last + (low[1] - half)
+    return keys, in_open_box(grid, keys)
 
 
 @lru_cache(maxsize=256)

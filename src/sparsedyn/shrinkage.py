@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .errors import GridMismatch, NegativeLambda, NonpositiveDt
 from .grid import (
     GridSpec,
     at_negated_modes,
+    box_cell_keys,
+    box_cells,
     box_index,
     check_resolved,
     fft_shifted,
@@ -38,8 +40,10 @@ from .grid import (
     mean_key,
     mode_to_key,
     negated_keys,
+    open_support,
     product_keys,
     shifted_index_to_key,
+    sum_box,
     transform_size,
 )
 from .spectral import DenseSpectrum, hold_operands, padded_product
@@ -62,6 +66,9 @@ _ROW_COST = 750
 _TRANSFORM_COST = 1.5
 _TRANSFORM_FIXED = 10_000
 _PAIR_BLOCK = 1 << 14  # most pairs the entry-pair path forms at once
+_PLANS = 8  # pair plans a held operand keeps, the oldest evicted first
+_PLAN_PAIRS = 1 << 16  # most pairs a kept plan indexes
+_SEEN_ONCE = "entry pairs, not yet indexed"  # a plan held for a support's first call
 
 
 def _nonzero(values: np.ndarray) -> np.ndarray:
@@ -204,6 +211,21 @@ class SparseSpectrum:
             memo["_digits"] = tuple([key_digit(grid, self.keys, axis) for axis in range(grid.dims)])
         return memo["_digits"]
 
+    @property
+    def open_entries(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Keys, values and reach of the entries in the open box, those a
+        convolution reads (:func:`~sparsedyn.grid.open_support`: the unpaired
+        Nyquist mode is dropped), made on first use and kept."""
+        entries = self.__dict__.get("_open")
+        if entries is None:
+            grid, keys, vals = self.grid, self.keys, self.values
+            count, reach = open_support(grid, keys)
+            if count < keys.size:  # in 1-D the Nyquist key is 0, the first
+                keep = slice(1, None) if grid.dims == 1 else in_open_box(grid, keys)
+                keys, vals = keys[keep], vals[keep]
+            entries = self.__dict__["_open"] = keys, vals, reach
+        return entries
+
     def at(self, factor) -> np.ndarray:
         """A mode factor (such as :func:`~sparsedyn.grid.wavenumber_squares`)
         at each entry, in sorted order: its formula evaluated at the key
@@ -270,9 +292,7 @@ class SparseSpectrum:
         )
 
     def __mul__(self, scalar: complex) -> "SparseSpectrum":
-        vals = self.values * scalar
-        keep = _nonzero(vals)
-        return SparseSpectrum(self.grid, self.keys[keep], vals[keep])
+        return self.apply_mode_factor(scalar)
 
     __rmul__ = __mul__
 
@@ -444,11 +464,23 @@ def convolve_sum(terms, *, real: bool = False) -> SparseSpectrum | DenseSpectrum
     and the sum written into FFT layout, zero outside the open box; any
     other operand may be sparse, as a run's coefficient is.  Otherwise the
     call takes the one path :func:`plan_convolution` picks: entry pairs, all
-    terms into one accumulator (:func:`_pair_convolve`), or the transform,
-    whose terms share the padded grid
+    terms into one accumulator over the box of their digit sums
+    (:func:`_pair_convolve`), or the transform, whose terms share the padded grid
     (:func:`~sparsedyn.spectral.padded_product`) and whose sum drops its
     roundoff tail (:func:`_above_roundoff`).  With operands that fill the
     box the two layouts give the same values, less that tail.
+
+    A one-term call of a held operand (not ``call_only``, such as a run's
+    coefficient) keeps what its plan decides on that operand, for each
+    support of the other one and the side it is on, as long as the held
+    operand lives (:func:`_held_plans`): that the call takes the
+    transform, or that it takes entry pairs, whose pair plan
+    (:func:`_pair_plan`) is made on the support's second call, so a
+    support seen once costs no more than the box.  A later call skips the
+    plan and the box and accumulates into its output cells alone
+    (:func:`_planned_convolve`), bit for bit as :func:`_pair_convolve`
+    sums.  Calls of ``call_only`` operands alone, such as a state times
+    itself, keep nothing.
 
     With ``real`` the caller declares every operand the spectrum of a real
     field and every weight real (the solver's promise, not a user option):
@@ -459,14 +491,42 @@ def convolve_sum(terms, *, real: bool = False) -> SparseSpectrum | DenseSpectrum
     if isinstance(terms[0][2].spectrum, DenseSpectrum):
         size, k = transform_size(grid, 2 * grid.box_edge)
         return DenseSpectrum(grid, padded_product(grid, terms, size, k, real, fft_layout=True))
-    live, size, k, transform = plan_convolution(grid, terms)
-    if not live:
-        return SparseSpectrum.empty(grid)
-    if not transform:
+    plans, seen = _held_plans(terms)
+    live, plan = terms, plans.get(seen)
+    if plan is None:
+        live, size, k, transform = plan_convolution(grid, terms)
+        if not live:
+            return SparseSpectrum.empty(grid)
+        _, a, b = live[0]
+        plan = (size, k) if transform else _SEEN_ONCE
+        pairs = a.entries()[0].size * b.entries()[0].size
+        if seen is not None and (transform or pairs <= _PLAN_PAIRS):
+            if len(plans) == _PLANS:
+                del plans[next(iter(plans))]  # dicts keep insertion order
+            plans[seen] = plan
+    elif plan is _SEEN_ONCE:  # the support's second call: index its pairs
+        plan = plans[seen] = _pair_plan(grid, *live[0][1:])
+    if plan is _SEEN_ONCE:
         return _pair_convolve(grid, [(w, a.entries(), b.entries()) for w, a, b in live])
+    if isinstance(plan, _PairPlan):
+        return _planned_convolve(grid, plan, *live[0])
+    size, k = plan
     vals = padded_product(grid, live, size, k, real).ravel()
     keep = _above_roundoff(vals)
     return SparseSpectrum(grid, box_index(grid, k)[keep], vals[keep])
+
+
+def _held_plans(terms) -> tuple[dict, tuple | None]:
+    """The plans of a one-term call's held operand, the first one that is
+    not ``call_only`` (:attr:`~sparsedyn.spectral.HeldField.plans`), and the
+    call's key in them: the side of the other operand and its open-box keys.
+    Any other call reads ``({}, None)``."""
+    if len(terms) == 1:
+        _, a, b = terms[0]
+        for held, other, side in ((a, b, 1), (b, a, 0)):
+            if not held.call_only:
+                return held.plans, (side, other.entries()[0].tobytes())
+    return {}, None
 
 
 def plan_convolution(grid: GridSpec, terms) -> tuple[list, int, int, bool]:
@@ -497,37 +557,104 @@ def plan_convolution(grid: GridSpec, terms) -> tuple[list, int, int, bool]:
     return live, size, k, _transform_is_cheaper(grid, rows, cols, size)
 
 
+class _PairPlan(NamedTuple):
+    """The entry pairs of two operand supports, indexed once
+    (:func:`_pair_plan`): whether the second operand's entries are the rows
+    (the smaller operand gives the rows), the ascending open-box output
+    keys, and each pair's output cell, shape ``(rows, columns)``, with
+    ``len(keys)`` for the one spare cell that takes every pair outside the
+    open box."""
+
+    swap: bool
+    keys: np.ndarray
+    cells: np.ndarray
+
+
+def _pair_plan(grid: GridSpec, a, b) -> _PairPlan:
+    """The pair plan of held sparse operands ``a`` and ``b``, from their
+    cells in the box of their digit sums (:func:`~sparsedyn.grid.sum_box`):
+    the cells their pairs reach, in ascending order, are the outputs, and
+    each pair's cell becomes its output's rank among those in the open
+    box."""
+    a_keys, b_keys = a.entries()[0], b.entries()[0]
+    swap = b_keys.size < a_keys.size
+    if swap:
+        a_keys, b_keys = b_keys, a_keys
+    shape, low = sum_box(grid, [(a_keys, b_keys)])
+    rows = box_cells(grid, a_keys, shape, low)
+    cells = np.add.outer(rows, box_cells(grid, b_keys, shape, [0] * grid.dims))
+    reached = np.zeros(math.prod(shape), dtype=bool)
+    reached[cells] = True
+    out = np.flatnonzero(reached)
+    keys, inside = box_cell_keys(grid, out, shape, low)
+    count = int(np.count_nonzero(inside))
+    rank = np.full(reached.size, count)  # the spare cell
+    rank[out[inside]] = np.arange(count)
+    return _PairPlan(swap, keys[inside], rank[cells])
+
+
+def _planned_convolve(grid: GridSpec, plan: _PairPlan, w, a, b) -> SparseSpectrum:
+    """``w * (a * b)`` of held sparse operands by their pair plan: the
+    products accumulate into the plan's output cells and its spare cell,
+    which is dropped (:func:`_add_pairs`)."""
+    if plan.swap:
+        a, b = b, a
+    a_vals, b_vals = a.entries()[1], b.entries()[1]
+    if w != 1:
+        a_vals = w * a_vals
+    acc = np.zeros(plan.keys.size + 1, dtype=np.complex128)
+    _add_pairs(acc, a_vals, b_vals, lambda rows: plan.cells[rows].ravel())
+    vals = acc[:-1]
+    keep = _nonzero(vals)
+    if keep.all():
+        return SparseSpectrum(grid, plan.keys, vals)
+    return SparseSpectrum(grid, plan.keys[keep], vals[keep])
+
+
 def _pair_convolve(grid: GridSpec, terms) -> SparseSpectrum:
     """The entry-pair path: ``sum w * (a * b)`` over terms ``(w, a, b)`` of
-    open-box entries ``(keys, values, reach)``.  Each term runs the rows of
-    its smaller operand, weight folded in, so its sum runs in the same order
-    either way round; rows go in blocks of at most ``_PAIR_BLOCK`` pairs,
-    each added by one ``np.add.at`` in input order, so cells sum row by row.
-
-    Digits of resolved modes lie in ``[0, n)``, so a sum of two keys carries
-    nothing: ``key(k1) + key(k2)`` is ``key(k1 + k2) + key(0)``.  One
-    accumulator covers the window from the smallest to the largest key sum
-    of the terms, and that window alone, whatever the grid.
+    open-box entries ``(keys, values, reach)``, into one accumulator over
+    the box of the terms' digit sums (:func:`~sparsedyn.grid.sum_box`): at
+    most ``(2R + 1)**dims`` cells for ``R`` the largest sum of a term's two
+    reaches, whatever the grid.  Each term runs the rows of its smaller
+    operand, weight folded in, so its sum runs in the same order either way
+    round; a pair's cell is its row's cell, re-keyed with the box's low
+    corner, plus its column's, re-keyed with none
+    (:func:`~sparsedyn.grid.box_cells`, :func:`_add_pairs`).  The cells that
+    are not zero are read back as keys
+    (:func:`~sparsedyn.grid.box_cell_keys`), and those outside the open box
+    dropped.
     """
-    low = min(int(a[0][0] + b[0][0]) for _, a, b in terms)
-    high = max(int(a[0][-1] + b[0][-1]) for _, a, b in terms)
-    acc = np.zeros(high - low + 1, dtype=np.complex128)
-    for w, (a_keys, a_vals, _), (b_keys, b_vals, _) in terms:
-        if b_keys.size < a_keys.size:
-            a_keys, a_vals, b_keys, b_vals = b_keys, b_vals, a_keys, a_vals
+    shape, low = sum_box(grid, [(a[0], b[0]) for _, a, b in terms])
+    acc = np.zeros(math.prod(shape), dtype=np.complex128)
+    for w, a, b in terms:
+        (a_keys, a_vals, _), (b_keys, b_vals, _) = (b, a) if b[0].size < a[0].size else (a, b)
         if w != 1:
             a_vals = w * a_vals
-        shifted = b_keys - low
-        step = max(1, _PAIR_BLOCK // b_keys.size)
-        for j in range(0, a_keys.size, step):
-            sums = np.add.outer(a_keys[j : j + step], shifted).ravel()
-            np.add.at(acc, sums, (b_vals * a_vals[j : j + step, None]).ravel())
+        rows = box_cells(grid, a_keys, shape, low)
+        cols = box_cells(grid, b_keys, shape, [0] * grid.dims)
+        _add_pairs(acc, a_vals, b_vals, lambda block: np.add.outer(rows[block], cols).ravel())
 
-    keys = np.flatnonzero(acc != 0)  # NaN != 0, so NaN cells are kept
-    vals = acc[keys]
-    keys += low - mean_key(grid)  # the output key
-    inside = in_open_box(grid, keys) & _nonzero(vals)
-    return SparseSpectrum(grid, keys[inside], vals[inside])
+    cells = np.flatnonzero(acc != 0)  # NaN != 0, so NaN cells are kept
+    vals = acc[cells]
+    keys, inside = box_cell_keys(grid, cells, shape, low)
+    keep = inside & _nonzero(vals)
+    return SparseSpectrum(grid, keys[keep], vals[keep])
+
+
+def _add_pairs(acc: np.ndarray, a_vals: np.ndarray, b_vals: np.ndarray, cells) -> None:
+    """Add every product ``a_vals[j] * b_vals[i]`` into ``acc``, at the
+    cells ``cells(rows)`` gives for a slice of rows, flat in row order: the
+    one accumulation step of entry pairs, whose cells come from the box of
+    digit sums (:func:`_pair_convolve`) or a pair plan
+    (:func:`_planned_convolve`).  Rows go in blocks of at most
+    ``_PAIR_BLOCK`` pairs, each added by one ``np.add.at`` in input order,
+    so each cell sums its pairs row by row, the same bits whichever way its
+    cells were found."""
+    step = max(1, _PAIR_BLOCK // b_vals.size)
+    for j in range(0, a_vals.size, step):
+        rows = slice(j, j + step)
+        np.add.at(acc, cells(rows), (b_vals * a_vals[rows, None]).ravel())
 
 
 def _transform_is_cheaper(grid: GridSpec, n_a: int, n_b: int, size: int) -> bool:

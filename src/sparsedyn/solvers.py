@@ -53,7 +53,6 @@ from .grid import (
     box_index,
     key_to_mode,
     mean_key,
-    open_support,
     wavenumber_squares,
 )
 from .shrinkage import (
@@ -259,11 +258,13 @@ def _fft_layout(
     for vorticity), takes the transform path on the whole open box,
     ``K = n/2 - 1``, by the plan :func:`~sparsedyn.shrinkage.convolve_sum`
     follows (:func:`~sparsedyn.shrinkage.plan_convolution`).  The plan reads
-    of the state only its open-box count and reach
-    (:func:`~sparsedyn.grid.open_support`), so ``answers`` keeps the run's
-    answer for each."""
+    of the state only its open-box count and reach, so ``answers`` keeps
+    the run's answer for each; the state's open-box entries
+    (:attr:`~sparsedyn.shrinkage.SparseSpectrum.open_entries`) are made
+    once, for this key and the plan alike."""
     grid = state.grid
-    extent = open_support(grid, state.keys)
+    keys, _, reach = state.open_entries
+    extent = keys.size, reach
     if extent not in answers:
         held = HeldField(state)
         other = held if params.equation == "vorticity2d" else coeff

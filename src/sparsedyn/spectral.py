@@ -31,10 +31,8 @@ from .grid import (
     at_negated_modes,
     box_blocks,
     half_index,
-    in_open_box,
     mode_table,
     negated_keys,
-    open_support,
 )
 
 # Imaginary residual above this, relative to the field's largest real value
@@ -144,14 +142,20 @@ class HeldField:
     """One convolution operand with its memos: its field on the padded
     grid, kept with the grid's size and whether the call declared its
     operands real (a call on another size or contract makes it again), and
-    for a sparse operand its open-box entries (:meth:`entries`).  Every call
-    holds its operands (:func:`hold_operands`), marked ``call_only`` if made
-    for that call; hold one across calls for an operand that every step
-    convolves again, such as a run's coefficient, but never one per state:
-    the field is as large as the padded grid (a stacked one keeps its stack,
-    of at most ``_STACK_BYTES`` half grids, alive)."""
+    the plans of its one-term calls with sparse operands, by the other
+    operand's support and side (:func:`~sparsedyn.shrinkage.convolve_sum`):
+    whether such a call takes the transform, or the pair-to-output index of
+    its entry pairs, at most ``shrinkage._PLANS`` of them, the oldest
+    evicted first.  A sparse operand's open-box entries (:meth:`entries`)
+    are kept on the spectrum itself.  Every call holds its operands
+    (:func:`hold_operands`), marked ``call_only`` if made for that call,
+    which keep no plans; hold one across calls for an operand that every
+    step convolves again, such as a run's coefficient, for as long as the
+    run lasts, but never one per state: the field is as large as the padded
+    grid (a stacked one keeps its stack, of at most ``_STACK_BYTES`` half
+    grids, alive)."""
 
-    __slots__ = ("spectrum", "field", "size", "real", "call_only", "_entries")
+    __slots__ = ("spectrum", "field", "size", "real", "call_only", "plans")
 
     def __init__(self, spectrum) -> None:
         self.spectrum = spectrum
@@ -159,19 +163,12 @@ class HeldField:
         self.size = 0
         self.real = False
         self.call_only = False
-        self._entries = None
+        self.plans: dict = {}
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Keys, values and reach of a sparse operand's open-box entries,
-        made on first use and kept."""
-        if self._entries is None:
-            grid, keys, vals = self.spectrum.grid, self.spectrum.keys, self.spectrum.values
-            count, reach = open_support(grid, keys)
-            if count < keys.size:  # drop the unpaired Nyquist mode
-                keep = in_open_box(grid, keys)
-                keys, vals = keys[keep], vals[keep]
-            self._entries = keys, vals, reach
-        return self._entries
+        """Keys, values and reach of a sparse operand's open-box entries
+        (:attr:`~sparsedyn.shrinkage.SparseSpectrum.open_entries`)."""
+        return self.spectrum.open_entries
 
     def place(self, half: np.ndarray, size: int) -> None:
         """Write the operand onto ``half``, zeros of shape ``(rows, size, ...,

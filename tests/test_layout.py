@@ -18,12 +18,14 @@ from sparsedyn import (
     SolverDiverged,
     SparseSpectrum,
     error_metrics,
+    grid,
     initial_condition,
     iter_dense_states,
     iter_states,
     load_recipe,
     shrinkage,
     solvers,
+    spectral,
 )
 from sparsedyn.shrinkage import convolve_sum
 from sparsedyn.spectral import HeldField, hold_operands
@@ -192,6 +194,29 @@ def test_rule_driven_run_that_enters_and_leaves_fft_layout(monkeypatch):
     assert_same_run(ruled, recipe_states(config, 150))
     flips = [step for step in range(1, 150) if chosen[step] != chosen[step - 1]]
     assert not chosen[0] and len(flips) >= 3
+
+
+@pytest.mark.parametrize("recipe", ["parabolic_fig2", "burgers_fig3"])
+def test_a_step_the_rule_has_no_answer_for_builds_the_state_entries_once(monkeypatch, recipe):
+    # the rule's key, the plan it asks on a miss and the step's own
+    # convolutions read the open-box entries kept on each spectrum: every
+    # key array is read once, the state's among them
+    built = []
+    for module in (grid, shrinkage, spectral, solvers):
+        if hasattr(module, "open_support"):
+            original = module.open_support
+            monkeypatch.setattr(
+                module, "open_support",
+                lambda g, keys, original=original: built.append(keys) or original(g, keys),
+            )
+    config = load_recipe(recipe)
+    u0 = initial_condition(config.initial_spec(), config.grid())
+    run = iter_states(u0, config.equation_params(), config.schedule(), config.dt, 1)
+    next(run)
+    assert built == []
+    next(run)
+    assert sum(keys is u0.keys for keys in built) == 1
+    assert len({id(keys) for keys in built}) == len(built)
 
 
 @pytest.mark.parametrize("recipe,dt_order", [("parabolic_fig2", 2), ("convection_fig1", 1)])
