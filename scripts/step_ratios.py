@@ -15,17 +15,20 @@ the steps the sparse run took in FFT layout, the pair plans it built (the
 entry-pair indexes its coefficient keeps per state support, see
 ``shrinkage.convolve_sum``), the minor page faults per later sparse and
 dense step (the heap's growth and trims show there: ``ru_minflt`` of this
-process, read around each step), and the final retained fraction and
-relative L2 error against the dense run.  The second covers the
+process, read around each step), the numpy transform calls and the key
+placements (``spectral.half_index``, which places a sparse spectrum's keys
+on the padded grid) per later sparse and dense step, and the final
+retained fraction and relative L2 error against the dense run.  The second covers the
 refinement problems at ``N = 2^10 .. 2^17``: ``parabolic_fig2`` refined
 with ``dt`` scaled as ``dx^2`` and ``convection_fig1`` with ``dt`` scaled
 as ``dx``, with the coefficient's and the final state's ``n_s`` and the
 pair plans built.  The third covers ``vorticity_converge`` on ``n^2`` grids, ``n = 128 .. 1024``, with ``dt``
 as bundled: the setup of the sparse run (``initial_condition`` and the
 inputs of ``iter_states``), its first and later steps, the dense step
-interleaved up to ``DENSE_2D_MAX``, the minor page faults per later sparse
-and dense step, ``n_s`` at steps 0 and last, and the peak RSS of the same
-sparse run, alone, in a process of its own.
+interleaved up to ``DENSE_2D_MAX``, the minor page faults, transform calls
+and key placements per later sparse and dense step, ``n_s`` at steps 0 and
+last, and the peak RSS of the same sparse run, alone, in a process of its
+own.
 ``--steps`` caps every run (the headline recipes run ``HEADLINE_STEPS``
 by default, the refinement problems ``REFINE_STEPS`` and
 ``REFINE_2D_STEPS``); ``--repeats`` runs each problem that many times and
@@ -51,7 +54,14 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from sparsedyn import DenseSpectrum, SparseSpectrum, error_metrics, shrinkage, solvers  # noqa: E402
+from sparsedyn import (  # noqa: E402
+    DenseSpectrum,
+    SparseSpectrum,
+    error_metrics,
+    shrinkage,
+    solvers,
+    spectral,
+)
 from sparsedyn.coefficients import coefficient_field_of  # noqa: E402
 from sparsedyn.evaluation import iter_dense_states  # noqa: E402
 from sparsedyn.harness import load_recipe  # noqa: E402
@@ -68,6 +78,7 @@ REFINE_2D_STEPS = 20
 REFINE_2D_SIZES = (128, 256, 512, 1024)
 DENSE_2D_MAX = 512  # the dense step takes about 0.4 s at 1024^2
 SETTLE = 5  # steps left out of the later-step medians
+TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")
 
 
 class _LayoutCount:
@@ -95,6 +106,33 @@ class _PlanCount:
         return self.build(*args)
 
 
+class _CallCount:
+    """Counts the calls of the functions ``names`` of ``module``, each
+    wrapped in place while it is installed: numpy's transforms, or
+    :func:`spectral.half_index`, which places a sparse spectrum's keys on
+    the padded grid."""
+
+    def __init__(self, module, names) -> None:
+        self.module = module
+        self.originals = {name: getattr(module, name) for name in names}
+        self.calls = 0
+
+    def install(self) -> None:
+        for name, original in self.originals.items():
+            setattr(self.module, name, self._counted(original))
+
+    def restore(self) -> None:
+        for name, original in self.originals.items():
+            setattr(self.module, name, original)
+
+    def _counted(self, original):
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+
 def minor_faults() -> int:
     """Minor page faults of this process so far."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -107,6 +145,15 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
     params = config.equation_params()
     count, plans = _LayoutCount(), _PlanCount()
     solvers._fft_layout, shrinkage._pair_plan = count, plans
+    counters = _CallCount(np.fft, TRANSFORMS), _CallCount(spectral, ("half_index",))
+    for counter in counters:
+        counter.install()
+    tallies = {"sparse": ([], []), "dense": ([], [])}  # transforms and placements per step
+
+    def tally(side: str, before: list[int]) -> None:
+        for counter, got, was in zip(counters, tallies[side], before):
+            got.append(counter.calls - was)
+
     try:
         t0 = time.perf_counter()
         initial = solvers.initial_condition(config.initial_spec(), grid)
@@ -120,19 +167,25 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
             next(reference_run)
         sparse_s, dense_s, sparse_faults, dense_faults = [], [], [], []
         for _ in range(n_steps):
+            calls = [counter.calls for counter in counters]
             faults = minor_faults()
             t0 = time.perf_counter()
             state = next(sparse)
             sparse_s.append(time.perf_counter() - t0)
             sparse_faults.append(minor_faults() - faults)
+            tally("sparse", calls)
             if dense:
+                calls = [counter.calls for counter in counters]
                 faults = minor_faults()
                 t0 = time.perf_counter()
                 reference = next(reference_run)
                 dense_s.append(time.perf_counter() - t0)
                 dense_faults.append(minor_faults() - faults)
+                tally("dense", calls)
     finally:
         solvers._fft_layout, shrinkage._pair_plan = count.rule, plans.build
+        for counter in counters:
+            counter.restore()
     later = slice(min(SETTLE, n_steps - 1), None)
     out = {
         "setup_ms": 1e3 * setup_s,
@@ -141,6 +194,8 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
         "sparse_mean_ms": 1e3 * statistics.mean(sparse_s[later]),
         "plans": plans.plans,
         "sparse_faults": statistics.mean(sparse_faults[later]),
+        "sparse_transforms": statistics.mean(tallies["sparse"][0][later]),
+        "sparse_placements": statistics.mean(tallies["sparse"][1][later]),
         "fft_steps": count.steps,
         "n_s0": initial.n_s,
         "n_s": state.current.n_s,
@@ -152,6 +207,8 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
         out["dense_ms"] = 1e3 * statistics.median(dense_s[later])
         out["dense_mean_ms"] = 1e3 * statistics.mean(dense_s[later])
         out["dense_faults"] = statistics.mean(dense_faults[later])
+        out["dense_transforms"] = statistics.mean(tallies["dense"][0][later])
+        out["dense_placements"] = statistics.mean(tallies["dense"][1][later])
         out["rel_l2"] = l2 / norm if norm else float("nan")
     return out
 
@@ -207,10 +264,12 @@ def main(argv=None) -> None:
 
     print("headline recipes (ms per step after step "
           f"{SETTLE}, median and mean; fft = steps in FFT layout; plans = pair plans built; "
-          "flt = minor page faults per later step)")
+          "flt, trf, plc = minor page faults, numpy transform calls and key placements "
+          "per later step)")
     print(f"{'recipe':<18}{'steps':>6}{'first':>8}{'sparse':>9}{'dense':>9}{'ratio':>7}"
           f"{'mean sp':>9}{'mean de':>9}{'ratio':>7}{'fft':>6}{'plans':>6}"
-          f"{'flt sp':>8}{'flt de':>8}{'frac':>8}{'rel L2':>11}")
+          f"{'flt sp':>8}{'flt de':>8}{'trf sp':>8}{'trf de':>8}{'plc sp':>8}{'plc de':>8}"
+          f"{'frac':>8}{'rel L2':>11}")
     for recipe, steps in HEADLINE_STEPS.items():
         config = load_recipe(recipe)
         n_steps = min(steps, cap, config.n_steps())
@@ -221,6 +280,8 @@ def main(argv=None) -> None:
                   f"{r['sparse_mean_ms']:>9.3f}{r['dense_mean_ms']:>9.3f}"
                   f"{r['sparse_mean_ms'] / r['dense_mean_ms']:>7.2f}{r['fft_steps']:>6}"
                   f"{r['plans']:>6}{r['sparse_faults']:>8.1f}{r['dense_faults']:>8.1f}"
+                  f"{r['sparse_transforms']:>8.2f}{r['dense_transforms']:>8.2f}"
+                  f"{r['sparse_placements']:>8.2f}{r['dense_placements']:>8.2f}"
                   f"{100 * r['fraction']:>7.1f}%{r['rel_l2']:>11.4e}",
                   flush=True)
 
@@ -245,21 +306,25 @@ def main(argv=None) -> None:
 
     print()
     print("vorticity_converge on n^2 points (ms; setup = initial_condition and the run's "
-          f"inputs; dense interleaved up to {DENSE_2D_MAX}^2; flt = minor page faults per "
-          "later step; RSS of the sparse run alone)")
+          f"inputs; dense interleaved up to {DENSE_2D_MAX}^2; flt, trf, plc = minor page "
+          "faults, numpy transform calls and key placements per later step; RSS of the "
+          "sparse run alone)")
     print(f"{'n^2':>7}{'steps':>6}{'setup':>8}{'first':>8}{'sparse':>9}{'dense':>9}{'ratio':>7}"
-          f"{'flt sp':>8}{'flt de':>8}{'n_s 0/last':>12}{'RSS MB':>8}")
+          f"{'flt sp':>8}{'flt de':>8}{'trf sp':>8}{'trf de':>8}{'plc sp':>8}{'plc de':>8}"
+          f"{'n_s 0/last':>12}{'RSS MB':>8}")
     n_steps = min(REFINE_2D_STEPS, cap)
     for n in REFINE_2D_SIZES:
         for _ in range(args.repeats):
             r = interleaved(vorticity_on(n), n_steps, dense=n <= DENSE_2D_MAX)
             dense = (f"{r['dense_ms']:>9.3f}{r['sparse_ms'] / r['dense_ms']:>7.2f}"
                      if "dense_ms" in r else f"{'-':>9}{'-':>7}")
-            faults = f"{r['sparse_faults']:>8.1f}" + (
-                f"{r['dense_faults']:>8.1f}" if "dense_faults" in r else f"{'-':>8}")
+            counts = ""
+            for key, form in (("faults", ".1f"), ("transforms", ".2f"), ("placements", ".2f")):
+                counts += f"{r['sparse_' + key]:>8{form}}"
+                counts += f"{r['dense_' + key]:>8{form}}" if "dense_ms" in r else f"{'-':>8}"
             supports = f"{r['n_s0']}/{r['n_s']}"
             print(f"{f'{n}^2':>7}{n_steps:>6}{r['setup_ms']:>8.2f}{r['first_ms']:>8.2f}"
-                  f"{r['sparse_ms']:>9.3f}{dense}{faults}{supports:>12}"
+                  f"{r['sparse_ms']:>9.3f}{dense}{counts}{supports:>12}"
                   f"{alone(n, n_steps)['rss_mb']:>8.1f}", flush=True)
 
 

@@ -29,7 +29,7 @@ reversed slices where needed, by block copies with no index table; a
 sparse result takes the box's keys from :func:`box_index`.
 
 The factors of the diagonal operators (:data:`DERIVATIVE_FACTORS`,
-:func:`wavenumber_squares`, :func:`biot_savart_factors`) are each one
+:func:`wavenumber_squares`, :data:`VELOCITY_FACTORS`) are each one
 formula of per-axis tables of length ``n`` (:func:`axis_tables`), read at
 the modes' key digits.  A sparse spectrum evaluates the formula at the
 digits of its own keys, so it builds nothing the size of the grid; a dense
@@ -208,33 +208,29 @@ def wavenumber_squares(grid: GridSpec, digits) -> np.ndarray:
     return ksq
 
 
-def biot_savart_factors(grid: GridSpec, digits) -> np.ndarray:
-    """``(i*k_1, -i*k_0) / |k|^2``, stacked on a leading axis of two: the
-    factors that take a 2-D vorticity to its two velocity components, the
-    perpendicular gradient of the inverse Laplacian; 0 at k = 0 (a
-    mean-free streamfunction).  Both share one ``1 / |k|^2``."""
+def velocity_factor(grid: GridSpec, digits, axis: int) -> np.ndarray:
+    """Component ``axis`` of ``(i*k_1, -i*k_0) / |k|^2``: the factor that
+    takes a 2-D vorticity to that velocity component, the perpendicular
+    gradient of the inverse Laplacian; 0 at k = 0 (a mean-free
+    streamfunction)."""
     tables, ksq = axis_tables(grid), wavenumber_squares(grid, digits)
     inv = np.divide(1.0, ksq, out=np.zeros(ksq.shape), where=ksq != 0)
-    out = np.empty((2, *inv.shape), dtype=np.complex128)
-    np.multiply(tables.i_k.take(digits[1]), inv, out=out[0])
-    np.multiply(tables.minus_i_k.take(digits[0]), inv, out=out[1])
-    return out
+    along = tables.i_k.take(digits[1]) if axis == 0 else tables.minus_i_k.take(digits[0])
+    return along * inv
 
 
 DERIVATIVE_FACTORS = tuple(partial(derivative_factor, axis=axis) for axis in range(2))
+VELOCITY_FACTORS = tuple(partial(velocity_factor, axis=axis) for axis in range(2))
 
 
 @lru_cache(maxsize=32)
 def mode_table(grid: GridSpec, factor) -> np.ndarray:
     """The mode factor ``factor`` at every mode, FFT layout, shape
-    ``grid.shape`` (after the leading axis of a stacked factor): what a
-    dense spectrum reads.  Made from the per-axis tables at the digits of
-    the FFT layout the first time it is asked for; read-only, shared per
-    grid and factor."""
+    ``grid.shape``: what a dense spectrum reads.  Made from the per-axis
+    tables at the digits of the FFT layout the first time it is asked for;
+    read-only, shared per grid and factor."""
     digits = np.ix_(*[grid.mode_numbers() + grid.n_per_dim // 2] * grid.dims)
-    values = factor(grid, digits)
-    shape = values.shape[: values.ndim - grid.dims] + grid.shape
-    return _read_only(np.broadcast_to(values, shape).copy())[0]
+    return _read_only(np.broadcast_to(factor(grid, digits), grid.shape).copy())[0]
 
 
 def _to_flat(digits, base: int) -> np.ndarray:
@@ -419,15 +415,25 @@ def key_reach(grid: GridSpec, keys: np.ndarray) -> int:
     return min(max(reach, half - int(last.min()), int(last.max()) - half), edge)
 
 
-def open_support(grid: GridSpec, keys: np.ndarray) -> tuple[int, int]:
-    """``(count, reach)`` of the open-box entries of ascending keys, those a
-    convolution reads; only a reach at the box edge can count a Nyquist key."""
+def open_support(grid: GridSpec, keys: np.ndarray) -> tuple[slice | np.ndarray | None, int]:
+    """Which of ascending keys lie in the open box, those a convolution
+    reads (``None`` for all of them, else a slice, or a mask where a 2-D
+    Nyquist key may lie among them), and the reach of those
+    (:func:`key_reach`), so a Nyquist key, which every convolution drops,
+    does not count: the one rule for the reach of a convolution operand.
+    Only keys that reach the box edge can hold a Nyquist key."""
     reach = key_reach(grid, keys)
     if reach < grid.box_edge:
-        return keys.size, reach
+        return None, reach
     if grid.dims == 1:  # the Nyquist key is 0, the smallest
-        return keys.size - int(keys[0] == 0), reach
-    return int(np.count_nonzero(in_open_box(grid, keys))), reach
+        if keys[0] != 0:
+            return None, reach
+        keep = slice(1, None)
+    else:
+        keep = in_open_box(grid, keys)
+        if keep.all():
+            return None, reach
+    return keep, key_reach(grid, keys[keep])
 
 
 def sum_box(grid: GridSpec, pairs) -> tuple[list[int], list[int]]:

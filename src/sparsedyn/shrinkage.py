@@ -33,8 +33,8 @@ from .grid import (
     box_index,
     check_resolved,
     fft_shifted,
-    in_open_box,
     key_digit,
+    key_reach,
     key_to_fft_index,
     key_to_mode,
     mean_key,
@@ -215,16 +215,44 @@ class SparseSpectrum:
     def open_entries(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Keys, values and reach of the entries in the open box, those a
         convolution reads (:func:`~sparsedyn.grid.open_support`: the unpaired
-        Nyquist mode is dropped), made on first use and kept."""
+        Nyquist mode is dropped and does not count in the reach), made on
+        first use and kept."""
         entries = self.__dict__.get("_open")
         if entries is None:
-            grid, keys, vals = self.grid, self.keys, self.values
-            count, reach = open_support(grid, keys)
-            if count < keys.size:  # in 1-D the Nyquist key is 0, the first
-                keep = slice(1, None) if grid.dims == 1 else in_open_box(grid, keys)
+            keys, vals = self.keys, self.values
+            keep, reach = open_support(self.grid, keys)
+            if keep is not None:
                 keys, vals = keys[keep], vals[keep]
             entries = self.__dict__["_open"] = keys, vals, reach
         return entries
+
+    def open_products(self, factors) -> tuple[np.ndarray, list]:
+        """For each mode factor of ``factors``, the open-box entries of
+        ``self.apply_mode_factor(self.at(factor))`` with their reach, bit for
+        bit as its :attr:`open_entries` reads them, made from this
+        spectrum's open-box entries and the factors at their digits alone;
+        and the products at every one of this spectrum's open-box entries,
+        one row per factor, with those that underflow zero, which a padded
+        transform places where this spectrum's entries go."""
+        grid = self.grid
+        keys, vals, reach = self.open_entries
+        if keys.size == self.n_s:
+            digits = self.digits
+        else:
+            digits = tuple([key_digit(grid, keys, axis) for axis in range(grid.dims)])
+        products = np.empty((len(factors), keys.size), dtype=np.complex128)
+        for row, factor in zip(products, factors):
+            np.multiply(vals, factor(grid, digits), out=row)
+        keep = _nonzero(products)
+        entries = []
+        for row, kept, whole in zip(products, keep, keep.all(axis=1)):
+            if whole:
+                entries.append((keys, row, reach))
+            else:
+                at = keys[kept]
+                entries.append((at, row[kept], key_reach(grid, at)))
+                row[~kept] = 0
+        return products, entries
 
     def at(self, factor) -> np.ndarray:
         """A mode factor (such as :func:`~sparsedyn.grid.wavenumber_squares`)
@@ -455,8 +483,10 @@ def dense_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def convolve_sum(terms, *, real: bool = False) -> SparseSpectrum | DenseSpectrum:
-    """Truncated ``sum w * (a * b)`` over terms ``(w, a, b)`` of spectra (or
-    :class:`~sparsedyn.spectral.HeldField` of one), the one convolution
+    """Truncated ``sum w * (a * b)`` over terms ``(w, a, b)`` of spectra,
+    ``(spectrum, factor)`` for a spectrum times a mode factor, or
+    :class:`~sparsedyn.spectral.HeldField` of one
+    (:func:`~sparsedyn.spectral.hold_operands`), the one convolution
     entry: the first term's second operand, a step's state, picks the layout.
 
     A :class:`~sparsedyn.spectral.DenseSpectrum` there fills the box, so the

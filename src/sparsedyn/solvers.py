@@ -48,8 +48,9 @@ from .errors import (
     UnknownInitialSpec,
 )
 from .grid import (
+    DERIVATIVE_FACTORS,
+    VELOCITY_FACTORS,
     GridSpec,
-    biot_savart_factors,
     box_index,
     key_to_mode,
     mean_key,
@@ -187,9 +188,11 @@ def step_burgers(state: SolverState, a_hat: Spectrum | HeldField, dt: float) -> 
 def advection_term(u: Spectrum) -> Spectrum:
     """Spectral form of -(velocity . grad u) for the vorticity equation.
     Each velocity component is the perpendicular gradient of the inverse
-    Laplacian, zero at k = 0 (mean-free streamfunction)."""
-    velocity = [u.apply_mode_factor(f) for f in u.at(biot_savart_factors)]
-    terms = [(-1.0, velocity[axis], spectral_derivative(u, axis)) for axis in range(2)]
+    Laplacian, zero at k = 0 (mean-free streamfunction).  All four operands
+    are ``u`` times a mode factor, ``(u, factor)``: a sparse ``u`` is
+    placed once on the padded grid for the four of them, a dense one makes
+    each (:func:`~sparsedyn.spectral.hold_operands`)."""
+    terms = [(-1.0, (u, VELOCITY_FACTORS[d]), (u, DERIVATIVE_FACTORS[d])) for d in range(2)]
     return convolve_sum(terms, real=True)
 
 

@@ -10,14 +10,24 @@ bit for bit, the soft threshold of a dense update
 for bit, and the padded product of dense spectra through index tables
 (:func:`table_place`, :func:`table_read_box`,
 :func:`table_dense_convolve_sum`), which the block copies of the dense
-path must match bit for bit.
+path must match bit for bit, and the advection term with its four
+operands made as spectra of their own (:func:`materialised_advection`),
+which the mode-factor images of the state must match bit for bit.
 """
 
 import numpy as np
 
 from sparsedyn import DenseSpectrum, GridSpec, SparseSpectrum, SpatialField, dft_forward
-from sparsedyn.grid import in_open_box, mean_key, mode_to_key, transform_size
-from sparsedyn.shrinkage import DROP_TOL, ROUNDOFF_FLOOR
+from sparsedyn.grid import (
+    axis_tables,
+    in_open_box,
+    mean_key,
+    mode_to_key,
+    transform_size,
+    wavenumber_squares,
+)
+from sparsedyn.shrinkage import DROP_TOL, ROUNDOFF_FLOOR, convolve_sum
+from sparsedyn.spectral import spectral_derivative
 
 
 def brute_force_convolve(a: dict, b: dict, grid: GridSpec) -> dict:
@@ -252,3 +262,42 @@ def table_dense_convolve_sum(terms, real: bool) -> DenseSpectrum:
     coeffs = np.zeros(grid.n_total, dtype=np.complex128)
     coeffs[table_box_index(grid, k)] = vals
     return DenseSpectrum(grid, coeffs.reshape(grid.shape))
+
+
+def biot_savart_rows(grid: GridSpec, digits) -> np.ndarray:
+    """``(i*k_1, -i*k_0) / |k|^2`` at the modes of key digits ``digits``,
+    0 at k = 0, both rows from one ``1 / |k|^2``, stacked on a leading axis
+    of two."""
+    tables, ksq = axis_tables(grid), wavenumber_squares(grid, digits)
+    inv = np.divide(1.0, ksq, out=np.zeros(ksq.shape), where=ksq != 0)
+    out = np.empty((2, *inv.shape), dtype=np.complex128)
+    np.multiply(tables.i_k.take(digits[1]), inv, out=out[0])
+    np.multiply(tables.minus_i_k.take(digits[0]), inv, out=out[1])
+    return out
+
+
+def materialised_advection(u):
+    """``-(velocity . grad u)`` of a sparse or dense 2-D vorticity ``u``
+    with each of its four operands made as a spectrum of its own, the two
+    velocity components from the stacked rows of :func:`biot_savart_rows`
+    and the two gradient components by ``spectral_derivative``, then
+    convolved by one real ``convolve_sum`` call."""
+    grid = u.grid
+    if isinstance(u, SparseSpectrum):
+        rows = biot_savart_rows(grid, u.digits)
+    else:
+        rows = biot_savart_rows(grid, np.ix_(*[grid.mode_numbers() + grid.n_per_dim // 2] * 2))
+    velocity = [u.apply_mode_factor(row) for row in rows]
+    terms = [(-1.0, velocity[axis], spectral_derivative(u, axis)) for axis in range(2)]
+    return convolve_sum(terms, real=True)
+
+
+def assert_same_bits(got, want) -> None:
+    """``got`` is ``want`` bit for bit: the same container, and the same
+    keys and value bits (sparse) or coefficient bits (dense)."""
+    assert type(got) is type(want)
+    if isinstance(want, DenseSpectrum):
+        assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
+        return
+    assert np.array_equal(got.keys, want.keys)
+    assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))

@@ -14,6 +14,7 @@ from sparsedyn import (
     sparse_convolve,
     spectral_derivative,
 )
+from sparsedyn import grid as grid_module
 from sparsedyn import shrinkage, spectral
 from sparsedyn.grid import mode_to_fft_index, negated_keys, transform_size
 from sparsedyn.shrinkage import _transform_is_cheaper, convolve_sum
@@ -26,6 +27,7 @@ from sparsedyn.spectral import (
 )
 
 from oracles import (
+    assert_same_bits,
     brute_force_convolve,
     row_loop_convolve,
     table_box_index,
@@ -699,3 +701,125 @@ def test_stacked_fields_are_the_one_by_one_fields_bit_for_bit(grid, real, fft_ca
     assert stacked == alone
     assert one_by_one == [5, 4]
     assert calls == [-(-5 // per_stack), -(-4 // per_stack)]
+
+
+def materialised(operand):
+    """A ``(spectrum, factor)`` operand made as the spectrum it stands for."""
+    if not isinstance(operand, tuple):
+        return operand
+    spectrum, factor = operand
+    return spectrum.apply_mode_factor(spectrum.at(factor))
+
+
+def densified(operand):
+    """An operand, or the spectrum of a ``(spectrum, factor)`` one, in FFT layout."""
+    if not isinstance(operand, tuple):
+        return operand.to_dense()
+    return operand[0].to_dense(), operand[1]
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("real", [False, True])
+def test_mode_factor_operands_are_the_spectra_they_stand_for(dims, real, monkeypatch):
+    # (spectrum, factor) is spectrum.apply_mode_factor(spectrum.at(factor)),
+    # bit for bit, on both sparse paths and with a Nyquist entry held, also
+    # in the second row a complex call places; a dense one is made so
+    g = GridSpec(dims, 32)
+    rng = np.random.default_rng(30 + dims)
+    factors = spectral.DERIVATIVE_FACTORS[:dims] + (grid_module.wavenumber_squares,)
+    paths = []
+    for name in ("_pair_convolve", "padded_product"):
+        original = getattr(shrinkage, name)
+        monkeypatch.setattr(
+            shrinkage, name,
+            lambda *a, _o=original, _n=name, **k: paths.append(_n) or _o(*a, **k),
+        )
+    for count in (6, 400):
+        for _ in range(3):
+            u = random_sparse(g, rng, min(count, g.n_total))
+            if real:
+                u = u + SparseSpectrum(g, negated_keys(g, u.keys[::-1]), np.conj(u.values[::-1]))
+            v = random_sparse(g, rng, min(count, g.n_total)) if not real else u
+            for fa in factors:
+                for fb in factors:
+                    terms = [(-0.5, (u, fa), (v, fb)), (2.0, (u, fb), u)]
+                    made = [(w, materialised(a), materialised(b)) for w, a, b in terms]
+                    assert_same_bits(convolve_sum(terms, real=real), convolve_sum(made, real=real))
+                    dense = [(w, densified(a), densified(b)) for w, a, b in terms]
+                    dense_made = [(w, a.to_dense(), b.to_dense()) for w, a, b in made]
+                    assert_same_bits(
+                        convolve_sum(dense, real=real), convolve_sum(dense_made, real=real)
+                    )
+    assert {"_pair_convolve", "padded_product"} <= set(paths)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_the_nyquist_entry_does_not_count_in_the_reach(dims):
+    # every convolution drops the unpaired Nyquist entry, so the reach of a
+    # spectrum is that of its open-box entries, and a call is sized by it
+    g = GridSpec(dims, 64)
+    rng = np.random.default_rng(dims)
+    m = np.arange(-3, 4)
+    inner = np.stack([a.ravel() for a in np.meshgrid(*[m] * dims, indexing="ij")])
+    nyquist = np.full((dims, 1), -32)
+    nyquist[0] = 2 if dims == 2 else -32  # (2, -32) in 2-D
+    modes = np.concatenate([inner, nyquist], axis=1)
+    spec = SparseSpectrum.from_modes(g, modes, rng.standard_normal(modes.shape[1]) + 0j)
+    keys, _, reach = spec.open_entries
+    assert keys.size == inner.shape[1] and reach == 3
+    held = HeldField(spec)
+    _, size, k, _ = shrinkage.plan_convolution(g, [(1.0, held, held)])
+    assert (size, k) == transform_size(g, 6) and size < g.n_padded
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_an_image_entry_that_underflows_is_not_placed(real, monkeypatch):
+    # on a domain of 100 periods k = m/100, so u' = i k u drops the entries
+    # at +-1, 5e-302 in magnitude, as underflow (DROP_TOL); times a
+    # coefficient near 1e200 they would leave 5e-102 beside the kept
+    # entries' products, near 1e-88, whose last bit is near 1e-104
+    g = GridSpec(1, 32, 200 * np.pi)
+    rng = np.random.default_rng(9)
+    band = {m: 1e-288 for m in range(-12, 13) if abs(m) > 1}
+    u = SparseSpectrum.from_dict(g, {**band, 1: 5e-300, -1: 5e-300})
+    big = full_box(g, rng)
+    big = SparseSpectrum(g, big.keys, 1e200 * big.values)
+    if real:
+        big = big + SparseSpectrum(g, negated_keys(g, big.keys[::-1]), np.conj(big.values[::-1]))
+    paths = []
+    original = shrinkage.padded_product
+    monkeypatch.setattr(
+        shrinkage, "padded_product", lambda *a, **k: paths.append(a[2]) or original(*a, **k)
+    )
+    derivative = spectral.DERIVATIVE_FACTORS[0]
+    got = convolve_sum([(1.0, (u, derivative), big)], real=real)
+    assert paths and got.n_s
+    want = convolve_sum([(1.0, spectral_derivative(u), big)], real=real)
+    assert u.n_s == 24 and spectral_derivative(u).n_s == 22
+    assert_same_bits(got, want)
+
+
+def test_images_that_drop_the_spectrum_s_outer_entries_place_their_own():
+    # on a domain of 100 periods the entries at (-+1, +-20), 1e-300 in
+    # magnitude, underflow in both derivatives, which reach 3: the call is
+    # made on fewer points than the spectrum's keys need, so each image
+    # places its own entries, not its products where the keys would go
+    g = GridSpec(2, 64, 200 * np.pi)
+    rng = np.random.default_rng(11)
+    m = np.arange(-3, 4)
+    modes = np.stack([a.ravel() for a in np.meshgrid(m, m, indexing="ij")])
+    values = rng.standard_normal(modes.shape[1]) + 1j * rng.standard_normal(modes.shape[1])
+    inner = SparseSpectrum.from_modes(
+        g, np.concatenate([modes, -modes], axis=1), np.concatenate([values, values.conj()])
+    )
+    u = inner + SparseSpectrum.from_dict(g, {(-1, 20): 1e-300, (1, -20): 1e-300})
+    assert u.open_entries[2] == 20
+    for real in (False, True):
+        for factor in spectral.DERIVATIVE_FACTORS:
+            derivative = u.apply_mode_factor(u.at(factor))
+            assert derivative.open_entries[2] == 3
+            _, held = spectral.hold_operands([(1.0, (u, factor), (u, factor))])
+            _, size, _, transform = shrinkage.plan_convolution(g, held)
+            assert transform and size <= 2 * 20
+            got = convolve_sum([(1.0, (u, factor), (u, factor))], real=real)
+            assert_same_bits(got, convolve_sum([(1.0, derivative, derivative)], real=real))

@@ -29,8 +29,10 @@ from sparsedyn import (
     step_burgers,
     step_vorticity,
 )
+from sparsedyn import shrinkage, solvers, spectral
 from sparsedyn.coefficients import sample_coefficient
-from sparsedyn.shrinkage import ROUNDOFF_FLOOR, _transform_is_cheaper
+from sparsedyn.grid import DERIVATIVE_FACTORS, VELOCITY_FACTORS, half_index, transform_size
+from sparsedyn.shrinkage import ROUNDOFF_FLOOR, _transform_is_cheaper, soft_threshold
 from sparsedyn.solvers import (
     SolverState,
     _burgers_rhs,
@@ -38,9 +40,21 @@ from sparsedyn.solvers import (
     _prepare,
     advection_term,
 )
-from sparsedyn.spectral import HeldField, SpatialField, dft_inverse, is_hermitian
+from sparsedyn.spectral import (
+    HeldField,
+    SpatialField,
+    dft_inverse,
+    hold_operands,
+    is_hermitian,
+)
 
-from oracles import assert_closed_form_spectrum, brute_force_advection, brute_force_burgers_step
+from oracles import (
+    assert_closed_form_spectrum,
+    assert_same_bits,
+    brute_force_advection,
+    brute_force_burgers_step,
+    materialised_advection,
+)
 
 NO_SHRINK = LambdaSchedule.power_law(0.0, 2.0)
 
@@ -646,15 +660,132 @@ def test_burgers_rhs_makes_one_inverse_and_one_forward_transform(fft_calls):
 
 
 @pytest.mark.parametrize("n, inverse_calls", [(32, 1), (256, 4)])
-def test_dense_advection_stacks_its_fields_within_the_budget(n, inverse_calls, fft_calls):
+def test_dense_advection_stacks_its_fields_within_the_budget(
+    n, inverse_calls, fft_calls, monkeypatch
+):
     # the four operand fields of a dense advection term: one stacked inverse
     # transform on 48 x 48 points, one per operand on 384 x 384, whose half
-    # grid alone exceeds the stack's byte budget
+    # grid alone exceeds the stack's byte budget.  The same state sparse
+    # takes the same transforms and places its keys once for its four
+    # operands (one half_index), as does a later vorticity_converge state on
+    # 128^2 (48 x 48 points)
     g = GridSpec(2, n)
     u = dft_forward(SpatialField(g, np.random.default_rng(n).standard_normal(g.shape)))
     fft_calls.clear()
     advection_term(u)
     assert fft_calls == ["irfftn"] * inverse_calls + ["rfftn"]
+
+    placed = []
+    monkeypatch.setattr(
+        spectral, "half_index", lambda *args: placed.append(args) or half_index(*args)
+    )
+    config = load_recipe("vorticity_converge")
+    u0 = initial_condition(config.initial_spec(), config.grid())
+    run = iter_states(u0, config.equation_params(), config.schedule(), config.dt, 10)
+    recipe_state = list(run)[-1].current
+    for state, inverse in ((SparseSpectrum.from_dense(u), inverse_calls), (recipe_state, 1)):
+        placed.clear()
+        fft_calls.clear()
+        advection_term(state)
+        assert fft_calls == ["irfftn"] * inverse + ["rfftn"]
+        assert len(placed) == 1 and placed[0][1] is state.open_entries[0]
+
+
+def hermitian_within(grid, reach, density, rng):
+    """Random spectrum of a real field on a random share of the modes
+    ``|m_d| <= reach``."""
+    m = np.arange(-reach, reach + 1)
+    modes = np.stack([a.ravel() for a in np.meshgrid(m, m, indexing="ij")])
+    modes = modes[:, rng.random(modes.shape[1]) < density]
+    values = rng.standard_normal(modes.shape[1]) + 1j * rng.standard_normal(modes.shape[1])
+    return SparseSpectrum.from_modes(
+        grid, np.concatenate([modes, -modes], axis=1), np.concatenate([values, values.conj()])
+    )
+
+
+def advection_paths(monkeypatch) -> list:
+    """The path each later convolution takes: 'pairs' or 'transform'."""
+    paths = []
+    for name, path in (("_pair_convolve", "pairs"), ("padded_product", "transform")):
+        original = getattr(shrinkage, name)
+        monkeypatch.setattr(
+            shrinkage, name,
+            lambda *a, _o=original, _p=path, **k: paths.append(_p) or _o(*a, **k),
+        )
+    return paths
+
+
+def test_advection_of_mode_factor_images_is_the_materialised_one_bit_for_bit(monkeypatch):
+    # keys and value bits of the advection term against its four operands
+    # made as spectra of their own
+    paths = advection_paths(monkeypatch)
+    rng = np.random.default_rng(24)
+    for n, reach in ((16, 5), (64, 12), (128, 9)):
+        g = GridSpec(2, n)
+        for density in (0.3, 0.8):
+            u = hermitian_within(g, reach, density, rng)
+            paths.clear()
+            got = advection_term(u)
+            assert paths == ["transform"]
+            assert_same_bits(got, materialised_advection(u))
+    g = GridSpec(2, 64)
+    # the outer ring at (+-R, 0) and modes within 6: u_y and the x velocity
+    # (both i k_1 times u) lose the ring and reach 6 where u reaches 20, so
+    # the products reach 26, not 40, and are made on 54 points, not 72
+    ring = SparseSpectrum.from_dict(g, {(20, 0): 0.3 - 0.1j, (-20, 0): 0.3 + 0.1j})
+    u = ring + hermitian_within(g, 6, 0.8, rng)
+    assert u.open_entries[2] == 20
+    terms = [(-1.0, (u, VELOCITY_FACTORS[a]), (u, DERIVATIVE_FACTORS[a])) for a in range(2)]
+    grid, held = hold_operands(terms)
+    assert [op.entries()[2] for _, a, b in held for op in (a, b)] == [6, 20, 20, 6]
+    _, size, _, transform = shrinkage.plan_convolution(grid, held)
+    assert transform and size == transform_size(g, 26)[0] == 54
+    # a few entries take pairs; k = 0 alone makes every operand empty
+    few = SparseSpectrum.from_dict(g, {(1, 2): 0.2j, (-1, -2): -0.2j, (3, 0): 0.5, (-3, 0): 0.5})
+    mean_only = SparseSpectrum.from_dict(g, {(0, 0): 1.5})
+    for state, path in ((u, ["transform"]), (few, ["pairs"]), (mean_only, [])):
+        paths.clear()
+        got = advection_term(state)
+        assert paths == path
+        assert_same_bits(got, materialised_advection(state))
+    assert got.n_s == 0
+    # a dense state: the same bits as its four operands made densely
+    dense = hermitian_within(g, 12, 0.5, rng).to_dense()
+    assert_same_bits(advection_term(dense), materialised_advection(dense))
+
+
+def test_advection_matches_the_materialised_one_on_every_vorticity_converge_step():
+    config = load_recipe("vorticity_converge")
+    u0 = initial_condition(config.initial_spec(), config.grid())
+    params = config.equation_params()
+    for state in iter_states(u0, params, config.schedule(), config.dt, config.n_steps()):
+        assert_same_bits(advection_term(state.current), materialised_advection(state.current))
+
+
+def test_a_nan_in_the_state_reaches_the_advection_and_stops_the_run(monkeypatch):
+    # a NaN entry of the state reaches the same outputs through the images
+    # as through materialised operands, and the run stops with SolverDiverged
+    g = GridSpec(2, 64)
+    u = hermitian_within(g, 9, 0.6, np.random.default_rng(5))
+    values = u.values.copy()
+    values[np.flatnonzero(u.modes()[1] > 0)[0]] = complex(np.nan, 0.0)  # on the half grid
+    nan_state = SparseSpectrum(g, u.keys, values)
+    got = advection_term(nan_state)
+    assert np.isnan(got.values).any()
+    assert_same_bits(got, materialised_advection(nan_state))
+
+    def poisoned(v, lam, protect_mean=False):
+        state = soft_threshold(v, lam, protect_mean)
+        values = state.values.copy()
+        values[0] = complex(np.nan, 0.0)
+        return SparseSpectrum(state.grid, state.keys, values)
+
+    monkeypatch.setattr(solvers, "soft_threshold", poisoned)
+    config = load_recipe("vorticity_converge")
+    u0 = initial_condition(config.initial_spec(), config.grid())
+    run = iter_states(u0, config.equation_params(), config.schedule(), config.dt, 5)
+    with np.errstate(invalid="ignore"), pytest.raises(SolverDiverged, match="at step 2 "):
+        list(run)
 
 
 def test_sparse_vorticity_run_allocates_the_same_on_any_grid():

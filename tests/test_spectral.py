@@ -17,8 +17,8 @@ from sparsedyn import (
 )
 from sparsedyn.grid import (
     DERIVATIVE_FACTORS,
+    VELOCITY_FACTORS,
     axis_tables,
-    biot_savart_factors,
     mode_table,
     wavenumber_squares,
 )
@@ -156,7 +156,7 @@ def test_2d_derivative_axes_are_independent():
 
 def mode_factors(dims):
     factors = [*DERIVATIVE_FACTORS[:dims], wavenumber_squares]
-    return factors + [biot_savart_factors] if dims == 2 else factors
+    return factors + list(VELOCITY_FACTORS) if dims == 2 else factors
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -179,8 +179,7 @@ def test_at_reads_the_table_where_to_dense_places_each_entry(dims):
     for factor in mode_factors(dims):
         table = dense.at(factor)
         assert table is mode_table(g, factor)
-        flat = table.reshape(table.shape[: table.ndim - dims] + (-1,))  # a stacked factor's rows
-        assert np.array_equal(spec.at(factor), flat[..., position])
+        assert np.array_equal(spec.at(factor), table.ravel()[position])
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -198,13 +197,14 @@ def test_mode_tables_are_their_formulas_and_read_only(dims):
     if dims == 2:
         with np.errstate(divide="ignore", invalid="ignore"):
             want = (1j * k[1] / ksq, -1j * k[0] / ksq)
-        for got, expected in zip(mode_table(g, biot_savart_factors), want):
+        for factor, expected in zip(VELOCITY_FACTORS, want):
+            got = mode_table(g, factor)
             assert got[0, 0] == 0
             assert np.allclose(got.ravel()[1:], expected.ravel()[1:], rtol=1e-15, atol=0)
     # the dense tables have the grid's shape, the per-axis ones length n
     for factor in mode_factors(dims):
         table = mode_table(g, factor)
-        assert table.shape == ((2, *g.shape) if factor is biot_savart_factors else g.shape)
+        assert table.shape == g.shape
         assert not table.flags.writeable
     for table in axis_tables(g):
         assert table.shape == (n,)
