@@ -12,12 +12,13 @@ bundled: the sparse first step, the medians of the later sparse and dense
 steps (after step ``SETTLE``) and their ratio, the same for the means (a
 mean also carries the rare steps that build a pair plan or change layout),
 the steps the sparse run took in FFT layout, the pair plans it built (the
-entry-pair indexes its coefficient keeps per state support, see
+entry-pair indexes its coefficient keeps for the latest state support, see
 ``shrinkage.convolve_sum``), the minor page faults per later sparse and
 dense step (the heap's growth and trims show there: ``ru_minflt`` of this
 process, read around each step), the numpy transform calls and the key
-placements (``spectral.half_index``, which places a sparse spectrum's keys
-on the padded grid) per later sparse and dense step, and the final
+placements (``half_index`` calls, through ``SparseSpectrum.half_places``
+or ``HeldField.place``, which place a sparse spectrum's keys on the padded
+grid) per later sparse and dense step, and the final
 retained fraction and relative L2 error against the dense run.  The second covers the
 refinement problems at ``N = 2^10 .. 2^17``: ``parabolic_fig2`` refined
 with ``dt`` scaled as ``dx^2`` and ``convection_fig1`` with ``dt`` scaled
@@ -107,23 +108,22 @@ class _PlanCount:
 
 
 class _CallCount:
-    """Counts the calls of the functions ``names`` of ``module``, each
-    wrapped in place while it is installed: numpy's transforms, or
-    :func:`spectral.half_index`, which places a sparse spectrum's keys on
-    the padded grid."""
+    """Counts the calls of the functions ``names`` of each of ``modules``,
+    each wrapped in place while it is installed: numpy's transforms, or
+    ``half_index`` as :mod:`shrinkage` and :mod:`spectral` call it, which
+    places a sparse spectrum's keys on the padded grid."""
 
-    def __init__(self, module, names) -> None:
-        self.module = module
-        self.originals = {name: getattr(module, name) for name in names}
+    def __init__(self, modules, names) -> None:
+        self.originals = {(m, name): getattr(m, name) for m in modules for name in names}
         self.calls = 0
 
     def install(self) -> None:
-        for name, original in self.originals.items():
-            setattr(self.module, name, self._counted(original))
+        for (module, name), original in self.originals.items():
+            setattr(module, name, self._counted(original))
 
     def restore(self) -> None:
-        for name, original in self.originals.items():
-            setattr(self.module, name, original)
+        for (module, name), original in self.originals.items():
+            setattr(module, name, original)
 
     def _counted(self, original):
         def counted(*args, **kwargs):
@@ -145,7 +145,10 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
     params = config.equation_params()
     count, plans = _LayoutCount(), _PlanCount()
     solvers._fft_layout, shrinkage._pair_plan = count, plans
-    counters = _CallCount(np.fft, TRANSFORMS), _CallCount(spectral, ("half_index",))
+    counters = (
+        _CallCount([np.fft], TRANSFORMS),
+        _CallCount([shrinkage, spectral], ("half_index",)),
+    )
     for counter in counters:
         counter.install()
     tallies = {"sparse": ([], []), "dense": ([], [])}  # transforms and placements per step

@@ -33,6 +33,7 @@ from .grid import (
     box_index,
     check_resolved,
     fft_shifted,
+    half_index,
     key_digit,
     key_reach,
     key_to_fft_index,
@@ -66,7 +67,6 @@ _ROW_COST = 750
 _TRANSFORM_COST = 1.5
 _TRANSFORM_FIXED = 10_000
 _PAIR_BLOCK = 1 << 14  # most pairs the entry-pair path forms at once
-_PLANS = 8  # pair plans a held operand keeps, the oldest evicted first
 _PLAN_PAIRS = 1 << 16  # most pairs a kept plan indexes
 _SEEN_ONCE = "entry pairs, not yet indexed"  # a plan held for a support's first call
 
@@ -226,33 +226,45 @@ class SparseSpectrum:
             entries = self.__dict__["_open"] = keys, vals, reach
         return entries
 
-    def open_products(self, factors) -> tuple[np.ndarray, list]:
-        """For each mode factor of ``factors``, the open-box entries of
-        ``self.apply_mode_factor(self.at(factor))`` with their reach, bit for
-        bit as its :attr:`open_entries` reads them, made from this
-        spectrum's open-box entries and the factors at their digits alone;
-        and the products at every one of this spectrum's open-box entries,
-        one row per factor, with those that underflow zero, which a padded
-        transform places where this spectrum's entries go."""
+    def open_product(self, factor) -> tuple[np.ndarray, tuple]:
+        """This spectrum times the mode factor ``factor`` at its open-box
+        entries, made from their values and the factor at their digits: the
+        products at every one of them, those that underflow zero, which a
+        padded transform places at this spectrum's key places
+        (:meth:`half_places`), and the keys, values and reach of the
+        product's own open-box entries, bit for bit as
+        ``self.apply_mode_factor(self.at(factor)).open_entries`` reads
+        them."""
         grid = self.grid
         keys, vals, reach = self.open_entries
         if keys.size == self.n_s:
             digits = self.digits
         else:
             digits = tuple([key_digit(grid, keys, axis) for axis in range(grid.dims)])
-        products = np.empty((len(factors), keys.size), dtype=np.complex128)
-        for row, factor in zip(products, factors):
-            np.multiply(vals, factor(grid, digits), out=row)
-        keep = _nonzero(products)
-        entries = []
-        for row, kept, whole in zip(products, keep, keep.all(axis=1)):
-            if whole:
-                entries.append((keys, row, reach))
-            else:
-                at = keys[kept]
-                entries.append((at, row[kept], key_reach(grid, at)))
-                row[~kept] = 0
+        products = vals * factor(grid, digits)
+        kept = _nonzero(products)
+        if kept.all():
+            return products, (keys, products, reach)
+        at = keys[kept]
+        entries = at, products[kept], key_reach(grid, at)
+        products[~kept] = 0
         return products, entries
+
+    def half_places(self, size: int, part: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where the open-box entries go on the half grid of a real
+        transform on ``size`` points per dimension
+        (:func:`~sparsedyn.grid.half_index`), for ``part`` 1 at their
+        negated modes, in reverse order, made on first use per size and
+        part and kept."""
+        memo = self.__dict__.get("_places")
+        if memo is None:  # setdefault would make a spare dict on every call
+            memo = self.__dict__["_places"] = {}
+        if (size, part) not in memo:
+            keys = self.open_entries[0]
+            if part:
+                keys = negated_keys(self.grid, keys[::-1])
+            memo[size, part] = half_index(self.grid, keys, size)
+        return memo[size, part]
 
     def at(self, factor) -> np.ndarray:
         """A mode factor (such as :func:`~sparsedyn.grid.wavenumber_squares`)
@@ -501,13 +513,13 @@ def convolve_sum(terms, *, real: bool = False) -> SparseSpectrum | DenseSpectrum
     box the two layouts give the same values, less that tail.
 
     A one-term call of a held operand (not ``call_only``, such as a run's
-    coefficient) keeps what its plan decides on that operand, for each
-    support of the other one and the side it is on, as long as the held
-    operand lives (:func:`_held_plans`): that the call takes the
-    transform, or that it takes entry pairs, whose pair plan
-    (:func:`_pair_plan`) is made on the support's second call, so a
-    support seen once costs no more than the box.  A later call skips the
-    plan and the box and accumulates into its output cells alone
+    coefficient) keeps on that operand what its plan decides for the other
+    operand's support and side (:attr:`~sparsedyn.spectral.HeldField.plan`,
+    the latest call's only): that the call takes the transform, or that it
+    takes entry pairs, whose pair plan (:func:`_pair_plan`, for at most
+    ``_PLAN_PAIRS`` pairs) is made on the support's second call in a row,
+    so a support seen once costs no more than the box.  A later call skips
+    the plan and the box and accumulates into its output cells alone
     (:func:`_planned_convolve`), bit for bit as :func:`_pair_convolve`
     sums.  Calls of ``call_only`` operands alone, such as a state times
     itself, keep nothing.
@@ -521,21 +533,19 @@ def convolve_sum(terms, *, real: bool = False) -> SparseSpectrum | DenseSpectrum
     if isinstance(terms[0][2].spectrum, DenseSpectrum):
         size, k = transform_size(grid, 2 * grid.box_edge)
         return DenseSpectrum(grid, padded_product(grid, terms, size, k, real, fft_layout=True))
-    plans, seen = _held_plans(terms)
-    live, plan = terms, plans.get(seen)
+    held, seen, plan = _held_plan(terms)
+    live = terms
     if plan is None:
         live, size, k, transform = plan_convolution(grid, terms)
         if not live:
             return SparseSpectrum.empty(grid)
         _, a, b = live[0]
         plan = (size, k) if transform else _SEEN_ONCE
-        pairs = a.entries()[0].size * b.entries()[0].size
-        if seen is not None and (transform or pairs <= _PLAN_PAIRS):
-            if len(plans) == _PLANS:
-                del plans[next(iter(plans))]  # dicts keep insertion order
-            plans[seen] = plan
+        if seen and (transform or a.entries()[0].size * b.entries()[0].size <= _PLAN_PAIRS):
+            held.plan = seen, plan
     elif plan is _SEEN_ONCE:  # the support's second call: index its pairs
-        plan = plans[seen] = _pair_plan(grid, *live[0][1:])
+        plan = _pair_plan(grid, *live[0][1:])
+        held.plan = seen, plan
     if plan is _SEEN_ONCE:
         return _pair_convolve(grid, [(w, a.entries(), b.entries()) for w, a, b in live])
     if isinstance(plan, _PairPlan):
@@ -546,17 +556,19 @@ def convolve_sum(terms, *, real: bool = False) -> SparseSpectrum | DenseSpectrum
     return SparseSpectrum(grid, box_index(grid, k)[keep], vals[keep])
 
 
-def _held_plans(terms) -> tuple[dict, tuple | None]:
-    """The plans of a one-term call's held operand, the first one that is
-    not ``call_only`` (:attr:`~sparsedyn.spectral.HeldField.plans`), and the
-    call's key in them: the side of the other operand and its open-box keys.
-    Any other call reads ``({}, None)``."""
+def _held_plan(terms) -> tuple:
+    """The held operand of a one-term call, the first one that is not
+    ``call_only``, the call's key for its plan (the side of the other
+    operand and its open-box keys) and the plan it keeps under that key, if
+    any (:attr:`~sparsedyn.spectral.HeldField.plan`).  Any other call reads
+    ``(None, None, None)``."""
     if len(terms) == 1:
         _, a, b = terms[0]
         for held, other, side in ((a, b, 1), (b, a, 0)):
             if not held.call_only:
-                return held.plans, (side, other.entries()[0].tobytes())
-    return {}, None
+                key = side, other.entries()[0].tobytes()
+                return held, key, held.plan[1] if held.plan and held.plan[0] == key else None
+    return None, None, None
 
 
 def plan_convolution(grid: GridSpec, terms) -> tuple[list, int, int, bool]:

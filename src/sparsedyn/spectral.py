@@ -10,11 +10,10 @@ points per dimension, the 2/3 rule), in one place for both containers
 (:func:`padded_product`), with real-to-complex transforms only: a caller
 that declares its operands real (the solver) makes one real field per
 operand; any other operand is split into two real fields.  Each operand,
-behind a :class:`HeldField`, places itself on the padded grid, a sparse one
-by its keys (the images of one sparse spectrum, its operands times mode
-factors, at the places of its keys, found once for all of them) and a
-dense one by copying the box; the grid's index
-arithmetic sizes (:func:`~sparsedyn.grid.transform_size`), places keys
+a spectrum times an optional mode factor behind a :class:`HeldField`,
+places itself on the padded grid, a sparse one at the places of its
+spectrum's keys, found once per spectrum and size, a dense one by copying
+the box; the grid's index arithmetic sizes (:func:`~sparsedyn.grid.transform_size`), places keys
 (:func:`~sparsedyn.grid.half_index`) and gives the box's blocks
 (:func:`~sparsedyn.grid.box_blocks`), whose slices pad a dense operand and
 crop every product (:func:`read_box`), with no index table.
@@ -141,54 +140,67 @@ def spectral_derivative(spec, axis: int = 0):
 
 
 class HeldField:
-    """One convolution operand with its memos: its field on the padded
-    grid, kept with the grid's size and whether the call declared its
-    operands real (a call on another size or contract makes it again), and
-    the plans of its one-term calls with sparse operands, by the other
-    operand's support and side (:func:`~sparsedyn.shrinkage.convolve_sum`):
-    whether such a call takes the transform, or the pair-to-output index of
-    its entry pairs, at most ``shrinkage._PLANS`` of them, the oldest
-    evicted first.  A sparse operand's open-box entries (:meth:`entries`)
-    are kept on the spectrum itself, or, for a sparse spectrum times a mode
-    factor, with the other such operands of its spectrum (``images``, a
-    :class:`_Images`, at ``row``).
+    """One convolution operand, a spectrum times an optional mode factor
+    (as ``spectrum.apply_mode_factor(spectrum.at(factor))`` gives it; a
+    dense one is made so), with its memos: its field on the padded grid,
+    kept with the grid's size and whether the call declared its operands
+    real (a call on another size or contract makes it again), and the plan
+    of its latest one-term call with sparse operands
+    (:func:`~sparsedyn.shrinkage.convolve_sum`), ``plan = (key, plan)``
+    under the other operand's side and open-box keys: whether such a call
+    takes the transform, or the pair-to-output index of its entry pairs.
+    A sparse spectrum keeps its own open-box entries; a sparse operand
+    with a factor makes its own, and its products at the spectrum's
+    open-box entries (``product``,
+    :meth:`~sparsedyn.shrinkage.SparseSpectrum.open_product`), on first
+    use.
 
     Every call holds its operands (:func:`hold_operands`), marked
-    ``call_only`` if made for that call, which keep no plans; hold one
+    ``call_only`` if made for that call, which keep no plan; hold one
     across calls for an operand that every step convolves again, such as a
     run's coefficient, for as long as the run lasts, but never one per
     state: the field is as large as the padded grid (a stacked one keeps
     its stack, of at most ``_STACK_BYTES`` half grids, alive)."""
 
-    __slots__ = ("spectrum", "images", "row", "field", "size", "real", "call_only", "plans")
+    __slots__ = ("spectrum", "factor", "product", "field", "size", "real", "call_only", "plan")
 
-    def __init__(self, spectrum, images: "_Images | None" = None, row: int = 0) -> None:
-        self.spectrum = spectrum
-        self.images, self.row = images, row
+    def __init__(self, spectrum, factor=None) -> None:
+        if factor is not None and isinstance(spectrum, DenseSpectrum):
+            spectrum, factor = spectrum.apply_mode_factor(spectrum.at(factor)), None
+        self.spectrum, self.factor = spectrum, factor
+        self.product = None
         self.field: np.ndarray | None = None
         self.size = 0
         self.real = False
         self.call_only = False
-        self.plans: dict = {}
+        self.plan: tuple | None = None
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Keys, values and reach of a sparse operand's open-box entries
-        (:attr:`~sparsedyn.shrinkage.SparseSpectrum.open_entries`, or those
-        of its row of :class:`_Images`)."""
-        if self.images is None:
+        (:attr:`~sparsedyn.shrinkage.SparseSpectrum.open_entries`, or
+        those of its product with its factor)."""
+        if self.factor is None:
             return self.spectrum.open_entries
-        return self.images.entries[self.row]
+        if self.product is None:
+            self.product = self.spectrum.open_product(self.factor)
+        return self.product[1]
 
     def place(self, half: np.ndarray, size: int) -> None:
-        """Write the operand onto ``half``, zeros of shape ``(rows, size, ...,
-        size//2 + 1)`` on the half grid of a real transform on ``size`` points
-        per dimension: in row 0 its open-box entries with ``m_last >= 0``, in
-        a second row, if any, those with ``m_last <= 0`` at their negated
-        mode, conjugated.  A sparse operand places the keys of its entries
-        (:func:`~sparsedyn.grid.half_index`; a stack of images of one
-        spectrum places them together, :func:`_place_stack`), a dense one
-        copies the open box's blocks (:func:`~sparsedyn.grid.box_blocks`),
-        for the second row from its coefficients at the negated modes
+        """Write the operand onto ``half``, zeros of shape ``(parts, size,
+        ..., size//2 + 1)`` on the half grid of a real transform on ``size``
+        points per dimension: in part 0 its open-box entries with
+        ``m_last >= 0``, in a second part, if any, those with ``m_last <= 0``
+        at their negated mode, conjugated.  A sparse operand writes its
+        values at the places of its spectrum's open-box keys, found once per
+        spectrum, size and part
+        (:meth:`~sparsedyn.shrinkage.SparseSpectrum.half_places`), its
+        products, those that underflow as zeros, if it has a factor; where
+        ``size`` is too small for the spectrum's keys, as when the products
+        drop its outermost entries, a key would land on another's place, so
+        it places its own entries (:func:`~sparsedyn.grid.half_index`).  A
+        dense one copies the open box's blocks
+        (:func:`~sparsedyn.grid.box_blocks`), for the second part from its
+        coefficients at the negated modes
         (:func:`~sparsedyn.grid.at_negated_modes`)."""
         spec, grid = self.spectrum, self.spectrum.grid
         if isinstance(spec, DenseSpectrum):
@@ -203,81 +215,23 @@ class HeldField:
                         row[dst.at] = coeffs[src.at]
             return
         keys, vals, _ = self.entries()
-        flat = half.reshape(len(half), -1)
-        keep, index = half_index(grid, keys, size)
-        flat[0, index] = vals[keep]
-        if len(half) == 2:
-            keys, vals = negated_keys(grid, keys[::-1]), np.conjugate(vals[::-1])
-            keep, index = half_index(grid, keys, size)
-            flat[1, index] = vals[keep]
-
-
-def _place_stack(stack: list, half: np.ndarray, size: int) -> None:
-    """Place each held operand of ``stack`` on its row of ``half``
-    (:meth:`HeldField.place`), a run of images of one spectrum in
-    consecutive rows, as :func:`hold_operands` lists the operands of
-    ``advection_term``, in one scatter (:meth:`_Images.place`).  Where
-    ``size`` is too small for the spectrum's keys, as when its images drop
-    its outermost entries, a key would land on another's place, so each
-    image places its own entries."""
-    at = 0
-    while at < len(stack):
-        made, run = stack[at], 1
-        if made.images is None or 2 * made.spectrum.open_entries[2] >= size:
-            made.place(half[at], size)
-        else:
-            while (at + run < len(stack) and stack[at + run].images is made.images
-                   and stack[at + run].row == made.row + run):
-                run += 1
-            made.images.place(half[at:at + run], made.row, size)
-        at += run
-
-
-class _Images:
-    """The operands of one call that are one sparse spectrum times mode
-    factors, ``(spectrum, factor)`` (:func:`hold_operands`), one row each:
-    ``products``, their values at every open-box entry of the spectrum,
-    and ``entries``, the keys, values and reach of each one's own open-box
-    entries (:meth:`~sparsedyn.shrinkage.SparseSpectrum.open_products`,
-    made once the call's factors are known), and the places of the
-    spectrum's keys on the half grid of each padded size, found once for
-    all of them."""
-
-    __slots__ = ("spectrum", "factors", "products", "entries", "placed")
-
-    def __init__(self, spectrum) -> None:
-        self.spectrum = spectrum
-        self.factors: list = []
-        self.placed: dict = {}
-
-    def place(self, half: np.ndarray, first: int, size: int) -> None:
-        """Write images ``first``, ``first + 1``, ... onto the rows of
-        ``half`` (:meth:`HeldField.place`): their products at the spectrum's
-        open-box keys, those that underflow as zeros, one scatter per
-        part."""
-        grid, keys = self.spectrum.grid, self.spectrum.open_entries[0]
-        products = self.products[first:first + len(half)]
-        flat = half.reshape(half.shape[:2] + (-1,))
-        for part in range(half.shape[1]):
-            if (size, part) not in self.placed:
-                ordered = keys if part == 0 else negated_keys(grid, keys[::-1])
-                self.placed[size, part] = half_index(grid, ordered, size)
-            keep, index = self.placed[size, part]
-            vals = products if part == 0 else np.conjugate(products[:, ::-1])
-            flat[:, part, index] = vals[:, keep]
+        shared = self.factor is None or 2 * spec.open_entries[2] < size
+        if shared and self.factor is not None:
+            vals = self.product[0]
+        for part, row in enumerate(half.reshape(len(half), -1)):
+            if part:  # the negated modes, conjugated
+                keys, vals = negated_keys(grid, keys[::-1]), np.conjugate(vals[::-1])
+            keep, index = spec.half_places(size, part) if shared else half_index(grid, keys, size)
+            row[index] = vals[keep]
 
 
 def hold_operands(terms) -> tuple[GridSpec, list]:
     """The common grid of terms ``(w, a, b)`` and the terms with every
     operand a :class:`HeldField`: a held operand as it is, any other behind
     one made for this call and shared by each term it appears in, so every
-    distinct operand is made once per call.
-
-    An operand is a spectrum, or ``(spectrum, factor)`` for the spectrum
-    times the mode factor ``factor`` (as ``spectrum.apply_mode_factor(
-    spectrum.at(factor))`` gives it).  A dense one is made so; the sparse
-    ones of one spectrum, its images, share its open-box entries and its
-    placement on the padded grid (:class:`_Images`).
+    distinct operand is made once per call.  An operand is a spectrum, or
+    ``(spectrum, factor)`` for the spectrum times the mode factor
+    ``factor``.
 
     Raises
     ------
@@ -285,38 +239,21 @@ def hold_operands(terms) -> tuple[GridSpec, list]:
         If the operands are not all on one grid.
     """
     held: dict = {}
-    images: dict[int, _Images] = {}
 
     def hold(operand) -> HeldField:
         if isinstance(operand, HeldField):
             return operand
-        if isinstance(operand, tuple):
-            spectrum, factor = operand
-            key = id(spectrum), factor
-        else:
-            spectrum, factor = operand, None
-            key = id(spectrum)
+        spectrum, factor = operand if isinstance(operand, tuple) else (operand, None)
+        key = id(spectrum), factor
         if key not in held:
-            if factor is None:
-                made = HeldField(spectrum)
-            elif isinstance(spectrum, DenseSpectrum):
-                made = HeldField(spectrum.apply_mode_factor(spectrum.at(factor)))
-            else:
-                if id(spectrum) not in images:
-                    images[id(spectrum)] = _Images(spectrum)
-                group = images[id(spectrum)]
-                group.factors.append(factor)
-                made = HeldField(spectrum, group, len(group.factors) - 1)
-            made.call_only = True
-            held[key] = made
+            held[key] = HeldField(spectrum, factor)
+            held[key].call_only = True
         return held[key]
 
     terms = [(w, hold(a), hold(b)) for w, a, b in terms]
     grid = terms[0][1].spectrum.grid
     if any(op.spectrum.grid != grid for _, a, b in terms for op in (a, b)):
         raise GridMismatch("convolution operands on different grids")
-    for group in images.values():
-        group.products, group.entries = group.spectrum.open_products(group.factors)
     return grid, terms
 
 
@@ -336,10 +273,8 @@ def padded_product(
     Operands not held at this size and contract are made in the order of
     first need, as many as ``_STACK_BYTES`` of half grids hold (one at
     least) by one inverse transform of their rows of one zeroed stack
-    (:meth:`HeldField.place`; the images of one sparse spectrum, its
-    operands ``(spectrum, factor)``, find the places of its keys once,
-    :class:`_Images`), and kept as long as calls keep that size and
-    contract, so ``u*u`` transforms ``u`` once; the field of a ``call_only``
+    (:meth:`HeldField.place`), and kept as long as calls keep that size
+    and contract, so ``u*u`` transforms ``u`` once; the field of a ``call_only``
     operand is dropped after the last term that needs it.
 
     With ``real`` the caller declares every operand the spectrum of a real
@@ -363,7 +298,10 @@ def padded_product(
     one_d = grid.dims == 1  # where the n-d wrappers cost more for the same bits
     inverse, forward = (np.fft.irfft, np.fft.rfft) if one_d else (np.fft.irfftn, np.fft.rfftn)
     shape, axes = (size, -1) if one_d else ((size, size), (-2, -1))
-    fresh = [h for h in dict.fromkeys(op for _, a, b in terms for op in (a, b))
+    # a dict display, not dict.fromkeys, whose dict bypasses the interpreter's
+    # free list: each call would leave the heap one dict further along, so
+    # a call's peak would depend on how many calls came before it
+    fresh = [h for h in {op: None for _, a, b in terms for op in (a, b)}
              if (h.size, h.real) != (size, real)]
     per_stack = max(1, _STACK_BYTES // (16 * parts * size ** (grid.dims - 1) * half_shape[-1]))
 
@@ -372,7 +310,8 @@ def padded_product(
             return held.field
         stack, fresh[:per_stack] = fresh[:per_stack], []
         half = np.zeros((len(stack), parts) + half_shape, dtype=np.complex128)
-        _place_stack(stack, half, size)
+        for made, rows in zip(stack, half):
+            made.place(rows, size)
         if not real:  # rows c(m) and conj c(-m) become the two parts
             own, odd = half.swapaxes(0, 1)
             own[:], odd[:] = (own + odd) * 0.5, (odd - own) * 0.5j

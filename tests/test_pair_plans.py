@@ -1,7 +1,7 @@
-"""Pair plans: a held operand keeps, per support of the other operand, the
-pair-to-output index of their entry pairs (or that the call takes the
-transform), and a call on a support seen before gives the window path's
-bits."""
+"""Pair plans: a held operand keeps, for the latest support and side of the
+other operand, the pair-to-output index of their entry pairs (or that the
+call takes the transform), and a call on that support gives the window
+path's bits."""
 
 import tracemalloc
 import warnings
@@ -57,8 +57,9 @@ class Count:
 @pytest.mark.parametrize("held_first", [True, False])
 def test_plans_match_the_window_bit_for_bit(dims, held_first, monkeypatch):
     # random supports smaller and larger than the held operand's, so the
-    # rows come from either side; each support is planned on its first call
-    # and read from the plan after, with other values and weights
+    # rows come from either side; each support, called three times in a row
+    # with other values and weights, is planned on its second call and read
+    # from the plan on its third, and planned again when it comes back
     pairs_only(monkeypatch)
     builds = Count(monkeypatch, shrinkage, "_pair_plan")
     rng = np.random.default_rng(70 + 2 * dims + held_first)
@@ -67,36 +68,74 @@ def test_plans_match_the_window_bit_for_bit(dims, held_first, monkeypatch):
     held = HeldField(coeff)
     wide = 110 if dims == 1 else 15
     supports = [within(g, 9, rng, 12), within(g, wide, rng, 200), within(g, 3, rng, 5)]
+    swaps = set()
     for _ in range(3):
-        for state in supports:
-            state = new_values(state, rng)
+        for support in supports:
             for w in (1.0, -0.5, 0.25 - 2.0j):
+                state = new_values(support, rng)
                 pair = (held, state) if held_first else (state, held)
                 plain = (coeff, state) if held_first else (state, coeff)
                 got = convolve_sum([(w, *pair)])
                 assert_bit_equal(got, convolve_sum([(w, *plain)]))  # the window
                 assert_bit_equal(got, row_loop_convolve([(w, *plain)], g))
-    assert builds.calls == len(supports) == len(held.plans)
-    assert {plan.swap for plan in held.plans.values()} == {True, False}
+            swaps.add(held.plan[1].swap)
+    assert builds.calls == 3 * len(supports)
+    assert swaps == {True, False}
 
 
-def test_a_plan_is_kept_per_side(monkeypatch):
+def sides(held, coeff, state, held_first: bool):
+    """The held and the plain operand pair, the held one first or second."""
+    if held_first:
+        return (held, state), (coeff, state)
+    return (state, held), (state, coeff)
+
+
+def test_a_plan_is_keyed_by_side(monkeypatch):
     # operands of one size: the rows are the first operand's, so the held
-    # operand's pairs sum in another order on each side, and each side has
-    # a plan of its own
+    # operand's pairs sum in another order on each side; a call on the other
+    # side replaces the plan, made again on that side's second call in a row
     pairs_only(monkeypatch)
+    builds = Count(monkeypatch, shrinkage, "_pair_plan")
     rng = np.random.default_rng(73)
     for g in (GridSpec(1, 128), GridSpec(2, 32)):
         coeff, state = within(g, 9, rng, 20), within(g, 7, rng, 20)
         held = HeldField(coeff)
-        for _ in range(2):
-            for first, second, plain in (
-                (held, state, (coeff, state)), (state, held, (state, coeff))
-            ):
+        for held_first in (True, False, True, False):
+            pair, plain = sides(held, coeff, state, held_first)
+            for _ in range(2):
                 assert_bit_equal(
-                    convolve_sum([(1.0, first, second)]), row_loop_convolve([(1.0, *plain)], g)
+                    convolve_sum([(1.0, *pair)]), row_loop_convolve([(1.0, *plain)], g)
                 )
-        assert len(held.plans) == 2
+            assert held.plan[0] == (int(held_first), state.open_entries[0].tobytes())
+    assert builds.calls == 8
+
+
+def test_alternating_supports_and_sides_keep_the_window_bits(monkeypatch):
+    # the other operand alternates between two supports on every call and
+    # between the two sides on every second one, first once per support and
+    # side, then twice: the plan is replaced on each change, never read for
+    # another support or side, and made on the second call in a row
+    pairs_only(monkeypatch)
+    builds = Count(monkeypatch, shrinkage, "_pair_plan")
+    planned = Count(monkeypatch, shrinkage, "_planned_convolve")
+    rng = np.random.default_rng(78)
+    for g in (GridSpec(1, 256), GridSpec(2, 32)):
+        coeff = within(g, 10, rng, 25)
+        held = HeldField(coeff)
+        supports = [within(g, 6, rng, 9), within(g, 12, rng, 40)]
+        for repeat in (1, 2):
+            before = builds.calls
+            for call in range(8):
+                support, held_first = supports[call % 2], call // 2 % 2 == 0
+                w = (1.0, -0.5, 0.25 - 2.0j)[call % 3]
+                for _ in range(repeat):
+                    state = new_values(support, rng)
+                    pair, plain = sides(held, coeff, state, held_first)
+                    got = convolve_sum([(w, *pair)])
+                    assert_bit_equal(got, convolve_sum([(w, *plain)]))
+                    assert_bit_equal(got, row_loop_convolve([(w, *plain)], g))
+            assert builds.calls - before == 8 * (repeat - 1)
+    assert planned.calls == builds.calls == 16
 
 
 def test_a_nan_value_survives_the_plan(monkeypatch):
@@ -142,31 +181,49 @@ def held_of_run(monkeypatch) -> list:
     return held
 
 
-def test_plans_of_a_support_that_changes_every_call_stay_within_the_cap(monkeypatch):
+def test_a_support_that_changes_every_call_is_never_indexed(monkeypatch):
     # a new support on each call, as in a run whose support changes every
-    # step, is never indexed; called twice, each is, and either way the
-    # memo holds the last _PLANS supports, the oldest evicted first
+    # step, is never indexed; called twice, each is, and either way the held
+    # operand keeps the plan of the latest support alone
     pairs_only(monkeypatch)
     builds = Count(monkeypatch, shrinkage, "_pair_plan")
     rng = np.random.default_rng(75)
     g = GridSpec(1, 512)
     coeff = within(g, 100, rng, 60)
-    states = [within(g, 4 + j, rng, 3 + j) for j in range(3 * shrinkage._PLANS)]
+    states = [within(g, 4 + j, rng, 3 + j) for j in range(12)]
     for calls in (1, 2):
         held = HeldField(coeff)
-        for j, state in enumerate(states):
+        for state in states:
             for _ in range(calls):
                 got = convolve_sum([(1.0, held, state)])
                 assert_bit_equal(got, convolve_sum([(1.0, coeff, state)]))
-            assert len(held.plans) == min(j + 1, shrinkage._PLANS)
-        kept = [key for _, key in held.plans]
-        assert kept == [state.keys.tobytes() for state in states[-shrinkage._PLANS:]]
+            key, plan = held.plan
+            assert key == (1, state.keys.tobytes())
+            assert isinstance(plan, shrinkage._PairPlan) == (calls == 2)
         assert builds.calls == (calls - 1) * len(states)
+
+
+def test_a_call_over_more_pairs_than_the_cap_builds_no_plan(monkeypatch):
+    # 300 x 300 entries, more pairs than _PLAN_PAIRS: repeat calls on one
+    # support keep no plan, take the box every time and give its bits
+    pairs_only(monkeypatch)
+    builds = Count(monkeypatch, shrinkage, "_pair_plan")
+    window = Count(monkeypatch, shrinkage, "_pair_convolve")
+    rng = np.random.default_rng(79)
+    g = GridSpec(1, 1024)
+    coeff, support = within(g, 200, rng, 300), within(g, 180, rng, 300)
+    assert coeff.n_s * support.n_s > shrinkage._PLAN_PAIRS
+    held = HeldField(coeff)
+    for w in (1.0, -0.5, 0.25 - 2.0j):
+        state = new_values(support, rng)
+        got = convolve_sum([(w, held, state)])
+        assert_bit_equal(got, row_loop_convolve([(w, coeff, state)], g))
+    assert builds.calls == 0 and held.plan is None and window.calls == 3
 
 
 def test_a_run_keeps_its_plans_on_its_coefficient(monkeypatch):
     # parabolic_fig2: the support holds on most steps, so after the first
-    # call on each support a few plans serve every step
+    # call on each support its plan serves every step until it changes
     window = Count(monkeypatch, shrinkage, "_pair_convolve")
     builds = Count(monkeypatch, shrinkage, "_pair_plan")
     planned = Count(monkeypatch, shrinkage, "_planned_convolve")
@@ -175,7 +232,8 @@ def test_a_run_keeps_its_plans_on_its_coefficient(monkeypatch):
     u0 = initial_condition(config.initial_spec(), config.grid())
     list(iter_states(u0, config.equation_params(), config.schedule(), config.dt, 60))
     assert window.calls + planned.calls == 60
-    assert 1 <= builds.calls <= window.calls == len(held[0].plans) <= 4
+    assert 1 <= builds.calls <= window.calls <= 4
+    assert isinstance(held[0].plan[1], shrinkage._PairPlan)
     assert len(set(map(id, held))) == 1
 
 
@@ -194,8 +252,7 @@ def test_a_held_call_that_takes_the_transform_is_remembered(monkeypatch):
             got = convolve_sum([(1.0, held, state)])
             assert decided.calls - before == (call == 0)
             assert_bit_equal(got, convolve_sum([(1.0, coeff, state)]))
-        (plan,) = held.plans.values()
-        assert not isinstance(plan, shrinkage._PairPlan)
+        assert not isinstance(held.plan[1], shrinkage._PairPlan)
 
 
 def test_calls_of_call_only_operands_build_no_plan(monkeypatch):
@@ -211,7 +268,7 @@ def test_calls_of_call_only_operands_build_no_plan(monkeypatch):
         sparse_convolve(u, v)
         convolve_sum([(1.0, u, u)], real=True)
         convolve_sum([(1.0, held, u), (-0.5, u, u)])
-    assert builds.calls == 0 and held.plans == {}
+    assert builds.calls == 0 and held.plan is None
 
 
 @pytest.mark.parametrize("recipe", ["burgers_fig3", "vorticity_converge"])

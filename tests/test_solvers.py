@@ -667,8 +667,9 @@ def test_dense_advection_stacks_its_fields_within_the_budget(
     # transform on 48 x 48 points, one per operand on 384 x 384, whose half
     # grid alone exceeds the stack's byte budget.  The same state sparse
     # takes the same transforms and places its keys once for its four
-    # operands (one half_index), as does a later vorticity_converge state on
-    # 128^2 (48 x 48 points)
+    # operands (one half_index, through SparseSpectrum.half_places, and none
+    # of an operand's own entries), as does a later vorticity_converge state
+    # on 128^2 (48 x 48 points)
     g = GridSpec(2, n)
     u = dft_forward(SpatialField(g, np.random.default_rng(n).standard_normal(g.shape)))
     fft_calls.clear()
@@ -676,9 +677,10 @@ def test_dense_advection_stacks_its_fields_within_the_budget(
     assert fft_calls == ["irfftn"] * inverse_calls + ["rfftn"]
 
     placed = []
-    monkeypatch.setattr(
-        spectral, "half_index", lambda *args: placed.append(args) or half_index(*args)
-    )
+    for module in (shrinkage, spectral):
+        monkeypatch.setattr(
+            module, "half_index", lambda *args: placed.append(args) or half_index(*args)
+        )
     config = load_recipe("vorticity_converge")
     u0 = initial_condition(config.initial_spec(), config.grid())
     run = iter_states(u0, config.equation_params(), config.schedule(), config.dt, 10)
