@@ -428,8 +428,9 @@ def convergence_study(
     """Sparse runs across resolutions against the finest dense run.
 
     dt scales with dx (transport, vorticity) or dx**2 (diffusion-bearing);
-    the power-law threshold follows dt.  Returns rows of (dx, l2, linf) and
-    writes ``convergence.csv`` when ``out_dir`` is given.
+    the power-law threshold follows dt.  Every scaled config is validated
+    before any run (the study writes no snapshots).  Returns rows of (dx,
+    l2, linf) and writes ``convergence.csv`` when ``out_dir`` is given.
     """
     validate_config(config)
     if len(resolutions) < 3:
@@ -442,8 +443,15 @@ def convergence_study(
         raise ConfigError("lambda_mode: convergence studies need the power_law rule")
 
     order = 1 if config.equation in ("convection", "vorticity2d") else 2
-    finest = resolutions[-1]
-    fine_cfg = replace(config, n_per_dim=finest, dt=_scaled_dt(config, finest, order))
+    scaled = []
+    for res in resolutions:
+        cfg = replace(config, n_per_dim=res, dt=_scaled_dt(config, res, order), snapshot_times=())
+        try:
+            validate_config(cfg)
+        except ConfigError as err:
+            raise ConfigError(f"resolutions: at {res}, {err}") from None
+        scaled.append(cfg)
+    fine_cfg = scaled[-1]
     fine_grid = fine_cfg.grid()
     params = fine_cfg.equation_params()
     reference = None
@@ -456,8 +464,7 @@ def convergence_study(
         pass
 
     rows = []
-    for res in resolutions:
-        cfg = replace(config, n_per_dim=res, dt=_scaled_dt(config, res, order))
+    for cfg in scaled:
         grid = cfg.grid()
         state = None
         for state in iter_states(

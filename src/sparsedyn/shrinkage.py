@@ -68,7 +68,6 @@ _TRANSFORM_COST = 1.5
 _TRANSFORM_FIXED = 10_000
 _PAIR_BLOCK = 1 << 14  # most pairs the entry-pair path forms at once
 _PLAN_PAIRS = 1 << 16  # most pairs a kept plan indexes
-_SEEN_ONCE = "entry pairs, not yet indexed"  # a plan held for a support's first call
 
 
 def _nonzero(values: np.ndarray) -> np.ndarray:
@@ -407,10 +406,11 @@ def soft_threshold(
     ``protect_mean`` the k = 0 coefficient is exempt.  A NaN amplitude is
     kept (as NaN), never dropped.  A dense spectrum (the update of a step
     in FFT layout) also drops its roundoff tail, in the same pass
-    (:func:`soft_threshold_dense`).
+    (:func:`_dense_kept`).
     """
     if isinstance(spec, DenseSpectrum):
-        return soft_threshold_dense(spec, lam, protect_mean)[0]
+        keys, _, values, mags = _dense_kept(spec, lam, protect_mean)
+        return _shrunk(spec.grid, keys, values, mags, lam, protect_mean)
     mags = np.abs(spec.values)
     keep = _kept(mags, lam, DROP_TOL)
     if protect_mean:
@@ -513,16 +513,16 @@ def convolve_sum(terms, *, real: bool = False) -> SparseSpectrum | DenseSpectrum
     box the two layouts give the same values, less that tail.
 
     A one-term call of a held operand (not ``call_only``, such as a run's
-    coefficient) keeps on that operand what its plan decides for the other
-    operand's support and side (:attr:`~sparsedyn.spectral.HeldField.plan`,
-    the latest call's only): that the call takes the transform, or that it
-    takes entry pairs, whose pair plan (:func:`_pair_plan`, for at most
-    ``_PLAN_PAIRS`` pairs) is made on the support's second call in a row,
-    so a support seen once costs no more than the box.  A later call skips
-    the plan and the box and accumulates into its output cells alone
-    (:func:`_planned_convolve`), bit for bit as :func:`_pair_convolve`
-    sums.  Calls of ``call_only`` operands alone, such as a state times
-    itself, keep nothing.
+    coefficient) that takes entry pairs keeps on that operand the pair
+    plan (:func:`_pair_plan`, for at most ``_PLAN_PAIRS`` pairs) of the
+    other operand's support and side, the latest one's only
+    (:attr:`~sparsedyn.spectral.HeldField.plan`).  The plan is made on the
+    support's second entry-pair call in a row, so a support seen once costs
+    no more than the box; a later call skips the path rule and the box and
+    accumulates into its output cells alone (:func:`_planned_convolve`),
+    bit for bit as :func:`_pair_convolve` sums.  A call that takes the
+    transform keeps nothing, as do calls of ``call_only`` operands alone,
+    such as a state times itself.
 
     With ``real`` the caller declares every operand the spectrum of a real
     field and every weight real (the solver's promise, not a user option):
@@ -533,42 +533,25 @@ def convolve_sum(terms, *, real: bool = False) -> SparseSpectrum | DenseSpectrum
     if isinstance(terms[0][2].spectrum, DenseSpectrum):
         size, k = transform_size(grid, 2 * grid.box_edge)
         return DenseSpectrum(grid, padded_product(grid, terms, size, k, real, fft_layout=True))
-    held, seen, plan = _held_plan(terms)
-    live = terms
-    if plan is None:
-        live, size, k, transform = plan_convolution(grid, terms)
-        if not live:
-            return SparseSpectrum.empty(grid)
-        _, a, b = live[0]
-        plan = (size, k) if transform else _SEEN_ONCE
-        if seen and (transform or a.entries()[0].size * b.entries()[0].size <= _PLAN_PAIRS):
-            held.plan = seen, plan
-    elif plan is _SEEN_ONCE:  # the support's second call: index its pairs
-        plan = _pair_plan(grid, *live[0][1:])
-        held.plan = seen, plan
-    if plan is _SEEN_ONCE:
+    _, a, b = terms[0]
+    key = None
+    if len(terms) == 1 and not (a.call_only and b.call_only):
+        held, other = (b, a) if a.call_only else (a, b)
+        key = held is a, other.entries()[0].tobytes()
+        if held.plan and held.plan[0] == key:  # the support's plan, made on its second call
+            plan = held.plan[1] or _pair_plan(grid, a, b)
+            held.plan = key, plan
+            return _planned_convolve(grid, plan, *terms[0])
+    live, size, k, transform = plan_convolution(grid, terms)
+    if not live:
+        return SparseSpectrum.empty(grid)
+    if not transform:
+        if key and a.entries()[0].size * b.entries()[0].size <= _PLAN_PAIRS:
+            held.plan = key, None
         return _pair_convolve(grid, [(w, a.entries(), b.entries()) for w, a, b in live])
-    if isinstance(plan, _PairPlan):
-        return _planned_convolve(grid, plan, *live[0])
-    size, k = plan
     vals = padded_product(grid, live, size, k, real).ravel()
     keep = _above_roundoff(vals)
     return SparseSpectrum(grid, box_index(grid, k)[keep], vals[keep])
-
-
-def _held_plan(terms) -> tuple:
-    """The held operand of a one-term call, the first one that is not
-    ``call_only``, the call's key for its plan (the side of the other
-    operand and its open-box keys) and the plan it keeps under that key, if
-    any (:attr:`~sparsedyn.spectral.HeldField.plan`).  Any other call reads
-    ``(None, None, None)``."""
-    if len(terms) == 1:
-        _, a, b = terms[0]
-        for held, other, side in ((a, b, 1), (b, a, 0)):
-            if not held.call_only:
-                key = side, other.entries()[0].tobytes()
-                return held, key, held.plan[1] if held.plan and held.plan[0] == key else None
-    return None, None, None
 
 
 def plan_convolution(grid: GridSpec, terms) -> tuple[list, int, int, bool]:
@@ -605,7 +588,8 @@ class _PairPlan(NamedTuple):
     (the smaller operand gives the rows), the ascending open-box output
     keys, and each pair's output cell, shape ``(rows, columns)``, with
     ``len(keys)`` for the one spare cell that takes every pair outside the
-    open box."""
+    open box.  A held operand keeps its latest support's
+    (:attr:`~sparsedyn.spectral.HeldField.plan`)."""
 
     swap: bool
     keys: np.ndarray
@@ -759,8 +743,13 @@ def load_spectrum(
             line, want = "\t".join(row), grid.dims + 2
             raise ValueError(f"spectrum dump line {line!r}: {len(row)} fields, not {want}")
     modes = np.array([[int(r[d]) for r in rows] for d in range(grid.dims)], dtype=np.int64)
+    modes = modes.reshape(grid.dims, n_s)
+    unique, counts = np.unique(modes, axis=1, return_counts=True)
+    if unique.shape[1] < n_s:
+        mode = " ".join(map(str, unique[:, counts.argmax()].tolist()))
+        raise ValueError(f"spectrum dump repeats mode {mode}")
     values = [float(r[grid.dims]) + 1j * float(r[grid.dims + 1]) for r in rows]
-    return SparseSpectrum.from_modes(grid, modes.reshape(grid.dims, n_s), values)
+    return SparseSpectrum.from_modes(grid, modes, values)
 
 
 def dumps_spectrum(spec: SparseSpectrum) -> str:

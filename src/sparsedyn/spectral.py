@@ -145,10 +145,11 @@ class HeldField:
     dense one is made so), with its memos: its field on the padded grid,
     kept with the grid's size and whether the call declared its operands
     real (a call on another size or contract makes it again), and the plan
-    of its latest one-term call with sparse operands
+    of its latest one-term call on entry pairs
     (:func:`~sparsedyn.shrinkage.convolve_sum`), ``plan = (key, plan)``
-    under the other operand's side and open-box keys: whether such a call
-    takes the transform, or the pair-to-output index of its entry pairs.
+    under the other operand's side and open-box keys: the pair-to-output
+    index of their entry pairs, or ``None`` while that support has been
+    seen only once.
     A sparse spectrum keeps its own open-box entries; a sparse operand
     with a factor makes its own, and its products at the spectrum's
     open-box entries (``product``,

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from sparsedyn import CflWarning, bundled_recipes
+from sparsedyn import CflWarning, bundled_recipes, harness
 from sparsedyn.cli import main
 
-from test_harness import with_value
+from test_harness import underresolved_study, with_value
 
 GOOD_CONFIG = """
 equation = parabolic
@@ -170,6 +170,15 @@ def test_converge_cli_resolution_error_exit_1(tmp_path, capsys):
     cfg = write(tmp_path, CONVERGE_CONFIG)
     assert main(["converge", "--config", cfg, "--resolutions", "64,100,128"]) == 1
     assert "config error: resolutions:" in capsys.readouterr().err
+
+
+def test_converge_cli_underresolved_resolution_exit_1_before_any_run(tmp_path, capsys, monkeypatch):
+    # the 256-point run exited 2, as a solver error, after the 1024-point
+    # dense reference had run
+    monkeypatch.setattr(harness, "iter_dense_states", None)  # any run fails
+    cfg = write(tmp_path, underresolved_study())
+    assert main(["converge", "--config", cfg, "--resolutions", "256,512,1024"]) == 1
+    assert "config error: resolutions: at 256, n_per_dim:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -268,6 +268,21 @@ def test_convergence_study_validation():
         convergence_study(fixed, [16, 32, 64])
 
 
+def underresolved_study() -> str:
+    """parabolic_fig2 as a 64-step convergence study; its coefficient
+    needs n_per_dim > 512, so a study at 256 points is under-resolved."""
+    text = with_value(bundled_recipes()["parabolic_fig2"], "lambda_mode", "power_law")
+    return with_value(with_value(text, "t_end", repr(64 * 1.5e-8)), "snapshot_times", "")
+
+
+def test_convergence_study_validates_every_resolution_before_any_run(monkeypatch):
+    # the 256-point run failed as a solver error after the 1024-point dense
+    # reference had been stepped
+    monkeypatch.setattr(harness, "iter_dense_states", None)  # any run fails
+    with pytest.raises(ConfigError, match=r"^resolutions: at 256, n_per_dim: .*> 512, got 256"):
+        convergence_study(parse_config_text(underresolved_study()), [256, 512, 1024])
+
+
 def test_convergence_study_parabolic(tmp_path):
     cfg = load_recipe("parabolic_converge")
     rows = convergence_study(cfg, [32, 64, 128], out_dir=tmp_path)

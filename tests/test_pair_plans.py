@@ -1,7 +1,6 @@
 """Pair plans: a held operand keeps, for the latest support and side of the
-other operand, the pair-to-output index of their entry pairs (or that the
-call takes the transform), and a call on that support gives the window
-path's bits."""
+other operand on entry pairs, the pair-to-output index of their entry pairs,
+and a call on that support gives the window path's bits."""
 
 import tracemalloc
 import warnings
@@ -237,22 +236,37 @@ def test_a_run_keeps_its_plans_on_its_coefficient(monkeypatch):
     assert len(set(map(id, held))) == 1
 
 
-def test_a_held_call_that_takes_the_transform_is_remembered(monkeypatch):
-    # the plan decides the transform once per support; later calls skip it
-    # and give the same bits as a call of unheld operands
-    monkeypatch.setattr(shrinkage, "_transform_is_cheaper", lambda *_: True)
-    decided = Count(monkeypatch, shrinkage, "plan_convolution")
+def test_a_held_call_that_takes_the_transform_keeps_no_plan(monkeypatch):
+    # the other operand goes pair support A, A again (its plan is built), a
+    # support T that takes the transform, then A once more: T keeps nothing,
+    # so A's plan survives it and serves the last call, one build in all,
+    # and every call gives the bits of a call of unheld operands
+    monkeypatch.setattr(
+        shrinkage, "_transform_is_cheaper", lambda _, n_a, n_b, __: min(n_a, n_b) > 8
+    )
+    builds = Count(monkeypatch, shrinkage, "_pair_plan")
+    planned = Count(monkeypatch, shrinkage, "_planned_convolve")
+    transforms = Count(monkeypatch, shrinkage, "padded_product")
     rng = np.random.default_rng(76)
     for g in (GridSpec(1, 128), GridSpec(2, 32)):
-        coeff, state = within(g, 5, rng, 9), within(g, 4, rng, 7)
+        coeff, pairs = within(g, 5, rng, 20), within(g, 4, rng, 7)
+        transform = within(g, 6, rng, 30)
         held = HeldField(coeff)
-        for call in range(3):
-            state = new_values(state, rng)
-            before = decided.calls
+        key = (1, pairs.open_entries[0].tobytes())
+        for call, support in enumerate((pairs, pairs, transform, pairs)):
+            state = new_values(support, rng)
             got = convolve_sum([(1.0, held, state)])
-            assert decided.calls - before == (call == 0)
-            assert_bit_equal(got, convolve_sum([(1.0, coeff, state)]))
-        assert not isinstance(held.plan[1], shrinkage._PairPlan)
+            assert_bit_equal(got, convolve_sum([(1.0, coeff, state)]))  # the window
+            want = row_loop_convolve([(1.0, coeff, state)], g)
+            if support is pairs:
+                assert_bit_equal(got, want)
+            else:  # the transform's sum, less its roundoff tail
+                assert np.allclose(got.to_dense().coeffs, want.to_dense().coeffs, atol=1e-12)
+            if call == 1:
+                plan = held.plan[1]
+            assert held.plan[0] == key and (call == 0 or held.plan[1] is plan)
+        assert isinstance(plan, shrinkage._PairPlan)
+    assert builds.calls == 2 and planned.calls == 4 and transforms.calls == 4
 
 
 def test_calls_of_call_only_operands_build_no_plan(monkeypatch):

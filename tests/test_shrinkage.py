@@ -397,6 +397,18 @@ def test_dump_whose_header_miscounts_its_entries_is_rejected(header):
         load_spectrum(io.StringIO(text.replace("n_s=3", header)))
 
 
+@pytest.mark.parametrize(
+    "grid, rows, mode",
+    [(GridSpec(1, 16), ["3\t1.0\t0.0", "3\t2.0\t0.0"], "3"),
+     (GridSpec(2, 8), ["1\t-2\t1.0\t0.0", "0\t1\t0.5\t0.0", "1\t-2\t2.0\t0.0"], "1 -2")],
+)
+def test_dump_that_repeats_a_mode_is_rejected(grid, rows, mode):
+    # the two lines of mode 3 loaded as the single entry {3: 3+0j}
+    header = f"# grid={','.join([str(grid.n_per_dim)] * grid.dims)} n_s={len(rows)}\n"
+    with pytest.raises(ValueError, match=f"repeats mode {mode}$"):
+        load_spectrum(io.StringIO(header + "\n".join(rows) + "\n"))
+
+
 @pytest.mark.parametrize("row", ["1\t2\t1.0\t0.0", "3\t1.0"])
 def test_dump_row_with_the_wrong_field_count_is_rejected(row):
     # under a 1-D header the 2-D row loaded as {1: 2+1j}; the short row
