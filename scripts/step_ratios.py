@@ -15,10 +15,12 @@ the steps the sparse run took in FFT layout, the pair plans it built (the
 entry-pair indexes its coefficient keeps for the latest state support, see
 ``shrinkage.convolve_sum``), the minor page faults per later sparse and
 dense step (the heap's growth and trims show there: ``ru_minflt`` of this
-process, read around each step), the numpy transform calls and the key
-placements (``half_index`` calls, through ``SparseSpectrum.half_places``
-or ``HeldField.place``, which place a sparse spectrum's keys on the padded
-grid) per later sparse and dense step, and the final
+process, read around each step), the numpy transform calls, the key
+placements (``half_index`` calls, through ``SparseSpectrum.half_places``,
+which place a sparse spectrum's keys on the padded grid) and the factor
+products made entry by entry (``SparseSpectrum.open_product`` calls,
+which only the entry-pair path makes) per later sparse and dense step, and
+the final
 retained fraction and relative L2 error against the dense run.  The second covers the
 refinement problems at ``N = 2^10 .. 2^17``: ``parabolic_fig2`` refined
 with ``dt`` scaled as ``dx^2`` and ``convection_fig1`` with ``dt`` scaled
@@ -26,8 +28,9 @@ as ``dx``, with the coefficient's and the final state's ``n_s`` and the
 pair plans built.  The third covers ``vorticity_converge`` on ``n^2`` grids, ``n = 128 .. 1024``, with ``dt``
 as bundled: the setup of the sparse run (``initial_condition`` and the
 inputs of ``iter_states``), its first and later steps, the dense step
-interleaved up to ``DENSE_2D_MAX``, the minor page faults, transform calls
-and key placements per later sparse and dense step, ``n_s`` at steps 0 and
+interleaved up to ``DENSE_2D_MAX``, the minor page faults, transform
+calls, key placements and factor products per later sparse and dense
+step, ``n_s`` at steps 0 and
 last, and the peak RSS of the same sparse run, alone, in a process of its
 own.
 ``--steps`` caps every run (the headline recipes run ``HEADLINE_STEPS``
@@ -61,7 +64,6 @@ from sparsedyn import (  # noqa: E402
     error_metrics,
     shrinkage,
     solvers,
-    spectral,
 )
 from sparsedyn.coefficients import coefficient_field_of  # noqa: E402
 from sparsedyn.evaluation import iter_dense_states  # noqa: E402
@@ -109,9 +111,11 @@ class _PlanCount:
 
 class _CallCount:
     """Counts the calls of the functions ``names`` of each of ``modules``,
-    each wrapped in place while it is installed: numpy's transforms, or
-    ``half_index`` as :mod:`shrinkage` and :mod:`spectral` call it, which
-    places a sparse spectrum's keys on the padded grid."""
+    each wrapped in place while it is installed: numpy's transforms,
+    ``half_index`` as :mod:`shrinkage` calls it, which places a sparse
+    spectrum's keys on the padded grid, or the method
+    ``SparseSpectrum.open_product``, which makes a factor operand's
+    products entry by entry."""
 
     def __init__(self, modules, names) -> None:
         self.originals = {(m, name): getattr(m, name) for m in modules for name in names}
@@ -147,11 +151,13 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
     solvers._fft_layout, shrinkage._pair_plan = count, plans
     counters = (
         _CallCount([np.fft], TRANSFORMS),
-        _CallCount([shrinkage, spectral], ("half_index",)),
+        _CallCount([shrinkage], ("half_index",)),
+        _CallCount([SparseSpectrum], ("open_product",)),
     )
     for counter in counters:
         counter.install()
-    tallies = {"sparse": ([], []), "dense": ([], [])}  # transforms and placements per step
+    # transforms, placements and factor products per step
+    tallies = {"sparse": ([], [], []), "dense": ([], [], [])}
 
     def tally(side: str, before: list[int]) -> None:
         for counter, got, was in zip(counters, tallies[side], before):
@@ -199,6 +205,7 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
         "sparse_faults": statistics.mean(sparse_faults[later]),
         "sparse_transforms": statistics.mean(tallies["sparse"][0][later]),
         "sparse_placements": statistics.mean(tallies["sparse"][1][later]),
+        "sparse_products": statistics.mean(tallies["sparse"][2][later]),
         "fft_steps": count.steps,
         "n_s0": initial.n_s,
         "n_s": state.current.n_s,
@@ -212,6 +219,7 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
         out["dense_faults"] = statistics.mean(dense_faults[later])
         out["dense_transforms"] = statistics.mean(tallies["dense"][0][later])
         out["dense_placements"] = statistics.mean(tallies["dense"][1][later])
+        out["dense_products"] = statistics.mean(tallies["dense"][2][later])
         out["rel_l2"] = l2 / norm if norm else float("nan")
     return out
 
@@ -267,12 +275,12 @@ def main(argv=None) -> None:
 
     print("headline recipes (ms per step after step "
           f"{SETTLE}, median and mean; fft = steps in FFT layout; plans = pair plans built; "
-          "flt, trf, plc = minor page faults, numpy transform calls and key placements "
-          "per later step)")
+          "flt, trf, plc, prd = minor page faults, numpy transform calls, key placements "
+          "and factor products (open_product calls) per later step)")
     print(f"{'recipe':<18}{'steps':>6}{'first':>8}{'sparse':>9}{'dense':>9}{'ratio':>7}"
           f"{'mean sp':>9}{'mean de':>9}{'ratio':>7}{'fft':>6}{'plans':>6}"
           f"{'flt sp':>8}{'flt de':>8}{'trf sp':>8}{'trf de':>8}{'plc sp':>8}{'plc de':>8}"
-          f"{'frac':>8}{'rel L2':>11}")
+          f"{'prd sp':>8}{'prd de':>8}{'frac':>8}{'rel L2':>11}")
     for recipe, steps in HEADLINE_STEPS.items():
         config = load_recipe(recipe)
         n_steps = min(steps, cap, config.n_steps())
@@ -285,6 +293,7 @@ def main(argv=None) -> None:
                   f"{r['plans']:>6}{r['sparse_faults']:>8.1f}{r['dense_faults']:>8.1f}"
                   f"{r['sparse_transforms']:>8.2f}{r['dense_transforms']:>8.2f}"
                   f"{r['sparse_placements']:>8.2f}{r['dense_placements']:>8.2f}"
+                  f"{r['sparse_products']:>8.2f}{r['dense_products']:>8.2f}"
                   f"{100 * r['fraction']:>7.1f}%{r['rel_l2']:>11.4e}",
                   flush=True)
 
@@ -309,12 +318,12 @@ def main(argv=None) -> None:
 
     print()
     print("vorticity_converge on n^2 points (ms; setup = initial_condition and the run's "
-          f"inputs; dense interleaved up to {DENSE_2D_MAX}^2; flt, trf, plc = minor page "
-          "faults, numpy transform calls and key placements per later step; RSS of the "
-          "sparse run alone)")
+          f"inputs; dense interleaved up to {DENSE_2D_MAX}^2; flt, trf, plc, prd = minor "
+          "page faults, numpy transform calls, key placements and factor products per "
+          "later step; RSS of the sparse run alone)")
     print(f"{'n^2':>7}{'steps':>6}{'setup':>8}{'first':>8}{'sparse':>9}{'dense':>9}{'ratio':>7}"
           f"{'flt sp':>8}{'flt de':>8}{'trf sp':>8}{'trf de':>8}{'plc sp':>8}{'plc de':>8}"
-          f"{'n_s 0/last':>12}{'RSS MB':>8}")
+          f"{'prd sp':>8}{'prd de':>8}{'n_s 0/last':>12}{'RSS MB':>8}")
     n_steps = min(REFINE_2D_STEPS, cap)
     for n in REFINE_2D_SIZES:
         for _ in range(args.repeats):
@@ -322,7 +331,8 @@ def main(argv=None) -> None:
             dense = (f"{r['dense_ms']:>9.3f}{r['sparse_ms'] / r['dense_ms']:>7.2f}"
                      if "dense_ms" in r else f"{'-':>9}{'-':>7}")
             counts = ""
-            for key, form in (("faults", ".1f"), ("transforms", ".2f"), ("placements", ".2f")):
+            for key, form in (("faults", ".1f"), ("transforms", ".2f"), ("placements", ".2f"),
+                              ("products", ".2f")):
                 counts += f"{r['sparse_' + key]:>8{form}}"
                 counts += f"{r['dense_' + key]:>8{form}}" if "dense_ms" in r else f"{'-':>8}"
             supports = f"{r['n_s0']}/{r['n_s']}"

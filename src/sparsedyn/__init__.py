@@ -15,6 +15,7 @@ from .errors import (
     HermitianViolation,
     NegativeLambda,
     NonpositiveDt,
+    NotOneDimensional,
     NotTwoDimensional,
     SolverDiverged,
     UnderResolved,

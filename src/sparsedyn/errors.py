@@ -37,6 +37,10 @@ class NotTwoDimensional(ValueError):
     """Operation requires a 2-D grid."""
 
 
+class NotOneDimensional(ValueError):
+    """Operation requires a 1-D grid."""
+
+
 class UnknownInitialSpec(ValueError):
     """Initial-condition name not recognized."""
 

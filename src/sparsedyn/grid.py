@@ -34,11 +34,13 @@ formula of per-axis tables of length ``n`` (:func:`axis_tables`), read at
 the modes' key digits.  A sparse spectrum evaluates the formula at the
 digits of its own keys, so it builds nothing the size of the grid; a dense
 spectrum reads the whole table (:func:`mode_table`), made from the same
-per-axis values by the same formula the first time a dense spectrum asks.
+per-axis values by the same formula the first time a dense spectrum asks,
+and a sparse operand placed on a padded grid multiplies its row by the
+factor on that half grid (:func:`half_mode_table`), made so per padded size.
 
 Every per-grid table is built here once, cached and shared read-only:
-:func:`axis_tables`, :func:`mode_table`, :func:`mean_key`,
-:func:`box_index` and :func:`transform_size`; the box's blocks
+:func:`axis_tables`, :func:`mode_table`, :func:`half_mode_table`,
+:func:`mean_key`, :func:`box_index` and :func:`transform_size`; the box's blocks
 (:func:`box_blocks`) are cached per layout.  Nothing else the size of the
 grid is kept: a dense spectrum's modes come from the per-axis
 :meth:`GridSpec.mode_numbers`, and its values at the negated modes from a
@@ -231,6 +233,29 @@ def mode_table(grid: GridSpec, factor) -> np.ndarray:
     read-only, shared per grid and factor."""
     digits = np.ix_(*[grid.mode_numbers() + grid.n_per_dim // 2] * grid.dims)
     return _read_only(np.broadcast_to(factor(grid, digits), grid.shape).copy())[0]
+
+
+@lru_cache(maxsize=32)
+def half_mode_table(grid: GridSpec, factor, size: int, part: int) -> tuple[np.ndarray, float]:
+    """The mode factor ``factor`` on the half grid of a real transform on
+    ``size`` points per dimension (:func:`half_index`), for ``part`` 1 as
+    ``conj f(-m)``, the factor of an operand's second row, and the smallest
+    nonzero magnitude it holds (``inf`` if none): what a sparse operand
+    with a factor multiplies its placed row by.  Made by calling the factor
+    on the half grid's broadcast digits, so a factor of one axis stays a
+    sliver along it; a mode beyond the grid's, where nothing is placed,
+    reads the factor at the nearest digit.  Read-only, shared per grid,
+    factor, size and part."""
+    half, sign = grid.n_per_dim // 2, -1 if part else 1
+    lead = np.arange(size)
+    modes = [np.where(lead > size // 2, lead - size, lead)] * (grid.dims - 1)
+    modes.append(np.arange(size // 2 + 1))
+    digits = np.ix_(*[np.clip(sign * m + half, 0, grid.n_per_dim - 1) for m in modes])
+    table = factor(grid, digits)
+    if part:
+        table = np.conjugate(table)
+    mags = np.abs(table)
+    return _read_only(table)[0], float(mags[mags > 0].min(initial=np.inf))
 
 
 def _to_flat(digits, base: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass
 from typing import IO, Iterator, NamedTuple
 
@@ -47,10 +48,7 @@ from .grid import (
     sum_box,
     transform_size,
 )
-from .spectral import DenseSpectrum, hold_operands, padded_product
-
-# Magnitudes below this are treated as exact zeros during arithmetic.
-DROP_TOL = 1e-300
+from .spectral import DROP_TOL, DenseSpectrum, hold_operands, padded_product
 
 # Share of the largest magnitude below which a densely made coefficient is
 # roundoff.  The FFT roundoff of the bundled coefficient and forcing spectra
@@ -68,6 +66,8 @@ _TRANSFORM_COST = 1.5
 _TRANSFORM_FIXED = 10_000
 _PAIR_BLOCK = 1 << 14  # most pairs the entry-pair path forms at once
 _PLAN_PAIRS = 1 << 16  # most pairs a kept plan indexes
+
+_DUMP_HEADER = re.compile(r"# grid=([0-9]+)(?:,([0-9]+))? n_s=([0-9]+)")
 
 
 def _nonzero(values: np.ndarray) -> np.ndarray:
@@ -225,15 +225,26 @@ class SparseSpectrum:
             entries = self.__dict__["_open"] = keys, vals, reach
         return entries
 
-    def open_product(self, factor) -> tuple[np.ndarray, tuple]:
-        """This spectrum times the mode factor ``factor`` at its open-box
-        entries, made from their values and the factor at their digits: the
-        products at every one of them, those that underflow zero, which a
-        padded transform places at this spectrum's key places
-        (:meth:`half_places`), and the keys, values and reach of the
-        product's own open-box entries, bit for bit as
-        ``self.apply_mode_factor(self.at(factor)).open_entries`` reads
-        them."""
+    @property
+    def open_smallest(self) -> float:
+        """The smallest magnitude of the open-box entries (NaN if one is
+        NaN, ``inf`` if there are none), which bounds a factor operand's
+        products from below (:meth:`~sparsedyn.spectral.HeldField.place`),
+        made on first use and kept."""
+        low = self.__dict__.get("_smallest")
+        if low is None:
+            low = float(np.abs(self.open_entries[1]).min(initial=np.inf))
+            self.__dict__["_smallest"] = low
+        return low
+
+    def open_product(self, factor) -> tuple[np.ndarray, np.ndarray, int]:
+        """Keys, values and reach of the open-box entries of this spectrum
+        times the mode factor ``factor``, made from its own open-box entries
+        and the factor at their digits, those that underflow dropped: bit
+        for bit what ``self.apply_mode_factor(self.at(factor)).open_entries``
+        reads, for the entry-pair path; the transform path makes the
+        products on the padded grid
+        (:meth:`~sparsedyn.spectral.HeldField.place`)."""
         grid = self.grid
         keys, vals, reach = self.open_entries
         if keys.size == self.n_s:
@@ -243,11 +254,9 @@ class SparseSpectrum:
         products = vals * factor(grid, digits)
         kept = _nonzero(products)
         if kept.all():
-            return products, (keys, products, reach)
+            return keys, products, reach
         at = keys[kept]
-        entries = at, products[kept], key_reach(grid, at)
-        products[~kept] = 0
-        return products, entries
+        return at, products[kept], key_reach(grid, at)
 
     def half_places(self, size: int, part: int) -> tuple[np.ndarray, np.ndarray]:
         """Where the open-box entries go on the half grid of a real
@@ -510,7 +519,12 @@ def convolve_sum(terms, *, real: bool = False) -> SparseSpectrum | DenseSpectrum
     (:func:`_pair_convolve`), or the transform, whose terms share the padded grid
     (:func:`~sparsedyn.spectral.padded_product`) and whose sum drops its
     roundoff tail (:func:`_above_roundoff`).  With operands that fill the
-    box the two layouts give the same values, less that tail.
+    box the two layouts give the same values, less that tail.  An operand
+    with a factor is planned by its spectrum's entries; entry pairs read
+    its products at them (:meth:`SparseSpectrum.open_product`), less those
+    that underflow, and the transform makes them on the padded grid
+    (:meth:`~sparsedyn.spectral.HeldField.place`), so the transform path
+    forms no product entry by entry.
 
     A one-term call of a held operand (not ``call_only``, such as a run's
     coefficient) that takes entry pairs keeps on that operand the pair
@@ -545,10 +559,14 @@ def convolve_sum(terms, *, real: bool = False) -> SparseSpectrum | DenseSpectrum
     live, size, k, transform = plan_convolution(grid, terms)
     if not live:
         return SparseSpectrum.empty(grid)
-    if not transform:
-        if key and a.entries()[0].size * b.entries()[0].size <= _PLAN_PAIRS:
+    if not transform:  # a factor operand's own entries may be fewer, or none
+        pairs = [(w, a.entries(), b.entries()) for w, a, b in live]
+        pairs = [(w, a, b) for w, a, b in pairs if a[0].size and b[0].size]
+        if not pairs:
+            return SparseSpectrum.empty(grid)
+        if key and pairs[0][1][0].size * pairs[0][2][0].size <= _PLAN_PAIRS:
             held.plan = key, None
-        return _pair_convolve(grid, [(w, a.entries(), b.entries()) for w, a, b in live])
+        return _pair_convolve(grid, pairs)
     vals = padded_product(grid, live, size, k, real).ravel()
     keep = _above_roundoff(vals)
     return SparseSpectrum(grid, box_index(grid, k)[keep], vals[keep])
@@ -558,9 +576,13 @@ def plan_convolution(grid: GridSpec, terms) -> tuple[list, int, int, bool]:
     """``(live, P, K, transform)``: the path :func:`convolve_sum` takes on
     terms ``(w, a, b)`` of held sparse operands (:func:`~sparsedyn.spectral.hold_operands`).
 
-    The live terms are those whose two operands both have open-box entries.
-    With ``R`` the largest sum of the two operands' reaches (largest
-    ``|m_d|``) over them, products are made on ``P`` points per dimension,
+    The live terms are those whose two operands' spectra both have
+    open-box entries, whose count and reach (largest ``|m_d|``) stand for
+    the operand's, with a factor too: an upper bound there, since the
+    product's entries are among the spectrum's, and every size the rule
+    gives for a reach at or above the true one is free of aliasing.  With ``R``
+    the largest sum of the two operands' reaches over the live terms,
+    products are made on ``P`` points per dimension,
     the smallest ``2^a 3^b >= R + K + 1`` and at most ``3n/2``, and read at
     the box ``|s_d| <= K = min(R, n/2 - 1)`` (:func:`~sparsedyn.grid.transform_size`).
     The call takes entry pairs, a fixed cost per row of the smaller operand
@@ -570,7 +592,8 @@ def plan_convolution(grid: GridSpec, terms) -> tuple[list, int, int, bool]:
     ``P = K = 0`` and pairs."""
     live, reach, rows, cols = [], -1, 0, 0
     for w, a, b in terms:
-        (a_keys, _, a_reach), (b_keys, _, b_reach) = a.entries(), b.entries()
+        a_keys, _, a_reach = a.spectrum.open_entries
+        b_keys, _, b_reach = b.spectrum.open_entries
         if a_keys.size and b_keys.size:
             live.append((w, a, b))
             reach = max(reach, a_reach + b_reach)
@@ -721,20 +744,24 @@ def load_spectrum(
     stream: IO[str] | str, domain_length: float | None = None
 ) -> SparseSpectrum:
     """Read a spectrum dump back; the grid is reconstructed from the header
-    (default domain length unless given)."""
+    (default domain length unless given).  The header must read exactly
+    ``# grid=<n>[,<n>] n_s=<count>``; any other first line raises
+    ``ValueError`` naming it."""
     if isinstance(stream, str):
         with open(stream) as fh:
             return load_spectrum(fh, domain_length)
-    header = stream.readline().strip()
-    if not header.startswith("# grid="):
-        raise ValueError("missing spectrum dump header")
-    grid_part, ns_part = header[2:].split(" ")
-    sizes = [int(s) for s in grid_part.split("=")[1].split(",")]
+    header = stream.readline().rstrip("\r\n")
+    parsed = _DUMP_HEADER.fullmatch(header)
+    if parsed is None:
+        raise ValueError(
+            f"spectrum dump header {header!r}: not '# grid=<n>[,<n>] n_s=<count>'"
+        )
+    sizes = [int(s) for s in parsed.groups()[:2] if s is not None]
     if len(set(sizes)) != 1:
         raise ValueError("grid must be square")
     kwargs = {} if domain_length is None else {"domain_length": domain_length}
     grid = GridSpec(dims=len(sizes), n_per_dim=sizes[0], **kwargs)
-    n_s = int(ns_part.split("=")[1])
+    n_s = int(parsed[3])
     rows = [line.split("\t") for line in stream.read().splitlines() if line.strip()]
     if len(rows) != n_s:
         raise ValueError(f"spectrum dump header gives n_s={n_s}, but {len(rows)} entries follow")

@@ -43,6 +43,7 @@ from .errors import (
     CflWarning,
     HermitianViolation,
     NonpositiveDt,
+    NotOneDimensional,
     NotTwoDimensional,
     SolverDiverged,
     UnknownInitialSpec,
@@ -189,9 +190,11 @@ def advection_term(u: Spectrum) -> Spectrum:
     """Spectral form of -(velocity . grad u) for the vorticity equation.
     Each velocity component is the perpendicular gradient of the inverse
     Laplacian, zero at k = 0 (mean-free streamfunction).  All four operands
-    are ``u`` times a mode factor, ``(u, factor)``: a sparse ``u`` is
-    placed once on the padded grid for the four of them, a dense one makes
-    each (:func:`~sparsedyn.spectral.hold_operands`)."""
+    are ``u`` times a mode factor, ``(u, factor)``: a sparse ``u`` plans
+    the call by its own count and reach and finds its places on the padded
+    grid once for the four of them, each times its factor's table there
+    (:meth:`~sparsedyn.spectral.HeldField.place`); a dense one makes each
+    (:func:`~sparsedyn.spectral.hold_operands`)."""
     terms = [(-1.0, (u, VELOCITY_FACTORS[d]), (u, DERIVATIVE_FACTORS[d])) for d in range(2)]
     return convolve_sum(terms, real=True)
 
@@ -231,13 +234,24 @@ def _prepare(params: EquationParams, initial: Spectrum, dt: float, strict_cfl: b
     ``initial``: in closed form where there is one
     (:func:`~sparsedyn.coefficients.closed_form_spectrum`), so a sparse run
     of such a form builds nothing the size of the grid, else the DFT of its
-    samples; checks the stability guard once for the whole run."""
+    samples; checks the stability guard once for the whole run.
+
+    Raises
+    ------
+    NotTwoDimensional
+        For ``vorticity2d`` on a grid that is not 2-D.
+    NotOneDimensional
+        For the other equations, whose schemes step along one axis, on a
+        grid that is not 1-D.
+    """
     grid = initial.grid
     if params.equation == "vorticity2d":
         if grid.dims != 2:
             raise NotTwoDimensional("vorticity2d requires a 2-D grid")
         spec = params.forcing or CoefficientSpec.constant(0.0)
     else:
+        if grid.dims != 1:
+            raise NotOneDimensional(f"{params.equation} requires a 1-D grid")
         samples = coefficient_samples(params, grid)
         a_max = float(np.max(np.abs(samples)))
         if a_max > 0 and params.equation == "convection":
@@ -260,7 +274,9 @@ def _fft_layout(
     largest convolution, coefficient times state (the state times itself
     for vorticity), takes the transform path on the whole open box,
     ``K = n/2 - 1``, by the plan :func:`~sparsedyn.shrinkage.convolve_sum`
-    follows (:func:`~sparsedyn.shrinkage.plan_convolution`).  The plan reads
+    follows (:func:`~sparsedyn.shrinkage.plan_convolution`), which plans
+    the advection's mode-factor operands by the state's count and reach
+    too, so for vorticity the rule reads what that call reads.  The plan reads
     of the state only its open-box count and reach, so ``answers`` keeps
     the run's answer for each; the state's open-box entries
     (:attr:`~sparsedyn.shrinkage.SparseSpectrum.open_entries`) are made
@@ -299,6 +315,9 @@ def _iterate(
         Unless ``dt > 0`` (NaN fails too).
     ValueError
         If ``n_steps`` is negative.
+    NotOneDimensional, NotTwoDimensional
+        Before the first step, if the grid's dimension is not the
+        equation's (:func:`_prepare`).
     HermitianViolation
         Before the first step, if ``initial`` is not the spectrum of a real
         field to ``HERMITIAN_RTOL``: the steps convolve real fields only.

@@ -12,8 +12,10 @@ that declares its operands real (the solver) makes one real field per
 operand; any other operand is split into two real fields.  Each operand,
 a spectrum times an optional mode factor behind a :class:`HeldField`,
 places itself on the padded grid, a sparse one at the places of its
-spectrum's keys, found once per spectrum and size, a dense one by copying
-the box; the grid's index arithmetic sizes (:func:`~sparsedyn.grid.transform_size`), places keys
+spectrum's keys, found once per spectrum and size, times its factor's
+table on that grid (:func:`~sparsedyn.grid.half_mode_table`), a dense one
+by copying the box; the grid's index arithmetic sizes
+(:func:`~sparsedyn.grid.transform_size`), places keys
 (:func:`~sparsedyn.grid.half_index`) and gives the box's blocks
 (:func:`~sparsedyn.grid.box_blocks`), whose slices pad a dense operand and
 crop every product (:func:`read_box`), with no index table.
@@ -31,10 +33,12 @@ from .grid import (
     GridSpec,
     at_negated_modes,
     box_blocks,
-    half_index,
+    half_mode_table,
     mode_table,
-    negated_keys,
 )
+
+# Magnitudes below this are treated as exact zeros during arithmetic.
+DROP_TOL = 1e-300
 
 # Imaginary residual above this, relative to the field's largest real value
 # when that exceeds one, aborts a nominally real inverse transform.
@@ -150,11 +154,13 @@ class HeldField:
     under the other operand's side and open-box keys: the pair-to-output
     index of their entry pairs, or ``None`` while that support has been
     seen only once.
-    A sparse spectrum keeps its own open-box entries; a sparse operand
-    with a factor makes its own, and its products at the spectrum's
-    open-box entries (``product``,
-    :meth:`~sparsedyn.shrinkage.SparseSpectrum.open_product`), on first
-    use.
+    A sparse operand is sized by its spectrum's open-box entries
+    (:attr:`~sparsedyn.shrinkage.SparseSpectrum.open_entries`), with a
+    factor too: their count and reach bound those of the product.  Only
+    the entry-pair path reads a factor operand's own entries, its products
+    at the spectrum's open-box entries less those that underflow
+    (``product``, :meth:`~sparsedyn.shrinkage.SparseSpectrum.open_product`),
+    made on first use.
 
     Every call holds its operands (:func:`hold_operands`), marked
     ``call_only`` if made for that call, which keep no plan; hold one
@@ -169,7 +175,7 @@ class HeldField:
         if factor is not None and isinstance(spectrum, DenseSpectrum):
             spectrum, factor = spectrum.apply_mode_factor(spectrum.at(factor)), None
         self.spectrum, self.factor = spectrum, factor
-        self.product = None
+        self.product: tuple | None = None
         self.field: np.ndarray | None = None
         self.size = 0
         self.real = False
@@ -177,29 +183,30 @@ class HeldField:
         self.plan: tuple | None = None
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Keys, values and reach of a sparse operand's open-box entries
+        """Keys, values and reach of a sparse operand's own open-box entries
         (:attr:`~sparsedyn.shrinkage.SparseSpectrum.open_entries`, or
-        those of its product with its factor)."""
+        those of its product with its factor), which entry pairs read."""
         if self.factor is None:
             return self.spectrum.open_entries
         if self.product is None:
             self.product = self.spectrum.open_product(self.factor)
-        return self.product[1]
+        return self.product
 
     def place(self, half: np.ndarray, size: int) -> None:
         """Write the operand onto ``half``, zeros of shape ``(parts, size,
         ..., size//2 + 1)`` on the half grid of a real transform on ``size``
         points per dimension: in part 0 its open-box entries with
         ``m_last >= 0``, in a second part, if any, those with ``m_last <= 0``
-        at their negated mode, conjugated.  A sparse operand writes its
-        values at the places of its spectrum's open-box keys, found once per
-        spectrum, size and part
-        (:meth:`~sparsedyn.shrinkage.SparseSpectrum.half_places`), its
-        products, those that underflow as zeros, if it has a factor; where
-        ``size`` is too small for the spectrum's keys, as when the products
-        drop its outermost entries, a key would land on another's place, so
-        it places its own entries (:func:`~sparsedyn.grid.half_index`).  A
-        dense one copies the open box's blocks
+        at their negated mode, conjugated.  ``size`` exceeds twice the
+        spectrum's reach (:func:`~sparsedyn.grid.transform_size`), so every
+        key has a place of its own.  A sparse operand writes its
+        spectrum's open-box values at the places of their keys, found once
+        per spectrum, size and part
+        (:meth:`~sparsedyn.shrinkage.SparseSpectrum.half_places`); with a
+        factor it multiplies each part by the factor on the half grid
+        (:func:`~sparsedyn.grid.half_mode_table`), so its products are made
+        there, and a product below ``DROP_TOL`` is placed as 0, a NaN kept.
+        A dense one copies the open box's blocks
         (:func:`~sparsedyn.grid.box_blocks`), for the second part from its
         coefficients at the negated modes
         (:func:`~sparsedyn.grid.at_negated_modes`)."""
@@ -215,15 +222,20 @@ class HeldField:
                     for row, coeffs in zip(half, rows):
                         row[dst.at] = coeffs[src.at]
             return
-        keys, vals, _ = self.entries()
-        shared = self.factor is None or 2 * spec.open_entries[2] < size
-        if shared and self.factor is not None:
-            vals = self.product[0]
-        for part, row in enumerate(half.reshape(len(half), -1)):
+        vals = spec.open_entries[1]
+        for part, row in enumerate(half):
             if part:  # the negated modes, conjugated
-                keys, vals = negated_keys(grid, keys[::-1]), np.conjugate(vals[::-1])
-            keep, index = spec.half_places(size, part) if shared else half_index(grid, keys, size)
-            row[index] = vals[keep]
+                vals = np.conjugate(vals[::-1])
+            keep, index = spec.half_places(size, part)
+            row.reshape(-1)[index] = vals[keep]
+            if self.factor is None:
+                continue
+            table, smallest = half_mode_table(grid, self.factor, size, part)
+            row *= table
+            # a product's magnitude is within a few eps of the product of
+            # magnitudes, so at twice the bound none can underflow
+            if not spec.open_smallest * smallest >= 2 * DROP_TOL:  # NaN fails too
+                row[np.abs(row) < DROP_TOL] = 0
 
 
 def hold_operands(terms) -> tuple[GridSpec, list]:
@@ -269,8 +281,9 @@ def padded_product(
     shape ``grid.shape``, zero outside the box (:func:`read_box`).
 
     ``size`` and ``k`` come from :func:`~sparsedyn.grid.transform_size` for
-    the largest sum of the operands' reaches, so every product lands on its
-    own mode or outside the box read: the result is free of aliasing.
+    the largest sum of the operands' reaches, those of their spectra (an
+    operand with a factor reaches no further), so every product lands on
+    its own mode or outside the box read: the result is free of aliasing.
     Operands not held at this size and contract are made in the order of
     first need, as many as ``_STACK_BYTES`` of half grids hold (one at
     least) by one inverse transform of their rows of one zeroed stack

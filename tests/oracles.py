@@ -11,7 +11,8 @@ for bit, and the padded product of dense spectra through index tables
 (:func:`table_place`, :func:`table_read_box`,
 :func:`table_dense_convolve_sum`), which the block copies of the dense
 path must match bit for bit, and the advection term with its four
-operands made as spectra of their own (:func:`materialised_advection`),
+operands made as spectra of their own (:func:`materialised_advection`,
+through the padded product at the state's size, :func:`transform_at`),
 which the mode-factor images of the state must match bit for bit.
 """
 
@@ -20,14 +21,15 @@ import numpy as np
 from sparsedyn import DenseSpectrum, GridSpec, SparseSpectrum, SpatialField, dft_forward
 from sparsedyn.grid import (
     axis_tables,
+    box_index,
     in_open_box,
     mean_key,
     mode_to_key,
     transform_size,
     wavenumber_squares,
 )
-from sparsedyn.shrinkage import DROP_TOL, ROUNDOFF_FLOOR, convolve_sum
-from sparsedyn.spectral import spectral_derivative
+from sparsedyn.shrinkage import DROP_TOL, ROUNDOFF_FLOOR, convolve_sum, plan_convolution
+from sparsedyn.spectral import HeldField, hold_operands, padded_product, spectral_derivative
 
 
 def brute_force_convolve(a: dict, b: dict, grid: GridSpec) -> dict:
@@ -276,12 +278,33 @@ def biot_savart_rows(grid: GridSpec, digits) -> np.ndarray:
     return out
 
 
+def transform_at(terms, reach: int, real: bool = True) -> SparseSpectrum:
+    """``sum w * (a * b)`` over terms of sparse spectra made by the padded
+    product on the grid ``transform_size`` gives for ``reach``, whatever the
+    operands' own reach, and its roundoff tail dropped as the sparse
+    transform path drops it: every entry below ``ROUNDOFF_FLOOR`` times the
+    largest magnitude (at least ``DROP_TOL``; ``DROP_TOL`` alone when that
+    is not finite)."""
+    grid, held = hold_operands(terms)
+    size, k = transform_size(grid, reach)
+    vals = padded_product(grid, held, size, k, real).ravel()
+    mags = np.abs(vals)
+    top = float(mags.max())
+    floor = max(ROUNDOFF_FLOOR * top, DROP_TOL) if np.isfinite(top) else DROP_TOL
+    keep = ~(mags < floor)
+    return SparseSpectrum(grid, box_index(grid, k)[keep], vals[keep])
+
+
 def materialised_advection(u):
     """``-(velocity . grad u)`` of a sparse or dense 2-D vorticity ``u``
     with each of its four operands made as a spectrum of its own, the two
     velocity components from the stacked rows of :func:`biot_savart_rows`
-    and the two gradient components by ``spectral_derivative``, then
-    convolved by one real ``convolve_sum`` call."""
+    and the two gradient components by ``spectral_derivative``.  A sparse
+    ``u`` takes the path the state times itself takes
+    (``plan_convolution``): the padded product sized by the state's reach
+    (:func:`transform_at`), or entry pairs, row by row
+    (:func:`row_loop_convolve`); a dense one is one real ``convolve_sum``
+    call."""
     grid = u.grid
     if isinstance(u, SparseSpectrum):
         rows = biot_savart_rows(grid, u.digits)
@@ -289,7 +312,12 @@ def materialised_advection(u):
         rows = biot_savart_rows(grid, np.ix_(*[grid.mode_numbers() + grid.n_per_dim // 2] * 2))
     velocity = [u.apply_mode_factor(row) for row in rows]
     terms = [(-1.0, velocity[axis], spectral_derivative(u, axis)) for axis in range(2)]
-    return convolve_sum(terms, real=True)
+    if isinstance(u, DenseSpectrum):
+        return convolve_sum(terms, real=True)
+    state = HeldField(u)
+    if plan_convolution(grid, [(1.0, state, state)])[3]:
+        return transform_at(terms, 2 * u.open_entries[2])
+    return row_loop_convolve(terms, grid)
 
 
 def assert_same_bits(got, want) -> None:

@@ -34,6 +34,7 @@ from oracles import (
     table_dense_convolve_sum,
     table_place,
     table_read_box,
+    transform_at,
 )
 
 
@@ -718,15 +719,21 @@ def densified(operand):
     return operand[0].to_dense(), operand[1]
 
 
+def first_mode(grid, digits):
+    """The real mode factor ``m_0``, which is not Hermitian: ``f(-m) = -f(m)``."""
+    return (digits[0] - grid.n_per_dim // 2).astype(float)
+
+
 @pytest.mark.parametrize("dims", [1, 2])
 @pytest.mark.parametrize("real", [False, True])
 def test_mode_factor_operands_are_the_spectra_they_stand_for(dims, real, monkeypatch):
     # (spectrum, factor) is spectrum.apply_mode_factor(spectrum.at(factor)),
     # bit for bit, on both sparse paths and with a Nyquist entry held, also
-    # in the second row a complex call places; a dense one is made so
+    # in the second row a complex call places, for a factor that is not
+    # Hermitian too (conj f(-m) there); a dense one is made so
     g = GridSpec(dims, 32)
     rng = np.random.default_rng(30 + dims)
-    factors = spectral.DERIVATIVE_FACTORS[:dims] + (grid_module.wavenumber_squares,)
+    factors = spectral.DERIVATIVE_FACTORS[:dims] + (grid_module.wavenumber_squares, first_mode)
     paths = []
     for name in ("_pair_convolve", "padded_product"):
         original = getattr(shrinkage, name)
@@ -799,11 +806,14 @@ def test_an_image_entry_that_underflows_is_not_placed(real, monkeypatch):
     assert_same_bits(got, want)
 
 
-def test_images_that_drop_the_spectrum_s_outer_entries_place_their_own():
+def test_images_whose_outer_entries_underflow_are_sized_and_placed_by_the_spectrum(
+    monkeypatch,
+):
     # on a domain of 100 periods the entries at (-+1, +-20), 1e-300 in
-    # magnitude, underflow in both derivatives, which reach 3: the call is
-    # made on fewer points than the spectrum's keys need, so each image
-    # places its own entries, not its products where the keys would go
+    # magnitude, underflow in both derivatives, which reach 3 of their own:
+    # the call is sized by the spectrum's reach, 20, and its products are
+    # made at the spectrum's places, the underflowed ones placed as 0, bit
+    # for bit the padded product of the materialised operands on that grid
     g = GridSpec(2, 64, 200 * np.pi)
     rng = np.random.default_rng(11)
     m = np.arange(-3, 4)
@@ -814,12 +824,13 @@ def test_images_that_drop_the_spectrum_s_outer_entries_place_their_own():
     )
     u = inner + SparseSpectrum.from_dict(g, {(-1, 20): 1e-300, (1, -20): 1e-300})
     assert u.open_entries[2] == 20
+    monkeypatch.setattr(shrinkage, "_transform_is_cheaper", lambda *args: True)
     for real in (False, True):
         for factor in spectral.DERIVATIVE_FACTORS:
             derivative = u.apply_mode_factor(u.at(factor))
             assert derivative.open_entries[2] == 3
             _, held = spectral.hold_operands([(1.0, (u, factor), (u, factor))])
             _, size, _, transform = shrinkage.plan_convolution(g, held)
-            assert transform and size <= 2 * 20
+            assert transform and size == transform_size(g, 40)[0]
             got = convolve_sum([(1.0, (u, factor), (u, factor))], real=real)
-            assert_same_bits(got, convolve_sum([(1.0, derivative, derivative)], real=real))
+            assert_same_bits(got, transform_at([(1.0, derivative, derivative)], 40, real))

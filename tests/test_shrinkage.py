@@ -398,6 +398,19 @@ def test_dump_whose_header_miscounts_its_entries_is_rejected(header):
 
 
 @pytest.mark.parametrize(
+    "header",
+    ["# grid=16 ns=0", "# grid=16  n_s=0", "# grid=16", "grid=16 n_s=0", "# grid=16,16,16 n_s=0",
+     "# grid=16 n_s=0 extra", "# grid=16 n_s=-1", "", "# grid=16\tn_s=0"],
+)
+def test_dump_whose_header_is_not_the_format_is_rejected(header):
+    # "ns=0" loaded an empty spectrum (the key was never read); a doubled
+    # space and a missing n_s failed in tuple unpacking
+    form = "not '# grid=<n>[,<n>] n_s=<count>'"
+    with pytest.raises(ValueError, match=re.escape(f"header {header!r}: {form}")):
+        load_spectrum(io.StringIO(f"{header}\n"))
+
+
+@pytest.mark.parametrize(
     "grid, rows, mode",
     [(GridSpec(1, 16), ["3\t1.0\t0.0", "3\t2.0\t0.0"], "3"),
      (GridSpec(2, 8), ["1\t-2\t1.0\t0.0", "0\t1\t0.5\t0.0", "1\t-2\t2.0\t0.0"], "1 -2")],

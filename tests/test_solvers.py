@@ -14,6 +14,7 @@ from sparsedyn import (
     InitialSpec,
     LambdaSchedule,
     NonpositiveDt,
+    NotOneDimensional,
     NotTwoDimensional,
     SolverDiverged,
     SparseSpectrum,
@@ -181,6 +182,23 @@ def test_vorticity_requires_2d():
     state = SolverState(sine_field(g), None, 0, 0.0)
     with pytest.raises(NotTwoDimensional):
         step_vorticity(state, SparseSpectrum.empty(g), 0.1, 0.01)
+
+
+@pytest.mark.parametrize("equation", ["parabolic", "convection", "burgers"])
+def test_one_dimensional_equations_refuse_a_2d_grid(equation):
+    # they stepped an x-only equation on a 2-D grid: 5 parabolic steps took
+    # (1, 1) to 0.99750 and left (0, +-2) as they were
+    g = GridSpec(2, 16)
+    u0 = SparseSpectrum.from_dict(g, {(1, 1): 1, (-1, -1): 1, (0, 2): 0.5, (0, -2): 0.5})
+    params = EquationParams(equation, coeff=CoefficientSpec.constant(0.5))
+    runs = (
+        lambda: next(iter_states(u0, params, NO_SHRINK, 1e-3, 5)),
+        lambda: advance(u0, params, NO_SHRINK, 1e-3, 5),
+        lambda: next(iter_dense_states(u0.to_dense(), params, 1e-3, 5)),
+    )
+    for run in runs:
+        with pytest.raises(NotOneDimensional, match=f"{equation} requires a 1-D grid"):
+            run()
 
 
 def test_huge_lambda_collapses_in_one_step():
@@ -667,20 +685,23 @@ def test_dense_advection_stacks_its_fields_within_the_budget(
     # transform on 48 x 48 points, one per operand on 384 x 384, whose half
     # grid alone exceeds the stack's byte budget.  The same state sparse
     # takes the same transforms and places its keys once for its four
-    # operands (one half_index, through SparseSpectrum.half_places, and none
-    # of an operand's own entries), as does a later vorticity_converge state
-    # on 128^2 (48 x 48 points)
+    # operands (one half_index, through SparseSpectrum.half_places), whose
+    # products are made on the padded grid, none entry by entry
+    # (open_product), as does a later vorticity_converge state on 128^2
     g = GridSpec(2, n)
     u = dft_forward(SpatialField(g, np.random.default_rng(n).standard_normal(g.shape)))
     fft_calls.clear()
     advection_term(u)
     assert fft_calls == ["irfftn"] * inverse_calls + ["rfftn"]
 
-    placed = []
-    for module in (shrinkage, spectral):
-        monkeypatch.setattr(
-            module, "half_index", lambda *args: placed.append(args) or half_index(*args)
-        )
+    placed, products = [], []
+    monkeypatch.setattr(
+        shrinkage, "half_index", lambda *args: placed.append(args) or half_index(*args)
+    )
+    open_product = SparseSpectrum.open_product
+    monkeypatch.setattr(
+        SparseSpectrum, "open_product", lambda *args: products.append(1) or open_product(*args)
+    )
     config = load_recipe("vorticity_converge")
     u0 = initial_condition(config.initial_spec(), config.grid())
     run = iter_states(u0, config.equation_params(), config.schedule(), config.dt, 10)
@@ -691,6 +712,7 @@ def test_dense_advection_stacks_its_fields_within_the_budget(
         advection_term(state)
         assert fft_calls == ["irfftn"] * inverse + ["rfftn"]
         assert len(placed) == 1 and placed[0][1] is state.open_entries[0]
+        assert products == []
 
 
 def hermitian_within(grid, reach, density, rng):
@@ -732,8 +754,9 @@ def test_advection_of_mode_factor_images_is_the_materialised_one_bit_for_bit(mon
             assert_same_bits(got, materialised_advection(u))
     g = GridSpec(2, 64)
     # the outer ring at (+-R, 0) and modes within 6: u_y and the x velocity
-    # (both i k_1 times u) lose the ring and reach 6 where u reaches 20, so
-    # the products reach 26, not 40, and are made on 54 points, not 72
+    # (both i k_1 times u) lose the ring and reach 6 where u reaches 20; the
+    # call is sized by the state, 40, so it is made on 72 points, not the
+    # 54 that the operands' own reach, 26, would take
     ring = SparseSpectrum.from_dict(g, {(20, 0): 0.3 - 0.1j, (-20, 0): 0.3 + 0.1j})
     u = ring + hermitian_within(g, 6, 0.8, rng)
     assert u.open_entries[2] == 20
@@ -741,7 +764,7 @@ def test_advection_of_mode_factor_images_is_the_materialised_one_bit_for_bit(mon
     grid, held = hold_operands(terms)
     assert [op.entries()[2] for _, a, b in held for op in (a, b)] == [6, 20, 20, 6]
     _, size, _, transform = shrinkage.plan_convolution(grid, held)
-    assert transform and size == transform_size(g, 26)[0] == 54
+    assert transform and size == transform_size(g, 40)[0] == 72
     # a few entries take pairs; k = 0 alone makes every operand empty
     few = SparseSpectrum.from_dict(g, {(1, 2): 0.2j, (-1, -2): -0.2j, (3, 0): 0.5, (-3, 0): 0.5})
     mean_only = SparseSpectrum.from_dict(g, {(0, 0): 1.5})
@@ -762,6 +785,36 @@ def test_advection_matches_the_materialised_one_on_every_vorticity_converge_step
     params = config.equation_params()
     for state in iter_states(u0, params, config.schedule(), config.dt, config.n_steps()):
         assert_same_bits(advection_term(state.current), materialised_advection(state.current))
+
+
+def test_the_layout_rule_answers_as_the_advection_call_chooses(monkeypatch):
+    # _fft_layout asks the plan of the state times itself; the advection
+    # call plans its four mode-factor operands by the state's own count and
+    # reach, so the rule's answer is the call's own choice, the transform on
+    # the whole open box.  With the ring at (+-20, 0) the operands' own
+    # entries reach 26 in sum where the state reaches 40
+    plans = []
+    plan = shrinkage.plan_convolution
+    monkeypatch.setattr(
+        shrinkage, "plan_convolution", lambda *args: plans.append(plan(*args)) or plans[-1]
+    )
+    g = GridSpec(2, 64)
+    params = EquationParams("vorticity2d", gamma=0.01)
+    rng = np.random.default_rng(28)
+    ring = SparseSpectrum.from_dict(g, {(20, 0): 0.3 - 0.1j, (-20, 0): 0.3 + 0.1j})
+    states = [ring + hermitian_within(g, 6, 0.8, rng)]
+    states += [
+        hermitian_within(g, reach, density, rng)
+        for reach in (6, 12, 16, 20) for density in (0.1, 0.8)
+    ]
+    answers = []
+    for u in states:
+        plans.clear()
+        advection_term(u)
+        ((_, _, k, transform),) = plans
+        answers.append(solvers._fft_layout(params, u, None, {}))
+        assert answers[-1] == (transform and k == g.box_edge)
+    assert answers[0] and not all(answers)
 
 
 def test_a_nan_in_the_state_reaches_the_advection_and_stops_the_run(monkeypatch):
