@@ -18,9 +18,9 @@ dense step (the heap's growth and trims show there: ``ru_minflt`` of this
 process, read around each step), the numpy transform calls, the key
 placements (``half_index`` calls, through ``SparseSpectrum.half_places``,
 which place a sparse spectrum's keys on the padded grid) and the factor
-products made entry by entry (``SparseSpectrum.open_product`` calls,
-which only the entry-pair path makes) per later sparse and dense step, and
-the final
+operands made as spectra of their own (``HeldField.entries`` calls that
+make one, which only the entry-pair path makes) per later sparse and
+dense step, and the final
 retained fraction and relative L2 error against the dense run.  The second covers the
 refinement problems at ``N = 2^10 .. 2^17``: ``parabolic_fig2`` refined
 with ``dt`` scaled as ``dx^2`` and ``convection_fig1`` with ``dt`` scaled
@@ -29,8 +29,8 @@ pair plans built.  The third covers ``vorticity_converge`` on ``n^2`` grids, ``n
 as bundled: the setup of the sparse run (``initial_condition`` and the
 inputs of ``iter_states``), its first and later steps, the dense step
 interleaved up to ``DENSE_2D_MAX``, the minor page faults, transform
-calls, key placements and factor products per later sparse and dense
-step, ``n_s`` at steps 0 and
+calls, key placements and factor operands made per later sparse and
+dense step, ``n_s`` at steps 0 and
 last, and the peak RSS of the same sparse run, alone, in a process of its
 own.
 ``--steps`` caps every run (the headline recipes run ``HEADLINE_STEPS``
@@ -68,6 +68,7 @@ from sparsedyn import (  # noqa: E402
 from sparsedyn.coefficients import coefficient_field_of  # noqa: E402
 from sparsedyn.evaluation import iter_dense_states  # noqa: E402
 from sparsedyn.harness import load_recipe  # noqa: E402
+from sparsedyn.spectral import HeldField  # noqa: E402
 
 HEADLINE_STEPS = {
     "convection_fig1": 500,
@@ -113,9 +114,7 @@ class _CallCount:
     """Counts the calls of the functions ``names`` of each of ``modules``,
     each wrapped in place while it is installed: numpy's transforms,
     ``half_index`` as :mod:`shrinkage` calls it, which places a sparse
-    spectrum's keys on the padded grid, or the method
-    ``SparseSpectrum.open_product``, which makes a factor operand's
-    products entry by entry."""
+    spectrum's keys on the padded grid."""
 
     def __init__(self, modules, names) -> None:
         self.originals = {(m, name): getattr(m, name) for m in modules for name in names}
@@ -137,6 +136,21 @@ class _CallCount:
         return counted
 
 
+class _MadeCount(_CallCount):
+    """Counts the factor operands made as the spectra they stand for: the
+    calls of ``HeldField.entries`` that make an operand's ``product``."""
+
+    def __init__(self) -> None:
+        super().__init__([HeldField], ("entries",))
+
+    def _counted(self, original):
+        def counted(held):
+            self.calls += held.product is None
+            return original(held)
+
+        return counted
+
+
 def minor_faults() -> int:
     """Minor page faults of this process so far."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -152,11 +166,11 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
     counters = (
         _CallCount([np.fft], TRANSFORMS),
         _CallCount([shrinkage], ("half_index",)),
-        _CallCount([SparseSpectrum], ("open_product",)),
+        _MadeCount(),
     )
     for counter in counters:
         counter.install()
-    # transforms, placements and factor products per step
+    # transforms, placements and factor operands made per step
     tallies = {"sparse": ([], [], []), "dense": ([], [], [])}
 
     def tally(side: str, before: list[int]) -> None:
@@ -276,7 +290,7 @@ def main(argv=None) -> None:
     print("headline recipes (ms per step after step "
           f"{SETTLE}, median and mean; fft = steps in FFT layout; plans = pair plans built; "
           "flt, trf, plc, prd = minor page faults, numpy transform calls, key placements "
-          "and factor products (open_product calls) per later step)")
+          "and factor operands made (for entry pairs) per later step)")
     print(f"{'recipe':<18}{'steps':>6}{'first':>8}{'sparse':>9}{'dense':>9}{'ratio':>7}"
           f"{'mean sp':>9}{'mean de':>9}{'ratio':>7}{'fft':>6}{'plans':>6}"
           f"{'flt sp':>8}{'flt de':>8}{'trf sp':>8}{'trf de':>8}{'plc sp':>8}{'plc de':>8}"
@@ -319,8 +333,8 @@ def main(argv=None) -> None:
     print()
     print("vorticity_converge on n^2 points (ms; setup = initial_condition and the run's "
           f"inputs; dense interleaved up to {DENSE_2D_MAX}^2; flt, trf, plc, prd = minor "
-          "page faults, numpy transform calls, key placements and factor products per "
-          "later step; RSS of the sparse run alone)")
+          "page faults, numpy transform calls, key placements and factor operands made "
+          "per later step; RSS of the sparse run alone)")
     print(f"{'n^2':>7}{'steps':>6}{'setup':>8}{'first':>8}{'sparse':>9}{'dense':>9}{'ratio':>7}"
           f"{'flt sp':>8}{'flt de':>8}{'trf sp':>8}{'trf de':>8}{'plc sp':>8}{'plc de':>8}"
           f"{'prd sp':>8}{'prd de':>8}{'n_s 0/last':>12}{'RSS MB':>8}")

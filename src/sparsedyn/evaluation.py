@@ -120,13 +120,14 @@ def match_mode_count(run: RunReport) -> int:
 
 
 def inject(spec: DenseSpectrum | SparseSpectrum, fine: GridSpec) -> DenseSpectrum:
-    """Embed a coarse spectrum into a finer grid (same modes, zeros above);
-    the coarse grid's unpaired Nyquist mode is dropped."""
+    """Embed a coarse spectrum into a finer grid on the same domain (same
+    modes, zeros above); the coarse grid's unpaired Nyquist mode is dropped."""
     if isinstance(spec, SparseSpectrum):
         spec = spec.to_dense()
     coarse = spec.grid
-    if fine.dims != coarse.dims or fine.n_per_dim < coarse.n_per_dim:
-        raise GridMismatch("target grid must match dims and be at least as fine")
+    same_domain = (fine.dims, fine.domain_length) == (coarse.dims, coarse.domain_length)
+    if not same_domain or fine.n_per_dim < coarse.n_per_dim:
+        raise GridMismatch("target grid must match dims and domain and be at least as fine")
     k = coarse.box_edge
     coeffs = np.zeros(fine.shape, dtype=np.complex128)
     for dst, src in zip(box_blocks(fine.dims, k, fine.n_per_dim),

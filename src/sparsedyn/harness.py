@@ -460,6 +460,7 @@ def convergence_study(
         params,
         fine_cfg.dt,
         fine_cfg.n_steps(),
+        strict_cfl=fine_cfg.strict_cfl,
     ):
         pass
 
@@ -474,6 +475,7 @@ def convergence_study(
             cfg.dt,
             cfg.n_steps(),
             protect_mean=cfg.protect_mean,
+            strict_cfl=cfg.strict_cfl,
         ):
             pass
         lifted = inject(state.current, fine_grid)

@@ -36,7 +36,6 @@ from .grid import (
     fft_shifted,
     half_index,
     key_digit,
-    key_reach,
     key_to_fft_index,
     key_to_mode,
     mean_key,
@@ -48,7 +47,7 @@ from .grid import (
     sum_box,
     transform_size,
 )
-from .spectral import DROP_TOL, DenseSpectrum, hold_operands, padded_product
+from .spectral import DROP_TOL, DenseSpectrum, _nonzero, hold_operands, padded_product
 
 # Share of the largest magnitude below which a densely made coefficient is
 # roundoff.  The FFT roundoff of the bundled coefficient and forcing spectra
@@ -68,12 +67,6 @@ _PAIR_BLOCK = 1 << 14  # most pairs the entry-pair path forms at once
 _PLAN_PAIRS = 1 << 16  # most pairs a kept plan indexes
 
 _DUMP_HEADER = re.compile(r"# grid=([0-9]+)(?:,([0-9]+))? n_s=([0-9]+)")
-
-
-def _nonzero(values: np.ndarray) -> np.ndarray:
-    """Mask of entries that are not exact zeros: magnitude at or above
-    ``DROP_TOL``, or NaN, so that a non-finite value is never dropped."""
-    return ~(np.abs(values) < DROP_TOL)
 
 
 def _roundoff_floor(mags: np.ndarray) -> float:
@@ -236,27 +229,6 @@ class SparseSpectrum:
             low = float(np.abs(self.open_entries[1]).min(initial=np.inf))
             self.__dict__["_smallest"] = low
         return low
-
-    def open_product(self, factor) -> tuple[np.ndarray, np.ndarray, int]:
-        """Keys, values and reach of the open-box entries of this spectrum
-        times the mode factor ``factor``, made from its own open-box entries
-        and the factor at their digits, those that underflow dropped: bit
-        for bit what ``self.apply_mode_factor(self.at(factor)).open_entries``
-        reads, for the entry-pair path; the transform path makes the
-        products on the padded grid
-        (:meth:`~sparsedyn.spectral.HeldField.place`)."""
-        grid = self.grid
-        keys, vals, reach = self.open_entries
-        if keys.size == self.n_s:
-            digits = self.digits
-        else:
-            digits = tuple([key_digit(grid, keys, axis) for axis in range(grid.dims)])
-        products = vals * factor(grid, digits)
-        kept = _nonzero(products)
-        if kept.all():
-            return keys, products, reach
-        at = keys[kept]
-        return at, products[kept], key_reach(grid, at)
 
     def half_places(self, size: int, part: int) -> tuple[np.ndarray, np.ndarray]:
         """Where the open-box entries go on the half grid of a real
@@ -521,8 +493,9 @@ def convolve_sum(terms, *, real: bool = False) -> SparseSpectrum | DenseSpectrum
     roundoff tail (:func:`_above_roundoff`).  With operands that fill the
     box the two layouts give the same values, less that tail.  An operand
     with a factor is planned by its spectrum's entries; entry pairs read
-    its products at them (:meth:`SparseSpectrum.open_product`), less those
-    that underflow, and the transform makes them on the padded grid
+    the entries of the spectrum it stands for, made on first use
+    (:meth:`~sparsedyn.spectral.HeldField.entries`), and the transform
+    makes its products on the padded grid
     (:meth:`~sparsedyn.spectral.HeldField.place`), so the transform path
     forms no product entry by entry.
 

@@ -47,6 +47,12 @@ IMAG_RESIDUAL_LIMIT = 1e-8
 _STACK_BYTES = 128 << 10  # half-grid bytes per inverse transform: glibc's mmap threshold
 
 
+def _nonzero(values: np.ndarray) -> np.ndarray:
+    """Mask of entries that are not exact zeros: magnitude at or above
+    ``DROP_TOL``, or NaN, so that a non-finite value is never dropped."""
+    return ~(np.abs(values) < DROP_TOL)
+
+
 @dataclass(frozen=True)
 class SpatialField:
     """Real samples on the grid, shape ``grid.shape``."""
@@ -157,10 +163,9 @@ class HeldField:
     A sparse operand is sized by its spectrum's open-box entries
     (:attr:`~sparsedyn.shrinkage.SparseSpectrum.open_entries`), with a
     factor too: their count and reach bound those of the product.  Only
-    the entry-pair path reads a factor operand's own entries, its products
-    at the spectrum's open-box entries less those that underflow
-    (``product``, :meth:`~sparsedyn.shrinkage.SparseSpectrum.open_product`),
-    made on first use.
+    the entry-pair path reads a factor operand's own entries, the open-box
+    entries of the spectrum it stands for (``product``, the spectrum
+    itself without a factor), made on first use.
 
     Every call holds its operands (:func:`hold_operands`), marked
     ``call_only`` if made for that call, which keep no plan; hold one
@@ -175,7 +180,7 @@ class HeldField:
         if factor is not None and isinstance(spectrum, DenseSpectrum):
             spectrum, factor = spectrum.apply_mode_factor(spectrum.at(factor)), None
         self.spectrum, self.factor = spectrum, factor
-        self.product: tuple | None = None
+        self.product = spectrum if factor is None else None
         self.field: np.ndarray | None = None
         self.size = 0
         self.real = False
@@ -184,13 +189,13 @@ class HeldField:
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Keys, values and reach of a sparse operand's own open-box entries
-        (:attr:`~sparsedyn.shrinkage.SparseSpectrum.open_entries`, or
-        those of its product with its factor), which entry pairs read."""
-        if self.factor is None:
-            return self.spectrum.open_entries
+        (:attr:`~sparsedyn.shrinkage.SparseSpectrum.open_entries` of
+        ``product``, made first as ``spectrum.apply_mode_factor(
+        spectrum.at(factor))``), which entry pairs read."""
         if self.product is None:
-            self.product = self.spectrum.open_product(self.factor)
-        return self.product
+            spectrum = self.spectrum
+            self.product = spectrum.apply_mode_factor(spectrum.at(self.factor))
+        return self.product.open_entries
 
     def place(self, half: np.ndarray, size: int) -> None:
         """Write the operand onto ``half``, zeros of shape ``(parts, size,
@@ -235,7 +240,7 @@ class HeldField:
             # a product's magnitude is within a few eps of the product of
             # magnitudes, so at twice the bound none can underflow
             if not spec.open_smallest * smallest >= 2 * DROP_TOL:  # NaN fails too
-                row[np.abs(row) < DROP_TOL] = 0
+                row[~_nonzero(row)] = 0
 
 
 def hold_operands(terms) -> tuple[GridSpec, list]:

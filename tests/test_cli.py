@@ -92,6 +92,17 @@ def test_strict_cfl_is_a_solver_error(tmp_path):
     assert code == 2
 
 
+def test_strict_cfl_converge_is_a_solver_error(tmp_path, capsys):
+    # the study warned (CflWarning) and exited 0 where a strict run stops
+    bad = CONVERGE_CONFIG.replace("dt = 2.5e-5", "dt = 5e-2").replace(
+        "t_end = 2e-3", "t_end = 1.6"
+    )
+    bad += "strict_cfl = true\n"
+    code = main(["converge", "--config", write(tmp_path, bad), "--resolutions", "16,32,64"])
+    assert code == 2
+    assert "stability guard" in capsys.readouterr().err
+
+
 def run_diverging(tmp_path, baselines: str) -> int:
     # convection 30x over the transport guard grows until it is non-finite
     bad = (

@@ -210,3 +210,9 @@ def test_inject_2d_and_grid_guard():
         inject(u0, GridSpec(2, 8))
     with pytest.raises(GridMismatch):
         inject(u0, GridSpec(1, 64))
+    # the same integer modes on another domain are other wavenumbers
+    with pytest.raises(GridMismatch):
+        inject(u0, GridSpec(2, 32, domain_length=1.0))
+    line = initial_condition(InitialSpec("sine_low"), GridSpec(1, 16))
+    with pytest.raises(GridMismatch):
+        inject(line, GridSpec(1, 32, domain_length=1.0))

@@ -686,21 +686,23 @@ def test_dense_advection_stacks_its_fields_within_the_budget(
     # grid alone exceeds the stack's byte budget.  The same state sparse
     # takes the same transforms and places its keys once for its four
     # operands (one half_index, through SparseSpectrum.half_places), whose
-    # products are made on the padded grid, none entry by entry
-    # (open_product), as does a later vorticity_converge state on 128^2
+    # products are made on the padded grid: no operand is made as a
+    # spectrum of its own (apply_mode_factor), as on a later
+    # vorticity_converge state on 128^2
     g = GridSpec(2, n)
     u = dft_forward(SpatialField(g, np.random.default_rng(n).standard_normal(g.shape)))
     fft_calls.clear()
     advection_term(u)
     assert fft_calls == ["irfftn"] * inverse_calls + ["rfftn"]
 
-    placed, products = [], []
+    placed, made = [], []
     monkeypatch.setattr(
         shrinkage, "half_index", lambda *args: placed.append(args) or half_index(*args)
     )
-    open_product = SparseSpectrum.open_product
+    apply_mode_factor = SparseSpectrum.apply_mode_factor
     monkeypatch.setattr(
-        SparseSpectrum, "open_product", lambda *args: products.append(1) or open_product(*args)
+        SparseSpectrum, "apply_mode_factor",
+        lambda *args: made.append(1) or apply_mode_factor(*args),
     )
     config = load_recipe("vorticity_converge")
     u0 = initial_condition(config.initial_spec(), config.grid())
@@ -708,11 +710,12 @@ def test_dense_advection_stacks_its_fields_within_the_budget(
     recipe_state = list(run)[-1].current
     for state, inverse in ((SparseSpectrum.from_dense(u), inverse_calls), (recipe_state, 1)):
         placed.clear()
+        made.clear()
         fft_calls.clear()
         advection_term(state)
         assert fft_calls == ["irfftn"] * inverse + ["rfftn"]
         assert len(placed) == 1 and placed[0][1] is state.open_entries[0]
-        assert products == []
+        assert made == []
 
 
 def hermitian_within(grid, reach, density, rng):
@@ -785,6 +788,28 @@ def test_advection_matches_the_materialised_one_on_every_vorticity_converge_step
     params = config.equation_params()
     for state in iter_states(u0, params, config.schedule(), config.dt, config.n_steps()):
         assert_same_bits(advection_term(state.current), materialised_advection(state.current))
+
+
+def test_advection_on_entry_pairs_matches_the_materialised_one_on_vorticity_fig4_steps(
+    monkeypatch,
+):
+    # after its first step vorticity_fig4 takes entry pairs, which read each
+    # of the four factor operands as the spectrum it stands for, made once
+    paths = advection_paths(monkeypatch)
+    made = []
+    entries = HeldField.entries
+    monkeypatch.setattr(
+        HeldField, "entries", lambda held: made.append(held.product is None) or entries(held)
+    )
+    config = load_recipe("vorticity_fig4")
+    u0 = initial_condition(config.initial_spec(), config.grid())
+    run = iter_states(u0, config.equation_params(), config.schedule(), config.dt, 6)
+    for state in list(run)[1::2]:
+        paths.clear()
+        made.clear()
+        got = advection_term(state.current)
+        assert paths == ["pairs"] and made.count(True) == 4
+        assert_same_bits(got, materialised_advection(state.current))
 
 
 def test_the_layout_rule_answers_as_the_advection_call_chooses(monkeypatch):
