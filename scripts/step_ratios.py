@@ -13,7 +13,9 @@ steps (after step ``SETTLE``) and their ratio, the same for the means (a
 mean also carries the rare steps that build a pair plan or change layout),
 the steps the sparse run took in FFT layout, the pair plans it built (the
 entry-pair indexes its coefficient keeps for the latest state support, see
-``shrinkage.convolve_sum``), the minor page faults per later sparse and
+``shrinkage.convolve_sum``), the entry-pair calls that sum in the box of
+digit sums without a plan (``shrinkage._pair_convolve``) per later sparse
+step, the minor page faults per later sparse and
 dense step (the heap's growth and trims show there: ``ru_minflt`` of this
 process, read around each step), the numpy transform calls, the key
 placements (``half_index`` calls, through ``SparseSpectrum.half_places``,
@@ -24,8 +26,9 @@ dense step, and the final
 retained fraction and relative L2 error against the dense run.  The second covers the
 refinement problems at ``N = 2^10 .. 2^17``: ``parabolic_fig2`` refined
 with ``dt`` scaled as ``dx^2`` and ``convection_fig1`` with ``dt`` scaled
-as ``dx``, with the coefficient's and the final state's ``n_s`` and the
-pair plans built.  The third covers ``vorticity_converge`` on ``n^2`` grids, ``n = 128 .. 1024``, with ``dt``
+as ``dx``, with the coefficient's and the final state's ``n_s``, the
+pair plans built and the box calls per later sparse step.  The third
+covers ``vorticity_converge`` on ``n^2`` grids, ``n = 128 .. 1024``, with ``dt``
 as bundled: the setup of the sparse run (``initial_condition`` and the
 inputs of ``iter_states``), its first and later steps, the dense step
 interleaved up to ``DENSE_2D_MAX``, the minor page faults, transform
@@ -167,11 +170,12 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
         _CallCount([np.fft], TRANSFORMS),
         _CallCount([shrinkage], ("half_index",)),
         _MadeCount(),
+        _CallCount([shrinkage], ("_pair_convolve",)),
     )
     for counter in counters:
         counter.install()
-    # transforms, placements and factor operands made per step
-    tallies = {"sparse": ([], [], []), "dense": ([], [], [])}
+    # transforms, placements, factor operands made and box calls per step
+    tallies = {"sparse": ([], [], [], []), "dense": ([], [], [], [])}
 
     def tally(side: str, before: list[int]) -> None:
         for counter, got, was in zip(counters, tallies[side], before):
@@ -216,6 +220,7 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
         "sparse_ms": 1e3 * statistics.median(sparse_s[later]),
         "sparse_mean_ms": 1e3 * statistics.mean(sparse_s[later]),
         "plans": plans.plans,
+        "sparse_boxes": statistics.mean(tallies["sparse"][3][later]),
         "sparse_faults": statistics.mean(sparse_faults[later]),
         "sparse_transforms": statistics.mean(tallies["sparse"][0][later]),
         "sparse_placements": statistics.mean(tallies["sparse"][1][later]),
@@ -289,10 +294,11 @@ def main(argv=None) -> None:
 
     print("headline recipes (ms per step after step "
           f"{SETTLE}, median and mean; fft = steps in FFT layout; plans = pair plans built; "
+          "box = entry-pair calls without a plan per later step; "
           "flt, trf, plc, prd = minor page faults, numpy transform calls, key placements "
           "and factor operands made (for entry pairs) per later step)")
     print(f"{'recipe':<18}{'steps':>6}{'first':>8}{'sparse':>9}{'dense':>9}{'ratio':>7}"
-          f"{'mean sp':>9}{'mean de':>9}{'ratio':>7}{'fft':>6}{'plans':>6}"
+          f"{'mean sp':>9}{'mean de':>9}{'ratio':>7}{'fft':>6}{'plans':>6}{'box':>6}"
           f"{'flt sp':>8}{'flt de':>8}{'trf sp':>8}{'trf de':>8}{'plc sp':>8}{'plc de':>8}"
           f"{'prd sp':>8}{'prd de':>8}{'frac':>8}{'rel L2':>11}")
     for recipe, steps in HEADLINE_STEPS.items():
@@ -304,7 +310,8 @@ def main(argv=None) -> None:
                   f"{r['dense_ms']:>9.3f}{r['sparse_ms'] / r['dense_ms']:>7.2f}"
                   f"{r['sparse_mean_ms']:>9.3f}{r['dense_mean_ms']:>9.3f}"
                   f"{r['sparse_mean_ms'] / r['dense_mean_ms']:>7.2f}{r['fft_steps']:>6}"
-                  f"{r['plans']:>6}{r['sparse_faults']:>8.1f}{r['dense_faults']:>8.1f}"
+                  f"{r['plans']:>6}{r['sparse_boxes']:>6.2f}"
+                  f"{r['sparse_faults']:>8.1f}{r['dense_faults']:>8.1f}"
                   f"{r['sparse_transforms']:>8.2f}{r['dense_transforms']:>8.2f}"
                   f"{r['sparse_placements']:>8.2f}{r['dense_placements']:>8.2f}"
                   f"{r['sparse_products']:>8.2f}{r['dense_products']:>8.2f}"
@@ -312,9 +319,10 @@ def main(argv=None) -> None:
                   flush=True)
 
     print()
-    print("refinement at fixed n_s (ms per step, interleaved; coeff/state = n_s)")
+    print("refinement at fixed n_s (ms per step, interleaved; coeff/state = n_s; "
+          "box = entry-pair calls without a plan per later step)")
     print(f"{'problem':<26}{'N':>8}{'steps':>6}{'coeff/state':>13}{'sparse':>9}{'dense':>9}"
-          f"{'ratio':>7}{'fft':>6}{'plans':>6}")
+          f"{'ratio':>7}{'fft':>6}{'plans':>6}{'box':>6}")
     for recipe, order in (("parabolic_fig2", 2), ("convection_fig1", 1)):
         for exponent in REFINE_EXPONENTS:
             config = refined(recipe, exponent, order)
@@ -327,7 +335,8 @@ def main(argv=None) -> None:
                 supports = f"{coeff.n_s}/{r['n_s']}"
                 print(f"{recipe + f' dt~dx^{order}':<26}{2**exponent:>8}{n_steps:>6}{supports:>13}"
                       f"{r['sparse_ms']:>9.3f}{r['dense_ms']:>9.3f}"
-                      f"{r['sparse_ms'] / r['dense_ms']:>7.2f}{r['fft_steps']:>6}{r['plans']:>6}",
+                      f"{r['sparse_ms'] / r['dense_ms']:>7.2f}{r['fft_steps']:>6}{r['plans']:>6}"
+                      f"{r['sparse_boxes']:>6.2f}",
                       flush=True)
 
     print()

@@ -11,9 +11,9 @@ All index arithmetic lives here.  A sparse key holds its mode's digits
 :func:`product_keys` for every combination of per-axis digits), and
 :func:`in_open_box` reads from them alone whether the mode lies in the open
 box ``|m| < n/2``.  Entry pairs are summed in the box of their digit sums
-(:func:`sum_box`), into which the operands' keys are re-keyed
-(:func:`box_cells`) and out of which the sums are read back as keys
-(:func:`box_cell_keys`): its size follows the operands' reach, not ``n``.
+(:func:`sum_box`, from each operand's extreme digits, :func:`_digit_span`),
+into which their keys are re-keyed (:func:`box_cells`); the open sums are
+one slice of it per axis (:func:`open_window`): it follows the reach, not ``n``.
 Between keys and a dense spectrum there is one pair of
 conversions, with no sort: a key's FFT-layout index
 (:func:`key_to_fft_index`), and the key of an index into the
@@ -81,6 +81,11 @@ class GridSpec:
     domain_length: float = TWO_PI
 
     def __post_init__(self) -> None:
+        for name in ("dims", "n_per_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.dims not in (1, 2):
             raise ValueError(f"dims must be 1 or 2, got {self.dims}")
         n = self.n_per_dim
@@ -288,10 +293,10 @@ def at_negated_modes(values: np.ndarray) -> np.ndarray:
 
 
 def check_resolved(grid: GridSpec, modes) -> np.ndarray:
-    """``modes`` as an array, once it has the shape ``(dims,)`` of one mode
-    vector or ``(dims, m)`` of ``m`` (``ValueError`` otherwise) and every
-    component lies in the resolved set ``[-n/2, n/2)`` (``IndexError``
-    otherwise)."""
+    """``modes`` as integers, once it has the shape ``(dims,)`` of one mode
+    vector or ``(dims, m)`` of ``m`` and every component is a whole number
+    (``ValueError`` otherwise) in the resolved set ``[-n/2, n/2)``
+    (``IndexError`` otherwise)."""
     modes = np.asarray(modes)
     if modes.ndim not in (1, 2) or modes.shape[0] != grid.dims:
         want = f"({grid.dims},) or ({grid.dims}, m)"
@@ -299,6 +304,11 @@ def check_resolved(grid: GridSpec, modes) -> np.ndarray:
     half = grid.n_per_dim // 2
     if np.any((modes < -half) | (modes >= half)):
         raise IndexError("mode outside the resolved set")
+    if modes.dtype.kind not in "iu":
+        fraction = modes != np.trunc(modes)  # NaN too
+        if fraction.any():
+            raise ValueError(f"mode component {modes[fraction][0].item()!r} is not a whole number")
+        modes = modes.astype(np.int64)
     return modes
 
 
@@ -421,23 +431,15 @@ def key_reach(grid: GridSpec, keys: np.ndarray) -> int:
     """Reach of an ascending key array, capped at the box edge: the largest
     ``|m_d|`` over its modes and dimensions, or ``n/2 - 1`` if that is
     larger (the unpaired Nyquist mode counts as the edge); 0 when there are
-    no keys.
-
-    The leading digit is monotone in the key, so the first and last keys
-    bound it; only in 2-D, when that does not already reach the edge, are
-    the last digits decoded.
-    """
+    no keys.  The extreme digits along each axis bound it
+    (:func:`_digit_span`; in 1-D, the first and the last key)."""
     half, edge = grid.n_per_dim // 2, grid.box_edge
     if keys.size == 0:
         return 0
     if grid.dims == 1:
         return min(max(half - int(keys[0]), int(keys[-1]) - half), edge)
-    base = 2 * grid.n_per_dim
-    reach = max(half - int(keys[0]) // base, int(keys[-1]) // base - half)
-    if reach >= edge:
-        return edge
-    last = keys % base
-    return min(max(reach, half - int(last.min()), int(last.max()) - half), edge)
+    low, high = _digit_span(grid, keys)
+    return min(max(half - min(low), max(high) - half), edge)
 
 
 def open_support(grid: GridSpec, keys: np.ndarray) -> tuple[slice | np.ndarray | None, int]:
@@ -464,26 +466,23 @@ def open_support(grid: GridSpec, keys: np.ndarray) -> tuple[slice | np.ndarray |
 def sum_box(grid: GridSpec, pairs) -> tuple[list[int], list[int]]:
     """``(shape, low)`` of the box of digit sums of ascending, non-empty key
     arrays ``(a, b)`` of operand pairs: along each axis, the lowest sum of
-    a key digit of ``a`` and one of ``b`` over the pairs, and the count of
-    sums from there to the highest.  In 1-D that is the window from
-    ``a[0] + b[0]`` to ``a[-1] + b[-1]``; in any dims it holds at most
-    ``(2R + 1)**dims`` cells for ``R`` the largest sum of two reaches,
-    whatever the grid."""
-    if grid.dims == 1:
-        low = min(int(a[0]) + int(b[0]) for a, b in pairs)
-        return [max(int(a[-1]) + int(b[-1]) for a, b in pairs) - low + 1], [low]
+    a key digit of ``a`` and one of ``b`` over the pairs
+    (:func:`_digit_span`), and the count of sums from there to the highest.
+    It holds at most ``(2R + 1)**dims`` cells for ``R`` the largest sum of
+    two reaches, whatever the grid."""
     spans = [(_digit_span(grid, a), _digit_span(grid, b)) for a, b in pairs]
     low = [min(a[0][d] + b[0][d] for a, b in spans) for d in range(grid.dims)]
     high = [max(a[1][d] + b[1][d] for a, b in spans) for d in range(grid.dims)]
     return [h - lo + 1 for h, lo in zip(high, low)], low
 
 
-def _digit_span(grid: GridSpec, keys: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The lowest and the highest key digit along each axis of ascending 2-D
-    keys: the leading digit is monotone in the key, the last one is not."""
-    digits = key_digit(grid, keys, 1)
-    lead = key_digit(grid, int(keys[0]), 0), key_digit(grid, int(keys[-1]), 0)
-    return (lead[0], int(digits.min())), (lead[1], int(digits.max()))
+def _digit_span(grid: GridSpec, keys: np.ndarray) -> tuple[list[int], list[int]]:
+    """The lowest and the highest key digit along each axis of ascending,
+    non-empty keys: the leading one, monotone in the key, from the first
+    and the last key (in 1-D, the key itself), the others from every key."""
+    rest = [key_digit(grid, keys, axis) for axis in range(1, grid.dims)]
+    first, last = key_digit(grid, int(keys[0]), 0), key_digit(grid, int(keys[-1]), 0)
+    return [first, *(int(d.min()) for d in rest)], [last, *(int(d.max()) for d in rest)]
 
 
 def box_cells(grid: GridSpec, keys: np.ndarray, shape, low) -> np.ndarray:
@@ -491,26 +490,24 @@ def box_cells(grid: GridSpec, keys: np.ndarray, shape, low) -> np.ndarray:
     digit ``d`` less ``low[axis]`` along each axis, row-major.  The map is
     linear, so the cells of one operand's keys with the box's ``low`` and of
     another's with zeros add to the cell of their digit sum, and cells
-    ascend in lexicographic mode order (:func:`box_cell_keys` reads them
-    back)."""
+    ascend in lexicographic mode order."""
     cells = key_digit(grid, keys, 0) - low[0]
     for axis in range(1, grid.dims):
         cells = cells * shape[axis] + (key_digit(grid, keys, axis) - low[axis])
     return cells
 
 
-def box_cell_keys(grid: GridSpec, cells: np.ndarray, shape, low) -> tuple[np.ndarray, np.ndarray]:
-    """The keys of the digit sums at ascending ``cells`` of the box of
-    :func:`sum_box`, and the mask of those in the open box: a sum of keys
-    less ``key(0)`` (:func:`mode_to_key`), as :func:`in_open_box` decides
-    it."""
+def open_window(grid: GridSpec, shape, low) -> tuple[tuple[slice, ...], np.ndarray]:
+    """The cells of the box of :func:`sum_box` whose digit sums are open, one
+    slice per axis, and their keys, ascending in row-major order
+    (:func:`product_keys`).  A digit sum ``D`` is that of a sum of keys less
+    ``key(0)`` (:func:`mode_to_key`), with digit ``D - n/2``: it is open
+    exactly when ``n/2 < D < 3n/2``."""
     half = grid.n_per_dim // 2
-    if grid.dims == 1:
-        keys = cells + (low[0] - half)
-    else:
-        lead, last = np.divmod(cells, shape[1])
-        keys = (lead + (low[0] - half)) * (2 * grid.n_per_dim) + last + (low[1] - half)
-    return keys, in_open_box(grid, keys)
+    starts = [max(half + 1 - lo, 0) for lo in low]
+    stops = [max(min(3 * half - lo, size), 0) for size, lo in zip(shape, low)]
+    digits = [np.arange(lo + i - half, lo + j - half) for lo, i, j in zip(low, starts, stops)]
+    return tuple(map(slice, starts, stops)), product_keys(grid, digits)
 
 
 @lru_cache(maxsize=256)

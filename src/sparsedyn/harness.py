@@ -437,8 +437,8 @@ def convergence_study(
         raise ConfigError("resolutions: need at least 3")
     for n in resolutions:
         _check_owned("resolutions", n, "n_per_dim")
-    if sorted(resolutions) != list(resolutions):
-        raise ConfigError("resolutions: must be ascending")
+    if any(lo >= hi for lo, hi in zip(resolutions, resolutions[1:])):
+        raise ConfigError("resolutions: must be strictly ascending")
     if config.lambda_mode != "power_law":
         raise ConfigError("lambda_mode: convergence studies need the power_law rule")
 

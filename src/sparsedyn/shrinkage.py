@@ -17,6 +17,7 @@ dropped.  Only the soft threshold removes small coefficients beyond that.
 
 from __future__ import annotations
 
+import cmath
 import io
 import math
 import re
@@ -29,7 +30,6 @@ from .errors import GridMismatch, NegativeLambda, NonpositiveDt
 from .grid import (
     GridSpec,
     at_negated_modes,
-    box_cell_keys,
     box_cells,
     box_index,
     check_resolved,
@@ -42,6 +42,7 @@ from .grid import (
     mode_to_key,
     negated_keys,
     open_support,
+    open_window,
     product_keys,
     shifted_index_to_key,
     sum_box,
@@ -112,10 +113,10 @@ class SparseSpectrum:
     def from_modes(
         cls, grid: GridSpec, modes: np.ndarray, values: np.ndarray
     ) -> "SparseSpectrum":
-        """Build from mode vectors ``(dims, m)`` and one amplitude per mode;
-        duplicate modes accumulate.  Arrays of other shapes raise
+        """Build from mode vectors ``(dims, m)`` of whole numbers and one
+        amplitude per mode; duplicate modes accumulate.  Other arrays raise
         ``ValueError``, a mode outside the resolved set ``IndexError``."""
-        modes = check_resolved(grid, np.atleast_2d(np.asarray(modes, dtype=np.int64)))
+        modes = check_resolved(grid, np.atleast_2d(modes))
         values = np.asarray(values, dtype=np.complex128)
         if values.shape != modes.shape[1:]:
             raise ValueError(f"values of shape {values.shape} for modes of shape {modes.shape}")
@@ -123,15 +124,11 @@ class SparseSpectrum:
 
     @classmethod
     def from_dict(cls, grid: GridSpec, entries: dict) -> "SparseSpectrum":
-        """Build from ``{mode: amplitude}``; modes are ints (1-D) or tuples."""
+        """Build from ``{mode: amplitude}`` by :meth:`from_modes`; modes are
+        ints (1-D) or tuples."""
         if not entries:
             return cls.empty(grid)
-        if grid.dims == 1:
-            modes = np.array([[k for k in entries]], dtype=np.int64)
-        else:
-            modes = np.array(list(entries), dtype=np.int64).T
-        values = np.array(list(entries.values()), dtype=np.complex128)
-        return cls.from_modes(grid, modes, values)
+        return cls.from_modes(grid, np.array(list(entries)).T, list(entries.values()))
 
     @classmethod
     def from_dense(cls, spec: DenseSpectrum) -> "SparseSpectrum":
@@ -595,9 +592,9 @@ class _PairPlan(NamedTuple):
 def _pair_plan(grid: GridSpec, a, b) -> _PairPlan:
     """The pair plan of held sparse operands ``a`` and ``b``, from their
     cells in the box of their digit sums (:func:`~sparsedyn.grid.sum_box`):
-    the cells their pairs reach, in ascending order, are the outputs, and
-    each pair's cell becomes its output's rank among those in the open
-    box."""
+    the cells their pairs reach in its open window
+    (:func:`~sparsedyn.grid.open_window`) are the outputs, ranked in
+    ascending order, and every other cell is the spare one."""
     a_keys, b_keys = a.entries()[0], b.entries()[0]
     swap = b_keys.size < a_keys.size
     if swap:
@@ -607,12 +604,12 @@ def _pair_plan(grid: GridSpec, a, b) -> _PairPlan:
     cells = np.add.outer(rows, box_cells(grid, b_keys, shape, [0] * grid.dims))
     reached = np.zeros(math.prod(shape), dtype=bool)
     reached[cells] = True
-    out = np.flatnonzero(reached)
-    keys, inside = box_cell_keys(grid, out, shape, low)
+    window, keys = open_window(grid, shape, low)
+    inside = reached.reshape(shape)[window]
     count = int(np.count_nonzero(inside))
-    rank = np.full(reached.size, count)  # the spare cell
-    rank[out[inside]] = np.arange(count)
-    return _PairPlan(swap, keys[inside], rank[cells])
+    rank = np.full(shape, count)  # the spare cell
+    rank[window][inside] = np.arange(count)
+    return _PairPlan(swap, keys[inside.ravel()], rank.ravel()[cells])
 
 
 def _planned_convolve(grid: GridSpec, plan: _PairPlan, w, a, b) -> SparseSpectrum:
@@ -642,10 +639,9 @@ def _pair_convolve(grid: GridSpec, terms) -> SparseSpectrum:
     operand, weight folded in, so its sum runs in the same order either way
     round; a pair's cell is its row's cell, re-keyed with the box's low
     corner, plus its column's, re-keyed with none
-    (:func:`~sparsedyn.grid.box_cells`, :func:`_add_pairs`).  The cells that
-    are not zero are read back as keys
-    (:func:`~sparsedyn.grid.box_cell_keys`), and those outside the open box
-    dropped.
+    (:func:`~sparsedyn.grid.box_cells`, :func:`_add_pairs`).  The box's
+    open window (:func:`~sparsedyn.grid.open_window`) is read back with its
+    keys, and its cells that are zero dropped.
     """
     shape, low = sum_box(grid, [(a[0], b[0]) for _, a, b in terms])
     acc = np.zeros(math.prod(shape), dtype=np.complex128)
@@ -657,10 +653,9 @@ def _pair_convolve(grid: GridSpec, terms) -> SparseSpectrum:
         cols = box_cells(grid, b_keys, shape, [0] * grid.dims)
         _add_pairs(acc, a_vals, b_vals, lambda block: np.add.outer(rows[block], cols).ravel())
 
-    cells = np.flatnonzero(acc != 0)  # NaN != 0, so NaN cells are kept
-    vals = acc[cells]
-    keys, inside = box_cell_keys(grid, cells, shape, low)
-    keep = inside & _nonzero(vals)
+    window, keys = open_window(grid, shape, low)
+    vals = acc.reshape(shape)[window].ravel()
+    keep = _nonzero(vals)
     return SparseSpectrum(grid, keys[keep], vals[keep])
 
 
@@ -718,8 +713,8 @@ def load_spectrum(
 ) -> SparseSpectrum:
     """Read a spectrum dump back; the grid is reconstructed from the header
     (default domain length unless given).  The header must read exactly
-    ``# grid=<n>[,<n>] n_s=<count>``; any other first line raises
-    ``ValueError`` naming it."""
+    ``# grid=<n>[,<n>] n_s=<count>``: any other first line, and an entry
+    line whose amplitude is not finite, raises ``ValueError`` naming it."""
     if isinstance(stream, str):
         with open(stream) as fh:
             return load_spectrum(fh, domain_length)
@@ -749,6 +744,10 @@ def load_spectrum(
         mode = " ".join(map(str, unique[:, counts.argmax()].tolist()))
         raise ValueError(f"spectrum dump repeats mode {mode}")
     values = [float(r[grid.dims]) + 1j * float(r[grid.dims + 1]) for r in rows]
+    for row, value in zip(rows, values):
+        if not cmath.isfinite(value):
+            line = "\t".join(row)
+            raise ValueError(f"spectrum dump line {line!r}: the amplitude is not finite")
     return SparseSpectrum.from_modes(grid, modes, values)
 
 

@@ -318,16 +318,19 @@ def _iterate(
     NotOneDimensional, NotTwoDimensional
         Before the first step, if the grid's dimension is not the
         equation's (:func:`_prepare`).
+    SolverDiverged
+        As soon as ``initial`` or an update holds a non-finite value.
     HermitianViolation
         Before the first step, if ``initial`` is not the spectrum of a real
         field to ``HERMITIAN_RTOL``: the steps convolve real fields only.
-    SolverDiverged
-        As soon as an update holds a non-finite value.
     """
     if not dt > 0:
         raise NonpositiveDt(f"dt must be positive, got {dt}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    sparse, leap_frog = isinstance(initial, SparseSpectrum), params.equation == "convection"
+    if not np.isfinite(initial.values if sparse else initial.coeffs).all():
+        raise SolverDiverged(f"{params.equation}: non-finite coefficient in the initial state")
     if not initial.is_hermitian(HERMITIAN_RTOL):
         raise HermitianViolation(
             f"{params.equation}: the initial state is not the spectrum of a real field "
@@ -337,7 +340,6 @@ def _iterate(
     held = HeldField(coeff)  # the run, never a state, keeps its padded field
     forcing = {type(coeff): coeff}  # the vorticity forcing in each layout stepped in
     layouts: dict = {}  # the rule's answers, by state extent
-    sparse, leap_frog = isinstance(initial, SparseSpectrum), params.equation == "convection"
     state = now = SolverState(initial, None, 0, 0.0)
     yield state
     for step in range(1, n_steps + 1):

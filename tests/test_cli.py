@@ -183,6 +183,14 @@ def test_converge_cli_resolution_error_exit_1(tmp_path, capsys):
     assert "config error: resolutions:" in capsys.readouterr().err
 
 
+def test_converge_cli_repeated_resolution_exit_1_before_any_run(tmp_path, capsys, monkeypatch):
+    # 32,32,64 ran 32 twice and printed two identical rows
+    monkeypatch.setattr(harness, "iter_dense_states", None)  # any run fails
+    cfg = write(tmp_path, CONVERGE_CONFIG)
+    assert main(["converge", "--config", cfg, "--resolutions", "32,32,64"]) == 1
+    assert "config error: resolutions: must be strictly ascending" in capsys.readouterr().err
+
+
 def test_converge_cli_underresolved_resolution_exit_1_before_any_run(tmp_path, capsys, monkeypatch):
     # the 256-point run exited 2, as a solver error, after the 1024-point
     # dense reference had run

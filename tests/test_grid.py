@@ -3,6 +3,7 @@ import pytest
 
 from sparsedyn import GridSpec, fft_index_to_mode, mode_to_fft_index
 from sparsedyn.grid import (
+    _digit_span,
     at_negated_modes,
     box_blocks,
     box_index,
@@ -16,7 +17,9 @@ from sparsedyn.grid import (
     mode_to_key,
     negated_keys,
     open_support,
+    open_window,
     shifted_index_to_key,
+    sum_box,
     transform_size,
 )
 from sparsedyn.spectral import read_box
@@ -64,6 +67,25 @@ def test_rejects_bad_dims():
         GridSpec(3, 64)
     with pytest.raises(ValueError):
         GridSpec(0, 64)
+
+
+@pytest.mark.parametrize(
+    "dims, n, name",
+    [(1, 64.0, "n_per_dim"), (1.0, 64, "dims"), (True, 64, "dims"), (2, True, "n_per_dim"),
+     (1, "64", "n_per_dim")],
+)
+def test_rejects_sizes_that_are_not_integers(dims, n, name):
+    # GridSpec(1, 64.0) raised TypeError from &, GridSpec(1.0, 64) failed
+    # later at (64,) * 1.0
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        GridSpec(dims, n)
+
+
+def test_numpy_integer_sizes_are_plain_ints():
+    g = GridSpec(np.int64(2), np.int32(16))
+    assert g == GridSpec(2, 16) and hash(g) == hash(GridSpec(2, 16))
+    assert type(g.dims) is int and type(g.n_per_dim) is int
+    assert g.shape == (16, 16)
 
 
 def test_mode_set_is_symmetric_band():
@@ -212,6 +234,60 @@ def test_key_reach_is_the_largest_mode_component(dims):
             assert reach == (int(np.abs(key_to_mode(g, inside)).max()) if inside.size else 0)
     assert key_reach(g, np.empty(0, np.int64)) == 0
     assert open_support(g, np.empty(0, np.int64)) == (None, 0)
+
+
+def keys_in(grid, lows, highs, count, rng):
+    """Ascending keys of up to ``count`` random modes with ``lows[d] <=
+    m_d <= highs[d]``, the two corners among them."""
+    modes = np.stack([rng.integers(lo, hi + 1, size=count) for lo, hi in zip(lows, highs)])
+    modes[:, 0], modes[:, 1] = lows, highs
+    return np.unique(mode_to_key(grid, modes))
+
+
+# per axis, the mode range of each operand: sums clipped below, above, on
+# both sides, on neither, and all outside the open box |s| < n/2 = 8
+SUM_RANGES = {
+    "below": ((-7, -2), (-6, 1)),
+    "above": ((2, 7), (-1, 6)),
+    "both": ((-7, 7), (-6, 5)),
+    "inside": ((-2, 3), (-4, 1)),
+    "outside": ((4, 7), (4, 6)),
+}
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_digit_span_and_open_window_match_a_decode(dims):
+    rng = np.random.default_rng(90 + dims)
+    g, half = GridSpec(dims, 16), 8
+    cases = [(c,) * dims for c in SUM_RANGES]
+    if dims == 2:
+        cases += [("below", "above"), ("both", "inside"), ("inside", "outside"), ("above", "both")]
+    for case in cases:
+        for _ in range(5):
+            ranges = [SUM_RANGES[c] for c in case]
+            a = keys_in(g, [r[0][0] for r in ranges], [r[0][1] for r in ranges], 12, rng)
+            b = keys_in(g, [r[1][0] for r in ranges], [r[1][1] for r in ranges], 12, rng)
+            digits = [key_to_mode(g, k) + half for k in (a, b)]
+            for keys, d in zip((a, b), digits):
+                assert _digit_span(g, keys) == (d.min(axis=1).tolist(), d.max(axis=1).tolist())
+            shape, low = sum_box(g, [(a, b)])
+            assert low == (digits[0].min(axis=1) + digits[1].min(axis=1)).tolist()
+            high = digits[0].max(axis=1) + digits[1].max(axis=1)
+            assert shape == (high - low + 1).tolist()
+            # every cell of the box, its mode sum decoded, open or not
+            sums = np.indices(shape).reshape(dims, -1) + np.array(low)[:, None] - 2 * half
+            is_open = np.all(np.abs(sums) < half, axis=0)
+            window, keys = open_window(g, shape, low)
+            mask = np.zeros(shape, dtype=bool)
+            mask[window] = True
+            assert np.array_equal(mask.ravel(), is_open)
+            assert np.array_equal(keys, mode_to_key(g, sums[:, is_open]))
+            assert np.all(np.diff(keys) > 0)
+            assert (keys.size == 0) == ("outside" in case)
+            clipped = [(w.start > 0, w.stop < size) for w, size in zip(window, shape)]
+            for c, (below, above) in zip(case, clipped):
+                if c != "outside":
+                    assert (below, above) == (c in ("below", "both"), c in ("above", "both"))
 
 
 def test_transform_size_is_the_smallest_alias_free_grid():

@@ -263,6 +263,9 @@ def test_convergence_study_validation():
         convergence_study(cfg, [64, 32, 128])
     with pytest.raises(ConfigError, match="resolutions"):
         convergence_study(cfg, [64, 100, 128])
+    for repeated in ([32, 32, 64], [32, 64, 64]):  # [32, 32, 64] ran 32 twice
+        with pytest.raises(ConfigError, match="^resolutions: must be strictly ascending$"):
+            convergence_study(cfg, repeated)
     fixed = parse_config_text(SMALL_CONFIG)
     with pytest.raises(ConfigError, match="lambda_mode"):
         convergence_study(fixed, [16, 32, 64])

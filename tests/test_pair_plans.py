@@ -30,6 +30,7 @@ from sparsedyn.spectral import HeldField
 
 from oracles import row_loop_convolve
 from test_convolve import assert_bit_equal, pairs_only, within
+from test_grid import keys_in
 
 
 def new_values(spec: SparseSpectrum, rng) -> SparseSpectrum:
@@ -326,3 +327,65 @@ def test_pairs_in_2d_allocate_the_same_on_any_grid(monkeypatch):
         tracemalloc.stop()
     assert max(peaks) < 64 * 1024
     assert abs(peaks[3] - peaks[2]) < 1024
+
+
+def spanning(grid, lows, highs, count, rng) -> SparseSpectrum:
+    """Random values at the keys of :func:`test_grid.keys_in`: the digit
+    spans are exact."""
+    keys = keys_in(grid, lows, highs, count, rng)
+    values = rng.standard_normal(keys.size) + 1j * rng.standard_normal(keys.size)
+    return SparseSpectrum(grid, keys, values)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_pairs_whose_sums_straddle_the_open_box_match_the_row_loop(dims, monkeypatch):
+    # sums clipped on both sides of the open box, or on one: the box call,
+    # the plan made on the second call and the planned third call give the
+    # row loop's bits, a NaN whose pair sums lie inside the box included
+    pairs_only(monkeypatch)
+    window = Count(monkeypatch, shrinkage, "_pair_convolve")
+    builds = Count(monkeypatch, shrinkage, "_pair_plan")
+    planned = Count(monkeypatch, shrinkage, "_planned_convolve")
+    rng = np.random.default_rng(80 + dims)
+    g = GridSpec(dims, 64 if dims == 1 else 16)
+    e = g.box_edge
+    coeff = spanning(g, [-e] * dims, [e] * dims, 40, rng)
+    held = HeldField(coeff)
+    supports = [
+        spanning(g, [-e] * dims, [e] * dims, 25, rng),  # both edges
+        spanning(g, [2] * dims, [e] * dims, 20, rng),  # the upper edge
+        spanning(g, [-e, 1][:dims], [-2, e][:dims], 20, rng),  # lower, then both
+    ]
+    for support in supports:
+        values = support.values.copy()
+        values[np.abs(support.modes()).max(axis=0).argmin()] = np.nan  # sums inside too
+        with_nan = SparseSpectrum(g, support.keys, values)
+        for state in (support, with_nan):
+            for held_first in (True, False):
+                for w in (1.0, -0.5, 0.25 - 2.0j):
+                    pair, plain = sides(held, coeff, state, held_first)
+                    got = convolve_sum([(w, *pair)])
+                    assert_bit_equal(got, row_loop_convolve([(w, *plain)], g))
+                    assert got.n_s and np.isnan(got.values).any() == (state is with_nan)
+    assert np.isnan(with_nan.values).any()
+    assert window.calls == builds.calls == 4 * len(supports) and planned.calls == 8 * len(supports)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_pairs_whose_sums_all_leave_the_open_box_give_nothing(dims, monkeypatch):
+    # every sum lies beyond n/2 - 1 along the first axis: the box's open
+    # window is empty, the box call gives an empty spectrum and the plan no
+    # outputs, and its calls an empty spectrum
+    pairs_only(monkeypatch)
+    rng = np.random.default_rng(85 + dims)
+    g = GridSpec(dims, 16)
+    e = g.box_edge
+    coeff = spanning(g, [4, -e][:dims], [e, e][:dims], 12, rng)
+    state = spanning(g, [4, -3][:dims], [e - 1, 3][:dims], 9, rng)
+    held = HeldField(coeff)
+    assert row_loop_convolve([(1.0, coeff, state)], g).n_s == 0
+    for _ in range(3):
+        got = convolve_sum([(1.0, held, state)])
+        assert got.n_s == 0 and got.keys.dtype == np.int64
+    plan = held.plan[1]
+    assert plan.keys.size == 0 and np.all(plan.cells == 0)

@@ -465,6 +465,42 @@ def test_mode_arrays_of_the_wrong_shape_are_rejected():
     assert mode_to_fft_index(GridSpec(2, 8), [1, 2]).tolist() == 10
 
 
+def test_modes_that_are_not_whole_numbers_are_rejected_not_truncated():
+    # from_modes read [[1.5, -1.5]] as modes 1 and -1, from_dict {(0.5, 1): 1}
+    # as mode (0, 1)
+    for grid, modes, part in (
+        (GridSpec(1, 16), [[1.5, -1.5]], "1.5"),
+        (GridSpec(1, 16), [[2.0, np.nan]], "nan"),
+        (GridSpec(2, 8), [[0.5, 0.0], [1.0, 2.0]], "0.5"),
+        (GridSpec(2, 8), [[0.0], [-2.25]], "-2.25"),
+    ):
+        message = re.escape(f"mode component {part} is not a whole number")
+        with pytest.raises(ValueError, match=message):
+            SparseSpectrum.from_modes(grid, modes, np.ones(np.shape(modes)[1]))
+        as_dict = {(m[0] if grid.dims == 1 else tuple(m)): 1.0 for m in np.array(modes).T.tolist()}
+        with pytest.raises(ValueError, match=message):
+            SparseSpectrum.from_dict(grid, as_dict)
+    # whole floats, which closed-form spectra pass, are read as integers
+    one = SparseSpectrum.from_modes(GridSpec(1, 16), [[1.0, -1.0]], [1, 2])
+    assert one.to_dict() == {-1: 2, 1: 1}
+    two = SparseSpectrum.from_dict(GridSpec(2, 8), {(0.0, -4.0): 1.0, (np.int32(2), 3): 2.0})
+    assert two.to_dict() == {(0, -4): 1, (2, 3): 2}
+    assert mode_to_fft_index(GridSpec(2, 8), [1.0, 2.0]).tolist() == 10
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
+def test_dump_with_a_non_finite_amplitude_is_rejected(bad, part):
+    # it loaded, and a run from it stopped with HermitianViolation
+    amplitude = [bad, "0.5"] if part == 0 else ["0.5", bad]
+    for header, mode in (("# grid=16 n_s=2", "1"), ("# grid=8,8 n_s=2", "1\t-2")):
+        line = "\t".join([mode, *amplitude])
+        text = f"{header}\n{mode.replace('1', '0', 1)}\t1.0\t0.0\n{line}\n"
+        message = re.escape(f"line {line!r}: the amplitude is not finite")
+        with pytest.raises(ValueError, match=message):
+            load_spectrum(io.StringIO(text))
+
+
 def test_dump_2d_format():
     g = GridSpec(2, 8)
     spec = SparseSpectrum.from_dict(g, {(1, -2): 1j, (-1, 2): -1j})

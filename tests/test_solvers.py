@@ -463,6 +463,23 @@ def test_initial_state_must_be_the_spectrum_of_a_real_field():
             next(iter_dense_states(u0.to_dense(), params, 1e-3, 2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
+def test_a_non_finite_initial_state_is_a_divergence(bad, part):
+    # a NaN state stopped with HermitianViolation, "not the spectrum of a
+    # real field"
+    g = GridSpec(1, 64)
+    params = EquationParams("convection", coeff=CoefficientSpec.constant(1.0))
+    u0 = sine_field(g)
+    values = u0.values.copy()
+    values[0] = complex(bad, 0.0) if part == 0 else complex(0.0, bad)
+    u0 = SparseSpectrum(g, u0.keys, values)
+    with pytest.raises(SolverDiverged, match="non-finite coefficient in the initial state"):
+        next(iter_states(u0, params, NO_SHRINK, 1e-3, 2))
+    with pytest.raises(SolverDiverged, match="non-finite coefficient in the initial state"):
+        next(iter_dense_states(u0.to_dense(), params, 1e-3, 2))
+
+
 def test_diffusion_cfl_guard():
     g = GridSpec(1, 64)
     u0 = sine_field(g)
