@@ -13,6 +13,7 @@ from .errors import (
     ConfigError,
     GridMismatch,
     HermitianViolation,
+    ModeOutOfRange,
     NegativeLambda,
     NonpositiveDt,
     NotOneDimensional,

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on configuration errors, 2 on solver errors.
+Exit codes: 0 on success, 1 on configuration and file errors, 2 on solver errors.
 """
 
 from __future__ import annotations
@@ -99,6 +99,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # its message names the path
+        print(f"file error: {exc}", file=sys.stderr)
         return 1
     except _SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -5,6 +5,10 @@ class GridMismatch(ValueError):
     """Two operands live on different grids."""
 
 
+class ModeOutOfRange(ValueError, IndexError):
+    """A mode lies outside the resolved set ``[-n/2, n/2)``: a bad value and a bad index alike."""
+
+
 class HermitianViolation(RuntimeError):
     """A nominally real field came back with a non-negligible imaginary part."""
 

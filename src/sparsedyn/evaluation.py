@@ -57,7 +57,7 @@ def iter_dense_states(
     strict_cfl: bool = False,
 ):
     """Dense no-shrinkage trajectory; yields steps 0..n_steps."""
-    return (s.current for s in _iterate(initial, params, dt, n_steps, strict_cfl, lambda v: (v, v)))
+    return (s.current for s in _iterate(initial, params, dt, n_steps, strict_cfl, lambda v: v))
 
 
 def project_low_frequency(spec: DenseSpectrum, cutoff: int) -> DenseSpectrum:
@@ -78,7 +78,7 @@ def iter_low_frequency_states(
     """Dense stepping with a hard cutoff applied at entry and after every
     step (the fixed-band comparison baseline)."""
     project = partial(project_low_frequency, cutoff=cutoff)
-    states = _iterate(project(initial), params, dt, n_steps, False, lambda v: (project(v),) * 2)
+    states = _iterate(project(initial), params, dt, n_steps, False, project)
     return (s.current for s in states)
 
 

@@ -56,6 +56,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ModeOutOfRange
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -296,14 +298,14 @@ def check_resolved(grid: GridSpec, modes) -> np.ndarray:
     """``modes`` as integers, once it has the shape ``(dims,)`` of one mode
     vector or ``(dims, m)`` of ``m`` and every component is a whole number
     (``ValueError`` otherwise) in the resolved set ``[-n/2, n/2)``
-    (``IndexError`` otherwise)."""
+    (``ModeOutOfRange``, an ``IndexError``, otherwise)."""
     modes = np.asarray(modes)
     if modes.ndim not in (1, 2) or modes.shape[0] != grid.dims:
         want = f"({grid.dims},) or ({grid.dims}, m)"
         raise ValueError(f"modes of shape {modes.shape} on a {grid.dims}-D grid: need {want}")
     half = grid.n_per_dim // 2
     if np.any((modes < -half) | (modes >= half)):
-        raise IndexError("mode outside the resolved set")
+        raise ModeOutOfRange("mode outside the resolved set")
     if modes.dtype.kind not in "iu":
         fraction = modes != np.trunc(modes)  # NaN too
         if fraction.any():

@@ -1,18 +1,18 @@
-"""Sparsity machinery: sparse coefficient container, soft thresholding,
-threshold schedule, and the one truncated spectral convolution entry,
-:func:`convolve_sum`, whose operands' container picks the result's
-layout: sparse on the path its plan picks (entry pairs or a padded
-transform, :func:`plan_convolution`), or dense in FFT layout.
+"""Sparsity machinery: sparse coefficient container, the soft threshold of
+every update, sparse or dense, threshold schedule, and the one truncated
+spectral convolution entry, :func:`convolve_sum`, whose operands' container
+picks the result's layout: sparse on the path its plan picks (entry pairs
+or a padded transform, :func:`plan_convolution`), or dense in FFT layout.
 
 Entries are keyed by integer mode vectors and stored sorted (lexicographic
 mode order), so iteration and serialization are deterministic.
 
 What counts as a zero coefficient: sparse arithmetic drops only true
 underflow (``DROP_TOL``); a spectrum made densely, by
-:meth:`SparseSpectrum.from_dense`, :func:`soft_threshold_dense` or the
-transform path of a convolution, also drops its roundoff tail, every entry below
-``ROUNDOFF_FLOOR`` times its largest magnitude.  Nothing non-finite is ever
-dropped.  Only the soft threshold removes small coefficients beyond that.
+:meth:`SparseSpectrum.from_dense`, :func:`soft_threshold` of a dense update
+or the transform path of a convolution, also drops its roundoff tail, every
+entry below ``ROUNDOFF_FLOOR`` times its largest magnitude.  Nothing
+non-finite is ever dropped.  Only the soft threshold removes small coefficients beyond that.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import GridMismatch, NegativeLambda, NonpositiveDt
+from .errors import GridMismatch, ModeOutOfRange, NegativeLambda, NonpositiveDt
 from .grid import (
     GridSpec,
     at_negated_modes,
@@ -115,7 +115,7 @@ class SparseSpectrum:
     ) -> "SparseSpectrum":
         """Build from mode vectors ``(dims, m)`` of whole numbers and one
         amplitude per mode; duplicate modes accumulate.  Other arrays raise
-        ``ValueError``, a mode outside the resolved set ``IndexError``."""
+        ``ValueError``, a mode outside the resolved set ``ModeOutOfRange``."""
         modes = check_resolved(grid, np.atleast_2d(modes))
         values = np.asarray(values, dtype=np.complex128)
         if values.shape != modes.shape[1:]:
@@ -134,7 +134,7 @@ class SparseSpectrum:
     def from_dense(cls, spec: DenseSpectrum) -> "SparseSpectrum":
         """Sparsify a dense spectrum, dropping its roundoff tail (see
         :func:`_roundoff_floor`), with nothing sorted (:func:`_dense_kept`)."""
-        keys, _, values, _ = _dense_kept(spec, 0.0, False)
+        keys, values, _ = _dense_kept(spec, 0.0, False)
         return cls(spec.grid, keys, values)
 
     @classmethod
@@ -387,7 +387,7 @@ def soft_threshold(
     (:func:`_dense_kept`).
     """
     if isinstance(spec, DenseSpectrum):
-        keys, _, values, mags = _dense_kept(spec, lam, protect_mean)
+        keys, values, mags = _dense_kept(spec, lam, protect_mean)
         return _shrunk(spec.grid, keys, values, mags, lam, protect_mean)
     mags = np.abs(spec.values)
     keep = _kept(mags, lam, DROP_TOL)
@@ -396,27 +396,12 @@ def soft_threshold(
     return _shrunk(spec.grid, spec.keys[keep], spec.values[keep], mags[keep], lam, protect_mean)
 
 
-def soft_threshold_dense(
-    spec: DenseSpectrum, lam: float, protect_mean: bool = False
-) -> tuple[SparseSpectrum, DenseSpectrum]:
-    """``soft_threshold(SparseSpectrum.from_dense(spec), lam, protect_mean)``
-    in one pass, the same entries and bits, and the same spectrum in FFT
-    layout: the kept entries (:func:`_dense_kept`) are shrunk and
-    scattered into a zeroed array."""
-    grid = spec.grid
-    keys, at, values, mags = _dense_kept(spec, lam, protect_mean)
-    shrunk = _shrunk(grid, keys, values, mags, lam, protect_mean)
-    coeffs = np.zeros(grid.n_total, dtype=np.complex128)
-    coeffs[at] = shrunk.values
-    return shrunk, DenseSpectrum(grid, coeffs.reshape(grid.shape))
-
-
 def _dense_kept(spec: DenseSpectrum, lam: float, protect_mean: bool):
-    """Keys, FFT-layout indices, values and magnitudes, in key order, of
-    the entries of a dense spectrum that are not roundoff
-    (:func:`_roundoff_floor`) and lie above ``lam``; with ``protect_mean``
-    k = 0 unless it is roundoff.  Only the mask is read ``fftshift``-ed,
-    which is key order (:func:`~sparsedyn.grid.fft_shifted`)."""
+    """Keys, values and magnitudes, in key order, of the entries of a dense
+    spectrum that are not roundoff (:func:`_roundoff_floor`) and lie above
+    ``lam``; with ``protect_mean`` k = 0 unless it is roundoff.  Only the
+    mask is read ``fftshift``-ed, which is key order
+    (:func:`~sparsedyn.grid.fft_shifted`)."""
     grid, flat = spec.grid, spec.coeffs.ravel()
     mags = np.abs(flat)
     floor = _roundoff_floor(mags)
@@ -425,7 +410,7 @@ def _dense_kept(spec: DenseSpectrum, lam: float, protect_mean: bool):
         keep[0] = not mags[0] < floor
     keys = shifted_index_to_key(grid, fft_shifted(grid, keep.reshape(grid.shape)).nonzero()[0])
     at = key_to_fft_index(grid, keys)
-    return keys, at, flat[at].astype(np.complex128, copy=False), mags[at]
+    return keys, flat[at].astype(np.complex128, copy=False), mags[at]
 
 
 def _kept(mags: np.ndarray, lam: float, floor: float) -> np.ndarray:
@@ -714,7 +699,8 @@ def load_spectrum(
     """Read a spectrum dump back; the grid is reconstructed from the header
     (default domain length unless given).  The header must read exactly
     ``# grid=<n>[,<n>] n_s=<count>``: any other first line, and an entry
-    line whose amplitude is not finite, raises ``ValueError`` naming it."""
+    line that is not ``dims`` integer modes in the resolved set and two
+    finite amplitude parts, raises ``ValueError`` naming it."""
     if isinstance(stream, str):
         with open(stream) as fh:
             return load_spectrum(fh, domain_length)
@@ -733,21 +719,28 @@ def load_spectrum(
     rows = [line.split("\t") for line in stream.read().splitlines() if line.strip()]
     if len(rows) != n_s:
         raise ValueError(f"spectrum dump header gives n_s={n_s}, but {len(rows)} entries follow")
-    for row in rows:
-        if len(row) != grid.dims + 2:
-            line, want = "\t".join(row), grid.dims + 2
-            raise ValueError(f"spectrum dump line {line!r}: {len(row)} fields, not {want}")
-    modes = np.array([[int(r[d]) for r in rows] for d in range(grid.dims)], dtype=np.int64)
-    modes = modes.reshape(grid.dims, n_s)
+    half, dims = grid.n_per_dim // 2, grid.dims
+    modes = np.empty((dims, n_s), dtype=np.int64)
+    values = np.empty(n_s, dtype=np.complex128)
+    for i, row in enumerate(rows):
+        line = "\t".join(row)
+        if len(row) != dims + 2:
+            raise ValueError(f"spectrum dump line {line!r}: {len(row)} fields, not {dims + 2}")
+        try:
+            mode = [int(part) for part in row[:dims]]
+            values[i] = float(row[dims]) + 1j * float(row[dims + 1])
+        except ValueError:
+            message = f"spectrum dump line {line!r}: need integer modes, then numbers"
+            raise ValueError(message) from None
+        if not all(-half <= m < half for m in mode):
+            raise ModeOutOfRange(f"spectrum dump line {line!r}: mode outside the resolved set")
+        if not cmath.isfinite(values[i]):
+            raise ValueError(f"spectrum dump line {line!r}: the amplitude is not finite")
+        modes[:, i] = mode
     unique, counts = np.unique(modes, axis=1, return_counts=True)
     if unique.shape[1] < n_s:
         mode = " ".join(map(str, unique[:, counts.argmax()].tolist()))
         raise ValueError(f"spectrum dump repeats mode {mode}")
-    values = [float(r[grid.dims]) + 1j * float(r[grid.dims + 1]) for r in rows]
-    for row, value in zip(rows, values):
-        if not cmath.isfinite(value):
-            line = "\t".join(row)
-            raise ValueError(f"spectrum dump line {line!r}: the amplitude is not finite")
     return SparseSpectrum.from_modes(grid, modes, values)
 
 

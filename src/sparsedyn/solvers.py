@@ -64,7 +64,6 @@ from .shrinkage import (
     lambda_at,
     plan_convolution,
     soft_threshold,
-    soft_threshold_dense,
     sparsity_fraction,
 )
 from .spectral import (
@@ -301,13 +300,14 @@ def _iterate(
     finish,
 ):
     """The stepping loop of every trajectory: yield the state at steps
-    0..n_steps.  ``finish`` maps each update to the state to yield and the
-    same state in the update's layout, which the next step starts from.
+    0..n_steps.  ``finish`` maps each update to the state to yield: the
+    soft threshold of a sparse run, the identity of the dense reference,
+    the cutoff of the low-frequency baseline.
 
-    A sparse run asks :func:`_fft_layout` before every step.  On entering
-    FFT layout it scatters its states once, and it steps from the dense
-    states ``finish`` returns until the rule sends it back to its sparse
-    states.  The vorticity forcing is scattered the first time it is needed.
+    A sparse run asks :func:`_fft_layout` before every step.  A step in FFT
+    layout starts from its states scattered; a Leap Frog previous state is
+    scattered only if the last step was not in FFT layout.  The vorticity
+    forcing is scattered the first time it is needed.
 
     Raises
     ------
@@ -343,12 +343,13 @@ def _iterate(
     state = now = SolverState(initial, None, 0, 0.0)
     yield state
     for step in range(1, n_steps + 1):
-        if sparse:
-            if not _fft_layout(params, state.current, held, layouts):
-                now = state
-            elif isinstance(now.current, SparseSpectrum):
-                previous = state.previous and state.previous.to_dense()
-                now = SolverState(state.current.to_dense(), previous, state.step_index, state.time)
+        if not (sparse and _fft_layout(params, state.current, held, layouts)):
+            now = state
+        elif leap_frog and isinstance(now.current, DenseSpectrum):  # scattered a step ago
+            now = SolverState(state.current.to_dense(), now.current, state.step_index, state.time)
+        else:
+            previous = state.previous and state.previous.to_dense()
+            now = SolverState(state.current.to_dense(), previous, state.step_index, state.time)
         if params.equation == "convection":
             v = step_convection(now, held, dt)
         elif params.equation == "parabolic":
@@ -364,10 +365,7 @@ def _iterate(
             raise SolverDiverged(
                 f"{params.equation}: non-finite coefficient at step {step} (t={step * dt:.6g})"
             )
-        current, stepped = finish(v)
-        state = SolverState(current, state.current if leap_frog else None, step, step * dt)
-        previous = now.current if leap_frog else None
-        now = state if stepped is current else SolverState(stepped, previous, step, step * dt)
+        state = SolverState(finish(v), state.current if leap_frog else None, step, step * dt)
         yield state
 
 
@@ -383,13 +381,9 @@ def iter_states(
     """Yield the state at steps 0..n_steps; each produced update is shrunk,
     and every state yielded is a :class:`~sparsedyn.shrinkage.SparseSpectrum`."""
     lam = lambda_at(schedule, dt)
-
-    def shrink(v: Spectrum) -> tuple[SparseSpectrum, Spectrum]:
-        if isinstance(v, DenseSpectrum):
-            return soft_threshold_dense(v, lam, protect_mean)
-        return (soft_threshold(v, lam, protect_mean),) * 2
-
-    yield from _iterate(initial, params, dt, n_steps, strict_cfl, shrink)
+    yield from _iterate(
+        initial, params, dt, n_steps, strict_cfl, lambda v: soft_threshold(v, lam, protect_mean)
+    )
 
 
 def advance(

@@ -393,6 +393,7 @@ def is_hermitian(spec: DenseSpectrum, rtol: float = 1e-12) -> bool:
     """Check u(-k) == conj(u(k)) up to ``rtol`` of the largest amplitude; the
     unpaired Nyquist mode is its own negation."""
     c = spec.coeffs
-    gap = np.max(np.abs(c - np.conj(at_negated_modes(c))))
+    gap = at_negated_modes(c)  # a new array: u(k) - conj(u(-k)) is made in it
+    np.subtract(c, np.conjugate(gap, out=gap), out=gap)
     scale = float(np.max(np.abs(c))) or 1.0
-    return bool(gap <= rtol * scale)
+    return bool(np.max(np.abs(gap)) <= rtol * scale)

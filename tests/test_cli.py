@@ -42,6 +42,20 @@ def test_run_config_error_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_file_errors_exit_1_naming_the_path(tmp_path, capsys):
+    # a missing config and an output directory below a regular file ended
+    # in FileNotFoundError and NotADirectoryError tracebacks
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["run", "--config", missing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and missing in err and err.count("\n") == 1
+    (tmp_path / "plain").write_text("")
+    below = str(tmp_path / "plain" / "out")
+    assert main(["run", "--config", write(tmp_path, GOOD_CONFIG), "--out", below]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and below in err and err.count("\n") == 1
+
+
 def test_non_finite_dt_is_a_config_error(tmp_path, capsys):
     # dt = inf ran 0 steps and exited 0
     bad = GOOD_CONFIG.replace("dt = 1e-4", "dt = inf")

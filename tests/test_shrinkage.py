@@ -23,7 +23,7 @@ from sparsedyn import (
     sparsity_fraction,
 )
 from sparsedyn import shrinkage
-from sparsedyn.shrinkage import ROUNDOFF_FLOOR, _accumulate, soft_threshold_dense
+from sparsedyn.shrinkage import ROUNDOFF_FLOOR, _accumulate
 from sparsedyn.spectral import SpatialField, is_hermitian
 
 
@@ -431,6 +431,27 @@ def test_dump_row_with_the_wrong_field_count_is_rejected(row):
         load_spectrum(io.StringIO(f"# grid=16 n_s=1\n{row}\n"))
 
 
+OUTSIDE, UNPARSED = "mode outside the resolved set", "need integer modes, then numbers"
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [("9\t1.0\t0.0", OUTSIDE), ("1.5\t1.0\t0.0", UNPARSED), ("3\t1.0\tx", UNPARSED),
+     ("1\t-5\t1.0\t0.0", OUTSIDE), ("1\t2.0\t1.0\t0.0", UNPARSED), ("1\t2\tx\t0.0", UNPARSED)],
+    ids=["1d-range", "1d-mode", "1d-amplitude", "2d-range", "2d-mode", "2d-amplitude"],
+)
+def test_dump_with_a_malformed_entry_line_names_the_line(bad, reason):
+    # the out-of-range mode raised a bare IndexError, the fractional mode
+    # and the amplitude that is not a number ValueErrors of int() and
+    # float() that named no line
+    dims = bad.count("\t") - 1
+    header = "# grid=16 n_s=2" if dims == 1 else "# grid=8,8 n_s=2"
+    good = "\t".join(["0"] * dims + ["1.0", "0.0"])
+    message = re.escape(f"spectrum dump line {bad!r}: {reason}")
+    with pytest.raises(ValueError, match=message):
+        load_spectrum(io.StringIO(f"{header}\n{good}\n{bad}\n"))
+
+
 def test_out_of_range_modes_are_rejected_not_aliased():
     # mode 100 on 16 points would alias to mode 4; (0, 9) on 8 x 8 is not resolved
     with pytest.raises(IndexError, match="mode outside the resolved set"):
@@ -555,19 +576,16 @@ def shrink_cases(grid: GridSpec):
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 64), GridSpec(2, 16)], ids=["1d", "2d"])
 def test_dense_shrink_is_the_soft_threshold_of_from_dense_bit_for_bit(grid):
-    # against the sparse path and against an entry-by-entry loop; the same
-    # spectrum in FFT layout; NaN kept, the mean kept as it is unless it
-    # is a zero
+    # against the sparse path and against an entry-by-entry loop; NaN
+    # kept, the mean kept as it is unless it is a zero
     mean = (0,) * grid.dims
     for name, coeffs, lam, protect_mean, kept in shrink_cases(grid):
         dense = DenseSpectrum(grid, coeffs)
-        got, got_dense = soft_threshold_dense(dense, lam, protect_mean)
+        got = soft_threshold(dense, lam, protect_mean)
         via_sparse = soft_threshold(SparseSpectrum.from_dense(dense), lam, protect_mean)
         for want in (via_sparse, loop_dense_shrink(dense, lam, protect_mean)):
             assert np.array_equal(got.keys, want.keys), name
             assert got.values.tobytes() == want.values.tobytes(), name
-        assert got_dense.coeffs.tobytes() == got.to_dense().coeffs.tobytes(), name
-        assert soft_threshold(dense, lam, protect_mean).values.tobytes() == got.values.tobytes()
         assert np.isnan(got.values).sum() == np.isnan(coeffs).sum(), name
         if kept is not None:
             assert got.n_s == kept, name

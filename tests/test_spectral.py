@@ -18,6 +18,7 @@ from sparsedyn import (
 from sparsedyn.grid import (
     DERIVATIVE_FACTORS,
     VELOCITY_FACTORS,
+    at_negated_modes,
     axis_tables,
     mode_table,
     wavenumber_squares,
@@ -227,6 +228,29 @@ def test_shape_mismatch_rejected():
         SpatialField(g, np.zeros(16))
     with pytest.raises(ValueError):
         DenseSpectrum(g, np.zeros((32, 32), dtype=complex))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 32), GridSpec(2, 16)], ids=["1d", "2d"])
+def test_hermitian_gap_is_the_old_expression_bit_for_bit(grid):
+    # the gap is now made in place on the negated-modes copy; with the
+    # largest amplitude exactly 1 the check reads True at rtol = the old
+    # gap and False one ulp below it, so the two gaps are the same bits;
+    # a NaN still reads not Hermitian, and the input is left as it was
+    rng = np.random.default_rng(7)
+    coeffs = (rng.uniform(-0.5, 0.5, grid.shape) + 1j * rng.uniform(-0.5, 0.5, grid.shape))
+    coeffs[(0,) * grid.dims] = 1.0
+    with_nan = coeffs.copy()
+    with_nan[(1,) * grid.dims] = complex(np.nan, 0.0)
+    for c in (coeffs, with_nan):
+        before = c.tobytes()
+        old = np.max(np.abs(c - np.conj(at_negated_modes(c))))
+        if np.isnan(old):
+            assert not is_hermitian(DenseSpectrum(grid, c), rtol=1e300)
+        else:
+            assert old > 0
+            assert is_hermitian(DenseSpectrum(grid, c), rtol=old)
+            assert not is_hermitian(DenseSpectrum(grid, c), rtol=np.nextafter(old, 0))
+        assert c.tobytes() == before
 
 
 def test_dense_mode_reads_keep_nothing_the_size_of_the_grid():
