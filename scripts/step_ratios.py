@@ -18,11 +18,11 @@ digit sums without a plan (``shrinkage._pair_convolve``) per later sparse
 step, the minor page faults per later sparse and
 dense step (the heap's growth and trims show there: ``ru_minflt`` of this
 process, read around each step), the numpy transform calls, the key
-placements (``half_index`` calls, through ``SparseSpectrum.half_places``,
-which place a sparse spectrum's keys on the padded grid) and the factor
-operands made as spectra of their own (``HeldField.entries`` calls that
-make one, which only the entry-pair path makes) per later sparse and
-dense step, and the final
+placements (``half_index`` calls, once per spectrum and part in each
+padded product, which place a sparse spectrum's keys on the padded grid)
+and the factor operands made as spectra of their own (``HeldField.entries``
+calls of an operand with a factor, which only the entry-pair path makes)
+per later sparse and dense step, and the final
 retained fraction and relative L2 error against the dense run.  The second covers the
 refinement problems at ``N = 2^10 .. 2^17``: ``parabolic_fig2`` refined
 with ``dt`` scaled as ``dx^2`` and ``convection_fig1`` with ``dt`` scaled
@@ -67,6 +67,7 @@ from sparsedyn import (  # noqa: E402
     error_metrics,
     shrinkage,
     solvers,
+    spectral,
 )
 from sparsedyn.coefficients import coefficient_field_of  # noqa: E402
 from sparsedyn.evaluation import iter_dense_states  # noqa: E402
@@ -116,7 +117,7 @@ class _PlanCount:
 class _CallCount:
     """Counts the calls of the functions ``names`` of each of ``modules``,
     each wrapped in place while it is installed: numpy's transforms,
-    ``half_index`` as :mod:`shrinkage` calls it, which places a sparse
+    ``half_index`` as :mod:`spectral` calls it, which places a sparse
     spectrum's keys on the padded grid."""
 
     def __init__(self, modules, names) -> None:
@@ -141,14 +142,14 @@ class _CallCount:
 
 class _MadeCount(_CallCount):
     """Counts the factor operands made as the spectra they stand for: the
-    calls of ``HeldField.entries`` that make an operand's ``product``."""
+    calls of ``HeldField.entries`` on an operand with a factor."""
 
     def __init__(self) -> None:
         super().__init__([HeldField], ("entries",))
 
     def _counted(self, original):
         def counted(held):
-            self.calls += held.product is None
+            self.calls += held.factor is not None
             return original(held)
 
         return counted
@@ -168,7 +169,7 @@ def interleaved(config, n_steps: int, dense: bool = True) -> dict:
     solvers._fft_layout, shrinkage._pair_plan = count, plans
     counters = (
         _CallCount([np.fft], TRANSFORMS),
-        _CallCount([shrinkage], ("half_index",)),
+        _CallCount([spectral], ("half_index",)),
         _MadeCount(),
         _CallCount([shrinkage], ("_pair_convolve",)),
     )

@@ -180,7 +180,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config_file(path: str | Path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err})") from None
+    return parse_config_text(text)
 
 
 def format_config(config: ExperimentConfig) -> str:

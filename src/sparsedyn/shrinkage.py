@@ -34,7 +34,6 @@ from .grid import (
     box_index,
     check_resolved,
     fft_shifted,
-    half_index,
     key_digit,
     key_to_fft_index,
     key_to_mode,
@@ -191,16 +190,6 @@ class SparseSpectrum:
         return key_to_mode(self.grid, self.keys)
 
     @property
-    def digits(self) -> tuple[np.ndarray, ...]:
-        """The key digits along each axis (:func:`~sparsedyn.grid.key_digit`),
-        made on first use and kept."""
-        memo = self.__dict__  # the dataclass is frozen, its __dict__ is not
-        if "_digits" not in memo:
-            grid = self.grid
-            memo["_digits"] = tuple([key_digit(grid, self.keys, axis) for axis in range(grid.dims)])
-        return memo["_digits"]
-
-    @property
     def open_entries(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Keys, values and reach of the entries in the open box, those a
         convolution reads (:func:`~sparsedyn.grid.open_support`: the unpaired
@@ -215,40 +204,14 @@ class SparseSpectrum:
             entries = self.__dict__["_open"] = keys, vals, reach
         return entries
 
-    @property
-    def open_smallest(self) -> float:
-        """The smallest magnitude of the open-box entries (NaN if one is
-        NaN, ``inf`` if there are none), which bounds a factor operand's
-        products from below (:meth:`~sparsedyn.spectral.HeldField.place`),
-        made on first use and kept."""
-        low = self.__dict__.get("_smallest")
-        if low is None:
-            low = float(np.abs(self.open_entries[1]).min(initial=np.inf))
-            self.__dict__["_smallest"] = low
-        return low
-
-    def half_places(self, size: int, part: int) -> tuple[np.ndarray, np.ndarray]:
-        """Where the open-box entries go on the half grid of a real
-        transform on ``size`` points per dimension
-        (:func:`~sparsedyn.grid.half_index`), for ``part`` 1 at their
-        negated modes, in reverse order, made on first use per size and
-        part and kept."""
-        memo = self.__dict__.get("_places")
-        if memo is None:  # setdefault would make a spare dict on every call
-            memo = self.__dict__["_places"] = {}
-        if (size, part) not in memo:
-            keys = self.open_entries[0]
-            if part:
-                keys = negated_keys(self.grid, keys[::-1])
-            memo[size, part] = half_index(self.grid, keys, size)
-        return memo[size, part]
-
     def at(self, factor) -> np.ndarray:
         """A mode factor (such as :func:`~sparsedyn.grid.wavenumber_squares`)
         at each entry, in sorted order: its formula evaluated at the key
-        :attr:`digits`, the same values that :meth:`to_dense` meets in the
-        dense table, with nothing built the size of the grid."""
-        return factor(self.grid, self.digits)
+        digits (:func:`~sparsedyn.grid.key_digit`), read on each call, the
+        same values that :meth:`to_dense` meets in the dense table, with
+        nothing built the size of the grid."""
+        grid = self.grid
+        return factor(grid, tuple([key_digit(grid, self.keys, axis) for axis in range(grid.dims)]))
 
     def is_hermitian(self, rtol: float = 1e-12) -> bool:
         """Whether ``u(-k) == conj(u(k))`` up to ``rtol`` of the largest
@@ -475,7 +438,7 @@ def convolve_sum(terms, *, real: bool = False) -> SparseSpectrum | DenseSpectrum
     roundoff tail (:func:`_above_roundoff`).  With operands that fill the
     box the two layouts give the same values, less that tail.  An operand
     with a factor is planned by its spectrum's entries; entry pairs read
-    the entries of the spectrum it stands for, made on first use
+    the entries of the spectrum it stands for, made on each read
     (:meth:`~sparsedyn.spectral.HeldField.entries`), and the transform
     makes its products on the padded grid
     (:meth:`~sparsedyn.spectral.HeldField.place`), so the transform path

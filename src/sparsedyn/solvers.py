@@ -135,7 +135,8 @@ class InitialSpec:
             raise ValueError(f"width must be positive and finite, got {self.width}")
         if not np.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -314,7 +315,8 @@ def _iterate(
     NonpositiveDt
         Unless ``dt > 0`` (NaN fails too).
     ValueError
-        If ``n_steps`` is negative.
+        Unless ``n_steps`` is an integer (a numpy one too, not a ``bool``)
+        at least 0.
     NotOneDimensional, NotTwoDimensional
         Before the first step, if the grid's dimension is not the
         equation's (:func:`_prepare`).
@@ -326,6 +328,8 @@ def _iterate(
     """
     if not dt > 0:
         raise NonpositiveDt(f"dt must be positive, got {dt}")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     sparse, leap_frog = isinstance(initial, SparseSpectrum), params.equation == "convection"

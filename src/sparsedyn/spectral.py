@@ -12,7 +12,7 @@ that declares its operands real (the solver) makes one real field per
 operand; any other operand is split into two real fields.  Each operand,
 a spectrum times an optional mode factor behind a :class:`HeldField`,
 places itself on the padded grid, a sparse one at the places of its
-spectrum's keys, found once per spectrum and size, times its factor's
+spectrum's keys, found once per spectrum in each call, times its factor's
 table on that grid (:func:`~sparsedyn.grid.half_mode_table`), a dense one
 by copying the box; the grid's index arithmetic sizes
 (:func:`~sparsedyn.grid.transform_size`), places keys
@@ -33,8 +33,12 @@ from .grid import (
     GridSpec,
     at_negated_modes,
     box_blocks,
+    half_index,
     half_mode_table,
+    key_digit,
+    key_reach,
     mode_table,
+    negated_keys,
 )
 
 # Magnitudes below this are treated as exact zeros during arithmetic.
@@ -163,9 +167,9 @@ class HeldField:
     A sparse operand is sized by its spectrum's open-box entries
     (:attr:`~sparsedyn.shrinkage.SparseSpectrum.open_entries`), with a
     factor too: their count and reach bound those of the product.  Only
-    the entry-pair path reads a factor operand's own entries, the open-box
-    entries of the spectrum it stands for (``product``, the spectrum
-    itself without a factor), made on first use.
+    the entry-pair path reads a factor operand's own entries
+    (:meth:`entries`), made from its spectrum's open-box entries on each
+    read, with nothing kept.
 
     Every call holds its operands (:func:`hold_operands`), marked
     ``call_only`` if made for that call, which keep no plan; hold one
@@ -174,13 +178,12 @@ class HeldField:
     state: the field is as large as the padded grid (a stacked one keeps
     its stack, of at most ``_STACK_BYTES`` half grids, alive)."""
 
-    __slots__ = ("spectrum", "factor", "product", "field", "size", "real", "call_only", "plan")
+    __slots__ = ("spectrum", "factor", "field", "size", "real", "call_only", "plan")
 
     def __init__(self, spectrum, factor=None) -> None:
         if factor is not None and isinstance(spectrum, DenseSpectrum):
             spectrum, factor = spectrum.apply_mode_factor(spectrum.at(factor)), None
         self.spectrum, self.factor = spectrum, factor
-        self.product = spectrum if factor is None else None
         self.field: np.ndarray | None = None
         self.size = 0
         self.real = False
@@ -188,16 +191,21 @@ class HeldField:
         self.plan: tuple | None = None
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Keys, values and reach of a sparse operand's own open-box entries
-        (:attr:`~sparsedyn.shrinkage.SparseSpectrum.open_entries` of
-        ``product``, made first as ``spectrum.apply_mode_factor(
-        spectrum.at(factor))``), which entry pairs read."""
-        if self.product is None:
-            spectrum = self.spectrum
-            self.product = spectrum.apply_mode_factor(spectrum.at(self.factor))
-        return self.product.open_entries
+        """Keys, values and reach of a sparse operand's own open-box entries,
+        which entry pairs read: its spectrum's, with a factor times the
+        factor at their key digits, a product below ``DROP_TOL`` dropped (a
+        NaN kept), as ``spectrum.apply_mode_factor(spectrum.at(factor))``
+        has them."""
+        keys, vals, reach = self.spectrum.open_entries
+        if self.factor is None:
+            return keys, vals, reach
+        grid = self.spectrum.grid
+        vals = vals * self.factor(grid, tuple([key_digit(grid, keys, d) for d in range(grid.dims)]))
+        keep = _nonzero(vals)
+        keys = keys[keep]
+        return keys, vals[keep], key_reach(grid, keys)
 
-    def place(self, half: np.ndarray, size: int) -> None:
+    def place(self, half: np.ndarray, size: int, placed: dict) -> None:
         """Write the operand onto ``half``, zeros of shape ``(parts, size,
         ..., size//2 + 1)`` on the half grid of a real transform on ``size``
         points per dimension: in part 0 its open-box entries with
@@ -205,12 +213,13 @@ class HeldField:
         at their negated mode, conjugated.  ``size`` exceeds twice the
         spectrum's reach (:func:`~sparsedyn.grid.transform_size`), so every
         key has a place of its own.  A sparse operand writes its
-        spectrum's open-box values at the places of their keys, found once
-        per spectrum, size and part
-        (:meth:`~sparsedyn.shrinkage.SparseSpectrum.half_places`); with a
-        factor it multiplies each part by the factor on the half grid
+        spectrum's open-box values at the places of their keys
+        (:func:`~sparsedyn.grid.half_index`); with a factor it multiplies
+        each part by the factor on the half grid
         (:func:`~sparsedyn.grid.half_mode_table`), so its products are made
         there, and a product below ``DROP_TOL`` is placed as 0, a NaN kept.
+        The places and the smallest open-box magnitude are found once per
+        spectrum in ``placed``, the call's scratch (:func:`padded_product`).
         A dense one copies the open box's blocks
         (:func:`~sparsedyn.grid.box_blocks`), for the second part from its
         coefficients at the negated modes
@@ -227,19 +236,24 @@ class HeldField:
                     for row, coeffs in zip(half, rows):
                         row[dst.at] = coeffs[src.at]
             return
-        vals = spec.open_entries[1]
+        keys, vals, _ = spec.open_entries
         for part, row in enumerate(half):
             if part:  # the negated modes, conjugated
                 vals = np.conjugate(vals[::-1])
-            keep, index = spec.half_places(size, part)
+            if (id(spec), part) not in placed:
+                at = negated_keys(grid, keys[::-1]) if part else keys
+                placed[id(spec), part] = half_index(grid, at, size)
+            keep, index = placed[id(spec), part]
             row.reshape(-1)[index] = vals[keep]
             if self.factor is None:
                 continue
             table, smallest = half_mode_table(grid, self.factor, size, part)
             row *= table
+            if id(spec) not in placed:
+                placed[id(spec)] = float(np.abs(vals).min(initial=np.inf))
             # a product's magnitude is within a few eps of the product of
             # magnitudes, so at twice the bound none can underflow
-            if not spec.open_smallest * smallest >= 2 * DROP_TOL:  # NaN fails too
+            if not placed[id(spec)] * smallest >= 2 * DROP_TOL:  # NaN fails too
                 row[~_nonzero(row)] = 0
 
 
@@ -324,13 +338,15 @@ def padded_product(
              if (h.size, h.real) != (size, real)]
     per_stack = max(1, _STACK_BYTES // (16 * parts * size ** (grid.dims - 1) * half_shape[-1]))
 
+    placed: dict = {}  # per spectrum, its key places and smallest magnitude (HeldField.place)
+
     def field(held: HeldField) -> np.ndarray:
         if (held.size, held.real) == (size, real):
             return held.field
         stack, fresh[:per_stack] = fresh[:per_stack], []
         half = np.zeros((len(stack), parts) + half_shape, dtype=np.complex128)
         for made, rows in zip(stack, half):
-            made.place(rows, size)
+            made.place(rows, size, placed)
         if not real:  # rows c(m) and conj c(-m) become the two parts
             own, odd = half.swapaxes(0, 1)
             own[:], odd[:] = (own + odd) * 0.5, (odd - own) * 0.5j

@@ -23,6 +23,7 @@ from sparsedyn.grid import (
     axis_tables,
     box_index,
     in_open_box,
+    key_digit,
     mean_key,
     mode_to_key,
     transform_size,
@@ -307,7 +308,7 @@ def materialised_advection(u):
     call."""
     grid = u.grid
     if isinstance(u, SparseSpectrum):
-        rows = biot_savart_rows(grid, u.digits)
+        rows = biot_savart_rows(grid, tuple([key_digit(grid, u.keys, axis) for axis in range(2)]))
     else:
         rows = biot_savart_rows(grid, np.ix_(*[grid.mode_numbers() + grid.n_per_dim // 2] * 2))
     velocity = [u.apply_mode_factor(row) for row in rows]

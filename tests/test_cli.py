@@ -239,3 +239,15 @@ def test_bench_conv_cli(tmp_path, capsys):
     assert (tmp_path / "bench_convolution.csv").exists()
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
+
+
+def test_a_config_file_that_is_not_utf8_exits_1_naming_the_path(tmp_path, capsys):
+    # 'run' and 'converge' printed "solver error: 'utf-8' codec can't
+    # decode byte 0xff" and exited 2
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"\xff" + GOOD_CONFIG.encode())
+    for argv in (["run"], ["converge", "--resolutions", "32,64"]):
+        assert main(argv + ["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: not UTF-8 text") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

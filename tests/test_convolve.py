@@ -623,7 +623,7 @@ def test_dense_placement_is_the_index_table_gather_bit_for_bit(grid):
     for size in sorted({transform_size(grid, 2 * grid.box_edge)[0], grid.n_padded}):
         for rows in (1, 2):
             half = np.zeros((rows,) + (size,) * (grid.dims - 1) + (size // 2 + 1,), dtype=complex)
-            HeldField(spec).place(half, size)
+            HeldField(spec).place(half, size, {})
             want = table_place(spec, size, rows)
             assert half.tobytes() == want.tobytes()
 

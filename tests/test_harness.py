@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -365,3 +366,51 @@ def test_snapshot_times_between_steps_are_rejected(times):
     # whole steps pass, as t_end does, within 1e-9 of a step
     cfg = parse_config_text(text.replace("snapshot_times = 2e-3", "snapshot_times = 0.03,0.05"))
     assert cfg.snapshot_times == (0.03, 0.05)
+
+
+@pytest.mark.parametrize(
+    "base, key, value, message",
+    [(SMALL_CONFIG, "dims", "2", "dims: parabolic requires dims = 1"),
+     (VORTICITY_CONFIG, "dims", "1", "dims: vorticity2d requires dims = 2"),
+     (SMALL_CONFIG, "dt", "0", "dt: must be positive"),
+     (SMALL_CONFIG, "dt", "-1e-4", "dt: must be positive"),
+     (SMALL_CONFIG, "t_end", "-5e-3", "t_end: must be nonnegative"),
+     (VORTICITY_CONFIG, "gamma", "0", "gamma: vorticity2d requires gamma > 0"),
+     (VORTICITY_CONFIG, "gamma", "-0.01", "gamma: vorticity2d requires gamma > 0"),
+     (VORTICITY_CONFIG, "forcing", "tides", "forcing: 'tides' is not one of"),
+     (SMALL_CONFIG, "coefficient", "tides", "coefficient: 'tides' is not one of"),
+     (SMALL_CONFIG, "initial_condition", "square_wave",
+      "initial_condition: 'square_wave' is not one of"),
+     (SMALL_CONFIG, "baselines", "dense,exact", "baselines: unknown baseline 'exact'"),
+     (SMALL_CONFIG, "protect_mean", "maybe", "protect_mean: expected a boolean, got 'maybe'"),
+     (SMALL_CONFIG, "dt", "fast", "dt: cannot parse 'fast' as float"),
+     (SMALL_CONFIG, "n_per_dim", "64.0", "n_per_dim: cannot parse '64.0' as int"),
+     (SMALL_CONFIG, "snapshot_times", "2e-3,soon", "snapshot_times: cannot parse '2e-3,soon'")],
+)
+def test_config_rejections_name_the_key(base, key, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        parse_config_text(with_value(base, key, value))
+
+
+def test_a_line_without_an_equals_sign_is_rejected():
+    text = SMALL_CONFIG.replace("dims = 1", "dims 1")
+    line = text.splitlines().index("dims 1") + 1
+    with pytest.raises(ConfigError, match=f"^line {line}: expected 'key = value', got 'dims 1'"):
+        parse_config_text(text)
+
+
+def test_a_config_file_that_is_not_utf8_is_a_config_error_naming_the_path(tmp_path):
+    # it raised UnicodeDecodeError, which the command line reported as a
+    # solver error
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"\xff" + SMALL_CONFIG.encode())
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        harness.parse_config_file(path)
+    path.write_bytes(SMALL_CONFIG.encode())
+    assert harness.parse_config_file(path) == parse_config_text(SMALL_CONFIG)
+
+
+def test_lambda_rule_names_the_rule_and_its_constants():
+    power = with_value(with_value(SMALL_CONFIG, "lambda_mode", "power_law"), "lambda_c", "0.5")
+    assert parse_config_text(power).lambda_rule() == "power_law(C=0.5, p=2.0)"
+    assert parse_config_text(SMALL_CONFIG).lambda_rule() == "fixed(0.0001)"

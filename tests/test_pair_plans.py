@@ -389,3 +389,19 @@ def test_pairs_whose_sums_all_leave_the_open_box_give_nothing(dims, monkeypatch)
         assert got.n_s == 0 and got.keys.dtype == np.int64
     plan = held.plan[1]
     assert plan.keys.size == 0 and np.all(plan.cells == 0)
+
+
+def test_a_planned_call_drops_the_cells_that_cancel(monkeypatch):
+    # the held {+-1: 1} times the state {0: 1, +-2: -1}: cells +-1 sum
+    # 1 - 1 to exactly 0, so the planned calls, the second and the third,
+    # keep +-3 alone, as the row loop does
+    planned = Count(monkeypatch, shrinkage, "_planned_convolve")
+    g = GridSpec(1, 16)
+    coeff = SparseSpectrum.from_dict(g, {1: 1.0, -1: 1.0})
+    state = SparseSpectrum.from_dict(g, {0: 1.0, 2: -1.0, -2: -1.0})
+    held = HeldField(coeff)
+    want = row_loop_convolve([(1.0, coeff, state)], g)
+    assert want.to_dict() == {-3: -1.0, 3: -1.0}
+    for calls in (0, 1, 2):
+        assert_bit_equal(convolve_sum([(1.0, held, state)]), want)
+        assert planned.calls == calls

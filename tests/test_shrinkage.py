@@ -410,6 +410,12 @@ def test_dump_whose_header_is_not_the_format_is_rejected(header):
         load_spectrum(io.StringIO(f"{header}\n"))
 
 
+def test_dump_of_a_grid_that_is_not_square_is_rejected():
+    with pytest.raises(ValueError, match="^grid must be square$"):
+        load_spectrum(io.StringIO("# grid=8,16 n_s=0\n"))
+    assert load_spectrum(io.StringIO("# grid=8,8 n_s=0\n")).grid == GridSpec(2, 8)
+
+
 @pytest.mark.parametrize(
     "grid, rows, mode",
     [(GridSpec(1, 16), ["3\t1.0\t0.0", "3\t2.0\t0.0"], "3"),

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -702,7 +703,7 @@ def test_dense_advection_stacks_its_fields_within_the_budget(
     # transform on 48 x 48 points, one per operand on 384 x 384, whose half
     # grid alone exceeds the stack's byte budget.  The same state sparse
     # takes the same transforms and places its keys once for its four
-    # operands (one half_index, through SparseSpectrum.half_places), whose
+    # operands (one half_index, in the padded product's call), whose
     # products are made on the padded grid: no operand is made as a
     # spectrum of its own (apply_mode_factor), as on a later
     # vorticity_converge state on 128^2
@@ -714,7 +715,7 @@ def test_dense_advection_stacks_its_fields_within_the_budget(
 
     placed, made = [], []
     monkeypatch.setattr(
-        shrinkage, "half_index", lambda *args: placed.append(args) or half_index(*args)
+        spectral, "half_index", lambda *args: placed.append(args) or half_index(*args)
     )
     apply_mode_factor = SparseSpectrum.apply_mode_factor
     monkeypatch.setattr(
@@ -811,12 +812,12 @@ def test_advection_on_entry_pairs_matches_the_materialised_one_on_vorticity_fig4
     monkeypatch,
 ):
     # after its first step vorticity_fig4 takes entry pairs, which read each
-    # of the four factor operands as the spectrum it stands for, made once
+    # of the four factor operands as the spectrum it stands for, once each
     paths = advection_paths(monkeypatch)
     made = []
     entries = HeldField.entries
     monkeypatch.setattr(
-        HeldField, "entries", lambda held: made.append(held.product is None) or entries(held)
+        HeldField, "entries", lambda held: made.append(held.factor is not None) or entries(held)
     )
     config = load_recipe("vorticity_fig4")
     u0 = initial_condition(config.initial_spec(), config.grid())
@@ -908,3 +909,49 @@ def test_sparse_vorticity_run_allocates_the_same_on_any_grid():
     finally:
         tracemalloc.stop()
     assert large < 2 * small
+
+
+@pytest.mark.parametrize("n_steps", [True, False, 2.0, np.float64(3.0), "3"])
+def test_every_trajectory_rejects_a_step_count_that_is_not_an_integer(n_steps):
+    # n_steps=True ran one step; 2.0 raised a bare TypeError from range,
+    # after state 0
+    g = GridSpec(1, 32)
+    u0 = sine_field(g)
+    params = EquationParams("parabolic", coeff=CoefficientSpec.constant(1.0))
+    message = re.escape(f"n_steps must be an integer, got {n_steps!r}")
+    for states in (
+        iter_states(u0, params, NO_SHRINK, 1e-4, n_steps),
+        iter_dense_states(u0.to_dense(), params, 1e-4, n_steps),
+        iter_low_frequency_states(u0.to_dense(), params, 1e-4, n_steps, cutoff=4),
+    ):
+        with pytest.raises(ValueError, match=message):
+            next(states)
+    with pytest.raises(ValueError, match=message):
+        advance(u0, params, NO_SHRINK, 1e-4, n_steps)
+
+
+def test_a_numpy_integer_is_a_step_count():
+    g = GridSpec(1, 32)
+    params = EquationParams("parabolic", coeff=CoefficientSpec.constant(1.0))
+    states = iter_states(sine_field(g), params, NO_SHRINK, 1e-4, np.int64(3))
+    assert [s.step_index for s in states] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("seed", [True, False])
+def test_initial_spec_rejects_a_boolean_seed(seed):
+    # seed=True was taken as seed 1
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        InitialSpec("two_vortices", seed=seed)
+    assert InitialSpec("two_vortices", seed=np.int64(3)).seed == 3
+
+
+def test_vorticity_on_a_1d_grid_stops_before_the_first_step():
+    g = GridSpec(1, 32)
+    params = EquationParams("vorticity2d", gamma=0.01, forcing=CoefficientSpec.constant(0.0))
+    u0 = sine_field(g)
+    for states in (
+        iter_states(u0, params, NO_SHRINK, 1e-3, 5),
+        iter_dense_states(u0.to_dense(), params, 1e-3, 5),
+    ):
+        with pytest.raises(NotTwoDimensional, match="vorticity2d requires a 2-D grid"):
+            next(states)

@@ -5,6 +5,7 @@ import pytest
 
 from sparsedyn import (
     DenseSpectrum,
+    GridMismatch,
     GridSpec,
     HermitianViolation,
     SparseSpectrum,
@@ -270,3 +271,10 @@ def test_dense_mode_reads_keep_nothing_the_size_of_the_grid():
     finally:
         tracemalloc.stop()
     assert retained < 2**20
+
+
+def test_dense_spectra_on_different_grids_do_not_add():
+    a = DenseSpectrum(GridSpec(1, 16), np.ones(16, dtype=complex))
+    for grid in (GridSpec(1, 32), GridSpec(1, 16, domain_length=1.0), GridSpec(2, 16)):
+        with pytest.raises(GridMismatch, match="cannot add spectra on different grids"):
+            a + DenseSpectrum(grid, np.ones(grid.shape, dtype=complex))
