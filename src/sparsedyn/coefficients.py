@@ -1,8 +1,9 @@
 """Closed-form variable coefficients and forcing fields.
 
-Each named form wraps a slow envelope around a fast oscillation, e.g.
-``0.25 * exp((0.6 + 0.2*cos(x)) / (1 + 0.7*sin(64*x)))``.  The highest
-embedded frequency must be resolvable on the target grid.  The spectrum of
+Each named form wraps a slow envelope around a fast oscillation.  The
+oscillatory coefficients are one family,
+``c * exp((a + 0.2*cos(x)) / (1 + 0.7*sin(M*x)))``.  The highest embedded
+frequency must be resolvable on the target grid.  The spectrum of
 a 1-D form is the DFT of its samples (:func:`coefficient_field_of`); that
 of ``constant`` and ``vorticity_forcing`` is built without sampling the
 grid (:func:`closed_form_spectrum`).
@@ -19,13 +20,14 @@ from .grid import TWO_PI, GridSpec
 from .shrinkage import SparseSpectrum
 from .spectral import DenseSpectrum, SpatialField, dft_forward
 
-# name -> (required dims, max embedded frequency)
+# name -> (required dims, max embedded frequency M, (c, a) of a form in the
+# oscillatory family, else None)
 _NAMED_FORMS = {
-    "constant": (None, 0),
-    "convection_oscillatory": (1, 64),
-    "parabolic_oscillatory": (1, 256),
-    "burgers_oscillatory": (1, 128),
-    "vorticity_forcing": (2, 64),
+    "constant": (None, 0, None),
+    "convection_oscillatory": (1, 64, (0.25, 0.6)),
+    "parabolic_oscillatory": (1, 256, (0.1, 0.6)),
+    "burgers_oscillatory": (1, 128, (0.075, 0.65)),
+    "vorticity_forcing": (2, 64, None),
 }
 
 # on a 2*pi period the vorticity forcing repeats this many times per axis
@@ -61,7 +63,7 @@ class CoefficientSpec:
 def _check_grid(spec: CoefficientSpec, grid: GridSpec) -> None:
     """Raises ``ValueError`` on a grid of other dims than the form needs,
     ``UnderResolved`` if ``n_per_dim <= 2 * max embedded frequency``."""
-    required_dims, max_freq = _NAMED_FORMS[spec.kind]
+    required_dims, max_freq, _ = _NAMED_FORMS[spec.kind]
     if required_dims is not None and grid.dims != required_dims:
         raise ValueError(f"{spec.kind} requires a {required_dims}-D grid")
     if max_freq and grid.n_per_dim <= 2 * max_freq:
@@ -84,16 +86,11 @@ def sample_coefficient(spec: CoefficientSpec, grid: GridSpec) -> np.ndarray:
         return np.full(grid.shape, spec.value)
 
     x = grid.axis_coordinates()
-    if spec.kind == "convection_oscillatory":
-        return 0.25 * np.exp((0.6 + 0.2 * np.cos(x)) / (1.0 + 0.7 * np.sin(64 * x)))
-
-    if spec.kind == "parabolic_oscillatory":
-        return 0.1 * np.exp((0.6 + 0.2 * np.cos(x)) / (1.0 + 0.7 * np.sin(256 * x)))
-
-    if spec.kind == "burgers_oscillatory":
-        return 0.075 * np.exp((0.65 + 0.2 * np.cos(x)) / (1.0 + 0.7 * np.sin(128 * x)))
-
-    return _vorticity_forcing(x)
+    _, m, family = _NAMED_FORMS[spec.kind]
+    if family is None:
+        return _vorticity_forcing(x)
+    c, a = family
+    return c * np.exp((a + 0.2 * np.cos(x)) / (1.0 + 0.7 * np.sin(m * x)))
 
 
 def _vorticity_forcing(x: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ class NegativeLambda(ValueError):
 
 
 class NonpositiveDt(ValueError):
-    """Time step must be positive."""
+    """Time step must be positive and finite."""
 
 
 class CflViolation(RuntimeError):

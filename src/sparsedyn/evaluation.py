@@ -14,8 +14,8 @@ from functools import partial
 
 import numpy as np
 
-# coefficient_field_of and dense_convolve are re-exported: callers, and the
-# layer tracer in perfbench/, look them up in this module
+# coefficient_field_of and dense_convolve are re-exported only because the
+# layer tracer in perfbench/ still looks them up in this module
 from .coefficients import coefficient_field_of  # noqa: F401
 from .errors import GridMismatch
 from .grid import GridSpec, box_blocks

@@ -7,7 +7,7 @@ import importlib.resources
 import math
 import shutil
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,6 @@ from .errors import ConfigError, UnderResolved
 from .evaluation import (
     RunReport,
     StepRecord,
-    dense_convolve,
     error_metrics,
     inject,
     iter_dense_states,
@@ -28,6 +27,7 @@ from .grid import TWO_PI, GridSpec
 from .shrinkage import (
     LambdaSchedule,
     SparseSpectrum,
+    dense_convolve,
     dump_spectrum,
     sparse_convolve,
 )
@@ -42,8 +42,8 @@ from .solvers import (
 )
 from .spectral import DenseSpectrum, dft_inverse
 
-_COEFFICIENT_NAMES = tuple(k for k, (dims, _) in _NAMED_FORMS.items() if dims in (None, 1))
-_FORCING_NAMES = tuple(k for k, (dims, _) in _NAMED_FORMS.items() if dims in (None, 2))
+_COEFFICIENT_NAMES = tuple(k for k, (dims, *_) in _NAMED_FORMS.items() if dims in (None, 1))
+_FORCING_NAMES = tuple(k for k, (dims, *_) in _NAMED_FORMS.items() if dims in (None, 2))
 _INITIAL_NAMES = ("gauss_bump", "sine_low", "two_vortices")
 _BASELINE_NAMES = ("dense", "low_frequency")
 
@@ -118,24 +118,37 @@ class ExperimentConfig:
         return f"power_law(C={self.lambda_c!r}, p={self.lambda_p!r})"
 
 
-_REQUIRED = ("equation", "dims", "n_per_dim", "dt", "t_end", "lambda_mode", "initial_condition")
+def _boolean(raw: str) -> bool:
+    """``true``, ``1``, ``yes``, ``on`` or their opposites, in any case."""
+    return {"true": True, "1": True, "yes": True, "on": True,
+            "false": False, "0": False, "no": False, "off": False}[raw.lower()]
 
 
-def _parse_value(name: str, kind: type, raw: str):
-    if kind is bool:
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"{name}: cannot parse {raw!r} as {kind.__name__}") from None
+def _listed(kind: type):
+    """Parse a comma-separated list of ``kind`` values; empty items are dropped."""
+    return lambda raw: tuple(kind(part.strip()) for part in raw.split(",") if part.strip())
+
+
+def _joined(values: tuple) -> str:
+    return ",".join(map(str, values))
+
+
+# the annotation of an ExperimentConfig field -> how its config text is
+# parsed, how a value is written back (``str`` of a float is its repr, so
+# format -> parse is a fixpoint), and the complaint when parsing fails
+_VALUE_TYPES = {
+    "str": (str, str, None),
+    "int": (int, str, "cannot parse {!r} as int"),
+    "float": (float, str, "cannot parse {!r} as float"),
+    "bool": (_boolean, lambda value: "true" if value else "false", "expected a boolean, got {!r}"),
+    "tuple[str, ...]": (_listed(str), _joined, None),
+    "tuple[float, ...]": (_listed(float), _joined, "cannot parse {!r}"),
+}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the flat ``key = value`` format; unknown keys are hard errors."""
+    """Parse the flat ``key = value`` format; unknown keys are hard errors,
+    and every field without a default is a required key."""
     field_types = {f.name: f.type for f in fields(ExperimentConfig)}
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -151,29 +164,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"{key}: duplicate key")
         raw[key] = value
 
-    for name in _REQUIRED:
-        if name not in raw:
-            raise ConfigError(f"{name}: required key missing")
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in raw:
+            raise ConfigError(f"{f.name}: required key missing")
 
     kwargs = {}
     for name, value in raw.items():
-        annotation = field_types[name]
-        if name in ("baselines",):
-            parts = tuple(p.strip() for p in value.split(",") if p.strip())
-            kwargs[name] = parts
-        elif name in ("snapshot_times",):
-            try:
-                kwargs[name] = tuple(float(p) for p in value.split(",") if p.strip())
-            except ValueError:
-                raise ConfigError(f"{name}: cannot parse {value!r}") from None
-        elif annotation == "int":
-            kwargs[name] = _parse_value(name, int, value)
-        elif annotation == "float":
-            kwargs[name] = _parse_value(name, float, value)
-        elif annotation == "bool":
-            kwargs[name] = _parse_value(name, bool, value)
-        else:
-            kwargs[name] = value
+        parse, _, complaint = _VALUE_TYPES[field_types[name]]
+        try:
+            kwargs[name] = parse(value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{name}: " + complaint.format(value)) from None
     config = ExperimentConfig(**kwargs)
     validate_config(config)
     return config
@@ -190,21 +191,10 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
 def format_config(config: ExperimentConfig) -> str:
     """Serialize back to the flat text form (parse -> format -> parse is a
     fixpoint)."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            rendered = ",".join(
-                repr(v) if isinstance(v, float) else str(v) for v in value
-            )
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{f.name} = {_VALUE_TYPES[f.type][1](getattr(config, f.name))}\n"
+        for f in fields(ExperimentConfig)
+    )
 
 
 # keys whose rule the library owns, each with a check of its value alone by
@@ -230,14 +220,17 @@ def _check_owned(key: str, value, rule: str | None = None) -> None:
         raise ConfigError(f"{key}: {err}") from None
 
 
+def _check_choice(config: ExperimentConfig, key: str, names: tuple[str, ...]) -> None:
+    """``ConfigError`` on ``key`` unless its value is one of ``names``."""
+    if (value := getattr(config, key)) not in names:
+        raise ConfigError(f"{key}: {value!r} is not one of {', '.join(names)}")
+
+
 def validate_config(config: ExperimentConfig) -> None:
     for f in fields(ExperimentConfig):
         if f.type == "float" and not math.isfinite(value := getattr(config, f.name)):
             raise ConfigError(f"{f.name}: must be finite, got {value!r}")
-    if config.equation not in EQUATIONS:
-        raise ConfigError(
-            f"equation: {config.equation!r} is not one of {', '.join(EQUATIONS)}"
-        )
+    _check_choice(config, "equation", EQUATIONS)
     expected_dims = 2 if config.equation == "vorticity2d" else 1
     if config.dims != expected_dims:
         raise ConfigError(f"dims: {config.equation} requires dims = {expected_dims}")
@@ -251,23 +244,12 @@ def validate_config(config: ExperimentConfig) -> None:
     if config.equation == "vorticity2d":
         if not config.gamma > 0:
             raise ConfigError("gamma: vorticity2d requires gamma > 0")
-        if config.forcing not in _FORCING_NAMES:
-            raise ConfigError(
-                f"forcing: {config.forcing!r} is not one of {', '.join(_FORCING_NAMES)}"
-            )
+        _check_choice(config, "forcing", _FORCING_NAMES)
     else:
-        if config.coefficient not in _COEFFICIENT_NAMES:
-            raise ConfigError(
-                f"coefficient: {config.coefficient!r} is not one of "
-                f"{', '.join(_COEFFICIENT_NAMES)}"
-            )
+        _check_choice(config, "coefficient", _COEFFICIENT_NAMES)
         if config.gamma != 0.0:
             raise ConfigError("gamma: only meaningful for vorticity2d")
-    if config.initial_condition not in _INITIAL_NAMES:
-        raise ConfigError(
-            f"initial_condition: {config.initial_condition!r} is not one of "
-            f"{', '.join(_INITIAL_NAMES)}"
-        )
+    _check_choice(config, "initial_condition", _INITIAL_NAMES)
     if config.initial_condition == "sine_low" and config.n_per_dim // 2 <= SINE_LOW_REACH:
         raise ConfigError(
             f"n_per_dim: sine_low holds modes |k| <= {SINE_LOW_REACH}, "
@@ -449,7 +431,8 @@ def convergence_study(
     order = 1 if config.equation in ("convection", "vorticity2d") else 2
     scaled = []
     for res in resolutions:
-        cfg = replace(config, n_per_dim=res, dt=_scaled_dt(config, res, order), snapshot_times=())
+        dt = config.dt * (config.n_per_dim / res) ** order
+        cfg = replace(config, n_per_dim=res, dt=dt, snapshot_times=())
         try:
             validate_config(cfg)
         except ConfigError as err:
@@ -487,18 +470,16 @@ def convergence_study(
         rows.append((grid.dx, l2, linf))
 
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["dx,l2,linf"]
-        for dx, l2, linf in rows:
-            lines.append(f"{dx!r},{l2!r},{linf!r}")
-        (out / "convergence.csv").write_text("\n".join(lines) + "\n")
+        _write_rows(Path(out_dir) / "convergence.csv", "dx,l2,linf", rows)
     return rows
 
 
-def _scaled_dt(config: ExperimentConfig, resolution: int, order: int) -> float:
-    ratio = config.n_per_dim / resolution
-    return config.dt * ratio**order
+def _write_rows(path: Path, header: str, rows) -> None:
+    """``rows`` under ``header`` as CSV at ``path``, its directory made if
+    need be; each value is written as its ``str``, for a float its repr."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [header] + [",".join(map(str, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def bench_convolution(
@@ -541,12 +522,8 @@ def bench_convolution(
                 (n, n_s, float(np.median(sparse_times)), float(np.median(dense_times)))
             )
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["n,n_s,sparse_median_s,dense_median_s"]
-        for n, n_s, ts, td in rows:
-            lines.append(f"{n},{n_s},{ts!r},{td!r}")
-        (out / "bench_convolution.csv").write_text("\n".join(lines) + "\n")
+        header = "n,n_s,sparse_median_s,dense_median_s"
+        _write_rows(Path(out_dir) / "bench_convolution.csv", header, rows)
     return rows
 
 

@@ -326,10 +326,15 @@ class LambdaSchedule:
         return cls("power_law", c=c, p=p)
 
 
-def lambda_at(schedule: LambdaSchedule, dt: float) -> float:
-    """Threshold value for one step of size ``dt``."""
-    if not dt > 0:
+def _check_dt(dt: float) -> None:
+    """The rule of every time step: ``NonpositiveDt`` unless ``0 < dt < inf``."""
+    if not 0 < dt < math.inf:
         raise NonpositiveDt(f"dt must be positive, got {dt}")
+
+
+def lambda_at(schedule: LambdaSchedule, dt: float) -> float:
+    """Threshold value for one step of size ``dt`` (:func:`_check_dt`)."""
+    _check_dt(dt)
     if schedule.mode == "fixed":
         return schedule.fixed_lambda
     return schedule.c * dt**schedule.p

@@ -42,7 +42,6 @@ from .errors import (
     CflViolation,
     CflWarning,
     HermitianViolation,
-    NonpositiveDt,
     NotOneDimensional,
     NotTwoDimensional,
     SolverDiverged,
@@ -60,6 +59,7 @@ from .grid import (
 from .shrinkage import (
     LambdaSchedule,
     SparseSpectrum,
+    _check_dt,
     convolve_sum,
     lambda_at,
     plan_convolution,
@@ -313,7 +313,7 @@ def _iterate(
     Raises
     ------
     NonpositiveDt
-        Unless ``dt > 0`` (NaN fails too).
+        Unless ``0 < dt < inf`` (:func:`~sparsedyn.shrinkage._check_dt`).
     ValueError
         Unless ``n_steps`` is an integer (a numpy one too, not a ``bool``)
         at least 0.
@@ -326,8 +326,7 @@ def _iterate(
         Before the first step, if ``initial`` is not the spectrum of a real
         field to ``HERMITIAN_RTOL``: the steps convolve real fields only.
     """
-    if not dt > 0:
-        raise NonpositiveDt(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
         raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 0:

@@ -75,6 +75,25 @@ def test_parabolic_and_burgers_coefficients_positive():
     assert b.min() > 0
 
 
+@pytest.mark.parametrize(
+    "kind, formula",
+    [("convection_oscillatory",
+      lambda x: 0.25 * np.exp((0.6 + 0.2 * np.cos(x)) / (1.0 + 0.7 * np.sin(64 * x)))),
+     ("parabolic_oscillatory",
+      lambda x: 0.1 * np.exp((0.6 + 0.2 * np.cos(x)) / (1.0 + 0.7 * np.sin(256 * x)))),
+     ("burgers_oscillatory",
+      lambda x: 0.075 * np.exp((0.65 + 0.2 * np.cos(x)) / (1.0 + 0.7 * np.sin(128 * x))))],
+)
+@pytest.mark.parametrize("domain_length", [2 * np.pi, 3.0])
+def test_oscillatory_samples_are_their_literal_formula(kind, formula, domain_length):
+    # each form of the one family c*exp((a + 0.2 cos x)/(1 + 0.7 sin Mx)),
+    # bit for bit as written out per form
+    g = GridSpec(1, 1024, domain_length)
+    got = sample_coefficient(CoefficientSpec(kind), g)
+    want = formula(g.axis_coordinates())
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_under_resolved_guard():
     with pytest.raises(UnderResolved):
         sample_coefficient(CoefficientSpec("convection_oscillatory"), GridSpec(1, 128))

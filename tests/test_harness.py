@@ -1,7 +1,7 @@
 import re
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -70,6 +70,18 @@ def test_unknown_key_is_hard_error():
 def test_missing_required_key():
     with pytest.raises(ConfigError, match="required key missing"):
         parse_config_text("equation = parabolic\ndims = 1\n")
+
+
+@pytest.mark.parametrize(
+    "key", ["equation", "dims", "n_per_dim", "dt", "t_end", "lambda_mode", "initial_condition"]
+)
+def test_each_field_without_a_default_is_a_required_key(key):
+    assert {f.name for f in fields(ExperimentConfig) if f.default is MISSING} == {
+        "equation", "dims", "n_per_dim", "dt", "t_end", "lambda_mode", "initial_condition"
+    }
+    lines = [line for line in SMALL_CONFIG.splitlines() if line.split("=")[0].strip() != key]
+    with pytest.raises(ConfigError, match=f"^{key}: required key missing$"):
+        parse_config_text("\n".join(lines))
 
 
 def test_unknown_equation_names_field():
@@ -155,6 +167,44 @@ def test_round_trip_fixpoint_for_all_recipes():
     for name, text in recipes.items():
         cfg = parse_config_text(text)
         assert parse_config_text(format_config(cfg)) == cfg, name
+
+
+def test_a_config_with_every_key_off_its_default_round_trips():
+    # both booleans true, two baselines, two snapshot times, a domain other
+    # than 2*pi: values the bundled recipes leave at their defaults
+    cfg = ExperimentConfig(
+        equation="vorticity2d",
+        dims=2,
+        n_per_dim=256,
+        dt=1e-3,
+        t_end=4e-3,
+        lambda_mode="fixed",
+        initial_condition="two_vortices",
+        domain_length=3.0,
+        fixed_lambda=1e-5,
+        lambda_c=0.5,
+        lambda_p=1.5,
+        coefficient="burgers_oscillatory",
+        coefficient_value=0.3,
+        gamma=0.01,
+        forcing="vorticity_forcing",
+        forcing_value=0.2,
+        initial_width=0.7,
+        initial_amplitude=2.0,
+        seed=7,
+        protect_mean=True,
+        baselines=("dense", "low_frequency"),
+        output_dir="elsewhere",
+        snapshot_times=(2e-3, 4e-3),
+        strict_cfl=True,
+    )
+    for f in fields(ExperimentConfig):
+        assert f.default is MISSING or getattr(cfg, f.name) != f.default, f.name
+    text = format_config(cfg)
+    assert "protect_mean = true\n" in text and "strict_cfl = true\n" in text
+    assert "baselines = dense,low_frequency\n" in text
+    assert "snapshot_times = 0.002,0.004\n" in text
+    assert parse_config_text(text) == cfg
 
 
 def test_cfl_warning_from_run_points_at_the_caller(tmp_path):

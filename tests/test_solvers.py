@@ -225,18 +225,26 @@ def test_advance_zero_steps_returns_initial():
     assert np.array_equal(final.current.values, u0.values)
 
 
-@pytest.mark.parametrize("dt", [0.0, -1e-5, float("nan")])
+@pytest.mark.parametrize("dt", [0.0, -1e-5, float("nan"), float("inf"), float("-inf")])
 def test_every_trajectory_rejects_a_nonpositive_dt(dt):
+    # dt = inf passed ``dt > 0``: it warned, overflowed and ended in
+    # SolverDiverged at step 1
     g = GridSpec(1, 32)
     u0 = sine_field(g)
     params = EquationParams("parabolic", coeff=CoefficientSpec.constant(1.0))
-    for states in (
-        iter_states(u0, params, NO_SHRINK, dt, 3),
-        iter_dense_states(u0.to_dense(), params, dt, 3),
-        iter_low_frequency_states(u0.to_dense(), params, dt, 3, cutoff=4),
-    ):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a CflWarning or a numpy RuntimeWarning fails
+        for states in (
+            iter_states(u0, params, NO_SHRINK, dt, 3),
+            iter_dense_states(u0.to_dense(), params, dt, 3),
+            iter_low_frequency_states(u0.to_dense(), params, dt, 3, cutoff=4),
+        ):
+            with pytest.raises(NonpositiveDt, match="dt must be positive"):
+                next(states)  # before state 0
         with pytest.raises(NonpositiveDt, match="dt must be positive"):
-            list(states)
+            advance(u0, params, NO_SHRINK, dt, 3)
+        with pytest.raises(NonpositiveDt, match="dt must be positive"):
+            shrinkage.lambda_at(LambdaSchedule.fixed(1e-3), dt)
 
 
 def test_every_trajectory_rejects_a_negative_step_count():
